@@ -290,7 +290,7 @@ def cmd_pair(args):
         if not args.gamma:
             raise UsageError("radius needs --gamma")
         g = cls.system.parse_root(args.gamma)
-        r = radius(cls, g, cap=cap)
+        r = radius(cls, g)
         payload = {"gamma": fmt(g), "radius": r, "mul": mul(g)}
         _emit(args, _jdump(payload) if args.format == "json" else f"radius({fmt(g)}) = {r}")
         return 0
@@ -298,7 +298,7 @@ def cmd_pair(args):
         raise UsageError(f"{args.action} needs --pair")
     seq = _sequence(cls, args.pair)
     if args.action == "socle":
-        cands = socle_candidates(seq)
+        cands = socle_candidates(seq, cap)
         s = cands[0] if len(cands) == 1 else None
         if args.format == "json":
             _emit(args, _jdump({"pair": seq.to_json(),
@@ -309,19 +309,19 @@ def cmd_pair(args):
         else:
             _emit(args, "undefined; candidates:\n" + "\n".join(str(c) for c in cands))
     elif args.action == "simple":
-        val = is_simple(seq, cap=cap)
+        val = is_simple(seq)
         _emit(args, _jdump({"sequence": seq.to_json(), "simple": val})
               if args.format == "json" else str(val))
     elif args.action == "minimal":
-        mins = minimal_sequences(seq)
+        mins = minimal_sequences(seq, cap)
         if args.format == "json":
             _emit(args, _jdump({"sequence": seq.to_json(),
                                 "minimal": [m.to_json() for m in mins]}))
         else:
             _emit(args, "\n".join(str(m) for m in mins))
     elif args.action == "dist":
-        d = dist(seq, cap=cap)
-        chain = dist_chain(seq, cap=cap)
+        d = dist(seq)
+        chain = dist_chain(seq)
         if args.format == "json":
             _emit(args, _jdump({"pair": seq.to_json(), "dist": d,
                                 "chain": [c.to_json() for c in chain]}))
@@ -336,7 +336,7 @@ def cmd_pair(args):
         else:
             _emit(args, str(d))
     elif args.action == "len":
-        nbrs = good_neighbors(seq, cap=cap)
+        nbrs = good_neighbors(seq)
         if args.format == "json":
             _emit(args, _jdump({"pair": seq.to_json(), "len": len(nbrs),
                                 "neighbors": [n.to_json() for n in nbrs]}))
@@ -475,7 +475,7 @@ def cmd_verify(args):
             for g in cls.system.positive_roots:
                 if g.height == 1:
                     continue
-                r = radius(cls, g, cap=args.cap_partitions)
+                r = radius(cls, g)
                 if r != mul(g):
                     failures.append({
                         "quiver": Q.orientation_str(),
@@ -491,7 +491,7 @@ def cmd_verify(args):
             for i in range(len(cls)):
                 for j in range(i + 1, len(cls)):
                     p = pair(cls, cls.roots[i], cls.roots[j])
-                    d = dist(p, cap=args.cap_partitions)
+                    d = dist(p)
                     if d > bound:
                         failures.append({
                             "quiver": Q.orientation_str(),
@@ -527,7 +527,9 @@ def _add_common(p, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to a file")
     p.add_argument("--cap-class", type=int, default=DEFAULT_CAP)
-    p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP,
+                   help="most partitions one enumeration may list; "
+                        "existence tests never reach it")
 
 
 def build_parser() -> argparse.ArgumentParser:

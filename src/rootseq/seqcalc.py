@@ -31,40 +31,85 @@ def _store(cls: CommClass) -> dict:
         return cls._seqcalc_cache
 
 
-def _partition_counts(roots, weight, cap):
-    """Multiplicity dicts (position -> count) over the given (position, root)
-    list whose roots sum to the weight.  DFS over positions, highest root
-    first, pruning on coordinate overshoot."""
-    order = sorted(roots, key=lambda pr: (-pr[1].height, pr[1].coeffs))
-    out = []
-    n = len(weight)
+def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
+                first: bool = False) -> list[tuple[int, ...]]:
+    """Count vectors over the class supported on the given positions whose
+    roots sum to the weight, in a fixed order: DFS over the roots, highest
+    first, each taken with its largest multiplicity first.
 
-    def rec(idx, residual, acc):
-        if all(x == 0 for x in residual):
-            out.append(dict(acc))
-            if len(out) > cap:
-                raise PartitionCap(len(out), cap)
-            return
-        if idx == len(order):
-            return
-        pos, root = order[idx]
-        cmax = min(
-            (residual[j] // c for j, c in enumerate(root.coeffs) if c),
-        )
-        for c in range(cmax, -1, -1):
-            if c:
-                acc[pos] = c
-                rec(
-                    idx + 1,
-                    tuple(residual[j] - c * root.coeffs[j] for j in range(n)),
-                    acc,
-                )
-                del acc[pos]
-            else:
-                rec(idx + 1, residual, acc)
+    With ``first`` the search stops at the first partition (an existence
+    test: at most one is listed and the cap is not checked); otherwise every
+    partition is listed and more than ``cap`` of them raise PartitionCap.
 
-    rec(0, tuple(weight), {})
+    A residual is packed into one int, a bit field per coordinate holding
+    the coordinate plus a guard bit above every value that can occur.
+    Subtracting a packed root then clears a guard bit exactly when that
+    coordinate goes negative, so one subtraction and one mask test decide
+    whether the root fits.
+    """
+    weight = tuple(weight)
+    roots = cls.roots
+    top = max(max((max(roots[p].coeffs) for p in positions), default=0), *weight)
+    width = top.bit_length() + 1
+    guard = 1 << (width - 1)  # guard > every weight coordinate and coefficient
+    shifts = range(0, width * len(weight), width)
+
+    def pack(vec, offset=0):
+        return sum((x + offset) << s for x, s in zip(vec, shifts))
+
+    zero = pack((0,) * len(weight), guard)  # also the mask of the guard bits
+    residual = pack(weight, guard)
+    packed = [(p, pack(roots[p].coeffs)) for p in positions]
+    packed = sorted(  # the roots that fit at least once, highest first
+        ((p, root) for p, root in packed if (residual - root) & zero == zero),
+        key=lambda pr: (-roots[pr[0]].height, roots[pr[0]].coeffs),
+    )
+    n = len(packed)
+    counts = [0] * len(cls)
+    out = [tuple(counts)] if residual == zero else []
+
+    def rec(start: int, residual: int) -> bool:
+        for idx in range(start, n):
+            pos, root = packed[idx]
+            fits = []
+            rest = residual - root
+            while rest & zero == zero:
+                fits.append(rest)
+                rest -= root
+            for c in range(len(fits), 0, -1):
+                counts[pos] = c
+                rest = fits[c - 1]
+                if rest == zero:
+                    out.append(tuple(counts))
+                    if first:
+                        return True
+                    if len(out) > cap:
+                        raise PartitionCap(len(out), cap)
+                elif rec(idx + 1, rest):
+                    return True
+            counts[pos] = 0
+        return False
+
+    if not out:
+        rec(0, residual)
     return out
+
+
+def _enumerated(
+    cls: CommClass, key, positions, weight, cap: int
+) -> tuple[RootSequence, ...]:
+    """The partitions of the weight over the positions, cached under the key
+    and checked against the cap on every call, so that capped and uncapped
+    calls agree whatever order they come in."""
+    store = _store(cls)
+    if key not in store:
+        store[key] = tuple(
+            RootSequence(cls, counts)
+            for counts in _partitions(cls, positions, weight, cap)
+        )
+    if len(store[key]) > cap:
+        raise PartitionCap(cap + 1, cap)
+    return store[key]
 
 
 def sequences_of_weight(
@@ -72,19 +117,7 @@ def sequences_of_weight(
 ) -> tuple[RootSequence, ...]:
     """Every multiset of roots of the class with the given total weight."""
     weight = tuple(weight)
-    store = _store(cls)
-    key = ("parts", weight)
-    if key not in store:
-        roots = list(enumerate(cls.roots))
-        found = _partition_counts(roots, weight, cap)
-        seqs = []
-        for mults in found:
-            counts = [0] * len(cls)
-            for pos, c in mults.items():
-                counts[pos] = c
-            seqs.append(RootSequence(cls, tuple(counts)))
-        store[key] = tuple(seqs)
-    return store[key]
+    return _enumerated(cls, ("parts", weight), range(len(cls)), weight, cap)
 
 
 def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
@@ -112,34 +145,20 @@ def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
     return store[key]
 
 
-def _interval_partitions(cls: CommClass, i: int, j: int) -> tuple[RootSequence, ...]:
+def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(cls.roots[i].coeffs, cls.roots[j].coeffs))
+
+
+def _interval_partitions(
+    cls: CommClass, i: int, j: int, cap: int = DEFAULT_CAP
+) -> tuple[RootSequence, ...]:
     """All multisets of roots strictly between positions i and j in the heap
     order (i strictly below j) summing to beta_i + beta_j.  Every such
     multiset is coarse-below the pair (i, j), and conversely every sequence
     coarse-below the pair with its weight is of this shape."""
-    store = _store(cls)
-    key = ("ipart", i, j)
-    if key not in store:
-        between = cls._above[i] & cls._below[j]
-        mid = []
-        k = 0
-        m = between
-        while m:
-            if m & 1:
-                mid.append((k, cls.roots[k]))
-            m >>= 1
-            k += 1
-        gamma = tuple(
-            x + y for x, y in zip(cls.roots[i].coeffs, cls.roots[j].coeffs)
-        )
-        seqs = []
-        for mults in _partition_counts(mid, gamma, DEFAULT_CAP):
-            counts = [0] * len(cls)
-            for pos, c in mults.items():
-                counts[pos] = c
-            seqs.append(RootSequence(cls, tuple(counts)))
-        store[key] = tuple(seqs)
-    return store[key]
+    return _enumerated(
+        cls, ("ipart", i, j), cls.interval(i, j), _pair_weight(cls, i, j), cap
+    )
 
 
 def _ordered_pair_positions(seq: RootSequence) -> tuple[int, int] | None:
@@ -165,7 +184,7 @@ def _pair_positions(seq: RootSequence) -> tuple[int, int]:
 # -- simplicity ---------------------------------------------------------
 
 
-def is_simple_pair(cls: CommClass, i: int, j: int, cap: int = DEFAULT_CAP) -> bool:
+def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     """Simplicity of the pair at class positions i, j: no equal-weight
     sequence is coarse-below it.
 
@@ -173,35 +192,19 @@ def is_simple_pair(cls: CommClass, i: int, j: int, cap: int = DEFAULT_CAP) -> bo
     possible coarse-smaller sequences of the same weight are supported
     strictly between the two roots in the heap order (the two roots are then
     exactly the minimal and maximal differing positions), so it suffices to
-    look for a partition of the weight inside that open interval.
+    look for a partition of the weight inside that open interval.  The
+    search stops at the first one, so no cap applies.
     """
     if i > j:
         i, j = j, i
     store = _store(cls)
     key = ("simple", i, j)
-    if key in store:
-        return store[key]
-    if cls.prec_pos(i, j):
-        a, b = i, j
-    elif cls.prec_pos(j, i):
-        a, b = j, i
-    else:
-        store[key] = True
-        return True
-    between = cls._above[a] & cls._below[b]
-    mid = []
-    k = 0
-    m = between
-    while m:
-        if m & 1:
-            mid.append((k, cls.roots[k]))
-        m >>= 1
-        k += 1
-    gamma = tuple(
-        x + y for x, y in zip(cls.roots[i].coeffs, cls.roots[j].coeffs)
-    )
-    found = _partition_counts(mid, gamma, cap)
-    store[key] = not found
+    if key not in store:
+        if cls.prec_pos(j, i):
+            i, j = j, i
+        store[key] = not cls.prec_pos(i, j) or not _partitions(
+            cls, cls.interval(i, j), _pair_weight(cls, i, j), first=True
+        )
     return store[key]
 
 
@@ -216,14 +219,14 @@ def is_simple_pair_brute(cls: CommClass, i: int, j: int) -> bool:
     )
 
 
-def is_simple(seq: RootSequence, cap: int = DEFAULT_CAP) -> bool:
+def is_simple(seq: RootSequence) -> bool:
     """A sequence is simple if it has a single entry or every pair of
     distinct occupied positions forms a simple pair."""
     if seq.size() <= 1:
         return True
     occupied = [k for k, c in enumerate(seq.counts) if c]
     return all(
-        is_simple_pair(seq.cls, occupied[a], occupied[b], cap=cap)
+        is_simple_pair(seq.cls, occupied[a], occupied[b])
         for a in range(len(occupied))
         for b in range(a + 1, len(occupied))
     )
@@ -232,38 +235,42 @@ def is_simple(seq: RootSequence, cap: int = DEFAULT_CAP) -> bool:
 # -- socle and minimal sequences ---------------------------------------
 
 
-def socle_candidates(seq: RootSequence) -> tuple[RootSequence, ...]:
+def socle_candidates(
+    seq: RootSequence, cap: int = DEFAULT_CAP
+) -> tuple[RootSequence, ...]:
     """All simple sequences of the same weight that are coarse-at-most seq."""
     if _is_pair(seq):
         ij = _ordered_pair_positions(seq)
         if ij is None:
             return (seq,)  # incomparable pairs are simple and nothing is below
-        below = _interval_partitions(seq.cls, *ij)
+        below = _interval_partitions(seq.cls, *ij, cap=cap)
         out = [m for m in below if is_simple(m)]
         if not below:  # the pair itself is then simple
             out.append(seq)
         return tuple(out)
     out = []
-    for m in sequences_of_weight(seq.cls, seq.weight()):
+    for m in sequences_of_weight(seq.cls, seq.weight(), cap):
         if (m.counts == seq.counts or coarse_less(m, seq)) and is_simple(m):
             out.append(m)
     return tuple(out)
 
 
-def socle(seq: RootSequence) -> RootSequence | None:
+def socle(seq: RootSequence, cap: int = DEFAULT_CAP) -> RootSequence | None:
     """The unique simple equal-weight sequence coarse-at-most seq, or None
     when no such sequence exists or several do."""
-    cands = socle_candidates(seq)
+    cands = socle_candidates(seq, cap)
     return cands[0] if len(cands) == 1 else None
 
 
-def minimal_sequences(s: RootSequence) -> tuple[RootSequence, ...]:
+def minimal_sequences(
+    s: RootSequence, cap: int = DEFAULT_CAP
+) -> tuple[RootSequence, ...]:
     """Minimal sequences of a simple sequence s: equal-weight sequences
     strictly coarse-above s with nothing strictly between."""
     if not is_simple(s):
         raise ValueError("minimal sequences are defined for simple sequences")
     above = [
-        m for m in sequences_of_weight(s.cls, s.weight()) if coarse_less(s, m)
+        m for m in sequences_of_weight(s.cls, s.weight(), cap) if coarse_less(s, m)
     ]
     return tuple(
         m
@@ -275,43 +282,45 @@ def minimal_sequences(s: RootSequence) -> tuple[RootSequence, ...]:
 # -- distances ----------------------------------------------------------
 
 
-def dist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
+def _dist_pool(seq: RootSequence) -> list[RootSequence]:
+    """The non-simple pairs of the weight of seq."""
+    return [
+        p
+        for p in pairs_of_weight(seq.cls, seq.weight())
+        if not is_simple_pair(seq.cls, *_pair_positions(p))
+    ]
+
+
+def _gdist_pool(seq: RootSequence, cap: int) -> list[RootSequence]:
+    """The non-simple sequences of the weight of seq that a chain ending at
+    the non-simple seq can use."""
+    if _is_pair(seq):
+        # every chain member is coarse-below the pair, hence an interval
+        # partition of it; no global enumeration needed
+        below = _interval_partitions(seq.cls, *_ordered_pair_positions(seq), cap=cap)
+        return [m for m in below if not is_simple(m)] + [seq]
+    return [
+        m
+        for m in sequences_of_weight(seq.cls, seq.weight(), cap)
+        if not is_simple(m)
+    ]
+
+
+def dist(seq: RootSequence) -> int:
     """Longest chain of non-simple equal-weight pairs ending at the pair,
     counted by cardinality; 0 for a simple pair."""
     if not _is_pair(seq):
         raise ValueError("dist is defined for pairs")
-    i, j = _pair_positions(seq)
-    if is_simple_pair(seq.cls, i, j, cap=cap):
+    if is_simple_pair(seq.cls, *_pair_positions(seq)):
         return 0
-    pool = [
-        p
-        for p in pairs_of_weight(seq.cls, seq.weight())
-        if not is_simple_pair(seq.cls, *_pair_positions(p), cap=cap)
-    ]
-    return _longest_chain(seq, pool, ("dist", seq.weight()))
+    return _longest_chain(seq, _dist_pool(seq), ("dist", seq.weight()))
 
 
 def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
     """Longest chain of non-simple equal-weight sequences ending at seq."""
-    if is_simple(seq, cap=cap):
+    if is_simple(seq):
         return 0
-    if _is_pair(seq):
-        # every chain member is coarse-below the pair, hence an interval
-        # partition of it; no global enumeration needed
-        ij = _ordered_pair_positions(seq)
-        pool = [
-            m
-            for m in _interval_partitions(seq.cls, *ij)
-            if not is_simple(m, cap=cap)
-        ]
-        pool.append(seq)
-        return _longest_chain(seq, pool, ("gdist", seq.weight()))
-    pool = [
-        m
-        for m in sequences_of_weight(seq.cls, seq.weight(), cap=cap)
-        if not is_simple(m, cap=cap)
-    ]
-    return _longest_chain(seq, pool, ("gdist", seq.weight()))
+    return _longest_chain(seq, _gdist_pool(seq, cap), ("gdist", seq.weight()))
 
 
 def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
@@ -361,37 +370,18 @@ def _chain_witness(seq: RootSequence, pool, cache_tag) -> tuple[RootSequence, ..
     return tuple(reversed(chain))
 
 
-def dist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
+def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
     """A longest chain of non-simple pairs ending at seq (empty if simple)."""
-    if dist(seq, cap=cap) == 0:
+    if dist(seq) == 0:
         return ()
-    pool = [
-        p
-        for p in pairs_of_weight(seq.cls, seq.weight())
-        if not is_simple_pair(seq.cls, *_pair_positions(p), cap=cap)
-    ]
-    return _chain_witness(seq, pool, ("dist", seq.weight()))
+    return _chain_witness(seq, _dist_pool(seq), ("dist", seq.weight()))
 
 
 def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
     """A longest chain of non-simple sequences ending at seq (empty if simple)."""
     if gdist(seq, cap=cap) == 0:
         return ()
-    if _is_pair(seq):
-        ij = _ordered_pair_positions(seq)
-        pool = [
-            m
-            for m in _interval_partitions(seq.cls, *ij)
-            if not is_simple(m, cap=cap)
-        ]
-        pool.append(seq)
-    else:
-        pool = [
-            m
-            for m in sequences_of_weight(seq.cls, seq.weight(), cap=cap)
-            if not is_simple(m, cap=cap)
-        ]
-    return _chain_witness(seq, pool, ("gdist", seq.weight()))
+    return _chain_witness(seq, _gdist_pool(seq, cap), ("gdist", seq.weight()))
 
 
 # -- good neighbors and length -----------------------------------------
@@ -403,7 +393,7 @@ def _pair_roots_ordered(p: RootSequence) -> tuple[PosRoot, PosRoot]:
 
 
 def _eta_condition(
-    pp: RootSequence, p: RootSequence, cap: int, threshold: int | None = None
+    pp: RootSequence, p: RootSequence, threshold: int | None = None
 ) -> bool:
     """Condition (i) of good adjacency: a root eta transfers between the two
     pairs in one of the two directions, with both mixed pairs strictly closer
@@ -414,7 +404,7 @@ def _eta_condition(
     sys_ = cls.system
     a1, b1 = _pair_roots_ordered(pp)
     a2, b2 = _pair_roots_ordered(p)
-    d = dist(p, cap=cap) if threshold is None else threshold
+    d = dist(p) if threshold is None else threshold
     # (a) eta + b2 = b1 and eta + a1 = a2
     eta = b1 - b2
     if eta == a2 - a1 and min(eta.coeffs) >= 0 and sys_.is_positive_root(eta):
@@ -423,8 +413,8 @@ def _eta_condition(
         if (
             q1 is not None
             and q2 is not None
-            and dist(q1, cap=cap) < d
-            and dist(q2, cap=cap) < d
+            and dist(q1) < d
+            and dist(q2) < d
         ):
             return True
     # (b) b1 + eta = b2 and a2 + eta = a1
@@ -435,8 +425,8 @@ def _eta_condition(
         if (
             q1 is not None
             and q2 is not None
-            and dist(q1, cap=cap) < d
-            and dist(q2, cap=cap) < d
+            and dist(q1) < d
+            and dist(q2) < d
         ):
             return True
     return False
@@ -455,10 +445,7 @@ def _mk_pair(cls: CommClass, r1: PosRoot, r2: PosRoot) -> RootSequence | None:
 
 
 def good_adjacent(
-    pp: RootSequence,
-    p: RootSequence,
-    cap: int = DEFAULT_CAP,
-    threshold: int | None = None,
+    pp: RootSequence, p: RootSequence, threshold: int | None = None
 ) -> bool:
     """pp and p are good adjacent neighbors: pp is coarse-below p, some root
     transfers between them per the eta condition, and no pair of the same
@@ -470,7 +457,7 @@ def good_adjacent(
         raise ValueError("good adjacency is defined for pairs")
     if not coarse_less(pp, p):
         return False
-    if not _eta_condition(pp, p, cap, threshold):
+    if not _eta_condition(pp, p, threshold):
         return False
     for q in pairs_of_weight(p.cls, p.weight()):
         if q.counts in (p.counts, pp.counts):
@@ -480,7 +467,7 @@ def good_adjacent(
     return True
 
 
-def good_neighbors(p: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
+def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
     """Non-simple equal-weight pairs below p reachable by a chain of good
     adjacent steps; their count is the length of p."""
     if not _is_pair(p):
@@ -491,11 +478,11 @@ def good_neighbors(p: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequenc
     # the eta transfer conserves weight and every chain member is coarse
     # below p, so intermediate pairs below p of the same weight suffice
     nodes = [q for q in pool if q.counts == p.counts or coarse_less(q, p)]
-    d = dist(p, cap=cap)
+    d = dist(p)
     adj = {q.counts: [] for q in nodes}
     for a in nodes:
         for b in nodes:
-            if a.counts != b.counts and good_adjacent(a, b, cap=cap, threshold=d):
+            if a.counts != b.counts and good_adjacent(a, b, threshold=d):
                 adj[b.counts].append(a.counts)
     seen = {p.counts}
     frontier = [p.counts]
@@ -511,16 +498,16 @@ def good_neighbors(p: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequenc
     for q in nodes:
         if q.counts == p.counts or q.counts not in seen:
             continue
-        if not is_simple_pair(cls, *_pair_positions(q), cap=cap):
+        if not is_simple_pair(cls, *_pair_positions(q)):
             out.append(q)
     return tuple(out)
 
 
-def length(p: RootSequence, cap: int = DEFAULT_CAP) -> int:
-    return len(good_neighbors(p, cap=cap))
+def length(p: RootSequence) -> int:
+    return len(good_neighbors(p))
 
 
-def radius(cls: CommClass, gamma: PosRoot, cap: int = DEFAULT_CAP) -> int:
+def radius(cls: CommClass, gamma: PosRoot) -> int:
     """Largest pair distance over equal-weight pairs coarse-above the
     one-entry sequence (gamma); defined for non-simple roots."""
     gamma = cls.system.root(gamma)
@@ -530,7 +517,7 @@ def radius(cls: CommClass, gamma: PosRoot, cap: int = DEFAULT_CAP) -> int:
     counts[cls.position(gamma)] = 1
     base = RootSequence(cls, tuple(counts))
     vals = [
-        dist(p, cap=cap)
+        dist(p)
         for p in pairs_of_weight(cls, gamma.coeffs)
         if coarse_less(base, p)
     ]

@@ -139,6 +139,11 @@ class CommClass:
     def prec_pos(self, p: int, q: int) -> bool:
         return bool(self._above[p] & (1 << q))
 
+    def interval(self, p: int, q: int) -> list[int]:
+        """Positions strictly between p and q in the heap order, ascending."""
+        m = self._above[p] & self._below[q]
+        return [k for k in range(m.bit_length()) if m >> k & 1]
+
     def prec(self, alpha: PosRoot, beta: PosRoot) -> bool:
         """alpha strictly before beta in every class member."""
         return self.prec_pos(self.position(alpha), self.position(beta))

@@ -1,20 +1,7 @@
-import os
-
 import pytest
 
 from rootseq.rootsys import build_root_system
 from rootseq.words import ReducedWord, act, roots_of_word
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("RUN_SLOW"):
-        return
-    if "slow" in (config.getoption("-m") or ""):
-        return
-    skip = pytest.mark.skip(reason="slow sweep; enable with RUN_SLOW=1 or -m slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 def word_from_root_order(system, root_texts):

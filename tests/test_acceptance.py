@@ -299,7 +299,6 @@ def test_criterion_9_coarse_oracle(d4):
 # 10 --------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_10_e7_e8_spot_checks():
     e7 = build_root_system("E", 7)
     cls7 = build_ar_quiver(DynkinQuiver.from_arrows(e7, E7_ARROWS)).comm_class()

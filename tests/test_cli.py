@@ -126,6 +126,32 @@ def test_cap_exit_3(capsys):
     assert code == 3 and "error" in err
 
 
+E6_QUIVER = ["--quiver", "E6:1>2,2>3,3>4,4>5,6>3"]
+E6_PAIR = ["--pair", "111001,012211"]  # 12 interval partitions
+# exit code of each pair action under --cap-partitions 1: enumerations list
+# the partitions of the pair's interval or of the root and pass the cap;
+# existence tests list at most one partition and are never capped
+CAPPED_EXIT = {
+    "socle": (E6_PAIR, 3),
+    "gdist": (E6_PAIR, 3),
+    "minimal": (["--pair", "123211"], 3),
+    "simple": (E6_PAIR, 0),
+    "dist": (E6_PAIR, 0),
+    "len": (E6_PAIR, 0),
+    "radius": (["--gamma", "123211"], 0),
+}
+
+
+@pytest.mark.parametrize("action", sorted(CAPPED_EXIT))
+def test_pair_cap_partitions(capsys, action):
+    target, code = CAPPED_EXIT[action]
+    assert run(capsys, "pair", action, *E6_QUIVER, *target)[0] == 0
+    got, _, err = run(capsys, "pair", action, *E6_QUIVER, *target,
+                      "--cap-partitions", "1")
+    assert got == code
+    assert ("more than 1 partitions" in err) == (code == 3)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "roots.txt"
     code, out, _ = run(capsys, "word", "roots", "--type", "A2",

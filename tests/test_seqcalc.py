@@ -7,6 +7,8 @@ from rootseq.orders import RootSequence, coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
     PartitionCap,
+    _pair_weight,
+    _partitions,
     dist,
     dist_chain,
     gdist,
@@ -69,7 +71,9 @@ def test_singletons_are_simple(d4_cls):
         assert is_simple(RootSequence.from_roots(d4_cls, [r]))
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 3), ("A", 4), ("D", 4)])
+@pytest.mark.parametrize(
+    "kind,rank", [("A", 3), ("A", 4), ("D", 4), ("A", 5), ("D", 5)]
+)
 def test_simple_pair_matches_brute_force(kind, rank):
     sys_ = build_root_system(kind, rank)
     for Q in itertools.islice(all_orientations(sys_), 3):
@@ -77,6 +81,23 @@ def test_simple_pair_matches_brute_force(kind, rank):
         for i in range(len(cls)):
             for j in range(i + 1, len(cls)):
                 assert is_simple_pair(cls, i, j) == is_simple_pair_brute(cls, i, j)
+
+
+def test_exists_mode_is_first_enumerated_partition():
+    """The existence test stops at the first partition the enumeration
+    lists, on every comparable pair of the E6 reference class."""
+    cls = _arq_cls("E", 6, E6_ARROWS)
+    seen = 0
+    for i in range(len(cls)):
+        for j in range(len(cls)):
+            if not cls.prec_pos(i, j):
+                continue
+            between, wt = cls.interval(i, j), _pair_weight(cls, i, j)
+            found = _partitions(cls, between, wt)
+            assert _partitions(cls, between, wt, first=True) == found[:1]
+            assert is_simple_pair(cls, i, j) == (not found)
+            seen += bool(found)
+    assert seen  # the class has non-simple pairs
 
 
 # -- socle --------------------------------------------------------------
@@ -256,8 +277,52 @@ def test_pairs_of_weight_matches_filtered_sequences(d4_cls):
     assert pairs == full and pairs
 
 
+def test_weights_past_a_small_field():
+    """Coordinates of 33 and 40 overflow a fixed 5-bit field; the packing
+    must size its fields from the weight."""
+    cls = heap_of(ReducedWord((1, 2, 1), build_root_system("A", 2)))
+    assert len(sequences_of_weight(cls, (33, 33))) == 34
+    assert [s.counts for s in sequences_of_weight(cls, (40, 0))] == [(40, 0, 0)]
+
+
 def test_partition_cap(d4):
     cls = heap_of(ReducedWord(D4_WORD, d4))  # fresh class, empty caches
     wt = d4.parse_root("{1|2}").coeffs
     with pytest.raises(PartitionCap):
         sequences_of_weight(cls, wt, cap=1)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_cap_holds_on_cached_enumerations(warm):
+    """Calls that enumerate more partitions than their cap raise whether or
+    not an uncapped call has cached the enumeration, and do not change what
+    an uncapped call answers.  The existence test is never capped."""
+    from rootseq.arquiver import DynkinQuiver
+
+    e6 = build_root_system("E", 6)
+    # a fresh class, so that no other test has filled its caches
+    cls = heap_of(build_ar_quiver(DynkinQuiver.from_arrows(e6, E6_ARROWS)).reading())
+    p = _pair(cls, "111001", "012211")  # 12 interval partitions
+    one = RootSequence.from_strings(cls, ["123211"])
+
+    def uncapped():
+        found = (socle_candidates(p), gdist_chain(p), minimal_sequences(one))
+        return [[m.counts for m in seqs] for seqs in found]
+
+    before = uncapped() if warm else None
+    for capped in (
+        lambda: socle_candidates(p, cap=11),
+        lambda: gdist(p, cap=11),
+        lambda: gdist_chain(p, cap=1),
+        lambda: socle(p, cap=1),
+        lambda: minimal_sequences(one, cap=1),
+        lambda: sequences_of_weight(cls, one.weight(), cap=1),
+    ):
+        with pytest.raises(PartitionCap):
+            capped()
+    assert gdist(p, cap=12) == len(gdist_chain(p, cap=12)) > 0
+    assert not is_simple(p) and dist(p) > 0
+    after = uncapped()
+    assert all(after)
+    if warm:
+        assert after == before
