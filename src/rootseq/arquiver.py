@@ -14,6 +14,10 @@ class NotASink(ValueError):
     pass
 
 
+class BadOrientation(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class DynkinQuiver:
     system: RootSystem
@@ -23,7 +27,9 @@ class DynkinQuiver:
         edges = {frozenset(e) for e in self.system.datum.edges}
         got = {frozenset(a) for a in self.arrows}
         if got != edges or len(self.arrows) != len(edges):
-            raise ValueError("orientation does not cover the Dynkin tree exactly once")
+            raise BadOrientation(
+                "orientation does not cover the Dynkin tree exactly once"
+            )
 
     @staticmethod
     def from_arrows(system: RootSystem, arrows) -> "DynkinQuiver":

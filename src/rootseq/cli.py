@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 enumeration
-cap exceeded.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad input,
+or a statistic asked outside its domain), 3 enumeration cap exceeded,
+4 internal error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,11 +11,19 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from importlib import resources
 
-from .arquiver import DynkinQuiver, all_orientations, build_ar_quiver, find_quiver
+from .arquiver import (
+    BadOrientation,
+    DynkinQuiver,
+    all_orientations,
+    build_ar_quiver,
+    find_quiver,
+)
 from .denom import (
     DenominatorEntry,
+    WellDefinednessViolation,
     conjecture_table,
     denominator,
     denominator_closed_form,
@@ -25,6 +34,7 @@ from .orders import RootSequence, bilex_less, coarse_less, pair
 from .rootsys import NotARoot, ParseError, UnsupportedType, build_root_system, mul
 from .seqcalc import (
     DEFAULT_CAP,
+    NotInDomain,
     PartitionCap,
     dist,
     dist_chain,
@@ -41,8 +51,10 @@ from .seqcalc import (
 from .words import (
     ClassTooLarge,
     CommClass,
+    LetterOutOfRange,
     NotReduced,
     ReducedWord,
+    RootNotInWord,
     enumerate_class,
     heap_of,
     roots_of_word,
@@ -61,7 +73,21 @@ class VerificationFailed(RuntimeError):
     pass
 
 
+# errors in what the user asked for, as opposed to faults of the program
+USER_ERRORS = (
+    UsageError, FixtureMissing, UnsupportedType, ParseError, NotARoot, NotReduced,
+    LetterOutOfRange, RootNotInWord, BadOrientation, NotInDomain,
+)
+
+
 # -- parsing helpers ----------------------------------------------------
+
+
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad {what} {text!r}, expected an integer") from None
 
 
 def _parse_type_rank(args):
@@ -93,11 +119,8 @@ def _parse_orient(system, text):
         if ">" not in part:
             raise UsageError(f"bad orientation edge {part!r}, expected 'a>b'")
         a, b = part.split(">", 1)
-        arrows.append((int(a), int(b)))
-    try:
-        return DynkinQuiver.from_arrows(system, arrows)
-    except ValueError as e:
-        raise UsageError(str(e))
+        arrows.append((_int(a, "node"), _int(b, "node")))
+    return DynkinQuiver.from_arrows(system, arrows)
 
 
 def _quiver(args):
@@ -107,7 +130,9 @@ def _quiver(args):
             raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
         head, tail = spec.split(":", 1)
         head = head.strip()
-        kind, rank = head[0].upper(), int(head[1:])
+        if not head:
+            raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
+        kind, rank = head[0].upper(), _int(head[1:], "rank")
         system = build_root_system(kind, rank)
         return _parse_orient(system, tail)
     system = _system(args)
@@ -121,7 +146,7 @@ def _quiver(args):
 
 def _parse_word(system, text) -> ReducedWord:
     letters = tuple(
-        int(x) for x in text.replace(",", " ").split() if x.strip()
+        _int(x, "letter") for x in text.replace(",", " ").split() if x.strip()
     )
     return ReducedWord(letters, system)
 
@@ -361,6 +386,8 @@ def _table_text(entries, latex=False):
 
 def cmd_denom(args):
     if args.action == "poly":
+        if args.k is None or args.l is None:
+            raise UsageError("poly needs --k and --l")
         Q = _quiver(args)
         p = distance_polynomial(Q, args.k, args.l, check_all=args.check_all)
         if args.format == "json":
@@ -594,13 +621,16 @@ def main(argv=None) -> int:
     except (ClassTooLarge, PartitionCap) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except VerificationFailed as e:
+    except (VerificationFailed, WellDefinednessViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (UsageError, UnsupportedType, ParseError, NotARoot, NotReduced,
-            FixtureMissing, ValueError, KeyError) as e:
+    except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a fault of the program, not of the input
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     return code
 
 

@@ -5,25 +5,32 @@ member at once)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rootsys import PosRoot
-from .words import CommClass, ReducedWord
+from .words import CommClass, ReducedWord, roots_of_word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootSequence:
     """A finite multiset of positive roots drawn from a commutation class,
-    stored as a multiplicity vector aligned with the representative word."""
+    stored as a multiplicity vector aligned with the representative word.
+    ``support_mask`` has bit k set iff position k occurs."""
 
     cls: CommClass
     counts: tuple[int, ...]
+    support_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.counts) != len(self.cls):
             raise ValueError("multiplicity vector does not match the class length")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative multiplicity")
+        mask = 0
+        for k, c in enumerate(self.counts):
+            if c:
+                if c < 0:
+                    raise ValueError("negative multiplicity")
+                mask |= 1 << k
+        object.__setattr__(self, "support_mask", mask)
 
     @staticmethod
     def from_roots(cls: CommClass, roots) -> "RootSequence":
@@ -57,7 +64,17 @@ class RootSequence:
         return tuple(out)
 
     def support(self) -> tuple[PosRoot, ...]:
-        return tuple(self.cls.roots[k] for k, c in enumerate(self.counts) if c)
+        return tuple(self.cls.roots[k] for k in self.positions())
+
+    def positions(self) -> list[int]:
+        """The occupied class positions, ascending."""
+        out = []
+        rest = self.support_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out.append(low.bit_length() - 1)
+        return out
 
     def mult(self, beta: PosRoot) -> int:
         return self.counts[self.cls.position(beta)]
@@ -88,14 +105,17 @@ def partial_less(cls: CommClass, alpha: PosRoot, beta: PosRoot) -> bool:
     return cls.prec(alpha, beta)
 
 
-def _member_positions(seq: RootSequence, member: ReducedWord | None) -> list[int]:
-    """Class positions listed in the order the given member visits them."""
+def _member_positions(seq: RootSequence, member: ReducedWord | None):
+    """Class positions listed in the order the given member visits them;
+    computed once per member and kept in the class cache."""
     cls = seq.cls
     if member is None:
-        return list(range(len(cls)))
-    from .words import roots_of_word
-
-    return [cls.position(r) for r in roots_of_word(member)]
+        return range(len(cls))
+    order = cls.cache.members.get(member)
+    if order is None:  # an error leaves nothing in the cache
+        order = [cls.position(r) for r in roots_of_word(member)]
+        cls.cache.members[member] = order
+    return order
 
 
 def bilex_less(
@@ -125,21 +145,29 @@ def coarse_less(a: RootSequence, b: RootSequence) -> bool:
     """
     if a.cls is not b.cls:
         raise ValueError("sequences live over different commutation classes")
-    cls = a.cls
-    diffs = [k for k in range(len(cls)) if a.counts[k] != b.counts[k]]
-    if not diffs:
-        return False
+    ca, cb = a.counts, b.counts
+    diffs = []
     mask = 0
+    rest = a.support_mask | b.support_mask  # outside it both counts are 0
+    while rest:  # as in positions(), inlined: the chain DP's inner loop
+        low = rest & -rest
+        rest ^= low
+        k = low.bit_length() - 1
+        if ca[k] != cb[k]:
+            diffs.append(k)
+            mask |= low
+    below, above = a.cls._below, a.cls._above
     for k in diffs:
-        mask |= 1 << k
-    for k in diffs:
-        is_min = not (cls._below[k] & mask)
-        is_max = not (cls._above[k] & mask)
-        if (is_min or is_max) and a.counts[k] >= b.counts[k]:
+        is_min = not (below[k] & mask)
+        is_max = not (above[k] & mask)
+        if (is_min or is_max) and ca[k] >= cb[k]:
             return False
-    return True
+    return bool(diffs)
 
 
-def coarse_less_brute(a: RootSequence, b: RootSequence) -> bool:
-    """Reference implementation: check bi-lex against every class member."""
-    return all(bilex_less(a, b, member=w) for w in a.cls.linear_extensions())
+def coarse_less_brute(a: RootSequence, b: RootSequence, members=None) -> bool:
+    """Reference implementation: check bi-lex against every class member
+    (``members``: the members of the class, when already listed)."""
+    if members is None:
+        members = a.cls.linear_extensions()
+    return all(bilex_less(a, b, member=w) for w in members)

@@ -3,8 +3,9 @@ sequences over a commutation class.
 
 All sequences here live over a fixed commutation class and are compared with
 the coarse bi-lex order from :mod:`rootseq.orders`.  Expensive intermediate
-results (partitions of a weight, pair simplicity, chain lengths) are cached on
-the class object itself.
+results (partitions of a weight or of an interval, pair simplicity, chain
+lengths, the packed roots of the partition search) are kept in the class's
+``cache`` (:class:`rootseq.words.ClassCache`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from .words import CommClass
 DEFAULT_CAP = 10**6
 
 
+class NotInDomain(ValueError):
+    """A statistic was asked of a sequence or a root it is not defined for."""
+
+
 class PartitionCap(RuntimeError):
     def __init__(self, count: int, cap: int):
         super().__init__(f"weight has more than {cap} partitions (saw {count})")
@@ -23,12 +28,28 @@ class PartitionCap(RuntimeError):
         self.cap = cap
 
 
-def _store(cls: CommClass) -> dict:
-    try:
-        return cls._seqcalc_cache
-    except AttributeError:
-        cls._seqcalc_cache = {}
-        return cls._seqcalc_cache
+def _packed_roots(cls: CommClass, width: int):
+    """The guard mask and the class's roots in search order (height
+    descending, then coefficients), each as (position, packed coefficients,
+    mask of the bit fields it touches), for fields of the given width."""
+    table = cls.cache.packed.get(width)
+    if table is None:
+        roots = cls.roots
+        field = (1 << width) - 1
+        shifts = range(0, width * cls.system.rank, width)
+        entries = [
+            (
+                p,
+                sum(x << s for x, s in zip(roots[p].coeffs, shifts)),
+                sum(field << s for x, s in zip(roots[p].coeffs, shifts) if x),
+            )
+            for p in sorted(
+                range(len(cls)), key=lambda p: (-roots[p].height, roots[p].coeffs)
+            )
+        ]
+        zero = sum(1 << (s + width - 1) for s in shifts)
+        table = cls.cache.packed[width] = (zero, entries)
+    return table
 
 
 def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
@@ -45,34 +66,42 @@ def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
     the coordinate plus a guard bit above every value that can occur.
     Subtracting a packed root then clears a guard bit exactly when that
     coordinate goes negative, so one subtraction and one mask test decide
-    whether the root fits.
+    whether the root fits.  Fields are wide enough for twice the largest
+    root coefficient (every pair weight), so the packed roots are shared by
+    all calls on the class; a wider weight gets wider fields.  A branch ends
+    as soon as its residual is nonzero in a coordinate that none of the
+    roots left to try touches: it holds no partition.
     """
     weight = tuple(weight)
-    roots = cls.roots
-    top = max(max((max(roots[p].coeffs) for p in positions), default=0), *weight)
-    width = top.bit_length() + 1
-    guard = 1 << (width - 1)  # guard > every weight coordinate and coefficient
+    top = max(2 * max(cls.system.highest_root.coeffs), *weight)
+    width = top.bit_length() + 1  # the guard bit exceeds every value
+    zero, entries = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
-
-    def pack(vec, offset=0):
-        return sum((x + offset) << s for x, s in zip(vec, shifts))
-
-    zero = pack((0,) * len(weight), guard)  # also the mask of the guard bits
-    residual = pack(weight, guard)
-    packed = [(p, pack(roots[p].coeffs)) for p in positions]
-    packed = sorted(  # the roots that fit at least once, highest first
-        ((p, root) for p, root in packed if (residual - root) & zero == zero),
-        key=lambda pr: (-roots[pr[0]].height, roots[pr[0]].coeffs),
-    )
+    residual = zero + sum(x << s for x, s in zip(weight, shifts))
+    within = 0
+    for p in positions:
+        within |= 1 << p
+    packed = [  # the roots that fit at least once
+        e for e in entries if within >> e[0] & 1 and (residual - e[1]) & zero == zero
+    ]
     n = len(packed)
+    # uncovered[idx]: the fields no root in packed[idx:] touches
+    uncovered = [0] * n + [(1 << width * len(weight)) - 1]
+    for idx in range(n - 1, -1, -1):
+        uncovered[idx] = uncovered[idx + 1] & ~packed[idx][2]
     counts = [0] * len(cls)
     out = [tuple(counts)] if residual == zero else []
 
     def rec(start: int, residual: int) -> bool:
+        left = residual ^ zero  # the residual's values, without guard bits
         for idx in range(start, n):
-            pos, root = packed[idx]
-            fits = []
+            if left & uncovered[idx]:  # roots from idx on cannot finish it
+                return False
+            pos, root, _ = packed[idx]
             rest = residual - root
+            if rest & zero != zero:
+                continue
+            fits = []
             while rest & zero == zero:
                 fits.append(rest)
                 rest -= root
@@ -96,12 +125,11 @@ def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
 
 
 def _enumerated(
-    cls: CommClass, key, positions, weight, cap: int
+    cls: CommClass, store: dict, key, positions, weight, cap: int
 ) -> tuple[RootSequence, ...]:
-    """The partitions of the weight over the positions, cached under the key
-    and checked against the cap on every call, so that capped and uncapped
-    calls agree whatever order they come in."""
-    store = _store(cls)
+    """The partitions of the weight over the positions, cached in the store
+    under the key and checked against the cap on every call, so that capped
+    and uncapped calls agree whatever order they come in."""
     if key not in store:
         store[key] = tuple(
             RootSequence(cls, counts)
@@ -117,16 +145,15 @@ def sequences_of_weight(
 ) -> tuple[RootSequence, ...]:
     """Every multiset of roots of the class with the given total weight."""
     weight = tuple(weight)
-    return _enumerated(cls, ("parts", weight), range(len(cls)), weight, cap)
+    return _enumerated(cls, cls.cache.weights, weight, range(len(cls)), weight, cap)
 
 
 def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
     """Unordered pairs of distinct roots of the class with the given total
     weight (enumerated directly, without listing all partitions)."""
     weight = tuple(weight)
-    store = _store(cls)
-    key = ("pairs", weight)
-    if key not in store:
+    store = cls.cache.pairs
+    if weight not in store:
         sys_ = cls.system
         out = []
         for i, r in enumerate(cls.roots):
@@ -141,8 +168,8 @@ def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
                 counts = [0] * len(cls)
                 counts[i] = counts[j] = 1
                 out.append(RootSequence(cls, tuple(counts)))
-        store[key] = tuple(out)
-    return store[key]
+        store[weight] = tuple(out)
+    return store[weight]
 
 
 def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
@@ -157,7 +184,8 @@ def _interval_partitions(
     multiset is coarse-below the pair (i, j), and conversely every sequence
     coarse-below the pair with its weight is of this shape."""
     return _enumerated(
-        cls, ("ipart", i, j), cls.interval(i, j), _pair_weight(cls, i, j), cap
+        cls, cls.cache.intervals, (i, j), cls.interval(i, j),
+        _pair_weight(cls, i, j), cap,
     )
 
 
@@ -177,7 +205,7 @@ def _is_pair(seq: RootSequence) -> bool:
 
 
 def _pair_positions(seq: RootSequence) -> tuple[int, int]:
-    i, j = (k for k, c in enumerate(seq.counts) if c)
+    i, j = seq.positions()
     return i, j
 
 
@@ -197,8 +225,8 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     """
     if i > j:
         i, j = j, i
-    store = _store(cls)
-    key = ("simple", i, j)
+    store = cls.cache.simple
+    key = (i, j)
     if key not in store:
         if cls.prec_pos(j, i):
             i, j = j, i
@@ -224,7 +252,7 @@ def is_simple(seq: RootSequence) -> bool:
     distinct occupied positions forms a simple pair."""
     if seq.size() <= 1:
         return True
-    occupied = [k for k, c in enumerate(seq.counts) if c]
+    occupied = seq.positions()
     return all(
         is_simple_pair(seq.cls, occupied[a], occupied[b])
         for a in range(len(occupied))
@@ -268,7 +296,7 @@ def minimal_sequences(
     """Minimal sequences of a simple sequence s: equal-weight sequences
     strictly coarse-above s with nothing strictly between."""
     if not is_simple(s):
-        raise ValueError("minimal sequences are defined for simple sequences")
+        raise NotInDomain("minimal sequences are defined for simple sequences")
     above = [
         m for m in sequences_of_weight(s.cls, s.weight(), cap) if coarse_less(s, m)
     ]
@@ -310,7 +338,7 @@ def dist(seq: RootSequence) -> int:
     """Longest chain of non-simple equal-weight pairs ending at the pair,
     counted by cardinality; 0 for a simple pair."""
     if not _is_pair(seq):
-        raise ValueError("dist is defined for pairs")
+        raise NotInDomain("dist is defined for pairs")
     if is_simple_pair(seq.cls, *_pair_positions(seq)):
         return 0
     return _longest_chain(seq, _dist_pool(seq), ("dist", seq.weight()))
@@ -326,42 +354,31 @@ def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
 def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
     """Length of the longest coarse chain inside pool ending at seq (which
     must be in pool)."""
-    cls = seq.cls
-    store = _store(cls)
-    memo = store.setdefault(cache_tag, {})
+    memo = seq.cls.cache.chains.setdefault(cache_tag, {})
 
-    def best(counts) -> int:
-        if counts in memo:
-            return memo[counts]
-        memo[counts] = 1  # placeholder; orders are acyclic so this is safe
-        me = RootSequence(cls, counts)
+    def best(me: RootSequence) -> int:
+        if me.counts in memo:
+            return memo[me.counts]
+        memo[me.counts] = 1  # placeholder; orders are acyclic so this is safe
+        # coarse_less(m, me) is false for any m with the counts of me
         b = 1 + max(
-            (
-                best(m.counts)
-                for m in pool
-                if m.counts != counts and coarse_less(m, me)
-            ),
-            default=0,
+            (best(m) for m in pool if m is not me and coarse_less(m, me)), default=0
         )
-        memo[counts] = b
+        memo[me.counts] = b
         return b
 
-    return best(seq.counts)
+    return best(seq)
 
 
 def _chain_witness(seq: RootSequence, pool, cache_tag) -> tuple[RootSequence, ...]:
     """A longest chain ending at seq, reconstructed from the memo table."""
     best = _longest_chain(seq, pool, cache_tag)
-    memo = _store(seq.cls)[cache_tag]
+    memo = seq.cls.cache.chains[cache_tag]
     chain = [seq]
     cur, val = seq, best
     while val > 1:
         for m in pool:
-            if (
-                m.counts != cur.counts
-                and memo.get(m.counts) == val - 1
-                and coarse_less(m, cur)
-            ):
+            if memo.get(m.counts) == val - 1 and coarse_less(m, cur):
                 chain.append(m)
                 cur, val = m, val - 1
                 break
@@ -454,7 +471,7 @@ def good_adjacent(
     A pair satisfying the eta condition against p automatically has the
     weight of p, so the exclusion clause reduces to the betweenness check."""
     if not (_is_pair(pp) and _is_pair(p)):
-        raise ValueError("good adjacency is defined for pairs")
+        raise NotInDomain("good adjacency is defined for pairs")
     if not coarse_less(pp, p):
         return False
     if not _eta_condition(pp, p, threshold):
@@ -471,7 +488,7 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
     """Non-simple equal-weight pairs below p reachable by a chain of good
     adjacent steps; their count is the length of p."""
     if not _is_pair(p):
-        raise ValueError("length is defined for pairs")
+        raise NotInDomain("length is defined for pairs")
     cls = p.cls
     wt = p.weight()
     pool = pairs_of_weight(cls, wt)
@@ -512,7 +529,7 @@ def radius(cls: CommClass, gamma: PosRoot) -> int:
     one-entry sequence (gamma); defined for non-simple roots."""
     gamma = cls.system.root(gamma)
     if gamma.height == 1:
-        raise ValueError("radius is defined for non-simple roots")
+        raise NotInDomain("radius is defined for non-simple roots")
     counts = [0] * len(cls)
     counts[cls.position(gamma)] = 1
     base = RootSequence(cls, tuple(counts))
@@ -522,5 +539,5 @@ def radius(cls: CommClass, gamma: PosRoot) -> int:
         if coarse_less(base, p)
     ]
     if not vals:
-        raise ValueError(f"no pairs above ({cls.system.format_root(gamma)})")
+        raise NotInDomain(f"no pairs above ({cls.system.format_root(gamma)})")
     return max(vals)

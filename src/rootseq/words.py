@@ -12,6 +12,10 @@ class NotReduced(ValueError):
     pass
 
 
+class LetterOutOfRange(ValueError):
+    pass
+
+
 class ClassTooLarge(RuntimeError):
     def __init__(self, partial_count: int, cap: int):
         super().__init__(f"commutation class exceeds cap {cap} (saw {partial_count})")
@@ -27,7 +31,9 @@ class ReducedWord:
     def __post_init__(self):
         for i in self.letters:
             if not 1 <= i <= self.system.rank:
-                raise ValueError(f"letter {i} out of range for rank {self.system.rank}")
+                raise LetterOutOfRange(
+                    f"letter {i} out of range for rank {self.system.rank}"
+                )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -80,14 +86,37 @@ def is_reduced(word: ReducedWord) -> bool:
         return False
 
 
+class ClassCache:
+    """Answers computed over one commutation class, kept with the class.
+
+    Each entry depends on the class alone, never on the queries made before
+    it, so every caller may share it.  Enumerations are stored whole and
+    checked against each caller's cap on the way out (see ``seqcalc``).
+    """
+
+    __slots__ = ("weights", "intervals", "pairs", "simple", "chains", "packed",
+                 "members")
+
+    def __init__(self):
+        self.weights = {}  # weight -> its partitions over the class
+        self.intervals = {}  # (i, j) -> partitions of beta_i + beta_j between i, j
+        self.pairs = {}  # weight -> pairs of distinct roots of that weight
+        self.simple = {}  # (i, j), i < j -> simplicity of the pair
+        self.chains = {}  # (statistic, weight) -> {counts: longest chain to it}
+        self.packed = {}  # field width -> (guard mask, packed roots in DFS order)
+        self.members = {}  # member word -> class positions in its order
+
+
 class CommClass:
     """A commutation class, represented by a word plus the heap on its letters.
 
     Positions are 0-based internally.  ``prec(a, b)`` is the strict convex
     partial order: true iff a comes before b in every member of the class.
+    ``cache`` holds what the library has computed over the class.
     """
 
     def __init__(self, representative: ReducedWord):
+        self.cache = ClassCache()
         self.representative = representative
         self.system = representative.system
         self.roots = roots_of_word(representative)  # may raise NotReduced

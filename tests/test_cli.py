@@ -119,6 +119,36 @@ def test_usage_errors_exit_2(capsys):
                "--orient", "1>2,2>3,3>4,4>5,6>3")[0] == 2
 
 
+@pytest.mark.parametrize("exc", [KeyError, ValueError, RuntimeError])
+def test_internal_error_exit_4(capsys, monkeypatch, exc):
+    """A bare exception from inside the library is a fault of the program,
+    not of the input: exit 4 with the traceback on stderr, not 2."""
+    import rootseq.cli
+
+    def broken(word):
+        raise exc("lost")
+
+    monkeypatch.setattr(rootseq.cli, "roots_of_word", broken)
+    code, _, err = run(capsys, "word", "roots", "--type", "A2", "--word", "1 2 1")
+    assert code == 4
+    assert f"internal error: {exc.__name__}" in err and "Traceback" in err
+
+
+def test_domain_errors_exit_2(capsys):
+    """Statistics asked outside their domain, roots missing from the word
+    and malformed numbers are usage errors."""
+    assert run(capsys, "pair", "dist", *D4_ARGS, "--pair", "{1|2}")[0] == 2
+    assert run(capsys, "pair", "radius", *D4_ARGS, "--gamma", "{1|-2}")[0] == 2
+    assert run(capsys, "pair", "minimal", *D4_ARGS, "--pair", "{2|-4},{1|2}")[0] == 2
+    assert run(capsys, "pair", "simple", "--type", "A3", "--word", "1 2",
+               "--pair", "[1],[3]")[0] == 2
+    assert run(capsys, "word", "roots", "--type", "A2", "--word", "1 x")[0] == 2
+    assert run(capsys, "word", "roots", "--type", "A2", "--word", "1 5")[0] == 2
+    assert run(capsys, "arq", "show", "--quiver", "E:1>2")[0] == 2
+    assert run(capsys, "arq", "show", "--type", "A3", "--orient", "1>3,2>3")[0] == 2
+    assert run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3")[0] == 2
+
+
 def test_cap_exit_3(capsys):
     code, _, err = run(capsys, "word", "class", "--type", "A4",
                        "--word", " ".join(map(str, [1, 2, 1, 3, 2, 1, 4, 3, 2, 1])),

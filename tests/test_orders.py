@@ -42,6 +42,34 @@ def test_sequence_validation(a5_cls):
         RootSequence(a5_cls, (-1,) + (0,) * 14)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (0,) * 14,
+        (0,) * 16,
+        (1,) * 14 + (-1,),
+        (2,) + (0,) * 13 + (-3,),
+        (0, -1) + (1,) * 13,
+    ],
+)
+def test_sequence_rejects_bad_counts(a5_cls, counts):
+    """A wrong length or a negative count anywhere is rejected, also after
+    positive counts."""
+    with pytest.raises(ValueError):
+        RootSequence(a5_cls, counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=15, max_size=15))
+def test_support_mask_is_the_nonzero_positions(counts):
+    cls = heap_of(ReducedWord(A5_WORD, build_root_system("A", 5)))
+    s = RootSequence(cls, tuple(counts))
+    nonzero = [k for k, c in enumerate(counts) if c]
+    assert s.positions() == nonzero
+    assert s.support_mask == sum(1 << k for k in nonzero)
+    assert s.support() == tuple(cls.roots[k] for k in nonzero)
+
+
 def test_total_and_partial_orders(a5_cls):
     sys_ = a5_cls.system
     r13, r23, r25 = (sys_.parse_root(t) for t in ("[1,3]", "[2,3]", "[2,5]"))
@@ -87,16 +115,32 @@ def _random_sequences(cls, rng, count, max_size=3):
     return out
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4)])
-def test_coarse_matches_brute_force(kind, rank):
+# Classes of w0 in D5 that no quiver is adapted to, with 504, 960 and 1,296
+# members; the adapted D5 classes have 18,720 to 214,848.
+D5_WORDS = (
+    (2, 1, 2, 3, 5, 4, 2, 3, 2, 5, 4, 3, 5, 1, 2, 3, 5, 4, 3, 5),
+    (1, 2, 5, 1, 3, 2, 5, 4, 3, 2, 1, 2, 5, 3, 4, 2, 3, 2, 5, 3),
+    (1, 2, 3, 1, 2, 4, 5, 3, 5, 4, 2, 1, 3, 2, 3, 5, 4, 3, 4, 5),
+)
+
+
+def _test_classes(kind, rank):
     sys_ = build_root_system(kind, rank)
+    if (kind, rank) == ("D", 5):
+        return [heap_of(ReducedWord(w, sys_)) for w in D5_WORDS]
+    quivers = itertools.islice(all_orientations(sys_), 3)
+    return [build_ar_quiver(Q).comm_class() for Q in quivers]
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("D", 4), ("A", 5), ("D", 5)])
+def test_coarse_matches_brute_force(kind, rank):
     rng = random.Random(11)
-    for Q in itertools.islice(all_orientations(sys_), 3):
-        cls = build_ar_quiver(Q).comm_class()
+    for cls in _test_classes(kind, rank):
+        members = list(cls.linear_extensions())
         seqs = _random_sequences(cls, rng, 25)
         for a in seqs:
             for b in seqs:
-                assert coarse_less(a, b) == coarse_less_brute(a, b)
+                assert coarse_less(a, b) == coarse_less_brute(a, b, members)
 
 
 def test_coarse_implies_every_member_bilex(d4):

@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootseq.arquiver import all_orientations, build_ar_quiver, find_quiver
 from rootseq.orders import RootSequence, coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
+    DEFAULT_CAP,
     PartitionCap,
     _pair_weight,
     _partitions,
@@ -26,7 +29,7 @@ from rootseq.seqcalc import (
     socle,
     socle_candidates,
 )
-from rootseq.words import ReducedWord, heap_of
+from rootseq.words import CommClass, ReducedWord, heap_of
 
 D4_WORD = (3, 2, 1, 4) * 3
 E6_WORD = (1, 2, 6, 3, 5, 4, 6, 1, 3, 2, 6, 3, 5, 6, 4, 1, 3, 2, 6,
@@ -35,6 +38,8 @@ E6_WORD = (1, 2, 6, 3, 5, 4, 6, 1, 3, 2, 6, 3, 5, 6, 4, 1, 3, 2, 6,
 E6_ARROWS = ((1, 2), (2, 3), (3, 4), (4, 5), (6, 3))
 E7_ARROWS = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4))
 E8_ARROWS = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
+A4_ARROWS = ((1, 2), (3, 2), (3, 4))
+D5_ARROWS = ((1, 2), (2, 3), (3, 4), (3, 5))
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +103,72 @@ def test_exists_mode_is_first_enumerated_partition():
             assert is_simple_pair(cls, i, j) == (not found)
             seen += bool(found)
     assert seen  # the class has non-simple pairs
+
+
+def _partitions_reference(cls, positions, weight):
+    """Every partition of the weight into roots at the positions, by tuple
+    arithmetic and nothing else: the roots highest first (ties by
+    coefficients), each taken from its largest multiplicity down to 0."""
+    roots = cls.roots
+    order = sorted(positions, key=lambda p: (-roots[p].height, roots[p].coeffs))
+    counts = [0] * len(cls)
+    out = []
+
+    def rec(idx, residual):
+        if not any(residual):
+            out.append(tuple(counts))
+            return
+        if idx == len(order):
+            return
+        coeffs = roots[order[idx]].coeffs
+        most = min(r // x for r, x in zip(residual, coeffs) if x)
+        for c in range(most, -1, -1):
+            counts[order[idx]] = c
+            rec(idx + 1, tuple(r - c * x for r, x in zip(residual, coeffs)))
+        counts[order[idx]] = 0
+
+    rec(0, tuple(weight))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,rank,arrows", [("A", 4, A4_ARROWS), ("D", 5, D5_ARROWS), ("E", 6, E6_ARROWS)]
+)
+def test_engine_matches_reference_enumeration(kind, rank, arrows):
+    """The packed, pruned search lists the same partitions in the same order
+    as a plain recursion, over random intervals and over the whole class,
+    for pair weights and for weights wider than the class's shared fields."""
+    cls = _arq_cls(kind, rank, arrows)
+    rng = random.Random(7)
+    comparable = [
+        (i, j) for i in range(len(cls)) for j in range(len(cls)) if cls.prec_pos(i, j)
+    ]
+    cases = []
+    for i, j in rng.sample(comparable, min(40, len(comparable))):
+        cases.append((cls.interval(i, j), _pair_weight(cls, i, j)))
+    everywhere = range(len(cls))
+    # pair weights of height at most 14: the plain recursion takes seconds
+    # on the E6 weights near twice the highest root (about 15,000 partitions)
+    light = [(i, j) for i in everywhere for j in everywhere[i + 1:]
+             if sum(_pair_weight(cls, i, j)) <= 14]
+    for i, j in rng.sample(light, 10):
+        cases.append((everywhere, _pair_weight(cls, i, j)))
+    # the shared fields hold up to twice the largest root coefficient; a
+    # coordinate of `wide` or more needs wider fields of its own
+    base = cls.system.highest_root.coeffs
+    shared_bits = (2 * max(base)).bit_length()
+    wide = 1 << shared_bits
+    cases.append((everywhere, (wide,) + base[1:]))
+    if kind == "A":  # small enough to enumerate a weight with every coordinate wide
+        cases.append((everywhere, (wide, wide + 1, wide, wide + 3)))
+    assert any(max(wt).bit_length() > shared_bits for _, wt in cases)
+    listed = 0
+    for positions, wt in cases:
+        want = _partitions_reference(cls, positions, wt)
+        assert _partitions(cls, positions, wt) == want, (list(positions), wt)
+        assert _partitions(cls, positions, wt, first=True) == want[:1]
+        listed += len(want)
+    assert listed > len(cases)  # the weights have partitions to list
 
 
 # -- socle --------------------------------------------------------------
@@ -326,3 +397,65 @@ def test_cap_holds_on_cached_enumerations(warm):
     assert all(after)
     if warm:
         assert after == before
+
+
+# -- answers do not depend on the order of the queries -------------------
+
+
+def _cold_d5_class():
+    """A new class object, with nothing in its cache."""
+    return CommClass(_arq_cls("D", 5, D5_ARROWS).representative)
+
+
+def _d5_queries():
+    """dist and gdist of every pair, gdist of every longer sequence of the
+    highest root's weight, and the enumeration of that weight and of two
+    pair weights, under the default cap, a cap one too small and an exact
+    cap."""
+    cls = _cold_d5_class()
+    n = len(cls)
+    queries = [
+        (stat, (i, j)) for stat in ("dist", "gdist")
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    top = cls.system.highest_root.coeffs
+    queries += [
+        ("gdist", s.counts) for s in sequences_of_weight(cls, top) if s.size() > 2
+    ]
+    for wt in (top, _pair_weight(cls, 0, n - 1), _pair_weight(cls, 3, 12)):
+        count = len(sequences_of_weight(cls, wt))
+        queries += [("parts", wt, cap) for cap in (DEFAULT_CAP, count - 1, count)]
+    return queries
+
+
+def _answer(cls, query):
+    if query[0] in ("dist", "gdist"):
+        key = query[1]
+        if len(key) == 2:  # a pair of positions
+            key = tuple(int(k in key) for k in range(len(cls)))
+        stat = dist if query[0] == "dist" else gdist
+        return stat(RootSequence(cls, key))
+    _, wt, cap = query
+    try:
+        return [s.counts for s in sequences_of_weight(cls, wt, cap)]
+    except PartitionCap:
+        return "capped"
+
+
+D5_QUERIES = _d5_queries()
+
+
+@pytest.fixture(scope="module")
+def d5_cold_answers():
+    """Each query's answer from a class that has answered nothing else."""
+    return [_answer(_cold_d5_class(), q) for q in D5_QUERIES]
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(range(len(D5_QUERIES))))
+def test_cached_answers_do_not_depend_on_query_order(d5_cold_answers, order):
+    """Over one D5 class, every query answered after the others in a
+    shuffled order equals its answer from a cold class."""
+    cls = _cold_d5_class()
+    for k in order:
+        assert _answer(cls, D5_QUERIES[k]) == d5_cold_answers[k], D5_QUERIES[k]
