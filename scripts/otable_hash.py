@@ -1,0 +1,49 @@
+#!/usr/bin/env python3
+"""Hash the o-tables (the gdist of every (k, l, t) slot) of every orientation
+of A2-A8, D4-D8, E6 and E7, and of the E8 reference orientation
+3>1,3>4,4>2,4>5,5>6,6>7,7>8.
+
+Prints one line: the number of tables, the sum of o_t over the E8 table and
+a sha256 over all tables.  Two versions of the library that print the same
+line compute the same o-tables.  Run with ``PYTHONPATH=src``.
+"""
+
+import hashlib
+import sys
+
+from rootseq import arquiver, denom
+from rootseq.rootsys import build_root_system
+
+SYSTEMS = [("A", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)] + [
+    ("E", 6),
+    ("E", 7),
+]
+E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
+
+
+def _table_text(Q) -> str:
+    table = denom._o_table(Q)
+    body = ";".join(f"{k},{l},{t}:{o}" for (k, l, t), o in sorted(table.items()))
+    return f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {body}\n"
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for kind, rank in SYSTEMS:
+        for Q in arquiver.all_orientations(build_root_system(kind, rank)):
+            digest.update(_table_text(Q).encode())
+            count += 1
+        # the tables and AR quivers of one system are not needed again
+        denom._o_table.cache_clear()
+        arquiver._build_cached.cache_clear()
+    e8 = arquiver.DynkinQuiver.from_arrows(build_root_system("E", 8), E8_REFERENCE)
+    digest.update(_table_text(e8).encode())
+    count += 1
+    e8_sum = sum(denom._o_table(e8).values())
+    print(f"tables {count}  E8 sum o_t {e8_sum}  sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

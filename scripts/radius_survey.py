@@ -8,7 +8,7 @@ import sys
 import time
 
 from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
-from rootseq.rootsys import build_root_system, mul
+from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import radius
 
 REFERENCE_E = {
@@ -30,7 +30,7 @@ def survey(kind, rank):
     for g in sys_.positive_roots:
         if g.height == 1:
             continue
-        rows.append((sys_.format_root(g), mul(g), radius(cls, g)))
+        rows.append((sys_.format_root(g), g.mul, radius(cls, g)))
     print(f"\n{kind}{rank}  (orientation {Q.orientation_str()}, "
           f"{time.time() - t0:.1f}s)")
     print(f"{'root':<14} mul radius")

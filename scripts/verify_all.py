@@ -10,7 +10,7 @@ import time
 from rootseq.arquiver import all_orientations, build_ar_quiver
 from rootseq.denom import verify_denominator
 from rootseq.orders import RootSequence
-from rootseq.rootsys import build_root_system, mul
+from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import dist, radius
 
 DENOM_CASES = [("A", n) for n in range(2, 7)] + [("D", n) for n in range(4, 7)]
@@ -42,10 +42,10 @@ def sweep_radius():
                 if g.height == 1:
                     continue
                 r = radius(cls, g)
-                if r != mul(g):
+                if r != g.mul:
                     bad += 1
                     print(f"MISMATCH radius {kind}{rank} {Q.orientation_str()} "
-                          f"{sys_.format_root(g)}: radius {r} != mul {mul(g)}")
+                          f"{sys_.format_root(g)}: radius {r} != mul {g.mul}")
         print(f"radius = mul {kind}{rank}: all orientations")
     return bad
 

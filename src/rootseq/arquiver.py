@@ -6,12 +6,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import PosRoot, RootSystem, UnsupportedType, build_root_system
-from .words import CommClass, ReducedWord, act, is_reduced, roots_of_word
-
-
-class NotASink(ValueError):
-    pass
+from .rootsys import PosRoot, RootSystem, build_root_system
+from .words import CommClass, ReducedWord, act
 
 
 class BadOrientation(ValueError):
@@ -59,12 +55,6 @@ class DynkinQuiver:
     def rev(self) -> "DynkinQuiver":
         return DynkinQuiver(self.system, frozenset((b, a) for a, b in self.arrows))
 
-    def star(self) -> "DynkinQuiver":
-        inv = self.system.w0_involution
-        return DynkinQuiver(
-            self.system, frozenset((inv[a], inv[b]) for a, b in self.arrows)
-        )
-
     def orientation_str(self) -> str:
         return ",".join(f"{a}>{b}" for a, b in sorted(self.arrows))
 
@@ -108,22 +98,6 @@ def gamma(Q: DynkinQuiver, i: int) -> PosRoot:
     return Q.system.root(tuple(v))
 
 
-def theta(Q: DynkinQuiver, i: int) -> PosRoot:
-    """theta_i = sum of alpha_j over vertices j reachable from i."""
-    fwd = {i}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in Q.arrows:
-            if a in fwd and b not in fwd:
-                fwd.add(b)
-                changed = True
-    v = [0] * Q.system.rank
-    for j in fwd:
-        v[j - 1] = 1
-    return Q.system.root(tuple(v))
-
-
 def height_function(Q: DynkinQuiver) -> dict[int, int]:
     """xi with xi = 0 at the smallest-index source; xi drops by 1 along arrows."""
     start = min(Q.sources())
@@ -153,15 +127,9 @@ class ARQuiver:
         self.system = quiver.system
         sys_ = self.system
         self.xi = height_function(quiver)
-        cox = coxeter_word(quiver)
-        self.coxeter_letters = cox.letters
-
-        def tau(v):
-            return act(sys_, cox.letters, v)
-
+        cox = coxeter_word(quiver).letters
         label: dict[tuple[int, int], PosRoot] = {}
         mQ: dict[int, int] = {}
-        tau_map: dict[PosRoot, PosRoot] = {}
         for i in range(1, sys_.rank + 1):
             g = gamma(quiver, i)
             p = self.xi[i]
@@ -169,56 +137,31 @@ class ARQuiver:
             k = 0
             cur = g
             while True:
-                nxt = tau(cur.coeffs)
+                nxt = act(sys_, cox, cur.coeffs)  # tau_Q
                 if min(nxt) < 0:
                     break
                 k += 1
-                nr = sys_.root(nxt)
-                tau_map[cur] = nr
-                label[(i, p - 2 * k)] = nr
-                cur = nr
+                cur = sys_.root(nxt)
+                label[(i, p - 2 * k)] = cur
             mQ[i] = k
         self.mQ = mQ
         self.label = label
-        self.tau = tau_map  # beta -> tau_Q(beta) where that stays positive
         self.vertex_of = {r: v for v, r in label.items()}
         if len(self.vertex_of) != sys_.N:
             raise RuntimeError("phi_Q failed to be a bijection onto the positive roots")
-        d = sys_.datum.distance
-        arrows = []
-        for (i, p) in label:
-            for j in range(1, sys_.rank + 1):
-                if d(i, j) == 1 and (j, p + 1) in label:
-                    arrows.append(((i, p), (j, p + 1)))
-        self.arrows = tuple(arrows)
-        self._succ = {}
-        for u, v in arrows:
-            self._succ.setdefault(u, []).append(v)
-        # strict reachability masks over root indices: reach[b] = roots with a
-        # path from b (i.e. roots strictly below b in prec_Q)
-        order = sorted(label, key=lambda v: -v[1])  # increasing p processed first
-        reach: dict[tuple[int, int], int] = {}
-        for u in order:
-            m = 0
-            for v in self._succ.get(u, ()):
-                m |= (1 << sys_.index(label[v])) | reach[v]
-            reach[u] = m
-        self._below_mask = {label[u]: m for u, m in reach.items()}
+        cartan = sys_.cartan  # -1 iff the nodes are adjacent
+        self.arrows = tuple(
+            ((i, p), (j, p + 1))
+            for (i, p) in label
+            for j in range(1, sys_.rank + 1)
+            if cartan[i - 1][j - 1] == -1 and (j, p + 1) in label
+        )
 
     def residue(self, beta: PosRoot) -> int:
         return self.vertex_of[beta][0]
 
     def coordinate(self, beta: PosRoot) -> tuple[int, int]:
         return self.vertex_of[beta]
-
-    def prec(self, alpha: PosRoot, beta: PosRoot) -> bool:
-        """alpha prec_Q beta, i.e. there is a path from beta to alpha."""
-        return bool(self._below_mask[beta] & (1 << self.system.index(alpha)))
-
-    def theta_root(self, i: int) -> PosRoot:
-        """Label at the far end of the i-th row (equals theta of i* by the
-        Nakayama identity)."""
-        return self.label[(i, self.xi[i] - 2 * self.mQ[i])]
 
     def rows(self) -> dict[int, list[PosRoot]]:
         """Per-residue labels, ordered by increasing p (left to right)."""
@@ -230,10 +173,9 @@ class ARQuiver:
 
     # -- readings ------------------------------------------------------
 
-    def reading(self, tie_break=None) -> ReducedWord:
+    def reading(self) -> ReducedWord:
         """A canonical arrow-compatible reading (vertices with largest p first)."""
-        if tie_break is None:
-            tie_break = lambda v: (-v[1], v[0])
+        tie_break = lambda v: (-v[1], v[0])
         t = len(self.label)
         pending = dict.fromkeys(self.label, 0)
         for u, v in self.arrows:
@@ -254,44 +196,6 @@ class ARQuiver:
         if len(out) != t:
             raise RuntimeError("reading did not exhaust the quiver")
         return ReducedWord(tuple(out), self.system)
-
-    def adapted_words(self):
-        """All arrow-compatible readings, lazily (this is the commutation class)."""
-        pending = dict.fromkeys(self.label, 0)
-        pred = {}
-        for u, v in self.arrows:
-            pending[u] += 1
-            pred.setdefault(v, []).append(u)
-        t = len(self.label)
-        out: list[tuple[int, int]] = []
-
-        def rec():
-            if len(out) == t:
-                yield ReducedWord(tuple(v[0] for v in out), self.system)
-                return
-            for v in sorted(pending):
-                if pending[v] == 0:
-                    pending[v] = -1
-                    out.append(v)
-                    for u in pred.get(v, ()):
-                        pending[u] -= 1
-                    yield from rec()
-                    for u in pred.get(v, ()):
-                        pending[u] += 1
-                    out.pop()
-                    pending[v] = 0
-
-        yield from rec()
-
-    def is_reading(self, word: ReducedWord) -> bool:
-        """True iff the word is one of the arrow-compatible readings."""
-        roots = roots_of_word(word)
-        if set(roots) != set(self.vertex_of):
-            return False
-        rank_of = {r: k for k, r in enumerate(roots)}
-        return all(
-            rank_of[self.label[v]] < rank_of[self.label[u]] for u, v in self.arrows
-        )
 
     def comm_class(self) -> CommClass:
         try:
@@ -348,177 +252,22 @@ def is_adapted(word: ReducedWord, Q: DynkinQuiver) -> bool:
 
 
 def find_quiver(cls: CommClass) -> DynkinQuiver | None:
-    """The unique quiver with [word] = [Q], if the class is adapted to one."""
-    hits = [
-        Q
-        for Q in all_orientations(cls.system)
-        if is_adapted(cls.representative, Q)
-    ]
-    if not hits:
+    """The unique quiver with [word] = [Q], if the class is adapted to one.
+
+    [Q] is a class of reduced words of w0, so a shorter word has none.  In
+    a word adapted to Q, every arrow's tail occurs before its head (the head
+    becomes a source only once the tail has been reflected), so Q can be read
+    off the word and checked once.
+    """
+    word = cls.representative
+    if len(word) != cls.system.N:
         return None
-    assert len(hits) == 1, "a reduced word of w0 is adapted to at most one quiver"
-    return hits[0]
-
-
-def reflect_ar(arq: ARQuiver, i: int) -> ARQuiver:
-    """The combinatorial reflection functor at a sink i: move the alpha_i
-    vertex across the quiver and relabel by s_i.  Returns the AR quiver of
-    s_i Q built from scratch after checking the surgery agrees with it."""
-    Q = arq.quiver
-    if i not in Q.sinks():
-        raise NotASink(f"{i} is not a sink of the quiver")
-    sys_ = arq.system
-    alpha_i = sys_.simple_root(i)
-    (istar, p) = arq.vertex_of[alpha_i]
-    h = sys_.dual_coxeter
-    surgery = {}
-    for v, r in arq.label.items():
-        if v == (istar, p):
-            continue
-        surgery[v] = sys_.reflect(r, i)
-    surgery[(i, p + h)] = alpha_i
-    fresh = build_ar_quiver(Q.reflect(i))
-    # same labels per residue, in the same left-to-right order (xi may be
-    # normalised differently, so compare rows, not raw coordinates)
-    def row_lists(label):
-        out = {}
-        for (j, q), r in label.items():
-            out.setdefault(j, []).append((q, r))
-        return {j: [r for _, r in sorted(v)] for j, v in out.items()}
-
-    if row_lists(surgery) != row_lists(fresh.label):
-        raise RuntimeError("reflection surgery disagrees with the rebuilt AR quiver")
-    return fresh
-
-
-# -- type A / D structure reports --------------------------------------
-
-
-@dataclass
-class StructureReport:
-    s_paths: list[list[PosRoot]]
-    n_paths: list[list[PosRoot]]
-    shallow_s: list[list[PosRoot]]
-    shallow_n: list[list[PosRoot]]
-    swings: list[list[PosRoot]]
-    kappa: list[PosRoot]
-    sigma: list[PosRoot]
-    ta: int | None
-    ta_prime: int | None
-
-
-def _maximal_chains(arq: ARQuiver, step_ok) -> list[list[tuple[int, int]]]:
-    """Maximal paths along arrows selected by step_ok((i,p),(j,p+1))."""
-    sel = [(u, v) for u, v in arq.arrows if step_ok(u, v)]
-    nxt = {}
-    prv = {}
-    for u, v in sel:
-        nxt.setdefault(u, []).append(v)
-        prv.setdefault(v, []).append(u)
-    starts = {u for u, _ in sel} - set(prv)
-    chains = []
-
-    def walk(u, acc):
-        outs = nxt.get(u, [])
-        if not outs:
-            chains.append(acc)
-            return
-        for v in outs:
-            walk(v, acc + [v])
-
-    for s in sorted(starts):
-        walk(s, [s])
-    return chains
-
-
-def structure_report(arq: ARQuiver) -> StructureReport:
-    sys_ = arq.system
-    kind = sys_.kind
-    n = sys_.rank
-    if kind not in ("A", "D"):
-        raise UnsupportedType("structure reports exist for types A and D only")
-
-    if kind == "A":
-        s_ok = lambda u, v: v[0] == u[0] + 1
-        n_ok = lambda u, v: v[0] == u[0] - 1
-    else:
-        s_ok = lambda u, v: (u[0] <= n - 2 and v[0] == u[0] + 1) or (
-            u[0] == n - 2 and v[0] == n
-        )
-        n_ok = lambda u, v: (2 <= u[0] <= n - 1 and v[0] == u[0] - 1) or (
-            u[0] == n and v[0] == n - 2
-        )
-
-    lab = arq.label
-    s_chains = _maximal_chains(arq, s_ok)
-    n_chains = _maximal_chains(arq, n_ok)
-    s_paths = [[lab[v] for v in c] for c in s_chains]
-    n_paths = [[lab[v] for v in c] for c in n_chains]
-
-    shallow_s: list[list[PosRoot]] = []
-    shallow_n: list[list[PosRoot]] = []
-    swings: list[list[PosRoot]] = []
-    kappa = [lab[(1, p)] for p in sorted((p for (i, p) in lab if i == 1), reverse=True)]
-    sigma: list[PosRoot] = []
-    ta = ta_prime = None
-
-    if kind == "D":
-        shallow_s = [
-            [lab[v] for v in c] for c in s_chains if c[-1][0] < n - 1
-        ]
-        shallow_n = [
-            [lab[v] for v in c] for c in n_chains if c[0][0] < n - 1
-        ]
-        fork_cols = sorted(
-            {p for (i, p) in lab if i == n - 1} & {p for (i, p) in lab if i == n}
-        )
-        for u in fork_cols:
-            roots = {lab[(n - 1, u)], lab[(n, u)]}
-            left = (n - 2, u - 1)
-            while left in lab:
-                roots.add(lab[left])
-                step = (left[0] - 1, left[1] - 1)
-                if left[0] > 1 and step in lab and s_ok(step, left):
-                    left = step
-                else:
-                    break
-            right = (n - 2, u + 1)
-            while right in lab:
-                roots.add(lab[right])
-                step = (right[0] - 1, right[1] + 1)
-                if right[0] > 1 and step in lab and n_ok(right, step):
-                    right = step
-                else:
-                    break
-            swings.append(sorted(roots))
-        simples = {sys_.simple_root(n - 1), sys_.simple_root(n)}
-        sigma = [
-            lab[(n - 1, p)]
-            for p in sorted(
-                (p for (i, p) in lab if i == n - 1), reverse=True
-            )
-            if lab[(n - 1, p)] not in simples
-        ]
-        ta = n - 1
-        ta_prime = n if arq.xi[n - 1] - arq.xi[n] in (2, -2) else n - 1
-        # ta is the fork index whose eps summand marks every root at the fork
-        # residues; the parity of the height gap between the fork rows
-        # decides which of the two it is.
-        ta = (n - 1) + n - ta_prime
-    else:
-        sigma = [
-            lab[(n, p)]
-            for p in sorted((p for (i, p) in lab if i == n))
-        ]
-
-    return StructureReport(
-        s_paths=s_paths,
-        n_paths=n_paths,
-        shallow_s=shallow_s,
-        shallow_n=shallow_n,
-        swings=swings,
-        kappa=kappa,
-        sigma=sigma,
-        ta=ta,
-        ta_prime=ta_prime,
+    first = {}
+    for k, i in enumerate(word.letters):
+        first.setdefault(i, k)
+    Q = DynkinQuiver(
+        cls.system,
+        frozenset((a, b) if first[a] < first[b] else (b, a)
+                  for a, b in cls.system.datum.edges),
     )
+    return Q if is_adapted(word, Q) else None

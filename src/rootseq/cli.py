@@ -31,7 +31,7 @@ from .denom import (
     verify_denominator,
 )
 from .orders import RootSequence, bilex_less, coarse_less, pair
-from .rootsys import NotARoot, ParseError, UnsupportedType, build_root_system, mul
+from .rootsys import NotARoot, ParseError, UnsupportedType, build_root_system
 from .seqcalc import (
     DEFAULT_CAP,
     NotInDomain,
@@ -56,7 +56,6 @@ from .words import (
     ReducedWord,
     RootNotInWord,
     enumerate_class,
-    heap_of,
     roots_of_word,
 )
 
@@ -173,7 +172,7 @@ def _class_of(args):
     """The commutation class selected by --quiver/--orient or --word."""
     if getattr(args, "word", None):
         system = _system(args)
-        return heap_of(_parse_word(system, args.word))
+        return CommClass(_parse_word(system, args.word))
     return build_ar_quiver(_quiver(args)).comm_class()
 
 
@@ -247,7 +246,7 @@ def cmd_word(args):
         else:
             _emit(args, " ".join(system.format_root(r) for r in roots))
     elif args.action == "class":
-        cls = heap_of(word)
+        cls = CommClass(word)
         members = enumerate_class(cls, cap=args.cap_class)
         if args.format == "json":
             _emit(args, _jdump({"size": len(members),
@@ -255,7 +254,7 @@ def cmd_word(args):
         else:
             _emit(args, "\n".join(" ".join(map(str, w.letters)) for w in members))
     elif args.action == "heap":
-        cls = heap_of(word)
+        cls = CommClass(word)
         if args.format == "json":
             _emit(args, _jdump(cls.to_json()))
         else:
@@ -269,7 +268,7 @@ def cmd_word(args):
                 lines.append(fmt(r) + (f" <- {', '.join(covers)}" if covers else ""))
             _emit(args, "\n".join(lines))
     elif args.action == "quiver":
-        cls = heap_of(word)
+        cls = CommClass(word)
         Q = find_quiver(cls)
         if args.format == "json":
             _emit(args, _jdump({"adapted": Q is not None,
@@ -316,7 +315,7 @@ def cmd_pair(args):
             raise UsageError("radius needs --gamma")
         g = cls.system.parse_root(args.gamma)
         r = radius(cls, g)
-        payload = {"gamma": fmt(g), "radius": r, "mul": mul(g)}
+        payload = {"gamma": fmt(g), "radius": r, "mul": g.mul}
         _emit(args, _jdump(payload) if args.format == "json" else f"radius({fmt(g)}) = {r}")
         return 0
     if not args.pair:
@@ -503,11 +502,11 @@ def cmd_verify(args):
                 if g.height == 1:
                     continue
                 r = radius(cls, g)
-                if r != mul(g):
+                if r != g.mul:
                     failures.append({
                         "quiver": Q.orientation_str(),
                         "gamma": cls.system.format_root(g),
-                        "radius": r, "mul": mul(g),
+                        "radius": r, "mul": g.mul,
                     })
     elif args.property == "dist-bound":
         for Q in _iter_quivers(args):

@@ -36,9 +36,6 @@ class DistancePolynomial:
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
-    def degree(self) -> int:
-        return sum(m for _, m in self.factors)
-
     def times(self, t: int) -> "DistancePolynomial":
         d = self.as_dict()
         d[t] = d.get(t, 0) + 1
@@ -100,12 +97,18 @@ def comparable_pairs(arq: ARQuiver):
                 yield a, b, (min(ka, kb), max(ka, kb)), abs(pa - pb)
 
 
+def _slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
+    """The comparable pairs grouped by slot (k, l, t), k <= l, each slot in
+    the order of ``comparable_pairs``."""
+    slots: dict[tuple[int, int, int], list] = {}
+    for a, b, (k, l), t in comparable_pairs(arq):
+        slots.setdefault((k, l, t), []).append((a, b))
+    return slots
+
+
 def pairs_at(arq: ARQuiver, k: int, l: int, t: int):
     """Comparable pairs whose residues are {k, l} and coordinate gap is t."""
-    key = (min(k, l), max(k, l))
-    return [
-        (a, b) for a, b, kk, tt in comparable_pairs(arq) if kk == key and tt == t
-    ]
+    return _slots(arq).get((min(k, l), max(k, l), t), [])
 
 
 def _gdist_of_pair(arq: ARQuiver, a, b) -> int:
@@ -113,32 +116,14 @@ def _gdist_of_pair(arq: ARQuiver, a, b) -> int:
     return gdist(RootSequence.from_roots(cls, (a, b)))
 
 
-def o_t(arq: ARQuiver, k: int, l: int, t: int, check_all: bool = False) -> int:
-    """gdist shared by every pair in the (k, l, t) slot; 0 if the slot is
-    empty.  With check_all the agreement across members is verified."""
-    members = pairs_at(arq, k, l, t)
-    if not members:
-        return 0
-    vals = [
-        _gdist_of_pair(arq, a, b)
-        for a, b in (members if check_all else members[:1])
-    ]
-    if len(set(vals)) > 1:
-        raise WellDefinednessViolation(
-            f"pairs at residues ({k},{l}) gap {t} have gdists {sorted(set(vals))}"
-        )
-    return vals[0]
-
-
 @lru_cache(maxsize=None)
 def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
-    """{(k, l, t): o_t} over every occupied slot, k <= l."""
+    """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
+    by the pairs of the slot.  With check_all every pair is computed and
+    their agreement verified; otherwise only the first pair is."""
     arq = build_ar_quiver(Q)
-    slots: dict[tuple[int, int, int], list] = {}
-    for a, b, (k, l), t in comparable_pairs(arq):
-        slots.setdefault((k, l, t), []).append((a, b))
     out = {}
-    for key, members in slots.items():
+    for key, members in _slots(arq).items():
         vals = {
             _gdist_of_pair(arq, a, b)
             for a, b in (members if check_all else members[:1])

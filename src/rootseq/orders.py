@@ -95,16 +95,6 @@ def pair(cls: CommClass, alpha, beta) -> RootSequence:
     return RootSequence.from_roots(cls, (alpha, beta))
 
 
-def total_less(cls: CommClass, alpha: PosRoot, beta: PosRoot) -> bool:
-    """alpha before beta in the representative word of the class."""
-    return cls.position(alpha) < cls.position(beta)
-
-
-def partial_less(cls: CommClass, alpha: PosRoot, beta: PosRoot) -> bool:
-    """alpha before beta in every member of the class (the heap order)."""
-    return cls.prec(alpha, beta)
-
-
 def _member_positions(seq: RootSequence, member: ReducedWord | None):
     """Class positions listed in the order the given member visits them;
     computed once per member and kept in the class cache."""

@@ -75,29 +75,6 @@ class CartanDatum:
         )
         return CartanDatum(kind, rank, edges, A)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(b if a == i else a for (a, b) in self.edges if i in (a, b))
-
-    def distance(self, i: int, j: int) -> int:
-        """Graph distance d(i, j) on the Dynkin tree."""
-        if i == j:
-            return 0
-        seen = {i}
-        frontier = [i]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors(u):
-                    if v == j:
-                        return d
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        raise ValueError(f"nodes {i}, {j} not connected")
-
 
 @dataclass(frozen=True, order=True)
 class PosRoot:
@@ -115,30 +92,11 @@ class PosRoot:
     def supp(self) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(self.coeffs) if c > 0)
 
-    def supp_ge(self, k: int) -> frozenset[int]:
-        return frozenset(i + 1 for i, c in enumerate(self.coeffs) if c >= k)
-
     def __add__(self, other: "PosRoot") -> "PosRoot":
         return PosRoot(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PosRoot") -> "PosRoot":
         return PosRoot(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-
-def mul(beta: PosRoot) -> int:
-    return beta.mul
-
-
-def height(beta: PosRoot) -> int:
-    return beta.height
-
-
-def supp(beta: PosRoot) -> frozenset[int]:
-    return beta.supp
-
-
-def supp_ge(beta: PosRoot, k: int) -> frozenset[int]:
-    return beta.supp_ge(k)
 
 
 _W0_INVOLUTIONS = {
@@ -224,26 +182,11 @@ class RootSystem:
     def index(self, beta: PosRoot) -> int:
         return self._index[beta.coeffs]
 
-    def pairing(self, beta: PosRoot, i: int) -> int:
-        """(beta, alpha_i^vee) via the Cartan matrix."""
-        return sum(beta.coeffs[j] * self.cartan[j][i - 1] for j in range(self.rank))
-
-    def bilinear(self, alpha: PosRoot, beta: PosRoot) -> int:
-        """(alpha, beta) normalised so that (alpha_i, alpha_i) = 2."""
-        return sum(
-            alpha.coeffs[i] * beta.coeffs[j] * self.cartan[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
     def reflect(self, v, i: int):
         """s_i acting on a coefficient vector (possibly of a negative root)."""
         if isinstance(v, PosRoot):
             return PosRoot(self._reflect_vec(v.coeffs, i))
         return self._reflect_vec(tuple(v), i)
-
-    def distance(self, i: int, j: int) -> int:
-        return self.datum.distance(i, j)
 
     # -- epsilon coordinates for type D --------------------------------
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
-from .rootsys import PosRoot, RootSystem, build_root_system
+from .rootsys import PosRoot, RootSystem
 
 
 class NotReduced(ValueError):
@@ -78,14 +77,6 @@ def roots_of_word(word: ReducedWord) -> tuple[PosRoot, ...]:
     return tuple(out)
 
 
-def is_reduced(word: ReducedWord) -> bool:
-    try:
-        roots_of_word(word)
-        return True
-    except NotReduced:
-        return False
-
-
 class ClassCache:
     """Answers computed over one commutation class, kept with the class.
 
@@ -122,18 +113,16 @@ class CommClass:
         self.roots = roots_of_word(representative)  # may raise NotReduced
         letters = representative.letters
         t = len(letters)
-        d = self.system.distance
+        cartan = self.system.cartan  # nonzero iff the letters do not commute
         covers: list[tuple[int, int]] = []
         for q in range(t):
+            row = cartan[letters[q] - 1]
             hit: set[int] = set()
             for p in range(q - 1, -1, -1):
-                if d(letters[p], letters[q]) <= 1 and letters[p] not in hit:
+                if row[letters[p] - 1] and letters[p] not in hit:
                     covers.append((p, q))
                     hit.add(letters[p])
         self.heap_covers = tuple(covers)
-        succ = [[] for _ in range(t)]
-        for p, q in covers:
-            succ[p].append(q)
         # strict reachability as bitmasks over positions
         below_of = [0] * t  # positions strictly before q in every member
         for q in range(t):
@@ -177,27 +166,6 @@ class CommClass:
         """alpha strictly before beta in every class member."""
         return self.prec_pos(self.position(alpha), self.position(beta))
 
-    def below_mask(self, beta: PosRoot) -> int:
-        return self._below[self.position(beta)]
-
-    def above_mask(self, beta: PosRoot) -> int:
-        return self._above[self.position(beta)]
-
-    def contains(self, word: ReducedWord) -> bool:
-        """Membership test: a reduced word lies in this class iff it sweeps
-        out the same roots and its total order extends the heap order."""
-        try:
-            roots = roots_of_word(word)
-        except NotReduced:
-            return False
-        if set(roots) != set(self.roots):
-            return False
-        rank_of = {r: k for k, r in enumerate(roots)}
-        for p, q in self.heap_covers:
-            if rank_of[self.roots[p]] > rank_of[self.roots[q]]:
-                return False
-        return True
-
     def linear_extensions(self):
         """Yield all class members (as ReducedWord), lazily."""
         t = len(self.roots)
@@ -239,13 +207,9 @@ class RootNotInWord(KeyError):
     pass
 
 
-def heap_of(word: ReducedWord) -> CommClass:
-    return CommClass(word)
-
-
 def enumerate_class(cls: CommClass, cap: int = 10**6) -> list[ReducedWord]:
     """All members of the class by BFS over adjacent commuting swaps."""
-    d = cls.system.distance
+    cartan = cls.system.cartan
     start = cls.representative.letters
     seen = {start}
     frontier = [start]
@@ -253,7 +217,7 @@ def enumerate_class(cls: CommClass, cap: int = 10**6) -> list[ReducedWord]:
         nxt = []
         for w in frontier:
             for k in range(len(w) - 1):
-                if d(w[k], w[k + 1]) > 1:
+                if not cartan[w[k] - 1][w[k + 1] - 1]:
                     w2 = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
                     if w2 not in seen:
                         if len(seen) >= cap:
@@ -262,52 +226,3 @@ def enumerate_class(cls: CommClass, cap: int = 10**6) -> list[ReducedWord]:
                         nxt.append(w2)
         frontier = nxt
     return [ReducedWord(w, cls.system) for w in sorted(seen)]
-
-
-def _canonical_arrows(system: RootSystem) -> set[tuple[int, int]]:
-    """A fixed orientation of the Dynkin tree: every edge points from the
-    smaller to the larger node label, except that the type D fork keeps
-    n-2 -> n-1 and n-2 -> n (already low-to-high) and type E is likewise
-    low-to-high along every edge."""
-    return {(a, b) for (a, b) in system.datum.edges}
-
-
-def longest_word(system: RootSystem) -> ReducedWord:
-    """A canonical reduced word of w0, adapted to the low-to-high orientation,
-    built by repeatedly taking the smallest source that keeps the word reduced."""
-    arrows = _canonical_arrows(system)
-    n = system.rank
-    images = [system.simple_root(i).coeffs for i in range(1, n + 1)]
-    seen: set[tuple[int, ...]] = set()
-    letters: list[int] = []
-    while len(letters) < system.N:
-        progressed = False
-        targets = {b for (_, b) in arrows}
-        for i in sorted(set(range(1, n + 1)) - targets):
-            v = images[i - 1]
-            if min(v) < 0 or v in seen:
-                continue
-            seen.add(v)
-            letters.append(i)
-            base = images[i - 1]
-            images = [
-                tuple(
-                    images[j][k] - system.cartan[j][i - 1] * base[k]
-                    for k in range(n)
-                )
-                for j in range(n)
-            ]
-            arrows = {
-                (b, a) if i in (a, b) else (a, b) for (a, b) in arrows
-            }
-            progressed = True
-            break
-        if not progressed:  # pragma: no cover - would contradict the theory
-            raise RuntimeError("stuck while building the longest word")
-    return ReducedWord(tuple(letters), system)
-
-
-@lru_cache(maxsize=None)
-def longest_class(kind: str, rank: int) -> CommClass:
-    system = build_root_system(kind, rank)
-    return CommClass(longest_word(system))

@@ -1,7 +1,7 @@
 import pytest
 
 from rootseq.rootsys import build_root_system
-from rootseq.words import ReducedWord, act, roots_of_word
+from rootseq.words import NotReduced, ReducedWord, act, roots_of_word
 
 
 def word_from_root_order(system, root_texts):
@@ -19,6 +19,52 @@ def word_from_root_order(system, root_texts):
     word = ReducedWord(tuple(letters), system)
     assert list(roots_of_word(word)) == roots
     return word
+
+
+def in_class(cls, word):
+    """Membership oracle: a reduced word lies in the class iff it sweeps
+    out the same roots and its total order extends the heap order."""
+    try:
+        roots = roots_of_word(word)
+    except NotReduced:
+        return False
+    if set(roots) != set(cls.roots):
+        return False
+    rank_of = {r: k for k, r in enumerate(roots)}
+    return all(
+        rank_of[cls.roots[p]] < rank_of[cls.roots[q]] for p, q in cls.heap_covers
+    )
+
+
+def longest_word(system):
+    """A reduced word of w0, adapted to the orientation with every edge
+    pointing from the smaller to the larger node: repeatedly take the
+    smallest source that keeps the word reduced."""
+    arrows = set(system.datum.edges)
+    n = system.rank
+    images = [system.simple_root(i).coeffs for i in range(1, n + 1)]
+    seen: set[tuple[int, ...]] = set()
+    letters: list[int] = []
+    while len(letters) < system.N:
+        targets = {b for (_, b) in arrows}
+        for i in sorted(set(range(1, n + 1)) - targets):
+            v = images[i - 1]
+            if min(v) < 0 or v in seen:
+                continue
+            seen.add(v)
+            letters.append(i)
+            images = [
+                tuple(
+                    images[j][k] - system.cartan[j][i - 1] * v[k]
+                    for k in range(n)
+                )
+                for j in range(n)
+            ]
+            arrows = {(b, a) if i in (a, b) else (a, b) for (a, b) in arrows}
+            break
+        else:
+            raise RuntimeError("stuck while building the longest word")
+    return ReducedWord(tuple(letters), system)
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,14 @@ def test_word_quiver_detection(capsys):
     assert code == 0 and "not adapted" in out
 
 
+@pytest.mark.parametrize("word", ["1", "1 2"])
+def test_word_quiver_short_word(capsys, word):
+    """[Q] is a class of reduced words of w0: a shorter word has no quiver,
+    even where several orientations admit it as a source sequence."""
+    code, out, _ = run(capsys, "word", "quiver", "--type", "A3", "--word", word)
+    assert code == 0 and out.strip() == "not adapted to any quiver"
+
+
 def test_order_relations(capsys):
     code, out, _ = run(capsys, "order", *D4_ARGS,
                        "--seq-a", "{1|-4},{2|3},{2|-3}", "--seq-b", "{2|-4},{1|2}")

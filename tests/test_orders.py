@@ -11,18 +11,16 @@ from rootseq.orders import (
     coarse_less,
     coarse_less_brute,
     pair,
-    partial_less,
-    total_less,
 )
 from rootseq.rootsys import build_root_system
-from rootseq.words import ReducedWord, heap_of
+from rootseq.words import CommClass, ReducedWord
 
 A5_WORD = (1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4)
 
 
 @pytest.fixture(scope="module")
 def a5_cls(a5):
-    return heap_of(ReducedWord(A5_WORD, a5))
+    return CommClass(ReducedWord(A5_WORD, a5))
 
 
 def test_sequence_basics(a5_cls):
@@ -62,7 +60,7 @@ def test_sequence_rejects_bad_counts(a5_cls, counts):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=15, max_size=15))
 def test_support_mask_is_the_nonzero_positions(counts):
-    cls = heap_of(ReducedWord(A5_WORD, build_root_system("A", 5)))
+    cls = CommClass(ReducedWord(A5_WORD, build_root_system("A", 5)))
     s = RootSequence(cls, tuple(counts))
     nonzero = [k for k, c in enumerate(counts) if c]
     assert s.positions() == nonzero
@@ -73,10 +71,10 @@ def test_support_mask_is_the_nonzero_positions(counts):
 def test_total_and_partial_orders(a5_cls):
     sys_ = a5_cls.system
     r13, r23, r25 = (sys_.parse_root(t) for t in ("[1,3]", "[2,3]", "[2,5]"))
-    assert total_less(a5_cls, r13, r23)
-    assert partial_less(a5_cls, r13, r23)
+    assert a5_cls.position(r13) < a5_cls.position(r23)
+    assert a5_cls.prec(r13, r23)
     # [2,3] and [2,5] commute past each other in some member: not comparable
-    assert not partial_less(a5_cls, r23, r25) or not partial_less(a5_cls, r25, r23)
+    assert not a5_cls.prec(r23, r25) or not a5_cls.prec(r25, r23)
 
 
 def test_bilex_pair_example(a5_cls):
@@ -98,7 +96,7 @@ def test_bilex_requires_both_ends(a5_cls):
 
 
 def test_cross_class_rejected(a5_cls, a5):
-    other = heap_of(ReducedWord(A5_WORD, a5))
+    other = CommClass(ReducedWord(A5_WORD, a5))
     a = RootSequence.from_strings(a5_cls, ["[1]"])
     b = RootSequence.from_strings(other, ["[1]"])
     with pytest.raises(ValueError):
@@ -127,7 +125,7 @@ D5_WORDS = (
 def _test_classes(kind, rank):
     sys_ = build_root_system(kind, rank)
     if (kind, rank) == ("D", 5):
-        return [heap_of(ReducedWord(w, sys_)) for w in D5_WORDS]
+        return [CommClass(ReducedWord(w, sys_)) for w in D5_WORDS]
     quivers = itertools.islice(all_orientations(sys_), 3)
     return [build_ar_quiver(Q).comm_class() for Q in quivers]
 

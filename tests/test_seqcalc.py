@@ -29,7 +29,7 @@ from rootseq.seqcalc import (
     socle,
     socle_candidates,
 )
-from rootseq.words import CommClass, ReducedWord, heap_of
+from rootseq.words import CommClass, ReducedWord
 
 D4_WORD = (3, 2, 1, 4) * 3
 E6_WORD = (1, 2, 6, 3, 5, 4, 6, 1, 3, 2, 6, 3, 5, 6, 4, 1, 3, 2, 6,
@@ -44,12 +44,12 @@ D5_ARROWS = ((1, 2), (2, 3), (3, 4), (3, 5))
 
 @pytest.fixture(scope="module")
 def d4_cls(d4):
-    return heap_of(ReducedWord(D4_WORD, d4))
+    return CommClass(ReducedWord(D4_WORD, d4))
 
 
 @pytest.fixture(scope="module")
 def e6_cls(e6):
-    return heap_of(ReducedWord(E6_WORD, e6))
+    return CommClass(ReducedWord(E6_WORD, e6))
 
 
 def _arq_cls(kind, rank, arrows):
@@ -328,9 +328,7 @@ def test_e7_radius_of_multiplicity_two_root():
     cls = _arq_cls("E", 7, E7_ARROWS)
     sys_ = cls.system
     g = sys_.parse_root("1122221")
-    from rootseq.rootsys import mul
-
-    assert mul(g) == 2
+    assert g.mul == 2
     assert radius(cls, g) == 3
 
 
@@ -351,13 +349,13 @@ def test_pairs_of_weight_matches_filtered_sequences(d4_cls):
 def test_weights_past_a_small_field():
     """Coordinates of 33 and 40 overflow a fixed 5-bit field; the packing
     must size its fields from the weight."""
-    cls = heap_of(ReducedWord((1, 2, 1), build_root_system("A", 2)))
+    cls = CommClass(ReducedWord((1, 2, 1), build_root_system("A", 2)))
     assert len(sequences_of_weight(cls, (33, 33))) == 34
     assert [s.counts for s in sequences_of_weight(cls, (40, 0))] == [(40, 0, 0)]
 
 
 def test_partition_cap(d4):
-    cls = heap_of(ReducedWord(D4_WORD, d4))  # fresh class, empty caches
+    cls = CommClass(ReducedWord(D4_WORD, d4))  # fresh class, empty caches
     wt = d4.parse_root("{1|2}").coeffs
     with pytest.raises(PartitionCap):
         sequences_of_weight(cls, wt, cap=1)
@@ -372,7 +370,7 @@ def test_cap_holds_on_cached_enumerations(warm):
 
     e6 = build_root_system("E", 6)
     # a fresh class, so that no other test has filled its caches
-    cls = heap_of(build_ar_quiver(DynkinQuiver.from_arrows(e6, E6_ARROWS)).reading())
+    cls = CommClass(build_ar_quiver(DynkinQuiver.from_arrows(e6, E6_ARROWS)).reading())
     p = _pair(cls, "111001", "012211")  # 12 interval partitions
     one = RootSequence.from_strings(cls, ["123211"])
 
