@@ -157,9 +157,6 @@ class ARQuiver:
             if cartan[i - 1][j - 1] == -1 and (j, p + 1) in label
         )
 
-    def residue(self, beta: PosRoot) -> int:
-        return self.vertex_of[beta][0]
-
     def coordinate(self, beta: PosRoot) -> tuple[int, int]:
         return self.vertex_of[beta]
 

@@ -22,11 +22,8 @@ from .arquiver import (
     find_quiver,
 )
 from .denom import (
-    DenominatorEntry,
     WellDefinednessViolation,
-    conjecture_table,
     denominator,
-    denominator_closed_form,
     distance_polynomial,
     verify_denominator,
 )
@@ -42,7 +39,6 @@ from .seqcalc import (
     gdist_chain,
     good_neighbors,
     is_simple,
-    length,
     minimal_sequences,
     radius,
     socle,
@@ -55,7 +51,6 @@ from .words import (
     NotReduced,
     ReducedWord,
     RootNotInWord,
-    enumerate_class,
     roots_of_word,
 )
 
@@ -123,7 +118,7 @@ def _parse_orient(system, text):
 
 
 def _quiver(args):
-    if getattr(args, "quiver", None):
+    if args.quiver:
         spec = args.quiver
         if ":" not in spec:
             raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
@@ -135,12 +130,22 @@ def _quiver(args):
         system = build_root_system(kind, rank)
         return _parse_orient(system, tail)
     system = _system(args)
-    orient = getattr(args, "orient", None)
-    if not orient:
+    if not args.orient:
         if not system.datum.edges:  # rank 1: the empty orientation
             return DynkinQuiver.from_arrows(system, [])
         raise UsageError("--orient (or --quiver) is required")
-    return _parse_orient(system, orient)
+    return _parse_orient(system, args.orient)
+
+
+def _quivers(args, default):
+    """Every orientation under --all-orientations, else the quiver given by
+    --orient/--quiver, else ``default(system)``."""
+    system = _system(args)
+    if args.all_orientations:
+        return list(all_orientations(system))
+    if args.orient or args.quiver:
+        return [_quiver(args)]
+    return default(system)
 
 
 def _parse_word(system, text) -> ReducedWord:
@@ -170,7 +175,7 @@ def _split_roots(text):
 
 def _class_of(args):
     """The commutation class selected by --quiver/--orient or --word."""
-    if getattr(args, "word", None):
+    if args.word:
         system = _system(args)
         return CommClass(_parse_word(system, args.word))
     return build_ar_quiver(_quiver(args)).comm_class()
@@ -180,16 +185,16 @@ def _sequence(cls, text) -> RootSequence:
     return RootSequence.from_strings(cls, _split_roots(text))
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
+def _show(args, payload, text):
+    """Write payload as JSON under --format json and text otherwise, to
+    --out or to stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=1, sort_keys=True)
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _jdump(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True)
 
 
 # -- fixtures -----------------------------------------------------------
@@ -210,12 +215,14 @@ def load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def diff_fixture(fixture: dict, arq) -> list[dict]:
-    """Structural per-coordinate differences between a golden row grid and a
-    computed AR quiver."""
+def fixture_deltas(name: str) -> list[dict]:
+    """Per-coordinate differences between the golden row grid of a fixture
+    and the AR quiver computed for the fixture's orientation."""
+    fixture = load_fixture(name)
+    system = build_root_system(fixture["kind"], fixture["rank"])
+    Q = DynkinQuiver.from_arrows(system, fixture["arrows"])
+    rows = build_ar_quiver(Q).rows()
     out = []
-    system = arq.system
-    rows = arq.rows()
     for i in range(1, system.rank + 1):
         want = fixture["rows"].get(str(i), [])
         got = rows.get(i, [])
@@ -239,42 +246,34 @@ def cmd_word(args):
     system = _system(args)
     word = _parse_word(system, args.word)
     if args.action == "roots":
-        roots = roots_of_word(word)
-        if args.format == "json":
-            _emit(args, _jdump({"word": list(word.letters),
-                                "roots": [system.format_root(r) for r in roots]}))
-        else:
-            _emit(args, " ".join(system.format_root(r) for r in roots))
-    elif args.action == "class":
-        cls = CommClass(word)
-        members = enumerate_class(cls, cap=args.cap_class)
-        if args.format == "json":
-            _emit(args, _jdump({"size": len(members),
-                                "members": [list(w.letters) for w in members]}))
-        else:
-            _emit(args, "\n".join(" ".join(map(str, w.letters)) for w in members))
+        roots = [system.format_root(r) for r in roots_of_word(word)]
+        _show(args, {"word": list(word.letters), "roots": roots}, " ".join(roots))
+        return 0
+    cls = CommClass(word)
+    if args.action == "class":
+        members = []
+        for w in cls.linear_extensions():
+            members.append(w.letters)
+            if len(members) > args.cap_class:
+                raise ClassTooLarge(len(members), args.cap_class)
+        members.sort()
+        _show(args, {"size": len(members), "members": [list(w) for w in members]},
+              "\n".join(" ".join(map(str, w)) for w in members))
     elif args.action == "heap":
-        cls = CommClass(word)
-        if args.format == "json":
-            _emit(args, _jdump(cls.to_json()))
-        else:
-            fmt = system.format_root
-            pred: dict[int, list[int]] = {}
-            for p, q in cls.heap_covers:
-                pred.setdefault(q, []).append(p)
-            lines = []
-            for k, r in enumerate(cls.roots):
-                covers = [fmt(cls.roots[p]) for p in pred.get(k, [])]
-                lines.append(fmt(r) + (f" <- {', '.join(covers)}" if covers else ""))
-            _emit(args, "\n".join(lines))
+        fmt = system.format_root
+        pred: dict[int, list[int]] = {}
+        for p, q in cls.heap_covers:
+            pred.setdefault(q, []).append(p)
+        lines = []
+        for k, r in enumerate(cls.roots):
+            covers = [fmt(cls.roots[p]) for p in pred.get(k, [])]
+            lines.append(fmt(r) + (f" <- {', '.join(covers)}" if covers else ""))
+        _show(args, cls.to_json(), "\n".join(lines))
     elif args.action == "quiver":
-        cls = CommClass(word)
         Q = find_quiver(cls)
-        if args.format == "json":
-            _emit(args, _jdump({"adapted": Q is not None,
-                                "orientation": Q.orientation_str() if Q else None}))
-        else:
-            _emit(args, Q.orientation_str() if Q else "not adapted to any quiver")
+        _show(args, {"adapted": Q is not None,
+                     "orientation": Q.orientation_str() if Q else None},
+              Q.orientation_str() if Q else "not adapted to any quiver")
     return 0
 
 
@@ -296,10 +295,8 @@ def cmd_order(args):
         rel["total"] = cls.position(ra) < cls.position(rb)
         rel["partial"] = cls.prec(ra, rb)
         rel["partial_rev"] = cls.prec(rb, ra)
-    if args.format == "json":
-        _emit(args, _jdump({"a": a.to_json(), "b": b.to_json(), "relations": rel}))
-    else:
-        _emit(args, "\n".join(f"{k}: {v}" for k, v in sorted(rel.items())))
+    _show(args, {"a": a.to_json(), "b": b.to_json(), "relations": rel},
+          "\n".join(f"{k}: {v}" for k, v in sorted(rel.items())))
     return 0
 
 
@@ -315,57 +312,37 @@ def cmd_pair(args):
             raise UsageError("radius needs --gamma")
         g = cls.system.parse_root(args.gamma)
         r = radius(cls, g)
-        payload = {"gamma": fmt(g), "radius": r, "mul": g.mul}
-        _emit(args, _jdump(payload) if args.format == "json" else f"radius({fmt(g)}) = {r}")
+        _show(args, {"gamma": fmt(g), "radius": r, "mul": g.mul},
+              f"radius({fmt(g)}) = {r}")
         return 0
     if not args.pair:
         raise UsageError(f"{args.action} needs --pair")
     seq = _sequence(cls, args.pair)
     if args.action == "socle":
+        s = socle(seq, cap)
         cands = socle_candidates(seq, cap)
-        s = cands[0] if len(cands) == 1 else None
-        if args.format == "json":
-            _emit(args, _jdump({"pair": seq.to_json(),
-                                "socle": s.to_json() if s else None,
-                                "candidates": [c.to_json() for c in cands]}))
-        elif s is not None:
-            _emit(args, str(s))
-        else:
-            _emit(args, "undefined; candidates:\n" + "\n".join(str(c) for c in cands))
+        text = str(s) if s is not None else (
+            "undefined; candidates:\n" + "\n".join(str(c) for c in cands))
+        _show(args, {"pair": seq.to_json(), "socle": s.to_json() if s else None,
+                     "candidates": [c.to_json() for c in cands]}, text)
     elif args.action == "simple":
         val = is_simple(seq)
-        _emit(args, _jdump({"sequence": seq.to_json(), "simple": val})
-              if args.format == "json" else str(val))
+        _show(args, {"sequence": seq.to_json(), "simple": val}, str(val))
     elif args.action == "minimal":
         mins = minimal_sequences(seq, cap)
-        if args.format == "json":
-            _emit(args, _jdump({"sequence": seq.to_json(),
-                                "minimal": [m.to_json() for m in mins]}))
+        _show(args, {"sequence": seq.to_json(), "minimal": [m.to_json() for m in mins]},
+              "\n".join(str(m) for m in mins))
+    elif args.action in ("dist", "gdist"):
+        if args.action == "dist":
+            d, chain = dist(seq), dist_chain(seq)
         else:
-            _emit(args, "\n".join(str(m) for m in mins))
-    elif args.action == "dist":
-        d = dist(seq)
-        chain = dist_chain(seq)
-        if args.format == "json":
-            _emit(args, _jdump({"pair": seq.to_json(), "dist": d,
-                                "chain": [c.to_json() for c in chain]}))
-        else:
-            _emit(args, str(d))
-    elif args.action == "gdist":
-        d = gdist(seq, cap=cap)
-        chain = gdist_chain(seq, cap=cap)
-        if args.format == "json":
-            _emit(args, _jdump({"pair": seq.to_json(), "gdist": d,
-                                "chain": [c.to_json() for c in chain]}))
-        else:
-            _emit(args, str(d))
+            d, chain = gdist(seq, cap=cap), gdist_chain(seq, cap=cap)
+        _show(args, {"pair": seq.to_json(), args.action: d,
+                     "chain": [c.to_json() for c in chain]}, str(d))
     elif args.action == "len":
         nbrs = good_neighbors(seq)
-        if args.format == "json":
-            _emit(args, _jdump({"pair": seq.to_json(), "len": len(nbrs),
-                                "neighbors": [n.to_json() for n in nbrs]}))
-        else:
-            _emit(args, str(len(nbrs)))
+        _show(args, {"pair": seq.to_json(), "len": len(nbrs),
+                     "neighbors": [n.to_json() for n in nbrs]}, str(len(nbrs)))
     return 0
 
 
@@ -387,56 +364,29 @@ def cmd_denom(args):
     if args.action == "poly":
         if args.k is None or args.l is None:
             raise UsageError("poly needs --k and --l")
-        Q = _quiver(args)
-        p = distance_polynomial(Q, args.k, args.l, check_all=args.check_all)
-        if args.format == "json":
-            _emit(args, _jdump({"k": args.k, "l": args.l, "factors": p.to_json()}))
-        else:
-            _emit(args, str(p))
+        p = distance_polynomial(_quiver(args), args.k, args.l, check_all=args.check_all)
+        _show(args, {"k": args.k, "l": args.l, "factors": p.to_json()}, str(p))
         return 0
     if args.action == "table":
-        system = _system(args)
-        quivers = (
-            list(all_orientations(system))
-            if args.all_orientations
-            else [_quiver(args)]
-            if (getattr(args, "orient", None) or getattr(args, "quiver", None))
-            else [next(iter(all_orientations(system)))]
-        )
-        tables = []
-        for Q in quivers:
-            if system.kind == "E":
-                tables.append(conjecture_table(Q, check_all=args.check_all))
-            else:
-                tables.append(tuple(
-                    denominator(Q, k, l, check_all=args.check_all)
-                    for k in range(1, system.rank + 1)
-                    for l in range(k, system.rank + 1)
-                ))
-        if len({tuple((e.k, e.l, e.poly) for e in t) for t in tables}) > 1:
+        quivers = _quivers(args, lambda system: [next(all_orientations(system))])
+        n = quivers[0].system.rank
+        tables = {
+            tuple(denominator(Q, k, l, check_all=args.check_all)
+                  for k in range(1, n + 1) for l in range(k, n + 1))
+            for Q in quivers
+        }
+        if len(tables) > 1:
             raise VerificationFailed("distance polynomials differ across orientations")
-        entries = tables[0]
-        if args.format == "json":
-            _emit(args, _jdump([e.to_json() for e in entries]))
-        else:
-            _emit(args, _table_text(entries, latex=args.format == "latex"))
+        entries = tables.pop()
+        _show(args, [e.to_json() for e in entries],
+              _table_text(entries, latex=args.format == "latex"))
         return 0
-    if args.action == "verify":
-        system = _system(args)
-        quivers = (
-            list(all_orientations(system))
-            if args.all_orientations
-            else [_quiver(args)]
-        )
-        reports = [verify_denominator(Q, check_all=args.check_all) for Q in quivers]
-        ok = all(r.ok for r in reports)
-        if args.format == "json":
-            _emit(args, _jdump([r.to_json() for r in reports]))
-        else:
-            for r in reports:
-                _emit(args, f"{r.quiver}: {'ok' if r.ok else r.mismatches}")
-        return 0 if ok else 1
-    raise UsageError(f"unknown denom action {args.action}")
+    # verify
+    reports = [verify_denominator(Q, check_all=args.check_all)
+               for Q in _quivers(args, lambda system: [_quiver(args)])]
+    _show(args, [r.to_json() for r in reports],
+          "\n".join(f"{r.quiver}: {'ok' if r.ok else r.mismatches}" for r in reports))
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # -- arq ----------------------------------------------------------------
@@ -444,59 +394,39 @@ def cmd_denom(args):
 
 def cmd_arq(args):
     if args.action == "diff":
-        fixture = load_fixture(args.fixture)
-        system = build_root_system(fixture["kind"], fixture["rank"])
-        Q = DynkinQuiver.from_arrows(system, fixture["arrows"])
-        deltas = diff_fixture(fixture, build_ar_quiver(Q))
-        if args.format == "json":
-            _emit(args, _jdump({"fixture": args.fixture, "diff": deltas}))
-        else:
-            _emit(args, "match" if not deltas else "\n".join(map(str, deltas)))
+        deltas = fixture_deltas(args.fixture)
+        _show(args, {"fixture": args.fixture, "diff": deltas},
+              "match" if not deltas else "\n".join(map(str, deltas)))
         return 0 if not deltas else 1
     # show
     arq = build_ar_quiver(_quiver(args))
+    fmt = arq.system.format_root
+    rows = sorted(arq.rows().items())
     if args.format == "dot":
-        _emit(args, arq.to_dot())
-    elif args.format == "json":
-        _emit(args, _jdump(arq.to_json()))
+        text = arq.to_dot()
     elif args.format == "latex":
-        fmt = arq.system.format_root
-        lines = ["\\begin{array}{l}"]
-        for i, roots in sorted(arq.rows().items()):
-            lines.append(
-                f"{i}: " + " & ".join(fmt(r) for r in roots) + " \\\\"
-            )
-        lines.append("\\end{array}")
-        _emit(args, "\n".join(lines))
+        text = "\n".join(
+            ["\\begin{array}{l}"]
+            + [f"{i}: " + " & ".join(fmt(r) for r in roots) + " \\\\"
+               for i, roots in rows]
+            + ["\\end{array}"]
+        )
     else:
-        fmt = arq.system.format_root
-        out = []
-        for i, roots in sorted(arq.rows().items()):
-            cells = " ".join(
-                f"{fmt(r)}@{arq.coordinate(r)[1]}" for r in roots
-            )
-            out.append(f"row {i}: {cells}")
-        _emit(args, "\n".join(out))
+        text = "\n".join(
+            f"row {i}: " + " ".join(f"{fmt(r)}@{arq.coordinate(r)[1]}" for r in roots)
+            for i, roots in rows
+        )
+    _show(args, arq.to_json(), text)
     return 0
 
 
 # -- verify -------------------------------------------------------------
 
 
-def _iter_quivers(args):
-    system = _system(args)
-    if args.all_orientations:
-        yield from all_orientations(system)
-    elif getattr(args, "orient", None) or getattr(args, "quiver", None):
-        yield _quiver(args)
-    else:
-        yield from all_orientations(system)
-
-
 def cmd_verify(args):
     failures = []
     if args.property == "rds-mul":
-        for Q in _iter_quivers(args):
+        for Q in _quivers(args, all_orientations):
             cls = build_ar_quiver(Q).comm_class()
             for g in cls.system.positive_roots:
                 if g.height == 1:
@@ -509,7 +439,7 @@ def cmd_verify(args):
                         "radius": r, "mul": g.mul,
                     })
     elif args.property == "dist-bound":
-        for Q in _iter_quivers(args):
+        for Q in _quivers(args, all_orientations):
             cls = build_ar_quiver(Q).comm_class()
             bound = {"A": 1, "D": 2}.get(cls.system.kind)
             if bound is None:
@@ -523,39 +453,36 @@ def cmd_verify(args):
                             "quiver": Q.orientation_str(),
                             "pair": str(p), "dist": d, "bound": bound,
                         })
-    elif args.property == "fixtures":
+    else:  # fixtures
         for name in (args.fixture,) if args.fixture else ("e6", "e7", "e8"):
-            fixture = load_fixture(name)
-            system = build_root_system(fixture["kind"], fixture["rank"])
-            Q = DynkinQuiver.from_arrows(system, fixture["arrows"])
-            deltas = diff_fixture(fixture, build_ar_quiver(Q))
+            deltas = fixture_deltas(name)
             if deltas:
                 failures.append({"fixture": name, "diff": deltas})
-    else:
-        raise UsageError(f"unknown property {args.property}")
-    if args.format == "json":
-        _emit(args, _jdump({"property": args.property, "ok": not failures,
-                            "failures": failures}))
-    else:
-        _emit(args, "ok" if not failures else "\n".join(map(str, failures)))
+    _show(args, {"property": args.property, "ok": not failures, "failures": failures},
+          "ok" if not failures else "\n".join(map(str, failures)))
     return 0 if not failures else 1
 
 
 # -- argument wiring ----------------------------------------------------
 
 
-def _add_common(p, formats=("text", "json")):
-    p.add_argument("--type", help="root system type, e.g. A, D4, E6")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--orient", help="directed Dynkin edges 'a>b,c>d'")
-    p.add_argument("--quiver", help="shorthand 'D4:3>2,2>1,2>4'")
-    p.add_argument("--word", help="reduced word '1 3 2 ...'")
+def _add_output(p, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to a file")
-    p.add_argument("--cap-class", type=int, default=DEFAULT_CAP)
-    p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP,
-                   help="most partitions one enumeration may list; "
-                        "existence tests never reach it")
+
+
+def _add_system(p):
+    p.add_argument("--type", help="root system type, e.g. A, D4, E6")
+    p.add_argument("--rank", type=int)
+
+
+def _add_quiver(p):
+    p.add_argument("--orient", help="directed Dynkin edges 'a>b,c>d'")
+    p.add_argument("--quiver", help="shorthand 'D4:3>2,2>1,2>4'")
+
+
+def _add_word(p):
+    p.add_argument("--word", help="reduced word '1 3 2 ...'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,13 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("word", help="reduced-word utilities")
     p.add_argument("action", choices=["roots", "class", "heap", "quiver"])
-    _add_common(p)
+    _add_system(p)
+    _add_word(p)
+    _add_output(p)
+    p.add_argument("--cap-class", type=int, default=DEFAULT_CAP,
+                   help="most members that 'word class' may list")
     p.set_defaults(fn=cmd_word)
 
     p = sub.add_parser("order", help="compare two root sequences")
     p.add_argument("--seq-a", required=True)
     p.add_argument("--seq-b", required=True)
-    _add_common(p)
+    _add_system(p)
+    _add_quiver(p)
+    _add_word(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_order)
 
     p = sub.add_parser("pair", help="socle / distance statistics")
@@ -583,7 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pair", help="comma-separated roots")
     p.add_argument("--gamma", help="target root for radius")
-    _add_common(p)
+    _add_system(p)
+    _add_quiver(p)
+    _add_word(p)
+    _add_output(p)
+    p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP,
+                   help="most partitions one enumeration may list; "
+                        "existence tests never reach it")
     p.set_defaults(fn=cmd_pair)
 
     p = sub.add_parser("denom", help="distance polynomials and denominators")
@@ -593,20 +533,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-orientations", action="store_true")
     p.add_argument("--check-all", action="store_true",
                    help="verify well-definedness across all pairs per slot")
-    _add_common(p, formats=("text", "json", "latex"))
+    _add_system(p)
+    _add_quiver(p)
+    _add_output(p, formats=("text", "json", "latex"))
     p.set_defaults(fn=cmd_denom)
 
     p = sub.add_parser("arq", help="AR quiver display and fixture diff")
     p.add_argument("action", choices=["show", "diff"])
     p.add_argument("--fixture", help="fixture name, e.g. e6")
-    _add_common(p, formats=("text", "json", "dot", "latex"))
+    _add_system(p)
+    _add_quiver(p)
+    _add_output(p, formats=("text", "json", "dot", "latex"))
     p.set_defaults(fn=cmd_arq)
 
     p = sub.add_parser("verify", help="property verification sweeps")
     p.add_argument("property", choices=["rds-mul", "dist-bound", "fixtures"])
     p.add_argument("--all-orientations", action="store_true")
     p.add_argument("--fixture")
-    _add_common(p)
+    _add_system(p)
+    _add_quiver(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_verify)
 
     return top

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arquiver import ARQuiver, DynkinQuiver, build_ar_quiver
-from .orders import RootSequence
+from .orders import pair
 from .rootsys import UnsupportedType
 from .seqcalc import gdist
 
@@ -111,21 +111,17 @@ def pairs_at(arq: ARQuiver, k: int, l: int, t: int):
     return _slots(arq).get((min(k, l), max(k, l), t), [])
 
 
-def _gdist_of_pair(arq: ARQuiver, a, b) -> int:
-    cls = arq.comm_class()
-    return gdist(RootSequence.from_roots(cls, (a, b)))
-
-
 @lru_cache(maxsize=None)
 def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
     """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
     by the pairs of the slot.  With check_all every pair is computed and
     their agreement verified; otherwise only the first pair is."""
     arq = build_ar_quiver(Q)
+    cls = arq.comm_class()
     out = {}
     for key, members in _slots(arq).items():
         vals = {
-            _gdist_of_pair(arq, a, b)
+            gdist(pair(cls, a, b))
             for a, b in (members if check_all else members[:1])
         }
         if len(vals) > 1:

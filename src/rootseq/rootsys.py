@@ -179,9 +179,6 @@ class RootSystem:
             raise NotARoot(f"{coeffs} is not a positive root of {self.kind}{self.rank}")
         return self.positive_roots[self._index[coeffs]]
 
-    def index(self, beta: PosRoot) -> int:
-        return self._index[beta.coeffs]
-
     def reflect(self, v, i: int):
         """s_i acting on a coefficient vector (possibly of a negative root)."""
         if isinstance(v, PosRoot):
@@ -264,15 +261,6 @@ class RootSystem:
             raise ParseError(f"bad type E root syntax: {text!r}")
         coeffs = tuple(int(ch) for ch in m.group(1))
         return self.root(coeffs)
-
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "roots": [list(r.coeffs) for r in self.positive_roots],
-        }
 
     def __repr__(self) -> str:
         return f"RootSystem({self.kind}{self.rank}, N={self.N})"

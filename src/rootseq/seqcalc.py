@@ -520,10 +520,6 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
     return tuple(out)
 
 
-def length(p: RootSequence) -> int:
-    return len(good_neighbors(p))
-
-
 def radius(cls: CommClass, gamma: PosRoot) -> int:
     """Largest pair distance over equal-weight pairs coarse-above the
     one-entry sequence (gamma); defined for non-simple roots."""

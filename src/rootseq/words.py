@@ -205,24 +205,3 @@ class CommClass:
 
 class RootNotInWord(KeyError):
     pass
-
-
-def enumerate_class(cls: CommClass, cap: int = 10**6) -> list[ReducedWord]:
-    """All members of the class by BFS over adjacent commuting swaps."""
-    cartan = cls.system.cartan
-    start = cls.representative.letters
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for k in range(len(w) - 1):
-                if not cartan[w[k] - 1][w[k + 1] - 1]:
-                    w2 = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
-                    if w2 not in seen:
-                        if len(seen) >= cap:
-                            raise ClassTooLarge(len(seen), cap)
-                        seen.add(w2)
-                        nxt.append(w2)
-        frontier = nxt
-    return [ReducedWord(w, cls.system) for w in sorted(seen)]

@@ -36,6 +36,26 @@ def in_class(cls, word):
     )
 
 
+def class_by_swaps(cls):
+    """Reference enumerator: the letter tuples of every class member, by BFS
+    from the representative over swaps of adjacent commuting letters."""
+    cartan = cls.system.cartan  # zero iff the letters commute
+    start = cls.representative.letters
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for k in range(len(w) - 1):
+                if not cartan[w[k] - 1][w[k + 1] - 1]:
+                    w2 = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+                    if w2 not in seen:
+                        seen.add(w2)
+                        nxt.append(w2)
+        frontier = nxt
+    return seen
+
+
 def longest_word(system):
     """A reduced word of w0, adapted to the orientation with every edge
     pointing from the smaller to the larger node: repeatedly take the

@@ -157,11 +157,41 @@ def test_domain_errors_exit_2(capsys):
     assert run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3")[0] == 2
 
 
+A4_W0 = ["--type", "A4", "--word", "1 2 1 3 2 1 4 3 2 1"]  # a class of 12 members
+
+
 def test_cap_exit_3(capsys):
-    code, _, err = run(capsys, "word", "class", "--type", "A4",
-                       "--word", " ".join(map(str, [1, 2, 1, 3, 2, 1, 4, 3, 2, 1])),
-                       "--cap-class", "2")
+    code, _, err = run(capsys, "word", "class", *A4_W0, "--cap-class", "2")
     assert code == 3 and "error" in err
+
+
+def test_word_class_cap_boundary(capsys):
+    """--cap-class N lists a class of exactly N members; with N - 1 it exits 3
+    on seeing the N-th member and names the cap."""
+    code, out, _ = run(capsys, "word", "class", *A4_W0, "--cap-class", "12")
+    members = [tuple(map(int, line.split())) for line in out.strip().splitlines()]
+    assert code == 0 and len(members) == 12 and members == sorted(set(members))
+    assert members[0] == (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+    code, out, err = run(capsys, "word", "class", *A4_W0, "--cap-class", "11")
+    assert code == 3 and out == ""
+    assert "exceeds cap 11 (saw 12)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["denom", "table", "--type", "E6", "--cap-partitions", "1"],
+    ["denom", "table", "--type", "A3", "--word", "1 2"],
+    ["word", "roots", "--type", "A2", "--word", "1 2 1", "--orient", "1>2"],
+    ["pair", "dist", *D4_ARGS, "--pair", "{2|-4},{1|2}", "--cap-class", "5"],
+    ["order", *D4_ARGS, "--seq-a", "{1|2}", "--seq-b", "{1|-4}",
+     "--cap-partitions", "5"],
+    ["verify", "fixtures", "--cap-class", "5"],
+], ids=["denom-cap-partitions", "denom-word", "word-orient", "pair-cap-class",
+        "order-cap-partitions", "verify-cap-class"])
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 E6_QUIVER = ["--quiver", "E6:1>2,2>3,3>4,4>5,6>3"]
@@ -196,6 +226,16 @@ def test_out_file(tmp_path, capsys):
                        "--word", "1 2 1", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().split() == ["[1]", "[1,2]", "[2]"]
+
+
+def test_out_file_holds_every_line(tmp_path, capsys):
+    """A multi-line text result goes to --out whole, as it goes to stdout."""
+    argv = ["denom", "verify", "--type", "D4", "--all-orientations"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 8
+    target = tmp_path / "verify.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
 
 
 def test_determinism(capsys):

@@ -21,7 +21,6 @@ from rootseq.seqcalc import (
     is_simple,
     is_simple_pair,
     is_simple_pair_brute,
-    length,
     minimal_sequences,
     pairs_of_weight,
     radius,
@@ -305,7 +304,6 @@ def test_e7_good_neighbors():
     mid1 = _pair(cls, "1111110", "0112211")
     mid2 = _pair(cls, "0111100", "1112221")
     assert mid1.counts in nbrs and mid2.counts in nbrs
-    assert length(u) == len(nbrs)
     d = dist(u)
     assert good_adjacent(mid1, u, threshold=d)
     assert good_adjacent(u1, mid1, threshold=d)

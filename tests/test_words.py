@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootseq.rootsys import build_root_system
-from rootseq.words import (
-    ClassTooLarge,
-    CommClass,
-    NotReduced,
-    ReducedWord,
-    act,
-    enumerate_class,
-    roots_of_word,
-)
+from rootseq.words import CommClass, NotReduced, ReducedWord, act, roots_of_word
 
-from conftest import in_class, longest_word
+from conftest import class_by_swaps, in_class, longest_word
 
 A5_WORD = (1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4)
 A5_ORDER = ("[1]", "[3]", "[1,3]", "[2,3]", "[3,4]", "[1,4]", "[2,4]", "[4]",
@@ -68,20 +60,12 @@ def test_commutation_moves_stay_in_class():
         assert in_class(base, w)
 
 
-def test_enumerate_class_matches_linear_extensions(a5):
-    word = ReducedWord(A5_WORD, a5)
-    cls = CommClass(word)
-    members = enumerate_class(cls)
-    exts = list(cls.linear_extensions())
-    assert len(members) == len(exts)
-    assert {w.letters for w in members} == {w.letters for w in exts}
-    assert all(in_class(cls, w) for w in members)
-
-
-def test_class_cap():
-    cls = CommClass(longest_word(build_root_system("A", 5)))
-    with pytest.raises(ClassTooLarge):
-        enumerate_class(cls, cap=3)
+def test_linear_extensions_match_swap_bfs(a5):
+    cls = CommClass(ReducedWord(A5_WORD, a5))
+    exts = [w.letters for w in cls.linear_extensions()]
+    assert len(exts) == len(set(exts))
+    assert set(exts) == class_by_swaps(cls)
+    assert all(in_class(cls, ReducedWord(w, a5)) for w in exts)
 
 
 def test_heap_positions_and_prec(a5):
