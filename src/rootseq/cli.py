@@ -127,6 +127,11 @@ def _quiver(args):
         if not head:
             raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
         kind, rank = head[0].upper(), _int(head[1:], "rank")
+        given = (args.type or "").strip().upper()
+        if given not in ("", kind, f"{kind}{rank}") or args.rank not in (None, rank):
+            named = [f"--{k} {v}" for k, v in (("type", args.type), ("rank", args.rank))
+                     if v is not None]
+            raise UsageError(f"--quiver {spec} contradicts {' '.join(named)}")
         system = build_root_system(kind, rank)
         return _parse_orient(system, tail)
     system = _system(args)
@@ -244,6 +249,8 @@ def fixture_deltas(name: str) -> list[dict]:
 
 def cmd_word(args):
     system = _system(args)
+    if args.word is None:
+        raise UsageError("--word is required")
     word = _parse_word(system, args.word)
     if args.action == "roots":
         roots = [system.format_root(r) for r in roots_of_word(word)]

@@ -85,16 +85,18 @@ class DenominatorEntry:
 
 def comparable_pairs(arq: ARQuiver):
     """All pairs (alpha, beta) with alpha strictly below beta in the quiver
-    order, together with their residues and coordinate gap."""
+    order, together with their residues and coordinate gap; alpha runs over
+    the class positions, and beta over the set bits of its up-set."""
     cls = arq.comm_class()
     roots = cls.roots
-    for i in range(len(roots)):
-        for j in range(len(roots)):
-            if i != j and cls.prec_pos(i, j):
-                a, b = roots[i], roots[j]
-                ka, pa = arq.coordinate(a)
-                kb, pb = arq.coordinate(b)
-                yield a, b, (min(ka, kb), max(ka, kb)), abs(pa - pb)
+    coords = [arq.coordinate(r) for r in roots]
+    for a, (ka, pa), rest in zip(roots, coords, cls._above):
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            kb, pb = coords[j]
+            yield a, roots[j], (min(ka, kb), max(ka, kb)), abs(pa - pb)
 
 
 def _slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:

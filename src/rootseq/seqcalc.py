@@ -321,12 +321,21 @@ def _dist_pool(seq: RootSequence) -> list[RootSequence]:
 
 def _gdist_pool(seq: RootSequence, cap: int) -> list[RootSequence]:
     """The non-simple sequences of the weight of seq that a chain ending at
-    the non-simple seq can use."""
+    seq can use; empty when seq is simple."""
     if _is_pair(seq):
+        ij = _ordered_pair_positions(seq)
+        if ij is None:  # incomparable pairs are simple
+            return []
         # every chain member is coarse-below the pair, hence an interval
-        # partition of it; no global enumeration needed
-        below = _interval_partitions(seq.cls, *_ordered_pair_positions(seq), cap=cap)
+        # partition of it; no global enumeration needed.  The pair is simple
+        # exactly when there is none, so this one search also settles that.
+        below = _interval_partitions(seq.cls, *ij, cap=cap)
+        seq.cls.cache.simple[ij] = not below  # i < j: positions extend the heap
+        if not below:
+            return []
         return [m for m in below if not is_simple(m)] + [seq]
+    if is_simple(seq):
+        return []
     return [
         m
         for m in sequences_of_weight(seq.cls, seq.weight(), cap)
@@ -345,29 +354,40 @@ def dist(seq: RootSequence) -> int:
 
 
 def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
-    """Longest chain of non-simple equal-weight sequences ending at seq."""
-    if is_simple(seq):
-        return 0
-    return _longest_chain(seq, _gdist_pool(seq, cap), ("gdist", seq.weight()))
+    """Longest chain of non-simple equal-weight sequences ending at seq; 0
+    for a simple sequence."""
+    pool = _gdist_pool(seq, cap)
+    return _longest_chain(seq, pool, ("gdist", seq.weight())) if pool else 0
 
 
 def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
     """Length of the longest coarse chain inside pool ending at seq (which
-    must be in pool)."""
+    must be in pool).
+
+    A coarse-smaller sequence has lexicographically smaller counts: the
+    first position where two sequences differ is heap-minimal among the
+    differences, and there the smaller one has the smaller count.  So one
+    pass over the pool in count order, up to seq, settles each member from
+    the members before it.  The memo holds the longest chain of the
+    statistic ending at each member; a chain ending at a member lies below
+    it, so the value does not depend on the pool it was found in.
+    """
     memo = seq.cls.cache.chains.setdefault(cache_tag, {})
-
-    def best(me: RootSequence) -> int:
-        if me.counts in memo:
-            return memo[me.counts]
-        memo[me.counts] = 1  # placeholder; orders are acyclic so this is safe
-        # coarse_less(m, me) is false for any m with the counts of me
-        b = 1 + max(
-            (best(m) for m in pool if m is not me and coarse_less(m, me)), default=0
-        )
-        memo[me.counts] = b
-        return b
-
-    return best(seq)
+    target = seq.counts
+    if target not in memo:
+        done = []  # (member, its longest chain), in count order
+        for m in sorted(pool, key=lambda m: m.counts):
+            if m.counts > target:
+                break
+            val = memo.get(m.counts)
+            if val is None:
+                val = 0
+                for x, v in done:
+                    if v > val and coarse_less(x, m):
+                        val = v
+                val = memo[m.counts] = val + 1
+            done.append((m, val))
+    return memo[target]
 
 
 def _chain_witness(seq: RootSequence, pool, cache_tag) -> tuple[RootSequence, ...]:
@@ -396,9 +416,8 @@ def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
 
 def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
     """A longest chain of non-simple sequences ending at seq (empty if simple)."""
-    if gdist(seq, cap=cap) == 0:
-        return ()
-    return _chain_witness(seq, _gdist_pool(seq, cap), ("gdist", seq.weight()))
+    pool = _gdist_pool(seq, cap)
+    return _chain_witness(seq, pool, ("gdist", seq.weight())) if pool else ()
 
 
 # -- good neighbors and length -----------------------------------------

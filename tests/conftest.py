@@ -1,5 +1,6 @@
 import pytest
 
+from rootseq.orders import coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.words import NotReduced, ReducedWord, act, roots_of_word
 
@@ -54,6 +55,22 @@ def class_by_swaps(cls):
                         nxt.append(w2)
         frontier = nxt
     return seen
+
+
+def longest_chains(pool):
+    """Chain-DP oracle: for every member of pool, the length of the longest
+    coarse chain inside pool ending at it, as a plain longest path by
+    recursion over the members below each one."""
+    memo = {}
+
+    def best(me):
+        if me.counts not in memo:
+            memo[me.counts] = 1 + max(
+                (best(m) for m in pool if coarse_less(m, me)), default=0
+            )
+        return memo[me.counts]
+
+    return {m.counts: best(m) for m in pool}
 
 
 def longest_word(system):

@@ -127,6 +127,38 @@ def test_usage_errors_exit_2(capsys):
                "--orient", "1>2,2>3,3>4,4>5,6>3")[0] == 2
 
 
+@pytest.mark.parametrize("action", ["roots", "class", "heap", "quiver"])
+def test_word_without_word_exit_2(capsys, action):
+    """A missing --word is a usage error, not a fault of the program."""
+    code, out, err = run(capsys, "word", action, "--type", "A2")
+    assert code == 2 and out == ""
+    assert "--word is required" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("system", [
+    ["--type", "A3"], ["--type", "D5"], ["--type", "D", "--rank", "5"],
+    ["--type", "E6"],
+], ids=["other-kind", "other-rank", "other-rank-flag", "exceptional"])
+def test_quiver_contradicting_type_exit_2(capsys, system):
+    """--quiver of another system than --type/--rank names both and exits 2,
+    where it printed the --quiver system's table under the --type label."""
+    code, out, err = run(capsys, "denom", "table", *system, *D4_ARGS)
+    assert code == 2 and out == ""
+    assert "D4:3>2,2>1,2>4" in err and " ".join(system) in err
+
+
+@pytest.mark.parametrize("system", [
+    [], ["--type", "D4"], ["--type", "D", "--rank", "4"], ["--type", "d4"],
+], ids=["quiver-alone", "same-type", "same-type-and-rank", "lower-case"])
+def test_quiver_agreeing_with_type(capsys, system):
+    code, out, _ = run(capsys, "denom", "poly", *system, *D4_ARGS,
+                       "--k", "1", "--l", "2")
+    assert code == 0 and out.strip() == "(z+q^3)(z+q^5)"
+    if system:
+        code, out, _ = run(capsys, "denom", "table", *system, *D4_ARGS)
+        assert code == 0 and len(out.splitlines()) == 10
+
+
 @pytest.mark.parametrize("exc", [KeyError, ValueError, RuntimeError])
 def test_internal_error_exit_4(capsys, monkeypatch, exc):
     """A bare exception from inside the library is a fault of the program,

@@ -1,15 +1,23 @@
+import functools
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import longest_chains
+from hypothesis import assume, given, settings, strategies as st
 
-from rootseq.arquiver import all_orientations, build_ar_quiver, find_quiver
+from rootseq.arquiver import (
+    DynkinQuiver,
+    all_orientations,
+    build_ar_quiver,
+    find_quiver,
+)
 from rootseq.orders import RootSequence, coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
     DEFAULT_CAP,
     PartitionCap,
+    _interval_partitions,
     _pair_weight,
     _partitions,
     dist,
@@ -288,6 +296,130 @@ def test_e6_gdist_chain():
     assert chain[-1].counts == p.counts
     assert coarse_less(chain[0], chain[1])
     assert not is_simple(chain[0])
+
+
+# -- the chain DP against a plain longest-path oracle -------------------
+
+REFERENCE_ARROWS = {"A5": None, "D5": D5_ARROWS, "E6": E6_ARROWS}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_cls(name):
+    """The class of the reference quiver of A5 (its first orientation), D5
+    or E6, shared by the tests that call it."""
+    sys_ = build_root_system(name[0], int(name[1:]))
+    arrows = REFERENCE_ARROWS[name]
+    Q = next(all_orientations(sys_)) if arrows is None else (
+        DynkinQuiver.from_arrows(sys_, arrows))
+    return build_ar_quiver(Q).comm_class()
+
+
+def _cold(name):
+    """A new class of the reference quiver, with nothing in its cache."""
+    return CommClass(_reference_cls(name).representative)
+
+
+def _pos_pair(cls, i, j):
+    counts = [0] * len(cls)
+    counts[i] = counts[j] = 1
+    return RootSequence(cls, tuple(counts))
+
+
+def _comparable(cls):
+    """Every (i, j) with position i strictly below position j in the heap."""
+    n = len(cls)
+    return [(i, j) for i in range(n) for j in range(n) if cls.prec_pos(i, j)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ARROWS))
+def test_chain_dp_matches_longest_path_oracle(name):
+    """gdist, dist and the gdist witness of every pair of a cold class, and
+    gdist of every sequence of the highest root's weight, asked in one
+    shuffled order so that the chain memo is shared across pools, equal the
+    plain longest path over pools read off the definitions: for gdist of a
+    pair its non-simple interval partitions, for dist the non-simple pairs
+    of its weight, for gdist of any other sequence every non-simple
+    sequence of its weight.  An incomparable pair has gdist 0.  On E6 the
+    root is (122211), with 202 sequences, for time: the highest root has
+    622, and the oracle compares every two of them."""
+    cls = _cold(name)
+    n = len(cls)
+    root = cls.system.parse_root("122211") if name == "E6" else cls.system.highest_root
+    top = sequences_of_weight(cls, root.coeffs)
+    top_chains = longest_chains([s for s in top if not is_simple(s)])
+    queries = [(i, j) for i in range(n) for j in range(i + 1, n)] + list(top)
+    random.Random(7).shuffle(queries)
+    longest = 0  # the largest gdist of a pair: 1 on A5, 2 on D5, 3 on E6
+    for query in queries:
+        if isinstance(query, RootSequence):
+            assert gdist(query) == top_chains.get(query.counts, 0), query.counts
+            continue
+        i, j = query
+        p = _pos_pair(cls, i, j)
+        g, d, chain = gdist(p), dist(p), gdist_chain(p)
+        if cls.prec_pos(j, i):
+            i, j = j, i
+        if not cls.prec_pos(i, j):
+            assert g == d == 0 and chain == ()
+            continue
+        below = [m for m in _interval_partitions(cls, i, j) if not is_simple(m)]
+        simple = not _interval_partitions(cls, i, j)
+        assert g == (0 if simple else longest_chains(below + [p])[p.counts]), (i, j)
+        same_weight = [q for q in pairs_of_weight(cls, p.weight()) if not is_simple(q)]
+        assert d == (0 if simple else longest_chains(same_weight)[p.counts]), (i, j)
+        assert len(chain) == g and all(coarse_less(a, b) for a, b in zip(chain, chain[1:]))
+        longest = max(longest, g)
+    assert longest == {"A5": 1, "D5": 2, "E6": 3}[name]
+    assert max(top_chains.values()) >= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coarse_order_implies_smaller_counts(data):
+    """coarse_less(a, b) implies a.counts < b.counts, over every pair of
+    sequences of the weight of a random comparable pair of a reference class:
+    the fact that lets the chain DP work through a pool in count order.
+    Weights with more than 400 sequences are drawn again, for time (the
+    largest E6 pair weight has 58,984, so 3.5e9 ordered pairs)."""
+    cls = _reference_cls(data.draw(st.sampled_from(sorted(REFERENCE_ARROWS))))
+    i, j = data.draw(st.sampled_from(_comparable(cls)))
+    try:
+        seqs = sequences_of_weight(cls, _pair_weight(cls, i, j), cap=400)
+    except PartitionCap:
+        assume(False)
+    for a in seqs:
+        for b in seqs:
+            if coarse_less(a, b):
+                assert a.counts < b.counts, (a.counts, b.counts)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ARROWS))
+def test_simplicity_written_by_gdist_matches_brute_force(name):
+    """gdist of a comparable pair records the pair's simplicity from its one
+    interval search; that entry, and every other simplicity entry the gdist
+    queries leave in the cache, equals the brute-force definition.  On E6
+    the brute force is run where the pair's weight has at most 400
+    sequences (it lists them all); every entry there is also checked
+    against the existence search of another cold class."""
+    cls, fresh = _cold(name), _cold(name)
+    brute_cap = 400 if name == "E6" else DEFAULT_CAP
+
+    def check(i, j, simple):
+        assert simple == is_simple_pair(fresh, i, j), (i, j)
+        try:
+            sequences_of_weight(cls, _pair_weight(cls, i, j), cap=brute_cap)
+        except PartitionCap:
+            return 0
+        assert simple == is_simple_pair_brute(cls, i, j), (i, j)
+        return 1
+
+    for i, j in _comparable(cls):  # i < j: positions extend the heap order
+        gdist(_pos_pair(cls, i, j))
+        check(i, j, cls.cache.simple[i, j])
+    brute = sum(check(i, j, simple) for (i, j), simple in cls.cache.simple.items())
+    # entries: A5 105 of 105 pairs, D5 189 of 190, E6 627 of 630, of which
+    # the brute force checks 458
+    assert brute == (len(cls.cache.simple) if name != "E6" else 458)
 
 
 # -- good neighbors, length, radius -------------------------------------
