@@ -2,12 +2,13 @@
 """Benchmark a parent revision against the working tree, in alternating runs.
 
     python3 scripts/bench_compare.py --parent REV --seed N --out BENCH.json
-        [--pairs denom-e7=6,radius-e8=4,coarse-oracle=4] [--seconds 15]
+        [--pairs denom-e7=10,radius-e8=10,coarse-oracle=10]
 
 Run from the root of a checkout.  REV is exported with
 ``git archive REV | tar -x`` into a temporary directory (no worktree, nothing
 written under ``.git``).  For each workload, ``python3 perfbench/run.py
---workload W --seed N --seconds S --trace 0`` then runs in the parent's copy
+--workload W --seed N --seconds S --trace 0``, with S the ``run_seconds`` of
+this tree's ``BENCHMARK.json``, then runs in the parent's copy
 and in this tree, one after the other, for the given number of pairs; the
 side that goes first alternates from pair to pair.  The benchmark is only
 run as a command, never imported.
@@ -29,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 
-DEFAULT_PAIRS = "denom-e7=6,radius-e8=4,coarse-oracle=4"
+DEFAULT_PAIRS = "denom-e7=10,radius-e8=10,coarse-oracle=10"
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -73,9 +74,10 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--pairs", default=DEFAULT_PAIRS, help="workload=pairs,...")
-    ap.add_argument("--seconds", type=float, default=15)
     args = ap.parse_args()
     pairs = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
+    with open("BENCHMARK.json") as fh:
+        seconds = json.load(fh)["run_seconds"]
 
     here = os.getcwd()
     rev = subprocess.run(["git", "rev-parse", args.parent], check=True,
@@ -85,7 +87,7 @@ def main():
     dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                                 check=True, stdout=subprocess.PIPE, text=True).stdout.strip())
     report = {"parent": rev, "change": head + (" with uncommitted changes" if dirty else ""),
-              "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+              "seed": args.seed, "seconds": seconds, "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
         archive = subprocess.Popen(["git", "archive", rev], stdout=subprocess.PIPE)
@@ -98,7 +100,7 @@ def main():
             for k in range(n):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = run_bench(trees[side], workload, args.seed, args.seconds)
+                    run = run_bench(trees[side], workload, args.seed, seconds)
                     runs.append({"side": side, "pair": k, **run})
                     wall = run["result"]["metrics"]["wall_s"]["value"] if run["result"] else None
                     print(f"{workload} pair {k} {side}: exit {run['exit']}, wall_s {wall}",

@@ -127,8 +127,11 @@ def _quiver(args):
         if not head:
             raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
         kind, rank = head[0].upper(), _int(head[1:], "rank")
-        given = (args.type or "").strip().upper()
-        if given not in ("", kind, f"{kind}{rank}") or args.rank not in (None, rank):
+        if args.type is not None:
+            given = _parse_type_rank(args)
+        else:
+            given = kind, rank if args.rank is None else args.rank
+        if given != (kind, rank):
             named = [f"--{k} {v}" for k, v in (("type", args.type), ("rank", args.rank))
                      if v is not None]
             raise UsageError(f"--quiver {spec} contradicts {' '.join(named)}")

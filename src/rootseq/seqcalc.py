@@ -212,6 +212,11 @@ def _pair_positions(seq: RootSequence) -> tuple[int, int]:
 # -- simplicity ---------------------------------------------------------
 
 
+def _simple_key(i: int, j: int) -> tuple[int, int]:
+    """The key of the pair at positions i, j in ``cache.simple``."""
+    return (i, j) if i < j else (j, i)
+
+
 def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     """Simplicity of the pair at class positions i, j: no equal-weight
     sequence is coarse-below it.
@@ -223,10 +228,8 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     look for a partition of the weight inside that open interval.  The
     search stops at the first one, so no cap applies.
     """
-    if i > j:
-        i, j = j, i
     store = cls.cache.simple
-    key = (i, j)
+    key = i, j = _simple_key(i, j)
     if key not in store:
         if cls.prec_pos(j, i):
             i, j = j, i
@@ -330,7 +333,7 @@ def _gdist_pool(seq: RootSequence, cap: int) -> list[RootSequence]:
         # partition of it; no global enumeration needed.  The pair is simple
         # exactly when there is none, so this one search also settles that.
         below = _interval_partitions(seq.cls, *ij, cap=cap)
-        seq.cls.cache.simple[ij] = not below  # i < j: positions extend the heap
+        seq.cls.cache.simple[_simple_key(*ij)] = not below
         if not below:
             return []
         return [m for m in below if not is_simple(m)] + [seq]

@@ -149,7 +149,8 @@ def test_quiver_contradicting_type_exit_2(capsys, system):
 
 @pytest.mark.parametrize("system", [
     [], ["--type", "D4"], ["--type", "D", "--rank", "4"], ["--type", "d4"],
-], ids=["quiver-alone", "same-type", "same-type-and-rank", "lower-case"])
+    ["--type", "D04"],
+], ids=["quiver-alone", "same-type", "same-type-and-rank", "lower-case", "leading-zero"])
 def test_quiver_agreeing_with_type(capsys, system):
     code, out, _ = run(capsys, "denom", "poly", *system, *D4_ARGS,
                        "--k", "1", "--l", "2")
