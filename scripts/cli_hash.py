@@ -3,8 +3,9 @@
 they print.
 
 The matrix is every README example with its json/latex/dot variants, plus
-``word class``/``word heap``, ``pair dist``, ``arq diff`` and the ``verify``
-sweeps.  Prints one line: the number of invocations and a sha256 over each
+``word class``/``word heap``, ``pair dist``, ``arq diff``, the ``verify``
+sweeps, and ``pair socle|gdist|simple|minimal`` on a sequence of three roots
+of D4 and of E6, which take the paths for sequences that are not pairs.  Prints one line: the number of invocations and a sha256 over each
 invocation's arguments, stdout and exit code.  Two versions of the CLI that
 print the same line behave the same on the matrix.  Run with
 ``PYTHONPATH=src``.
@@ -41,6 +42,10 @@ MATRIX = [
     *_formats(["pair", "gdist", *E6, "--pair", "111001,123212"]),
     *_formats(["pair", "radius", *D4, "--gamma", "{1|2}"]),
     *_formats(["pair", "dist", *D4, "--pair", "{2|-4},{1|2}"]),
+    *(argv
+      for action in ("socle", "gdist", "simple", "minimal")
+      for system, seq in ((D4, "{1|-4},{2|3},{2|-3}"), (E6, "111001,011100,001110"))
+      for argv in _formats(["pair", action, *system, "--pair", seq])),
     *_formats(["order", *D4, "--seq-a", "{1|-4},{2|3},{2|-3}",
                "--seq-b", "{2|-4},{1|2}"]),
     *_formats(["denom", "poly", "--quiver", "A3:1>2,2>3", "--k", "1", "--l", "2"],

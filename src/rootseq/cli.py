@@ -146,14 +146,14 @@ def _quiver(args):
 
 
 def _quivers(args, default):
-    """Every orientation under --all-orientations, else the quiver given by
-    --orient/--quiver, else ``default(system)``."""
-    system = _system(args)
-    if args.all_orientations:
-        return list(all_orientations(system))
+    """The quiver given by --orient/--quiver, else every orientation under
+    --all-orientations, else ``default(system)``."""
     if args.orient or args.quiver:
+        if args.all_orientations:
+            raise UsageError("--all-orientations takes no --orient or --quiver")
         return [_quiver(args)]
-    return default(system)
+    system = _system(args)
+    return list(all_orientations(system)) if args.all_orientations else default(system)
 
 
 def _parse_word(system, text) -> ReducedWord:
@@ -374,7 +374,12 @@ def cmd_denom(args):
     if args.action == "poly":
         if args.k is None or args.l is None:
             raise UsageError("poly needs --k and --l")
-        p = distance_polynomial(_quiver(args), args.k, args.l, check_all=args.check_all)
+        Q = _quiver(args)
+        rank = Q.system.rank
+        for name, v in (("--k", args.k), ("--l", args.l)):
+            if not 1 <= v <= rank:
+                raise UsageError(f"{name} {v} is outside 1..{rank}, the rank")
+        p = distance_polynomial(Q, args.k, args.l, check_all=args.check_all)
         _show(args, {"k": args.k, "l": args.l, "factors": p.to_json()}, str(p))
         return 0
     if args.action == "table":

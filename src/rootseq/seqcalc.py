@@ -52,11 +52,11 @@ def _packed_roots(cls: CommClass, width: int):
     return table
 
 
-def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
+def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
                 first: bool = False) -> list[tuple[int, ...]]:
-    """Count vectors over the class supported on the given positions whose
-    roots sum to the weight, in a fixed order: DFS over the roots, highest
-    first, each taken with its largest multiplicity first.
+    """Count vectors over the class supported on the positions in the mask
+    ``within`` whose roots sum to the weight, in a fixed order: DFS over the
+    roots, highest first, each taken with its largest multiplicity first.
 
     With ``first`` the search stops at the first partition (an existence
     test: at most one is listed and the cap is not checked); otherwise every
@@ -78,9 +78,6 @@ def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
     zero, entries = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
     residual = zero + sum(x << s for x, s in zip(weight, shifts))
-    within = 0
-    for p in positions:
-        within |= 1 << p
     packed = [  # the roots that fit at least once
         e for e in entries if within >> e[0] & 1 and (residual - e[1]) & zero == zero
     ]
@@ -125,15 +122,15 @@ def _partitions(cls: CommClass, positions, weight, cap: int = DEFAULT_CAP,
 
 
 def _enumerated(
-    cls: CommClass, store: dict, key, positions, weight, cap: int
+    cls: CommClass, store: dict, key, within: int, weight, cap: int
 ) -> tuple[RootSequence, ...]:
-    """The partitions of the weight over the positions, cached in the store
-    under the key and checked against the cap on every call, so that capped
-    and uncapped calls agree whatever order they come in."""
+    """The partitions of the weight over the positions in the mask, cached
+    in the store under the key and checked against the cap on every call, so
+    that capped and uncapped calls agree whatever order they come in."""
     if key not in store:
         store[key] = tuple(
             RootSequence(cls, counts)
-            for counts in _partitions(cls, positions, weight, cap)
+            for counts in _partitions(cls, within, weight, cap)
         )
     if len(store[key]) > cap:
         raise PartitionCap(cap + 1, cap)
@@ -145,7 +142,8 @@ def sequences_of_weight(
 ) -> tuple[RootSequence, ...]:
     """Every multiset of roots of the class with the given total weight."""
     weight = tuple(weight)
-    return _enumerated(cls, cls.cache.weights, weight, range(len(cls)), weight, cap)
+    everywhere = (1 << len(cls)) - 1
+    return _enumerated(cls, cls.cache.weights, weight, everywhere, weight, cap)
 
 
 def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
@@ -176,37 +174,18 @@ def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(cls.roots[i].coeffs, cls.roots[j].coeffs))
 
 
-def _interval_partitions(
-    cls: CommClass, i: int, j: int, cap: int = DEFAULT_CAP
-) -> tuple[RootSequence, ...]:
-    """All multisets of roots strictly between positions i and j in the heap
-    order (i strictly below j) summing to beta_i + beta_j.  Every such
-    multiset is coarse-below the pair (i, j), and conversely every sequence
-    coarse-below the pair with its weight is of this shape."""
-    return _enumerated(
-        cls, cls.cache.intervals, (i, j), cls.interval(i, j),
-        _pair_weight(cls, i, j), cap,
-    )
-
-
-def _ordered_pair_positions(seq: RootSequence) -> tuple[int, int] | None:
-    """Positions (i, j) of a pair with i strictly below j in the heap order,
-    or None when the two roots are incomparable."""
-    i, j = _pair_positions(seq)
-    if seq.cls.prec_pos(i, j):
+def _ordered(cls: CommClass, i: int, j: int) -> tuple[int, int] | None:
+    """Positions i and j with the one lower in the heap order first, or None
+    when the two are incomparable."""
+    if cls.prec_pos(i, j):
         return i, j
-    if seq.cls.prec_pos(j, i):
+    if cls.prec_pos(j, i):
         return j, i
     return None
 
 
 def _is_pair(seq: RootSequence) -> bool:
     return seq.size() == 2 and max(seq.counts) == 1
-
-
-def _pair_positions(seq: RootSequence) -> tuple[int, int]:
-    i, j = seq.positions()
-    return i, j
 
 
 # -- simplicity ---------------------------------------------------------
@@ -229,12 +208,11 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     search stops at the first one, so no cap applies.
     """
     store = cls.cache.simple
-    key = i, j = _simple_key(i, j)
+    key = _simple_key(i, j)
     if key not in store:
-        if cls.prec_pos(j, i):
-            i, j = j, i
-        store[key] = not cls.prec_pos(i, j) or not _partitions(
-            cls, cls.interval(i, j), _pair_weight(cls, i, j), first=True
+        ij = _ordered(cls, i, j)
+        store[key] = ij is None or not _partitions(
+            cls, cls.interval(*ij), _pair_weight(cls, i, j), first=True
         )
     return store[key]
 
@@ -251,16 +229,43 @@ def is_simple_pair_brute(cls: CommClass, i: int, j: int) -> bool:
 
 
 def is_simple(seq: RootSequence) -> bool:
-    """A sequence is simple if it has a single entry or every pair of
-    distinct occupied positions forms a simple pair."""
-    if seq.size() <= 1:
-        return True
+    """A sequence is simple if every pair of distinct occupied positions
+    forms a simple pair (so one with a single occupied position is)."""
     occupied = seq.positions()
     return all(
         is_simple_pair(seq.cls, occupied[a], occupied[b])
         for a in range(len(occupied))
         for b in range(a + 1, len(occupied))
     )
+
+
+# -- the sequences at most a sequence ----------------------------------
+
+
+def _at_most(seq: RootSequence, cap: int) -> tuple[RootSequence, ...]:
+    """The sequences of the weight of seq that are coarse-at-most seq, in
+    search order: the set that socles and gdist chains are read from.
+
+    For a comparable pair these are the partitions of its weight strictly
+    between its two roots in the heap order (see ``is_simple_pair``),
+    followed by the pair; the pair is simple exactly when there is none,
+    which is recorded.  Nothing is below an incomparable pair.  Any other
+    sequence filters the enumeration of its weight.
+    """
+    cls = seq.cls
+    if not _is_pair(seq):
+        return tuple(
+            m for m in sequences_of_weight(cls, seq.weight(), cap)
+            if m.counts == seq.counts or coarse_less(m, seq)
+        )
+    ij = _ordered(cls, *seq.positions())
+    if ij is None:
+        return (seq,)
+    below = _enumerated(
+        cls, cls.cache.intervals, ij, cls.interval(*ij), seq.weight(), cap
+    )
+    cls.cache.simple[_simple_key(*ij)] = not below
+    return below + (seq,)
 
 
 # -- socle and minimal sequences ---------------------------------------
@@ -270,20 +275,7 @@ def socle_candidates(
     seq: RootSequence, cap: int = DEFAULT_CAP
 ) -> tuple[RootSequence, ...]:
     """All simple sequences of the same weight that are coarse-at-most seq."""
-    if _is_pair(seq):
-        ij = _ordered_pair_positions(seq)
-        if ij is None:
-            return (seq,)  # incomparable pairs are simple and nothing is below
-        below = _interval_partitions(seq.cls, *ij, cap=cap)
-        out = [m for m in below if is_simple(m)]
-        if not below:  # the pair itself is then simple
-            out.append(seq)
-        return tuple(out)
-    out = []
-    for m in sequences_of_weight(seq.cls, seq.weight(), cap):
-        if (m.counts == seq.counts or coarse_less(m, seq)) and is_simple(m):
-            out.append(m)
-    return tuple(out)
+    return tuple(m for m in _at_most(seq, cap) if is_simple(m))
 
 
 def socle(seq: RootSequence, cap: int = DEFAULT_CAP) -> RootSequence | None:
@@ -318,32 +310,18 @@ def _dist_pool(seq: RootSequence) -> list[RootSequence]:
     return [
         p
         for p in pairs_of_weight(seq.cls, seq.weight())
-        if not is_simple_pair(seq.cls, *_pair_positions(p))
+        if not is_simple_pair(seq.cls, *p.positions())
     ]
 
 
 def _gdist_pool(seq: RootSequence, cap: int) -> list[RootSequence]:
-    """The non-simple sequences of the weight of seq that a chain ending at
-    seq can use; empty when seq is simple."""
-    if _is_pair(seq):
-        ij = _ordered_pair_positions(seq)
-        if ij is None:  # incomparable pairs are simple
-            return []
-        # every chain member is coarse-below the pair, hence an interval
-        # partition of it; no global enumeration needed.  The pair is simple
-        # exactly when there is none, so this one search also settles that.
-        below = _interval_partitions(seq.cls, *ij, cap=cap)
-        seq.cls.cache.simple[_simple_key(*ij)] = not below
-        if not below:
-            return []
-        return [m for m in below if not is_simple(m)] + [seq]
-    if is_simple(seq):
+    """The non-simple sequences at most seq, which hold every chain ending
+    at seq; empty when seq is simple.  The search of a pair settles its
+    simplicity; any other sequence is tested first, so that a simple one
+    enumerates nothing."""
+    if not _is_pair(seq) and is_simple(seq):
         return []
-    return [
-        m
-        for m in sequences_of_weight(seq.cls, seq.weight(), cap)
-        if not is_simple(m)
-    ]
+    return [m for m in _at_most(seq, cap) if not is_simple(m)]
 
 
 def dist(seq: RootSequence) -> int:
@@ -351,7 +329,7 @@ def dist(seq: RootSequence) -> int:
     counted by cardinality; 0 for a simple pair."""
     if not _is_pair(seq):
         raise NotInDomain("dist is defined for pairs")
-    if is_simple_pair(seq.cls, *_pair_positions(seq)):
+    if is_simple_pair(seq.cls, *seq.positions()):
         return 0
     return _longest_chain(seq, _dist_pool(seq), ("dist", seq.weight()))
 
@@ -426,11 +404,6 @@ def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence
 # -- good neighbors and length -----------------------------------------
 
 
-def _pair_roots_ordered(p: RootSequence) -> tuple[PosRoot, PosRoot]:
-    i, j = _pair_positions(p)
-    return p.cls.roots[i], p.cls.roots[j]
-
-
 def _eta_condition(
     pp: RootSequence, p: RootSequence, threshold: int | None = None
 ) -> bool:
@@ -440,34 +413,15 @@ def _eta_condition(
     dist(p) when checking a single adjacency).  In each pair the first slot
     is the root earlier in the class order."""
     cls = p.cls
-    sys_ = cls.system
-    a1, b1 = _pair_roots_ordered(pp)
-    a2, b2 = _pair_roots_ordered(p)
     d = dist(p) if threshold is None else threshold
-    # (a) eta + b2 = b1 and eta + a1 = a2
-    eta = b1 - b2
-    if eta == a2 - a1 and min(eta.coeffs) >= 0 and sys_.is_positive_root(eta):
-        q1 = _mk_pair(cls, eta, b2)
-        q2 = _mk_pair(cls, eta, a1)
-        if (
-            q1 is not None
-            and q2 is not None
-            and dist(q1) < d
-            and dist(q2) < d
-        ):
-            return True
-    # (b) b1 + eta = b2 and a2 + eta = a1
-    eta = b2 - b1
-    if eta == a1 - a2 and min(eta.coeffs) >= 0 and sys_.is_positive_root(eta):
-        q1 = _mk_pair(cls, b1, eta)
-        q2 = _mk_pair(cls, a2, eta)
-        if (
-            q1 is not None
-            and q2 is not None
-            and dist(q1) < d
-            and dist(q2) < d
-        ):
-            return True
+    pp_roots, p_roots = pp.support(), p.support()
+    # eta + b2 = b1 and eta + a1 = a2, from pp to p and from p to pp
+    for (a1, b1), (a2, b2) in ((pp_roots, p_roots), (p_roots, pp_roots)):
+        eta = b1 - b2
+        if eta == a2 - a1 and cls.system.is_positive_root(eta):
+            q1, q2 = _mk_pair(cls, eta, b2), _mk_pair(cls, eta, a1)
+            if q1 is not None and q2 is not None and dist(q1) < d and dist(q2) < d:
+                return True
     return False
 
 
@@ -537,7 +491,7 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
     for q in nodes:
         if q.counts == p.counts or q.counts not in seen:
             continue
-        if not is_simple_pair(cls, *_pair_positions(q)):
+        if not is_simple_pair(cls, *q.positions()):
             out.append(q)
     return tuple(out)
 

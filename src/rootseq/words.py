@@ -157,10 +157,10 @@ class CommClass:
     def prec_pos(self, p: int, q: int) -> bool:
         return bool(self._above[p] & (1 << q))
 
-    def interval(self, p: int, q: int) -> list[int]:
-        """Positions strictly between p and q in the heap order, ascending."""
-        m = self._above[p] & self._below[q]
-        return [k for k in range(m.bit_length()) if m >> k & 1]
+    def interval(self, p: int, q: int) -> int:
+        """The positions strictly between p and q in the heap order, as a
+        bit mask."""
+        return self._above[p] & self._below[q]
 
     def prec(self, alpha: PosRoot, beta: PosRoot) -> bool:
         """alpha strictly before beta in every class member."""

@@ -160,6 +160,47 @@ def test_quiver_agreeing_with_type(capsys, system):
         assert code == 0 and len(out.splitlines()) == 10
 
 
+@pytest.mark.parametrize("command,last", [
+    (["denom", "table"], "d_4,4(z) = (z-q^2)(z-q^6)"),
+    (["denom", "verify"], "2>1,2>4,3>2: ok"),
+    (["verify", "rds-mul"], "ok"), (["verify", "dist-bound"], "ok"),
+], ids=["denom-table", "denom-verify", "rds-mul", "dist-bound"])
+def test_quiver_alone_names_the_system(capsys, command, last):
+    """--quiver without --type runs every command that takes a quiver,
+    where the sweeps exited 2 asking for --type."""
+    code, out, err = run(capsys, *command, *D4_ARGS)
+    assert code == 0 and err == "" and out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("quiver", [
+    ["--type", "D4", "--orient", "3>2,2>1,2>4"], D4_ARGS, ["--type", "D4", *D4_ARGS],
+    ["--type", "A3", *D4_ARGS],
+], ids=["orient", "quiver", "quiver-and-type", "quiver-contradicting-type"])
+@pytest.mark.parametrize("command", [
+    ["denom", "table"], ["denom", "verify"], ["verify", "rds-mul"],
+    ["verify", "dist-bound"],
+])
+def test_all_orientations_with_a_quiver_exit_2(capsys, command, quiver):
+    """--all-orientations with a given quiver is a usage error, where the
+    sweep ran over every orientation of --type and ignored the quiver."""
+    code, out, err = run(capsys, *command, "--all-orientations", *quiver)
+    assert code == 2 and out == ""
+    assert "--all-orientations takes no --orient or --quiver" in err
+
+
+@pytest.mark.parametrize("k,l,named", [
+    ("9", "1", "--k 9"), ("0", "1", "--k 0"), ("-1", "1", "--k -1"),
+    ("1", "4", "--l 4"), ("1", "0", "--l 0"),
+])
+def test_denom_poly_index_outside_rank_exit_2(capsys, k, l, named):
+    """--k and --l outside 1..rank name the value and the rank and exit 2,
+    where they printed the polynomial 1."""
+    code, out, err = run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3",
+                         "--k", k, "--l", l)
+    assert code == 2 and out == ""
+    assert f"{named} is outside 1..3, the rank" in err
+
+
 @pytest.mark.parametrize("exc", [KeyError, ValueError, RuntimeError])
 def test_internal_error_exit_4(capsys, monkeypatch, exc):
     """A bare exception from inside the library is a fault of the program,

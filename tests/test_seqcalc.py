@@ -17,7 +17,6 @@ from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
     DEFAULT_CAP,
     PartitionCap,
-    _interval_partitions,
     _pair_weight,
     _partitions,
     dist,
@@ -112,11 +111,13 @@ def test_exists_mode_is_first_enumerated_partition():
     assert seen  # the class has non-simple pairs
 
 
-def _partitions_reference(cls, positions, weight):
-    """Every partition of the weight into roots at the positions, by tuple
-    arithmetic and nothing else: the roots highest first (ties by
-    coefficients), each taken from its largest multiplicity down to 0."""
+def _partitions_reference(cls, within, weight):
+    """Every partition of the weight into roots at the positions in the
+    mask, by tuple arithmetic and nothing else: the roots highest first
+    (ties by coefficients), each taken from its largest multiplicity down
+    to 0."""
     roots = cls.roots
+    positions = [p for p in range(len(cls)) if within >> p & 1]
     order = sorted(positions, key=lambda p: (-roots[p].height, roots[p].coeffs))
     counts = [0] * len(cls)
     out = []
@@ -153,10 +154,11 @@ def test_engine_matches_reference_enumeration(kind, rank, arrows):
     cases = []
     for i, j in rng.sample(comparable, min(40, len(comparable))):
         cases.append((cls.interval(i, j), _pair_weight(cls, i, j)))
-    everywhere = range(len(cls))
+    n = len(cls)
+    everywhere = (1 << n) - 1
     # pair weights of height at most 14: the plain recursion takes seconds
     # on the E6 weights near twice the highest root (about 15,000 partitions)
-    light = [(i, j) for i in everywhere for j in everywhere[i + 1:]
+    light = [(i, j) for i in range(n) for j in range(i + 1, n)
              if sum(_pair_weight(cls, i, j)) <= 14]
     for i, j in rng.sample(light, 10):
         cases.append((everywhere, _pair_weight(cls, i, j)))
@@ -170,10 +172,10 @@ def test_engine_matches_reference_enumeration(kind, rank, arrows):
         cases.append((everywhere, (wide, wide + 1, wide, wide + 3)))
     assert any(max(wt).bit_length() > shared_bits for _, wt in cases)
     listed = 0
-    for positions, wt in cases:
-        want = _partitions_reference(cls, positions, wt)
-        assert _partitions(cls, positions, wt) == want, (list(positions), wt)
-        assert _partitions(cls, positions, wt, first=True) == want[:1]
+    for within, wt in cases:
+        want = _partitions_reference(cls, within, wt)
+        assert _partitions(cls, within, wt) == want, (bin(within), wt)
+        assert _partitions(cls, within, wt, first=True) == want[:1]
         listed += len(want)
     assert listed > len(cases)  # the weights have partitions to list
 
@@ -362,8 +364,10 @@ def test_chain_dp_matches_longest_path_oracle(name):
         if not cls.prec_pos(i, j):
             assert g == d == 0 and chain == ()
             continue
-        below = [m for m in _interval_partitions(cls, i, j) if not is_simple(m)]
-        simple = not _interval_partitions(cls, i, j)
+        between = [RootSequence(cls, c)
+                   for c in _partitions(cls, cls.interval(i, j), p.weight())]
+        below = [m for m in between if not is_simple(m)]
+        simple = not between
         assert g == (0 if simple else longest_chains(below + [p])[p.counts]), (i, j)
         same_weight = [q for q in pairs_of_weight(cls, p.weight()) if not is_simple(q)]
         assert d == (0 if simple else longest_chains(same_weight)[p.counts]), (i, j)
@@ -420,6 +424,42 @@ def test_simplicity_written_by_gdist_matches_brute_force(name):
     # entries: A5 105 of 105 pairs, D5 189 of 190, E6 627 of 630, of which
     # the brute force checks 458
     assert brute == (len(cls.cache.simple) if name != "E6" else 458)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ARROWS))
+def test_socle_candidates_match_definition(name):
+    """The simple sequences at most a sequence, read off the down-set of a
+    cold class, equal the definition computed on another cold class over
+    the whole weight: as sets for every comparable and incomparable pair,
+    and as lists, in search order, for every sequence of one root's weight
+    (the root of the chain-DP oracle test).  The definition is computed
+    where the weight has at most 400 sequences, for time."""
+    cls, fresh = _cold(name), _cold(name)
+
+    def definition(seq):
+        seq = RootSequence(fresh, seq.counts)
+        return [
+            m.counts for m in sequences_of_weight(fresh, seq.weight(), cap=400)
+            if (m.counts == seq.counts or coarse_less(m, seq)) and is_simple(m)
+        ]
+
+    n, checked = len(cls), 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = _pos_pair(cls, i, j)
+            try:
+                want = definition(p)
+            except PartitionCap:
+                continue
+            assert {m.counts for m in socle_candidates(p)} == set(want), (i, j)
+            checked += 1
+    # pairs: A5 105 of 105, D5 187 of 190, E6 461 of 630
+    assert checked == {"A5": 105, "D5": 187, "E6": 461}[name]
+    root = cls.system.parse_root("122211") if name == "E6" else cls.system.highest_root
+    top = sequences_of_weight(cls, root.coeffs)
+    for s in top:
+        assert [m.counts for m in socle_candidates(s)] == definition(s), s.counts
+    assert any(socle_candidates(s)[0].counts != s.counts for s in top)
 
 
 # -- good neighbors, length, radius -------------------------------------
