@@ -46,11 +46,12 @@ class RootSequence:
         )
 
     def weight(self) -> tuple[int, ...]:
+        roots, counts = self.cls.roots, self.counts
         wt = [0] * self.cls.system.rank
-        for k, c in enumerate(self.counts):
-            if c:
-                for j, x in enumerate(self.cls.roots[k].coeffs):
-                    wt[j] += c * x
+        for k in self.positions():
+            c = counts[k]
+            for j, x in enumerate(roots[k].coeffs):
+                wt[j] += c * x
         return tuple(wt)
 
     def size(self) -> int:

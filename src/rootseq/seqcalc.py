@@ -29,9 +29,10 @@ class PartitionCap(RuntimeError):
 
 
 def _packed_roots(cls: CommClass, width: int):
-    """The guard mask and the class's roots in search order (height
-    descending, then coefficients), each as (position, packed coefficients,
-    mask of the bit fields it touches), for fields of the given width."""
+    """The guard mask, the class's roots in search order (height descending,
+    then coefficients), each as (position, packed coefficients, mask of the
+    bit fields it touches), and the position of each packed root, in
+    position order, for fields of the given width."""
     table = cls.cache.packed.get(width)
     if table is None:
         roots = cls.roots
@@ -47,9 +48,17 @@ def _packed_roots(cls: CommClass, width: int):
                 range(len(cls)), key=lambda p: (-roots[p].height, roots[p].coeffs)
             )
         ]
+        index = {packed: p for p, packed, _ in sorted(entries)}
         zero = sum(1 << (s + width - 1) for s in shifts)
-        table = cls.cache.packed[width] = (zero, entries)
+        table = cls.cache.packed[width] = (zero, entries, index)
     return table
+
+
+def _width(cls: CommClass, weight) -> int:
+    """The field width for a weight: wide enough for the weight and for
+    twice the largest root coefficient, plus the guard bit."""
+    top = max(2 * max(cls.system.highest_root.coeffs), *weight)
+    return top.bit_length() + 1
 
 
 def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
@@ -73,9 +82,8 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     roots left to try touches: it holds no partition.
     """
     weight = tuple(weight)
-    top = max(2 * max(cls.system.highest_root.coeffs), *weight)
-    width = top.bit_length() + 1  # the guard bit exceeds every value
-    zero, entries = _packed_roots(cls, width)  # zero: the guard bits
+    width = _width(cls, weight)
+    zero, entries, _ = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
     residual = zero + sum(x << s for x, s in zip(weight, shifts))
     packed = [  # the roots that fit at least once
@@ -148,24 +156,31 @@ def sequences_of_weight(
 
 def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
     """Unordered pairs of distinct roots of the class with the given total
-    weight (enumerated directly, without listing all partitions)."""
+    weight, by ascending first position.
+
+    They are read off the packed roots of the partition search: for each
+    root, one subtraction from the packed weight, a guard-bit test and one
+    lookup of the rest among the packed roots.  A pair weight is nonnegative
+    and fits the fields that every pair weight shares (twice the largest
+    root coefficient); no pair sums to any other weight.
+    """
     weight = tuple(weight)
     store = cls.cache.pairs
     if weight not in store:
-        sys_ = cls.system
         out = []
-        for i, r in enumerate(cls.roots):
-            rest = tuple(w - c for w, c in zip(weight, r.coeffs))
-            if min(rest) < 0 or not sys_.is_positive_root(rest):
-                continue
-            other = sys_.root(rest)
-            if other == r or other not in cls._pos_of_root:
-                continue
-            j = cls.position(other)
-            if i < j:
-                counts = [0] * len(cls)
-                counts[i] = counts[j] = 1
-                out.append(RootSequence(cls, tuple(counts)))
+        width = _width(cls, weight)
+        if min(weight) >= 0 and width == _width(cls, (0,)):
+            zero, _, index = _packed_roots(cls, width)
+            shifts = range(0, width * len(weight), width)
+            residual = zero + sum(x << s for x, s in zip(weight, shifts))
+            for root, i in index.items():
+                rest = residual - root
+                if rest & zero == zero:
+                    j = index.get(rest ^ zero)
+                    if j is not None and i < j:
+                        counts = [0] * len(cls)
+                        counts[i] = counts[j] = 1
+                        out.append(RootSequence(cls, tuple(counts)))
         store[weight] = tuple(out)
     return store[weight]
 
@@ -185,7 +200,7 @@ def _ordered(cls: CommClass, i: int, j: int) -> tuple[int, int] | None:
 
 
 def _is_pair(seq: RootSequence) -> bool:
-    return seq.size() == 2 and max(seq.counts) == 1
+    return seq.support_mask.bit_count() == 2 and seq.size() == 2
 
 
 # -- simplicity ---------------------------------------------------------
@@ -305,23 +320,32 @@ def minimal_sequences(
 # -- distances ----------------------------------------------------------
 
 
-def _dist_pool(seq: RootSequence) -> list[RootSequence]:
-    """The non-simple pairs of the weight of seq."""
+def _dist_pool(cls: CommClass, weight) -> list[RootSequence]:
+    """The non-simple pairs of the weight."""
     return [
         p
-        for p in pairs_of_weight(seq.cls, seq.weight())
-        if not is_simple_pair(seq.cls, *p.positions())
+        for p in pairs_of_weight(cls, weight)
+        if not is_simple_pair(cls, *p.positions())
     ]
 
 
-def _gdist_pool(seq: RootSequence, cap: int) -> list[RootSequence]:
-    """The non-simple sequences at most seq, which hold every chain ending
-    at seq; empty when seq is simple.  The search of a pair settles its
+def _gdist_pool(seq: RootSequence, cap: int):
+    """(listed, pool) for the gdist chains ending at seq, or None when seq
+    is simple.  ``listed`` holds the sequences at most seq in search order;
+    it is enumerated, and the cap checked, at once.  ``pool()`` lists the
+    non-simple sequences at most seq, which hold every chain ending at seq.
+    For a pair ``listed`` is exactly its down-set, whose search settles its
     simplicity; any other sequence is tested first, so that a simple one
-    enumerates nothing."""
-    if not _is_pair(seq) and is_simple(seq):
-        return []
-    return [m for m in _at_most(seq, cap) if not is_simple(m)]
+    enumerates nothing, and lists every sequence of its weight."""
+    if _is_pair(seq):
+        listed = _at_most(seq, cap)
+        if is_simple(seq):
+            return None
+        return listed, lambda: [m for m in listed if not is_simple(m)]
+    if is_simple(seq):
+        return None
+    listed = sequences_of_weight(seq.cls, seq.weight(), cap)
+    return listed, lambda: [m for m in _at_most(seq, cap) if not is_simple(m)]
 
 
 def dist(seq: RootSequence) -> int:
@@ -329,21 +353,26 @@ def dist(seq: RootSequence) -> int:
     counted by cardinality; 0 for a simple pair."""
     if not _is_pair(seq):
         raise NotInDomain("dist is defined for pairs")
-    if is_simple_pair(seq.cls, *seq.positions()):
+    cls = seq.cls
+    if is_simple_pair(cls, *seq.positions()):
         return 0
-    return _longest_chain(seq, _dist_pool(seq), ("dist", seq.weight()))
+    wt = seq.weight()
+    return _longest_chain(seq, lambda: _dist_pool(cls, wt), ("dist", wt))
 
 
 def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
     """Longest chain of non-simple equal-weight sequences ending at seq; 0
     for a simple sequence."""
-    pool = _gdist_pool(seq, cap)
-    return _longest_chain(seq, pool, ("gdist", seq.weight())) if pool else 0
+    found = _gdist_pool(seq, cap)
+    if found is None:
+        return 0
+    return _longest_chain(seq, found[1], ("gdist", seq.weight()))
 
 
 def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
-    """Length of the longest coarse chain inside pool ending at seq (which
-    must be in pool).
+    """Length of the longest coarse chain ending at seq inside the list that
+    ``pool()`` returns (it must hold seq); the memo is read first, and
+    ``pool`` called only when it lacks seq.
 
     A coarse-smaller sequence has lexicographically smaller counts: the
     first position where two sequences differ is heap-minimal among the
@@ -357,7 +386,7 @@ def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
     target = seq.counts
     if target not in memo:
         done = []  # (member, its longest chain), in count order
-        for m in sorted(pool, key=lambda m: m.counts):
+        for m in sorted(pool(), key=lambda m: m.counts):
             if m.counts > target:
                 break
             val = memo.get(m.counts)
@@ -371,14 +400,22 @@ def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
     return memo[target]
 
 
-def _chain_witness(seq: RootSequence, pool, cache_tag) -> tuple[RootSequence, ...]:
-    """A longest chain ending at seq, reconstructed from the memo table."""
-    best = _longest_chain(seq, pool, cache_tag)
+def _chain_witness(
+    seq: RootSequence, listed, pool, cache_tag
+) -> tuple[RootSequence, ...]:
+    """A longest chain ending at seq, reconstructed from the memo table.
+
+    Each step takes the first member of ``listed`` (a superset of the pool,
+    in the pool's order) with the memo value one less that is coarse-below
+    the current one.  Only non-simple sequences have memo entries, and one
+    coarse-below the current member is at most seq, so such a member is in
+    the pool: the superset picks what the pool would."""
+    val = _longest_chain(seq, pool, cache_tag)
     memo = seq.cls.cache.chains[cache_tag]
     chain = [seq]
-    cur, val = seq, best
+    cur = seq
     while val > 1:
-        for m in pool:
+        for m in listed:
             if memo.get(m.counts) == val - 1 and coarse_less(m, cur):
                 chain.append(m)
                 cur, val = m, val - 1
@@ -392,13 +429,18 @@ def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
     """A longest chain of non-simple pairs ending at seq (empty if simple)."""
     if dist(seq) == 0:
         return ()
-    return _chain_witness(seq, _dist_pool(seq), ("dist", seq.weight()))
+    cls, wt = seq.cls, seq.weight()
+    return _chain_witness(
+        seq, pairs_of_weight(cls, wt), lambda: _dist_pool(cls, wt), ("dist", wt)
+    )
 
 
 def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
     """A longest chain of non-simple sequences ending at seq (empty if simple)."""
-    pool = _gdist_pool(seq, cap)
-    return _chain_witness(seq, pool, ("gdist", seq.weight())) if pool else ()
+    found = _gdist_pool(seq, cap)
+    if found is None:
+        return ()
+    return _chain_witness(seq, *found, ("gdist", seq.weight()))
 
 
 # -- good neighbors and length -----------------------------------------

@@ -55,8 +55,11 @@ def roots_of_word(word: ReducedWord) -> tuple[PosRoot, ...]:
     or a sign change."""
     sys_ = word.system
     n = sys_.rank
+    cartan = sys_.cartan
     # images of the simple roots under the prefix s_{i1}...s_{i(k-1)}
     images = [sys_.simple_root(i).coeffs for i in range(1, n + 1)]
+    # s_i moves alpha_j only when A_{j,i} != 0: j = i and its neighbours
+    moved = [[(j, cartan[j][i]) for j in range(n) if cartan[j][i]] for i in range(n)]
     out: list[PosRoot] = []
     seen = set()
     for i in word.letters:
@@ -66,14 +69,8 @@ def roots_of_word(word: ReducedWord) -> tuple[PosRoot, ...]:
         seen.add(v)
         out.append(sys_.root(v))
         # post-compose the prefix with s_i: alpha_j -> alpha_j - A_{j,i} alpha_i
-        base = images[i - 1]
-        images = [
-            tuple(
-                images[j][k] - sys_.cartan[j][i - 1] * base[k]
-                for k in range(n)
-            )
-            for j in range(n)
-        ]
+        for j, a in moved[i - 1]:
+            images[j] = tuple(x - a * y for x, y in zip(images[j], v))
     return tuple(out)
 
 

@@ -516,6 +516,31 @@ def test_pairs_of_weight_matches_filtered_sequences(d4_cls):
     assert pairs == full and pairs
 
 
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_pairs_of_weight_matches_definition(name):
+    """pairs_of_weight lists the unordered pairs of distinct class roots
+    that sum to the weight, by ascending first position, for every pair
+    weight of the class; a weight with a negative coordinate, one wider than
+    twice the largest root coefficient and a root-lattice weight that is no
+    pair sum (a simple root) have none."""
+    cls = _cold(name)
+    n = len(cls)
+    want = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            want.setdefault(_pair_weight(cls, i, j), []).append((i, j))
+    for wt, pairs in want.items():
+        assert [tuple(p.positions()) for p in pairs_of_weight(cls, wt)] == pairs, wt
+    high = cls.system.highest_root.coeffs
+    doubled = tuple(2 * x for x in high)
+    negative = (-1,) + doubled[1:]
+    wider = (2 * max(high) + 1,) + doubled[1:]
+    simple = cls.system.simple_root(1).coeffs
+    for wt in (negative, wider, simple):
+        assert wt not in want
+        assert pairs_of_weight(cls, wt) == ()
+
+
 def test_weights_past_a_small_field():
     """Coordinates of 33 and 40 overflow a fixed 5-bit field; the packing
     must size its fields from the weight."""
@@ -567,6 +592,44 @@ def test_cap_holds_on_cached_enumerations(warm):
         assert after == before
 
 
+def test_gdist_reads_the_memo_before_the_pool(monkeypatch):
+    """A second pass of gdist, and of gdist_chain, over the 622 sequences
+    of the highest root's weight of the E6 reference class answers from the
+    chain memo: gdist makes no coarse comparison, and both test only each
+    sequence's own simplicity, never a pool's.  A capped call after the
+    uncapped passes still raises PartitionCap."""
+    from rootseq import seqcalc
+
+    cls = _cold("E6")
+    top = sequences_of_weight(cls, cls.system.highest_root.coeffs)
+    assert len(top) == 622
+    values = [gdist(s) for s in top]
+    chains = [gdist_chain(s) for s in top]
+    calls = {"coarse_less": 0, "is_simple": 0}
+
+    def count(name):
+        fn = getattr(seqcalc, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(seqcalc, name, counted)
+
+    count("coarse_less")
+    count("is_simple")
+    assert [gdist(s) for s in top] == values
+    assert calls == {"coarse_less": 0, "is_simple": len(top)}
+    calls["is_simple"] = 0
+    assert [gdist_chain(s) for s in top] == chains
+    assert calls["is_simple"] == len(top)
+    longer = next(s for s, g in zip(top, values) if g and s.size() > 2)
+    for stat in (gdist, gdist_chain):
+        with pytest.raises(PartitionCap):
+            stat(longer, cap=len(top) - 1)
+    assert gdist(longer, cap=len(top)) == len(gdist_chain(longer, cap=len(top))) > 0
+
+
 # -- answers do not depend on the order of the queries -------------------
 
 
@@ -579,7 +642,8 @@ def _d5_queries():
     """dist and gdist of every pair, gdist of every longer sequence of the
     highest root's weight, and the enumeration of that weight and of two
     pair weights, under the default cap, a cap one too small and an exact
-    cap."""
+    cap; gdist of two longer non-simple sequences under the last two caps;
+    the radius of every non-simple root."""
     cls = _cold_d5_class()
     n = len(cls)
     queries = [
@@ -587,24 +651,36 @@ def _d5_queries():
         for i in range(n) for j in range(i + 1, n)
     ]
     top = cls.system.highest_root.coeffs
-    queries += [
-        ("gdist", s.counts) for s in sequences_of_weight(cls, top) if s.size() > 2
-    ]
+    longer = [s for s in sequences_of_weight(cls, top) if s.size() > 2]
+    queries += [("gdist", s.counts) for s in longer]
     for wt in (top, _pair_weight(cls, 0, n - 1), _pair_weight(cls, 3, 12)):
         count = len(sequences_of_weight(cls, wt))
         queries += [("parts", wt, cap) for cap in (DEFAULT_CAP, count - 1, count)]
+    count = len(sequences_of_weight(cls, top))
+    non_simple = [s for s in longer if not is_simple(s)]
+    queries += [
+        ("gdist", s.counts, cap)
+        for s in (non_simple[0], non_simple[-1]) for cap in (count - 1, count)
+    ]
+    queries += [
+        ("radius", r.coeffs) for r in cls.system.positive_roots if r.height > 1
+    ]
     return queries
 
 
 def _answer(cls, query):
-    if query[0] in ("dist", "gdist"):
-        key = query[1]
-        if len(key) == 2:  # a pair of positions
-            key = tuple(int(k in key) for k in range(len(cls)))
-        stat = dist if query[0] == "dist" else gdist
-        return stat(RootSequence(cls, key))
-    _, wt, cap = query
     try:
+        if query[0] == "radius":
+            return radius(cls, query[1])
+        if query[0] in ("dist", "gdist"):
+            key = query[1]
+            if len(key) == 2:  # a pair of positions
+                key = tuple(int(k in key) for k in range(len(cls)))
+            seq = RootSequence(cls, key)
+            if query[0] == "dist":
+                return dist(seq)
+            return gdist(seq, *query[2:])
+        _, wt, cap = query
         return [s.counts for s in sequences_of_weight(cls, wt, cap)]
     except PartitionCap:
         return "capped"

@@ -35,6 +35,89 @@ def test_not_reduced_raises(a5):
     assert len(roots_of_word(ReducedWord((1, 2, 1), a5))) == 3
 
 
+def _roots_by_act(sys_, letters):
+    """beta_k = s_{i1}...s_{i(k-1)}(alpha_{ik}) for every k, by act."""
+    return [
+        act(sys_, letters[:k], sys_.simple_root(i).coeffs)
+        for k, i in enumerate(letters)
+    ]
+
+
+def _reduced_words_of_w0(sys_):
+    """Every reduced word of w0 of a simply-laced system, by BFS from one
+    of them over commutation and braid moves."""
+    cartan = sys_.cartan
+    start = longest_word(sys_).letters
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            moved = []
+            for k in range(len(w) - 1):
+                a, b = w[k], w[k + 1]
+                if not cartan[a - 1][b - 1]:
+                    moved.append(w[:k] + (b, a) + w[k + 2:])
+                elif a != b and k + 2 < len(w) and w[k + 2] == a:
+                    moved.append(w[:k] + (b, a, b) + w[k + 3:])
+            for w2 in moved:
+                if w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
+        frontier = nxt
+    return seen
+
+
+def test_roots_of_word_matches_act():
+    """roots_of_word, which moves only the letter's simple root and its
+    neighbours, equals the definition by act on every member of the six
+    12-member commutation classes of w0 in A4, and on 300 members of a D5
+    class (one adapted to an orientation)."""
+    a4 = build_root_system("A", 4)
+    words = _reduced_words_of_w0(a4)
+    assert len(words) == 768
+    classes = []
+    while words:
+        cls = CommClass(ReducedWord(min(words), a4))
+        members = {m.letters for m in cls.linear_extensions()}
+        words -= members
+        if len(members) == 12:
+            classes.append(members)
+    assert len(classes) == 6
+    from rootseq.arquiver import all_orientations, build_ar_quiver
+
+    d5 = build_root_system("D", 5)
+    d5_cls = build_ar_quiver(next(all_orientations(d5))).comm_class()
+    cases = [(a4, w) for members in classes for w in sorted(members)]
+    d5_members = itertools.islice(d5_cls.linear_extensions(), 300)
+    cases += [(d5, m.letters) for m in d5_members]
+    for sys_, letters in cases:
+        roots = roots_of_word(ReducedWord(letters, sys_))
+        assert [r.coeffs for r in roots] == _roots_by_act(sys_, letters), letters
+
+
+def test_not_reduced_matches_definition():
+    """Every word of length at most 5 in A3: roots_of_word raises NotReduced
+    exactly when some beta_k, computed by act, is not a positive root or
+    repeats an earlier one, and otherwise lists those roots."""
+    a3 = build_root_system("A", 3)
+    raised = 0
+    for length in range(1, 6):
+        for letters in itertools.product((1, 2, 3), repeat=length):
+            betas = _roots_by_act(a3, letters)
+            reduced = len(set(betas)) == len(betas) and all(
+                a3.is_positive_root(b) for b in betas
+            )
+            try:
+                got = [r.coeffs for r in roots_of_word(ReducedWord(letters, a3))]
+            except NotReduced:
+                assert not reduced, letters
+                raised += 1
+            else:
+                assert reduced and got == betas, letters
+    assert raised  # some of the words are not reduced
+
+
 def test_act_involution(a5):
     for i in range(1, 6):
         for r in a5.positive_roots:
