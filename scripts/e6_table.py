@@ -11,7 +11,7 @@ multiplicity of (z-q^6) is 3 rather than the reference value 2.
 import sys
 
 from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
-from rootseq.denom import DistancePolynomial, denominator, pairs_at
+from rootseq.denom import DistancePolynomial, denominator, slots
 from rootseq.orders import RootSequence
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import gdist, gdist_chain, is_simple
@@ -56,17 +56,18 @@ def main():
 
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
+    by_slot = slots(arq)
 
     print("\nwitness for (1,4): every comparable pair at residue gap 9 is simple,")
     print("so no (z+q^9) factor can arise from the definitions:")
-    for a, b in pairs_at(arq, 1, 4, 9):
+    for a, b in by_slot[(1, 4, 9)]:
         p = RootSequence.from_roots(cls, (a, b))
         print(f"  ({sys6.format_root(a)},{sys6.format_root(b)}): "
               f"simple={is_simple(p)}")
 
     print("\nwitness for (3,3): a pair at gap 6 with a length-3 chain of")
     print("non-simple equal-weight sequences below it:")
-    for a, b in pairs_at(arq, 3, 3, 6)[:1]:
+    for a, b in by_slot[(3, 3, 6)][:1]:
         p = RootSequence.from_roots(cls, (a, b))
         print(f"  pair {p}: gdist = {gdist(p)}")
         for m in gdist_chain(p):

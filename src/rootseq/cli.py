@@ -35,7 +35,6 @@ from .seqcalc import (
     PartitionCap,
     dist,
     dist_chain,
-    gdist,
     gdist_chain,
     good_neighbors,
     is_simple,
@@ -343,12 +342,9 @@ def cmd_pair(args):
         _show(args, {"sequence": seq.to_json(), "minimal": [m.to_json() for m in mins]},
               "\n".join(str(m) for m in mins))
     elif args.action in ("dist", "gdist"):
-        if args.action == "dist":
-            d, chain = dist(seq), dist_chain(seq)
-        else:
-            d, chain = gdist(seq, cap=cap), gdist_chain(seq, cap=cap)
-        _show(args, {"pair": seq.to_json(), args.action: d,
-                     "chain": [c.to_json() for c in chain]}, str(d))
+        chain = dist_chain(seq) if args.action == "dist" else gdist_chain(seq, cap=cap)
+        _show(args, {"pair": seq.to_json(), args.action: len(chain),
+                     "chain": [c.to_json() for c in chain]}, str(len(chain)))
     elif args.action == "len":
         nbrs = good_neighbors(seq)
         _show(args, {"pair": seq.to_json(), "len": len(nbrs),

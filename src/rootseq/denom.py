@@ -18,7 +18,8 @@ from .seqcalc import gdist
 
 
 class WellDefinednessViolation(AssertionError):
-    """Two pairs in the same residue/gap slot disagree on gdist."""
+    """Two pairs in the same residue/gap slot disagree on gdist; the message
+    names the orientation, the slot and two pairs with their gdists."""
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,14 @@ def comparable_pairs(arq: ARQuiver):
             yield a, roots[j], (min(ka, kb), max(ka, kb)), abs(pa - pb)
 
 
-def _slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
-    """The comparable pairs grouped by slot (k, l, t), k <= l, each slot in
-    the order of ``comparable_pairs``."""
-    slots: dict[tuple[int, int, int], list] = {}
+def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
+    """The comparable pairs grouped by slot (k, l, t), k <= l: residues
+    {k, l} and coordinate gap t, each slot in the order of
+    ``comparable_pairs``."""
+    out: dict[tuple[int, int, int], list] = {}
     for a, b, (k, l), t in comparable_pairs(arq):
-        slots.setdefault((k, l, t), []).append((a, b))
-    return slots
-
-
-def pairs_at(arq: ARQuiver, k: int, l: int, t: int):
-    """Comparable pairs whose residues are {k, l} and coordinate gap is t."""
-    return _slots(arq).get((min(k, l), max(k, l), t), [])
+        out.setdefault((k, l, t), []).append((a, b))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -121,17 +118,21 @@ def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
     out = {}
-    for key, members in _slots(arq).items():
-        vals = {
-            gdist(pair(cls, a, b))
-            for a, b in (members if check_all else members[:1])
-        }
+    fmt = Q.system.format_root
+    for key, members in slots(arq).items():
+        vals = {}  # gdist -> the first pair that has it
+        for a, b in members if check_all else members[:1]:
+            vals.setdefault(gdist(pair(cls, a, b)), (a, b))
         if len(vals) > 1:
-            raise WellDefinednessViolation(
-                f"pairs at residues ({key[0]},{key[1]}) gap {key[2]} "
-                f"have gdists {sorted(vals)}"
+            two = ", ".join(
+                f"({fmt(a)},{fmt(b)}) has gdist {g}"
+                for g, (a, b) in list(vals.items())[:2]
             )
-        out[key] = vals.pop()
+            raise WellDefinednessViolation(
+                f"{Q.orientation_str()}: pairs at residues ({key[0]},{key[1]}) "
+                f"gap {key[2]} disagree: {two}"
+            )
+        out[key] = next(iter(vals))
     return out
 
 

@@ -330,117 +330,94 @@ def _dist_pool(cls: CommClass, weight) -> list[RootSequence]:
 
 
 def _gdist_pool(seq: RootSequence, cap: int):
-    """(listed, pool) for the gdist chains ending at seq, or None when seq
-    is simple.  ``listed`` holds the sequences at most seq in search order;
-    it is enumerated, and the cap checked, at once.  ``pool()`` lists the
-    non-simple sequences at most seq, which hold every chain ending at seq.
-    For a pair ``listed`` is exactly its down-set, whose search settles its
-    simplicity; any other sequence is tested first, so that a simple one
-    enumerates nothing, and lists every sequence of its weight."""
+    """The function listing the pool of the gdist chains ending at seq (the
+    non-simple sequences at most seq), or None when seq is simple.  A pair's
+    down-set is enumerated, and the cap checked, at once; its search settles
+    the pair's simplicity.  Any other sequence is tested first, so that a
+    simple one enumerates nothing, and then enumerates its weight, so that
+    the cap is checked even when the chain memo holds the answer."""
     if _is_pair(seq):
         listed = _at_most(seq, cap)
         if is_simple(seq):
             return None
-        return listed, lambda: [m for m in listed if not is_simple(m)]
+        return lambda: [m for m in listed if not is_simple(m)]
     if is_simple(seq):
         return None
-    listed = sequences_of_weight(seq.cls, seq.weight(), cap)
-    return listed, lambda: [m for m in _at_most(seq, cap) if not is_simple(m)]
+    sequences_of_weight(seq.cls, seq.weight(), cap)
+    return lambda: [m for m in _at_most(seq, cap) if not is_simple(m)]
 
 
-def dist(seq: RootSequence) -> int:
-    """Longest chain of non-simple equal-weight pairs ending at the pair,
-    counted by cardinality; 0 for a simple pair."""
-    if not _is_pair(seq):
-        raise NotInDomain("dist is defined for pairs")
-    cls = seq.cls
-    if is_simple_pair(cls, *seq.positions()):
-        return 0
-    wt = seq.weight()
-    return _longest_chain(seq, lambda: _dist_pool(cls, wt), ("dist", wt))
-
-
-def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
-    """Longest chain of non-simple equal-weight sequences ending at seq; 0
-    for a simple sequence."""
-    found = _gdist_pool(seq, cap)
-    if found is None:
-        return 0
-    return _longest_chain(seq, found[1], ("gdist", seq.weight()))
-
-
-def _longest_chain(seq: RootSequence, pool, cache_tag) -> int:
-    """Length of the longest coarse chain ending at seq inside the list that
-    ``pool()`` returns (it must hold seq); the memo is read first, and
-    ``pool`` called only when it lacks seq.
+def _longest_chain(seq: RootSequence, pool, cache_tag) -> tuple[RootSequence, ...]:
+    """A longest coarse chain ending at seq inside the list that ``pool()``
+    returns (it must hold seq); the memo is read first, and ``pool`` called
+    only when it lacks seq.
 
     A coarse-smaller sequence has lexicographically smaller counts: the
     first position where two sequences differ is heap-minimal among the
     differences, and there the smaller one has the smaller count.  So one
     pass over the pool in count order, up to seq, settles each member from
-    the members before it.  The memo holds the longest chain of the
-    statistic ending at each member; a chain ending at a member lies below
-    it, so the value does not depend on the pool it was found in.
+    the members before it: it extends the first member, in count order, of
+    the longest chains coarse-below it.  The memo holds, for each settled
+    member, the member it extends (None at the start of a chain).  Every
+    member below a member is below seq, so it is in the pool, and the
+    predecessor does not depend on the pool it was found in.
     """
     memo = seq.cls.cache.chains.setdefault(cache_tag, {})
     target = seq.counts
     if target not in memo:
+        length = {}  # counts -> longest chain ending there, in this pass
         done = []  # (member, its longest chain), in count order
         for m in sorted(pool(), key=lambda m: m.counts):
             if m.counts > target:
                 break
-            val = memo.get(m.counts)
-            if val is None:
-                val = 0
+            if m.counts in memo:
+                pred = memo[m.counts]
+                best = 0 if pred is None else length[pred.counts]
+            else:
+                pred, best = None, 0
                 for x, v in done:
-                    if v > val and coarse_less(x, m):
-                        val = v
-                val = memo[m.counts] = val + 1
-            done.append((m, val))
-    return memo[target]
-
-
-def _chain_witness(
-    seq: RootSequence, listed, pool, cache_tag
-) -> tuple[RootSequence, ...]:
-    """A longest chain ending at seq, reconstructed from the memo table.
-
-    Each step takes the first member of ``listed`` (a superset of the pool,
-    in the pool's order) with the memo value one less that is coarse-below
-    the current one.  Only non-simple sequences have memo entries, and one
-    coarse-below the current member is at most seq, so such a member is in
-    the pool: the superset picks what the pool would."""
-    val = _longest_chain(seq, pool, cache_tag)
-    memo = seq.cls.cache.chains[cache_tag]
+                    if v > best and coarse_less(x, m):
+                        pred, best = x, v
+                memo[m.counts] = pred
+            length[m.counts] = best + 1
+            done.append((m, best + 1))
     chain = [seq]
-    cur = seq
-    while val > 1:
-        for m in listed:
-            if memo.get(m.counts) == val - 1 and coarse_less(m, cur):
-                chain.append(m)
-                cur, val = m, val - 1
-                break
-        else:  # pragma: no cover - the DP guarantees a predecessor
-            raise AssertionError("broken chain reconstruction")
+    while (pred := memo[chain[-1].counts]) is not None:
+        chain.append(pred)
     return tuple(reversed(chain))
 
 
 def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
-    """A longest chain of non-simple pairs ending at seq (empty if simple)."""
-    if dist(seq) == 0:
+    """A longest chain of non-simple equal-weight pairs ending at the pair;
+    empty for a simple pair."""
+    if not _is_pair(seq):
+        raise NotInDomain("dist is defined for pairs")
+    cls = seq.cls
+    if is_simple_pair(cls, *seq.positions()):
         return ()
-    cls, wt = seq.cls, seq.weight()
-    return _chain_witness(
-        seq, pairs_of_weight(cls, wt), lambda: _dist_pool(cls, wt), ("dist", wt)
-    )
+    wt = seq.weight()
+    return _longest_chain(seq, lambda: _dist_pool(cls, wt), ("dist", wt))
+
+
+def dist(seq: RootSequence) -> int:
+    """Longest chain of non-simple equal-weight pairs ending at the pair,
+    counted by cardinality; 0 for a simple pair."""
+    return len(dist_chain(seq))
 
 
 def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
-    """A longest chain of non-simple sequences ending at seq (empty if simple)."""
-    found = _gdist_pool(seq, cap)
-    if found is None:
+    """A longest chain of non-simple equal-weight sequences ending at seq;
+    empty for a simple sequence."""
+    pool = _gdist_pool(seq, cap)
+    if pool is None:
         return ()
-    return _chain_witness(seq, *found, ("gdist", seq.weight()))
+    return _longest_chain(seq, pool, ("gdist", seq.weight()))
+
+
+def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
+    """Longest chain of non-simple equal-weight sequences ending at seq; 0
+    for a simple sequence."""
+    return len(gdist_chain(seq, cap))
 
 
 # -- good neighbors and length -----------------------------------------

@@ -90,7 +90,7 @@ class ClassCache:
         self.intervals = {}  # (i, j) -> partitions of beta_i + beta_j between i, j
         self.pairs = {}  # weight -> pairs of distinct roots of that weight
         self.simple = {}  # (i, j), i < j -> simplicity of the pair
-        self.chains = {}  # (statistic, weight) -> {counts: longest chain to it}
+        self.chains = {}  # (statistic, weight) -> {counts: predecessor or None}
         self.packed = {}  # field width -> (guard mask, packed roots in DFS order)
         self.members = {}  # member word -> class positions in its order
 

@@ -37,24 +37,53 @@ def in_class(cls, word):
     )
 
 
-def class_by_swaps(cls):
-    """Reference enumerator: the letter tuples of every class member, by BFS
-    from the representative over swaps of adjacent commuting letters."""
-    cartan = cls.system.cartan  # zero iff the letters commute
-    start = cls.representative.letters
+def _moves(word, cartan, braid):
+    """The letter tuples one move from word: a swap of two adjacent
+    commuting letters, and with braid also a braid move i j i -> j i j of
+    two adjacent nodes of a simply-laced diagram."""
+    for k in range(len(word) - 1):
+        a, b = word[k], word[k + 1]
+        if not cartan[a - 1][b - 1]:
+            yield word[:k] + (b, a) + word[k + 2:]
+        elif braid and word[k + 2:k + 3] == (a,) and cartan[a - 1][b - 1] == -1:
+            yield word[:k] + (b, a, b) + word[k + 3:]
+
+
+def _closure(start, cartan, braid=False):
+    """Every letter tuple reached from start by repeated moves, by BFS."""
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            for k in range(len(w) - 1):
-                if not cartan[w[k] - 1][w[k + 1] - 1]:
-                    w2 = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
+            for w2 in _moves(w, cartan, braid):
+                if w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
         frontier = nxt
     return seen
+
+
+def class_by_swaps(cls):
+    """Reference enumerator: the letter tuples of every class member, by BFS
+    from the representative over swaps of adjacent commuting letters."""
+    return _closure(cls.representative.letters, cls.system.cartan)
+
+
+def commutation_classes(word):
+    """Reference enumerator of every commutation class of the element that
+    the reduced word spells (simply-laced types): its reduced words are
+    connected by commutations and braid moves (Matsumoto), so a BFS over
+    both lists them all, and commutations alone split them into classes.
+    Each class is a set of letter tuples."""
+    cartan = word.system.cartan
+    rest = _closure(word.letters, cartan, braid=True)
+    classes = []
+    while rest:
+        members = _closure(min(rest), cartan)
+        classes.append(members)
+        rest -= members
+    return classes
 
 
 def longest_chains(pool):

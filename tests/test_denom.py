@@ -2,16 +2,19 @@ import itertools
 
 import pytest
 
+from rootseq import denom
 from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
+from rootseq.cli import main
 from rootseq.denom import (
     DistancePolynomial,
+    WellDefinednessViolation,
     comparable_pairs,
     conjecture_table,
     denominator,
     denominator_closed_form,
     _o_table,
     distance_polynomial,
-    pairs_at,
+    slots,
     verify_denominator,
 )
 from rootseq.rootsys import UnsupportedType, build_root_system
@@ -34,15 +37,15 @@ def test_polynomial_formatting():
 
 def test_a3_slots():
     Q = A3_MONO()
-    arq = build_ar_quiver(Q)
+    by_slot = slots(build_ar_quiver(Q))
     table = _o_table(Q, check_all=True)
     # residues (1,1) at gap 2: two comparable pairs, both with gdist 1
-    assert len(pairs_at(arq, 1, 1, 2)) == 2
+    assert len(by_slot[(1, 1, 2)]) == 2
     assert table[(1, 1, 2)] == 1
     # residue 2 holds a single pair at gap 2
-    assert len(pairs_at(arq, 2, 2, 2)) == 1
+    assert len(by_slot[(2, 2, 2)]) == 1
     assert table[(2, 2, 2)] == 1
-    assert pairs_at(arq, 1, 3, 7) == [] and (1, 3, 7) not in table  # empty slot
+    assert (1, 3, 7) not in by_slot and (1, 3, 7) not in table  # empty slot
 
 
 def test_comparable_pairs_count_a3():
@@ -100,6 +103,34 @@ def test_check_all_well_definedness_spot():
     # exhaustive member check on a couple of small quivers
     for Q in itertools.islice(all_orientations(build_root_system("D", 4)), 2):
         assert verify_denominator(Q, check_all=True).ok
+
+
+def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, capsys):
+    """When two pairs of one slot disagree on gdist, check_all raises an
+    error naming the orientation, the slot and both pairs, and the CLI
+    exits 1."""
+    Q = A3_MONO()
+    fmt = Q.system.format_root
+    (a1, b1), (a2, b2) = slots(build_ar_quiver(Q))[(1, 1, 2)]
+    real = denom.gdist
+    monkeypatch.setattr(
+        denom, "gdist", lambda seq: real(seq) + (set(seq.support()) == {a2, b2})
+    )
+    _o_table.cache_clear()
+    try:
+        with pytest.raises(WellDefinednessViolation) as err:
+            _o_table(Q, check_all=True)
+        message = str(err.value)
+        assert Q.orientation_str() in message
+        assert "residues (1,1) gap 2" in message
+        assert f"({fmt(a1)},{fmt(b1)}) has gdist 1" in message
+        assert f"({fmt(a2)},{fmt(b2)}) has gdist 2" in message
+        code = main(["denom", "table", "--type", "A3", "--orient", "1>2,2>3",
+                     "--check-all"])
+        assert code == 1
+        assert "disagree" in capsys.readouterr().err
+    finally:
+        _o_table.cache_clear()
 
 
 def test_symmetry_in_k_l():

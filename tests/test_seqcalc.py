@@ -333,45 +333,68 @@ def _comparable(cls):
     return [(i, j) for i in range(n) for j in range(n) if cls.prec_pos(i, j)]
 
 
+def _assert_witness(chain, pool, values):
+    """The chain ends in a member of the pool whose value is its length, and
+    follows the chain DP's tie rule: each member extends the first member,
+    in count order, of the pool's members coarse-below it whose value is one
+    less (the first member has none)."""
+    assert values[chain[-1].counts] == len(chain)
+    for k, m in enumerate(chain):
+        below = [x.counts for x in pool
+                 if values[x.counts] == values[m.counts] - 1 and coarse_less(x, m)]
+        assert (min(below) if below else None) == (chain[k - 1].counts if k else None)
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_ARROWS))
 def test_chain_dp_matches_longest_path_oracle(name):
-    """gdist, dist and the gdist witness of every pair of a cold class, and
-    gdist of every sequence of the highest root's weight, asked in one
-    shuffled order so that the chain memo is shared across pools, equal the
-    plain longest path over pools read off the definitions: for gdist of a
-    pair its non-simple interval partitions, for dist the non-simple pairs
-    of its weight, for gdist of any other sequence every non-simple
-    sequence of its weight.  An incomparable pair has gdist 0.  On E6 the
-    root is (122211), with 202 sequences, for time: the highest root has
-    622, and the oracle compares every two of them."""
+    """gdist, dist and their witnesses of every pair of a cold class, and
+    gdist and its witness of every sequence of the highest root's weight,
+    asked in one shuffled order so that the chain memo is shared across
+    pools, equal the plain longest path over pools read off the
+    definitions: for gdist of a pair its non-simple interval partitions, for
+    dist the non-simple pairs of its weight, for gdist of any other sequence
+    every non-simple sequence of its weight.  Every witness step follows
+    the tie rule (``_assert_witness``).  An incomparable pair has gdist 0.
+    On E6 the root is (122211), with 202 sequences, for time: the highest
+    root has 622, and the oracle compares every two of them."""
     cls = _cold(name)
     n = len(cls)
     root = cls.system.parse_root("122211") if name == "E6" else cls.system.highest_root
     top = sequences_of_weight(cls, root.coeffs)
-    top_chains = longest_chains([s for s in top if not is_simple(s)])
+    top_pool = [s for s in top if not is_simple(s)]
+    top_chains = longest_chains(top_pool)
     queries = [(i, j) for i in range(n) for j in range(i + 1, n)] + list(top)
     random.Random(7).shuffle(queries)
     longest = 0  # the largest gdist of a pair: 1 on A5, 2 on D5, 3 on E6
     for query in queries:
         if isinstance(query, RootSequence):
-            assert gdist(query) == top_chains.get(query.counts, 0), query.counts
+            g, chain = gdist(query), gdist_chain(query)
+            assert g == len(chain) == top_chains.get(query.counts, 0), query.counts
+            if chain:
+                _assert_witness(chain, top_pool, top_chains)
             continue
         i, j = query
         p = _pos_pair(cls, i, j)
-        g, d, chain = gdist(p), dist(p), gdist_chain(p)
+        g, d, chain, dchain = gdist(p), dist(p), gdist_chain(p), dist_chain(p)
         if cls.prec_pos(j, i):
             i, j = j, i
         if not cls.prec_pos(i, j):
-            assert g == d == 0 and chain == ()
+            assert g == d == 0 and chain == dchain == ()
             continue
         between = [RootSequence(cls, c)
                    for c in _partitions(cls, cls.interval(i, j), p.weight())]
-        below = [m for m in between if not is_simple(m)]
         simple = not between
-        assert g == (0 if simple else longest_chains(below + [p])[p.counts]), (i, j)
+        if simple:
+            assert g == d == 0 and chain == dchain == (), (i, j)
+            continue
+        pool = [m for m in between if not is_simple(m)] + [p]
+        values = longest_chains(pool)
+        assert g == len(chain) == values[p.counts], (i, j)
+        _assert_witness(chain, pool, values)
         same_weight = [q for q in pairs_of_weight(cls, p.weight()) if not is_simple(q)]
-        assert d == (0 if simple else longest_chains(same_weight)[p.counts]), (i, j)
-        assert len(chain) == g and all(coarse_less(a, b) for a, b in zip(chain, chain[1:]))
+        values = longest_chains(same_weight)
+        assert d == len(dchain) == values[p.counts], (i, j)
+        _assert_witness(dchain, same_weight, values)
         longest = max(longest, g)
     assert longest == {"A5": 1, "D5": 2, "E6": 3}[name]
     assert max(top_chains.values()) >= 2
@@ -595,7 +618,7 @@ def test_cap_holds_on_cached_enumerations(warm):
 def test_gdist_reads_the_memo_before_the_pool(monkeypatch):
     """A second pass of gdist, and of gdist_chain, over the 622 sequences
     of the highest root's weight of the E6 reference class answers from the
-    chain memo: gdist makes no coarse comparison, and both test only each
+    chain memo: neither makes a coarse comparison, and both test only each
     sequence's own simplicity, never a pool's.  A capped call after the
     uncapped passes still raises PartitionCap."""
     from rootseq import seqcalc
@@ -622,7 +645,7 @@ def test_gdist_reads_the_memo_before_the_pool(monkeypatch):
     assert calls == {"coarse_less": 0, "is_simple": len(top)}
     calls["is_simple"] = 0
     assert [gdist_chain(s) for s in top] == chains
-    assert calls["is_simple"] == len(top)
+    assert calls == {"coarse_less": 0, "is_simple": len(top)}
     longer = next(s for s, g in zip(top, values) if g and s.size() > 2)
     for stat in (gdist, gdist_chain):
         with pytest.raises(PartitionCap):
@@ -639,27 +662,29 @@ def _cold_d5_class():
 
 
 def _d5_queries():
-    """dist and gdist of every pair, gdist of every longer sequence of the
-    highest root's weight, and the enumeration of that weight and of two
-    pair weights, under the default cap, a cap one too small and an exact
-    cap; gdist of two longer non-simple sequences under the last two caps;
-    the radius of every non-simple root."""
+    """dist, gdist and their chains of every pair, gdist and its chain of
+    every longer sequence of the highest root's weight, and the enumeration
+    of that weight and of two pair weights, under the default cap, a cap one
+    too small and an exact cap; gdist and its chain of two longer non-simple
+    sequences under the last two caps; the radius of every non-simple
+    root."""
     cls = _cold_d5_class()
     n = len(cls)
     queries = [
-        (stat, (i, j)) for stat in ("dist", "gdist")
+        (stat, (i, j)) for stat in ("dist", "gdist", "dist_chain", "gdist_chain")
         for i in range(n) for j in range(i + 1, n)
     ]
     top = cls.system.highest_root.coeffs
     longer = [s for s in sequences_of_weight(cls, top) if s.size() > 2]
-    queries += [("gdist", s.counts) for s in longer]
+    queries += [(stat, s.counts) for stat in ("gdist", "gdist_chain") for s in longer]
     for wt in (top, _pair_weight(cls, 0, n - 1), _pair_weight(cls, 3, 12)):
         count = len(sequences_of_weight(cls, wt))
         queries += [("parts", wt, cap) for cap in (DEFAULT_CAP, count - 1, count)]
     count = len(sequences_of_weight(cls, top))
     non_simple = [s for s in longer if not is_simple(s)]
     queries += [
-        ("gdist", s.counts, cap)
+        (stat, s.counts, cap)
+        for stat in ("gdist", "gdist_chain")
         for s in (non_simple[0], non_simple[-1]) for cap in (count - 1, count)
     ]
     queries += [
@@ -668,18 +693,21 @@ def _d5_queries():
     return queries
 
 
+STATS = {"dist": dist, "gdist": gdist, "dist_chain": dist_chain,
+         "gdist_chain": gdist_chain}
+
+
 def _answer(cls, query):
+    """The answer to a query; a chain is answered by its members' counts."""
     try:
         if query[0] == "radius":
             return radius(cls, query[1])
-        if query[0] in ("dist", "gdist"):
+        if query[0] in STATS:
             key = query[1]
             if len(key) == 2:  # a pair of positions
                 key = tuple(int(k in key) for k in range(len(cls)))
-            seq = RootSequence(cls, key)
-            if query[0] == "dist":
-                return dist(seq)
-            return gdist(seq, *query[2:])
+            found = STATS[query[0]](RootSequence(cls, key), *query[2:])
+            return [m.counts for m in found] if isinstance(found, tuple) else found
         _, wt, cap = query
         return [s.counts for s in sequences_of_weight(cls, wt, cap)]
     except PartitionCap:
