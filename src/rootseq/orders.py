@@ -118,12 +118,17 @@ def bilex_less(
     if a.cls is not b.cls:
         raise ValueError("sequences live over different commutation classes")
     order = _member_positions(a, member)
-    diffs = [k for k in order if a.counts[k] != b.counts[k]]
-    if not diffs:
+    ca, cb = a.counts, b.counts
+    for k in order:
+        if ca[k] != cb[k]:
+            break
+    else:
         return False
-    return a.counts[diffs[0]] < b.counts[diffs[0]] and (
-        a.counts[diffs[-1]] < b.counts[diffs[-1]]
-    )
+    if ca[k] > cb[k]:
+        return False
+    for k in reversed(order):
+        if ca[k] != cb[k]:
+            return ca[k] < cb[k]
 
 
 def coarse_less(a: RootSequence, b: RootSequence) -> bool:

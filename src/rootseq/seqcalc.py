@@ -22,8 +22,11 @@ class NotInDomain(ValueError):
 
 
 class PartitionCap(RuntimeError):
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"weight has more than {cap} partitions (saw {count})")
+    def __init__(self, weight: tuple[int, ...], count: int, cap: int):
+        super().__init__(
+            f"weight {weight} has more than {cap} partitions (saw {count})"
+        )
+        self.weight = weight
         self.count = count
         self.cap = cap
 
@@ -70,6 +73,10 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     With ``first`` the search stops at the first partition (an existence
     test: at most one is listed and the cap is not checked); otherwise every
     partition is listed and more than ``cap`` of them raise PartitionCap.
+    A weight that is itself a root at a position in the mask is then
+    answered by one lookup among the packed roots: every root that fits the
+    weight is at most it coordinatewise, so that root is the only fitting
+    one of its height and the search would take it first, once.
 
     A residual is packed into one int, a bit field per coordinate holding
     the coordinate plus a guard bit above every value that can occur.
@@ -82,10 +89,18 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     roots left to try touches: it holds no partition.
     """
     weight = tuple(weight)
+    if min(weight) < 0:  # no partition; its fields would borrow from their neighbours
+        return []
     width = _width(cls, weight)
-    zero, entries, _ = _packed_roots(cls, width)  # zero: the guard bits
+    zero, entries, index = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
     residual = zero + sum(x << s for x, s in zip(weight, shifts))
+    if first:
+        p = index.get(residual ^ zero)
+        if p is not None and within >> p & 1:
+            counts = [0] * len(cls)
+            counts[p] = 1
+            return [tuple(counts)]
     packed = [  # the roots that fit at least once
         e for e in entries if within >> e[0] & 1 and (residual - e[1]) & zero == zero
     ]
@@ -118,7 +133,7 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
                     if first:
                         return True
                     if len(out) > cap:
-                        raise PartitionCap(len(out), cap)
+                        raise PartitionCap(weight, len(out), cap)
                 elif rec(idx + 1, rest):
                     return True
             counts[pos] = 0
@@ -141,7 +156,7 @@ def _enumerated(
             for counts in _partitions(cls, within, weight, cap)
         )
     if len(store[key]) > cap:
-        raise PartitionCap(cap + 1, cap)
+        raise PartitionCap(weight, cap + 1, cap)
     return store[key]
 
 

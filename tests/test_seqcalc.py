@@ -19,6 +19,7 @@ from rootseq.seqcalc import (
     PartitionCap,
     _pair_weight,
     _partitions,
+    _width,
     dist,
     dist_chain,
     gdist,
@@ -145,7 +146,14 @@ def _partitions_reference(cls, within, weight):
 def test_engine_matches_reference_enumeration(kind, rank, arrows):
     """The packed, pruned search lists the same partitions in the same order
     as a plain recursion, over random intervals and over the whole class,
-    for pair weights and for weights wider than the class's shared fields."""
+    for pair weights and for weights wider than the class's shared fields.
+    Every root weight is checked over the whole class, over the class
+    without the root's position (where exists mode must not answer by its
+    root lookup) and over the interval of every comparable pair of that
+    weight.  Weights with a negative coordinate have no partition: every
+    difference of two roots that has one, and every root with 2**width
+    taken from its first field and 1 added to its second, which packs to
+    the same int as the root."""
     cls = _arq_cls(kind, rank, arrows)
     rng = random.Random(7)
     comparable = [
@@ -171,6 +179,19 @@ def test_engine_matches_reference_enumeration(kind, rank, arrows):
     if kind == "A":  # small enough to enumerate a weight with every coordinate wide
         cases.append((everywhere, (wide, wide + 1, wide, wide + 3)))
     assert any(max(wt).bit_length() > shared_bits for _, wt in cases)
+    for g, gamma in enumerate(cls.roots):
+        wt = gamma.coeffs
+        cases += [(everywhere, wt), (everywhere & ~(1 << g), wt)]
+        cases += [(cls.interval(i, j), wt) for i, j in comparable
+                  if _pair_weight(cls, i, j) == wt]
+        aliased = list(wt)
+        aliased[0] -= 1 << _width(cls, wt)
+        aliased[1] += 1
+        cases.append((everywhere, tuple(aliased)))
+        for beta in cls.roots:
+            diff = tuple(x - y for x, y in zip(wt, beta.coeffs))
+            if min(diff) < 0:
+                cases.append((everywhere, diff))
     listed = 0
     for within, wt in cases:
         want = _partitions_reference(cls, within, wt)
@@ -178,6 +199,30 @@ def test_engine_matches_reference_enumeration(kind, rank, arrows):
         assert _partitions(cls, within, wt, first=True) == want[:1]
         listed += len(want)
     assert listed > len(cases)  # the weights have partitions to list
+
+
+def test_e8_pairs_above_a_root_hold_it_in_their_interval():
+    """For each of the 112 non-simple roots gamma of the E8 reference class,
+    every pair coarse-above the sequence (gamma) has gamma's position inside
+    its interval, so (gamma) is a partition there and the pair is not
+    simple: what lets exists mode answer every simplicity search of a
+    radius by one lookup."""
+    cls = _arq_cls("E", 8, E8_ARROWS)
+    roots = [r for r in cls.roots if r.height > 1]
+    assert len(roots) == 112
+    above = 0
+    for gamma in roots:
+        g = cls.position(gamma)
+        base = RootSequence.from_roots(cls, [gamma])
+        for p in pairs_of_weight(cls, gamma.coeffs):
+            if coarse_less(base, p):
+                i, j = p.positions()
+                if cls.prec_pos(j, i):
+                    i, j = j, i
+                assert cls.prec_pos(i, j) and cls.interval(i, j) >> g & 1, (g, i, j)
+                assert not is_simple_pair(cls, i, j)
+                above += 1
+    assert above >= len(roots)
 
 
 # -- socle --------------------------------------------------------------
@@ -564,6 +609,74 @@ def test_pairs_of_weight_matches_definition(name):
         assert pairs_of_weight(cls, wt) == ()
 
 
+def _dynkin_edges(kind, n):
+    """The Dynkin diagram in the library's labels: A and D are chains, with
+    the D fork at n-2; E6 is the chain 1-2-3-4-5 with 6 on node 3."""
+    chain = [(i, i + 1) for i in range(1, n - 1)]
+    if kind == "A":
+        return chain + [(n - 1, n)]
+    if kind == "D":
+        return chain + [(n - 2, n)]
+    return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]  # E6
+
+
+def _kostant_positive_roots(kind, n):
+    """The positive roots of a simply-laced diagram as coefficient vectors,
+    grown from the simple roots: beta + alpha_i is a root exactly when
+    (beta, alpha_i) = -1."""
+    edges = {frozenset(e) for e in _dynkin_edges(kind, n)}
+
+    def pairing(v, i):
+        return 2 * v[i] - sum(v[j] for j in range(n) if {i + 1, j + 1} in edges)
+
+    frontier = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    roots = set(frontier)
+    while frontier:
+        grown = [v[:i] + (v[i] + 1,) + v[i + 1:]
+                 for v in frontier for i in range(n) if pairing(v, i) == -1]
+        frontier = [v for v in set(grown) if v not in roots]
+        roots.update(frontier)
+    return roots
+
+
+def _kostant_counts(roots, top):
+    """Kostant's partition function at every weight coordinatewise at most
+    top: the number of multisets of the roots summing to it, by the
+    coin-change DP (weights in lexicographic order, so that w - r comes
+    before w)."""
+    box = list(itertools.product(*(range(t + 1) for t in top)))
+    count = dict.fromkeys(box, 0)
+    count[box[0]] = 1
+    for r in roots:
+        for w in box:
+            rest = tuple(x - y for x, y in zip(w, r))
+            if min(rest) >= 0:
+                count[w] += count[rest]
+    return count
+
+
+@pytest.mark.parametrize(
+    "kind,rank", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+                  ("D", 4), ("D", 5), ("D", 6), ("E", 6)]
+)
+def test_sequence_counts_match_kostant_partition_function(kind, rank):
+    """The sequences of a weight are the multisets of positive roots summing
+    to it, so their number is Kostant's partition function, the same for
+    every class (Kostant 1959).  Every nonzero weight at most the highest
+    root, on two orientations, against a DP that uses nothing from the
+    library but the classes it checks."""
+    oracle_roots = _kostant_positive_roots(kind, rank)
+    top = max(oracle_roots, key=sum)
+    counts = _kostant_counts(sorted(oracle_roots), top)
+    sys_ = build_root_system(kind, rank)
+    assert {r.coeffs for r in sys_.positive_roots} == oracle_roots
+    for Q in itertools.islice(all_orientations(sys_), 2):
+        cls = build_ar_quiver(Q).comm_class()
+        for wt, want in counts.items():
+            if any(wt):
+                assert len(sequences_of_weight(cls, wt)) == want, wt
+
+
 def test_weights_past_a_small_field():
     """Coordinates of 33 and 40 overflow a fixed 5-bit field; the packing
     must size its fields from the weight."""
@@ -573,10 +686,16 @@ def test_weights_past_a_small_field():
 
 
 def test_partition_cap(d4):
+    """A capped call raises PartitionCap naming the weight, from the search
+    on a cold class and from the check on a cached enumeration."""
     cls = CommClass(ReducedWord(D4_WORD, d4))  # fresh class, empty caches
     wt = d4.parse_root("{1|2}").coeffs
-    with pytest.raises(PartitionCap):
-        sequences_of_weight(cls, wt, cap=1)
+    for warm in (False, True):
+        if warm:
+            sequences_of_weight(cls, wt)
+        with pytest.raises(PartitionCap, match="more than 1 partitions") as err:
+            sequences_of_weight(cls, wt, cap=1)
+        assert err.value.weight == wt and str(wt) in str(err.value)
 
 
 @pytest.mark.parametrize("warm", [False, True])
