@@ -6,6 +6,14 @@ of A2-A8, D4-D8, E6 and E7, and of the E8 reference orientation
 Prints one line: the number of tables, the sum of o_t over the E8 table and
 a sha256 over all tables.  Two versions of the library that print the same
 line compute the same o-tables.  Run with ``PYTHONPATH=src``.
+
+Of each orientation pair {Q, Q^rev} only the member with the smaller
+orientation string is computed from its class; the other's table is the
+relabelling of it by the w0 involution (``denom._o_table``).  The hash is
+the one printed before that was so, when every table was computed from its
+own class, so it certifies the relabelling on every table read off its
+reverse: the other half of each system's orientations, and the E8 reference
+orientation, which is read off 1>3,2>4,4>3,5>4,6>5,7>6,8>7.
 """
 
 import hashlib

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep every orientation of the small systems through the ``rootseq`` CLI,
 in-process: the computed denominators against the closed forms (A2-A6,
-D4-D6), radius = multiplicity (A2-A5, D4, D5, E6) and the type-A/D distance
-bounds (A2-A5, D4, D5).  Exits non-zero unless every run exits 0."""
+D4-D6), one E7 denominator table from all 64 orientations (each of the 32
+reversed ones read off its mirror, which checks the mirror on every pair),
+radius = multiplicity (A2-A5, D4, D5, E6) and the type-A/D distance bounds
+(A2-A5, D4, D5).  Exits non-zero unless every run exits 0."""
 
 import argparse
 import sys
@@ -22,6 +24,7 @@ def main():
     sweep = ["--all-orientations"] + (["--check-all"] if args.check_all else [])
     runs = (
         [["denom", "verify", "--type", t, *sweep] for t in DENOM_TYPES]
+        + [["denom", "table", "--type", "E7", "--all-orientations"]]
         + [["verify", "rds-mul", "--type", t, "--all-orientations"]
            for t in RADIUS_TYPES]
         + [["verify", "dist-bound", "--type", t, "--all-orientations"]

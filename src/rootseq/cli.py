@@ -40,7 +40,6 @@ from .seqcalc import (
     is_simple,
     minimal_sequences,
     radius,
-    socle,
     socle_candidates,
 )
 from .words import (
@@ -328,8 +327,8 @@ def cmd_pair(args):
         raise UsageError(f"{args.action} needs --pair")
     seq = _sequence(cls, args.pair)
     if args.action == "socle":
-        s = socle(seq, cap)
         cands = socle_candidates(seq, cap)
+        s = cands[0] if len(cands) == 1 else None
         text = str(s) if s is not None else (
             "undefined; candidates:\n" + "\n".join(str(c) for c in cands))
         _show(args, {"pair": seq.to_json(), "socle": s.to_json() if s else None,

@@ -110,11 +110,59 @@ def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
     return out
 
 
+def _check_mirror(P: DynkinQuiver, R: DynkinQuiver) -> None:
+    """Raise unless Gamma_R is Gamma_P mirrored: each root's residue in
+    Gamma_R is the * of its residue in Gamma_P, its two coordinates p sum to
+    one constant, and the heap covers of [R] are those of [P] reversed."""
+    star = P.system.w0_involution
+    arq_p, arq_r = build_ar_quiver(P), build_ar_quiver(R)
+    cls_p, cls_r = arq_p.comm_class(), arq_r.comm_class()
+    at_p = [arq_p.coordinate(b) for b in cls_p.roots]
+    at_r = [arq_r.coordinate(b) for b in cls_p.roots]
+
+    def covers(cls):
+        return {(cls.roots[a], cls.roots[b]) for a, b in cls.heap_covers}
+
+    if any(star[i] != j for (i, _), (j, _) in zip(at_p, at_r)):
+        broken = "the residues are not each other's *"
+    elif len({p + q for (_, p), (_, q) in zip(at_p, at_r)}) != 1:
+        broken = "the coordinates do not sum to one constant"
+    elif {(b, a) for a, b in covers(cls_p)} != covers(cls_r):
+        broken = "the heap covers are not each other's reverse"
+    else:
+        return
+    raise RuntimeError(
+        f"{R.orientation_str()} is not the mirror of {P.orientation_str()}: "
+        f"{broken}"
+    )
+
+
 @lru_cache(maxsize=None)
 def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
     """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
     by the pairs of the slot.  With check_all every pair is computed and
-    their agreement verified; otherwise only the first pair is."""
+    their agreement verified; otherwise only the first pair is.
+
+    Only the member of {Q, Q^rev} with the smaller ``orientation_str()`` is
+    computed; the other's table is its relabelling (k, l, t) ->
+    (k*, l*, t).  Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*,
+    coordinate p -> C - p, heap reversed; checked on every call), so both
+    classes hold the same comparable pairs at the same gaps, and every member
+    of [Q^rev] is a member of [Q] read backwards.  Reading backwards swaps
+    the first and the last differing position, and bi-lex asks for both, so
+    the coarse order, simplicity and gdist of every sequence are unchanged.
+    Without check_all a relabelled slot holds the gdist of a pair that need
+    not be the first of its slot in [Q^rev]; the two agree on every
+    well-defined slot.
+    """
+    R = Q.rev()
+    if R.orientation_str() < Q.orientation_str():
+        _check_mirror(R, Q)
+        star = Q.system.w0_involution
+        return {
+            (min(star[k], star[l]), max(star[k], star[l]), t): o
+            for (k, l, t), o in _o_table(R, check_all).items()
+        }
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
     out = {}
@@ -139,7 +187,11 @@ def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
 def distance_polynomial(
     Q: DynkinQuiver, k: int, l: int, check_all: bool = False
 ) -> DistancePolynomial:
-    """prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}."""
+    """prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}.
+
+    The table of whichever of the two has the larger ``orientation_str()``
+    is the other's relabelled by the w0 involution (see ``_o_table``), so
+    only one of them is computed from its class."""
     key = (min(k, l), max(k, l))
     d: dict[int, int] = {}
     for table in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):

@@ -22,13 +22,19 @@ class NotInDomain(ValueError):
 
 
 class PartitionCap(RuntimeError):
-    def __init__(self, weight: tuple[int, ...], count: int, cap: int):
+    """An enumeration found more partitions than its cap.  It names the
+    weight and, when the enumeration is the interval of a comparable pair,
+    the pair (a RootSequence; None otherwise)."""
+
+    def __init__(self, weight: tuple[int, ...], count: int, cap: int, pair=None):
+        where = "" if pair is None else f" between the roots of the pair {pair}"
         super().__init__(
-            f"weight {weight} has more than {cap} partitions (saw {count})"
+            f"weight {weight} has more than {cap} partitions{where} (saw {count})"
         )
         self.weight = weight
         self.count = count
         self.cap = cap
+        self.pair = pair
 
 
 def _packed_roots(cls: CommClass, width: int):
@@ -291,9 +297,12 @@ def _at_most(seq: RootSequence, cap: int) -> tuple[RootSequence, ...]:
     ij = _ordered(cls, *seq.positions())
     if ij is None:
         return (seq,)
-    below = _enumerated(
-        cls, cls.cache.intervals, ij, cls.interval(*ij), seq.weight(), cap
-    )
+    try:
+        below = _enumerated(
+            cls, cls.cache.intervals, ij, cls.interval(*ij), seq.weight(), cap
+        )
+    except PartitionCap as e:
+        raise PartitionCap(e.weight, e.count, cap, pair=seq) from None
     cls.cache.simple[_simple_key(*ij)] = not below
     return below + (seq,)
 

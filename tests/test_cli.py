@@ -294,6 +294,16 @@ def test_pair_cap_partitions(capsys, action):
     assert ("more than 1 partitions" in err) == (code == 3)
 
 
+def test_pair_cap_names_the_pair(capsys):
+    """A gdist whose pair's interval passes the cap exits 3 and names the
+    pair as well as the cap."""
+    code, out, err = run(capsys, "pair", "gdist", *E6_QUIVER, *E6_PAIR,
+                         "--cap-partitions", "0")
+    assert code == 3 and out == ""
+    assert "more than 0 partitions" in err
+    assert "pair ((111001),(012211))" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "roots.txt"
     code, out, _ = run(capsys, "word", "roots", "--type", "A2",

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from rootseq import denom
-from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
+from rootseq import arquiver, denom
+from rootseq.arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
 from rootseq.cli import main
 from rootseq.denom import (
     DistancePolynomial,
@@ -17,7 +17,10 @@ from rootseq.denom import (
     slots,
     verify_denominator,
 )
+from rootseq.orders import pair
 from rootseq.rootsys import UnsupportedType, build_root_system
+from rootseq.seqcalc import gdist
+from rootseq.words import CommClass
 
 
 def _quiver(kind, rank, arrows):
@@ -129,6 +132,79 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
                      "--check-all"])
         assert code == 1
         assert "disagree" in capsys.readouterr().err
+    finally:
+        _o_table.cache_clear()
+
+
+def _oracle_o_table(Q, check_all):
+    """Q's o-table recomputed from Q's own AR quiver over a new class of it,
+    with nothing in its cache: the gdist of the first pair of every slot, or
+    with check_all of every pair of the slot, which must agree."""
+    arq = build_ar_quiver(Q)
+    cls = CommClass(arq.reading())
+    out = {}
+    for key, members in slots(arq).items():
+        vals = {gdist(pair(cls, a, b)) for a, b in (members if check_all else members[:1])}
+        assert len(vals) == 1, (Q.orientation_str(), key)
+        out[key] = vals.pop()
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,rank,limit",
+    [("A", n, None) for n in range(2, 7)] + [("D", n, None) for n in (4, 5, 6)]
+    + [("E", 6, None), ("E", 7, 4)],
+)
+def test_o_table_matches_its_own_class(kind, rank, limit):
+    """Whether an o-table is computed or read off its reverse's, it equals
+    the table recomputed from the quiver's own class; with check_all too
+    (A and D)."""
+    for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), limit):
+        assert _o_table(Q) == _oracle_o_table(Q, False), Q.orientation_str()
+        if kind != "E":
+            assert _o_table(Q, True) == _oracle_o_table(Q, True), Q.orientation_str()
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
+def test_o_tables_do_not_depend_on_query_order(kind, rank):
+    """Asking Q before Q^rev or Q^rev before Q, from cold AR quivers and
+    classes, gives the same two tables."""
+    for Q in all_orientations(build_root_system(kind, rank)):
+        answers = []
+        for first, second in ((Q, Q.rev()), (Q.rev(), Q)):
+            _o_table.cache_clear()
+            arquiver._build_cached.cache_clear()
+            tables = {R: _o_table(R, kind != "E") for R in (first, second)}
+            answers.append((tables[Q], tables[Q.rev()]))
+        assert answers[0] == answers[1], Q.orientation_str()
+    _o_table.cache_clear()
+
+
+@pytest.mark.parametrize("fault", ["coordinate", "residue"])
+def test_mirror_check_names_both_orientations(monkeypatch, fault):
+    """A reversed quiver whose AR quiver is not the mirror of the other's
+    (one root moved by a monkeypatched coordinate) raises an error naming
+    both orientations instead of being relabelled."""
+    Q = A3_MONO()
+    R = Q.rev()
+    assert R.orientation_str() > Q.orientation_str()  # R is read off Q
+    moved = build_ar_quiver(R)
+    top = Q.system.highest_root
+    real = ARQuiver.coordinate
+
+    def coordinate(self, beta):
+        i, p = real(self, beta)
+        if self is moved and beta == top:
+            return (i, p + 2) if fault == "coordinate" else (i % 3 + 1, p)
+        return i, p
+
+    monkeypatch.setattr(ARQuiver, "coordinate", coordinate)
+    _o_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not the mirror") as err:
+            _o_table(R)
+        assert Q.orientation_str() in str(err.value)
+        assert R.orientation_str() in str(err.value)
     finally:
         _o_table.cache_clear()
 

@@ -584,14 +584,17 @@ def test_pairs_of_weight_matches_filtered_sequences(d4_cls):
     assert pairs == full and pairs
 
 
-@pytest.mark.parametrize("name", ["D5", "E6"])
+@pytest.mark.parametrize("name", ["A5", "D5", "E6"])
 def test_pairs_of_weight_matches_definition(name):
     """pairs_of_weight lists the unordered pairs of distinct class roots
     that sum to the weight, by ascending first position, for every pair
-    weight of the class; a weight with a negative coordinate, one wider than
-    twice the largest root coefficient and a root-lattice weight that is no
-    pair sum (a simple root) have none."""
+    weight of the class, as many as a list of roots grown from the Dynkin
+    diagram has; a weight with a negative coordinate, one wider than twice
+    the largest root coefficient and a root-lattice weight that is no pair
+    sum (a simple root) have none."""
     cls = _cold(name)
+    for wt, count in _pair_sums(_kostant_positive_roots(name[0], int(name[1:]))).items():
+        assert len(pairs_of_weight(cls, wt)) == count, wt
     n = len(cls)
     want = {}
     for i in range(n):
@@ -677,6 +680,33 @@ def test_sequence_counts_match_kostant_partition_function(kind, rank):
                 assert len(sequences_of_weight(cls, wt)) == want, wt
 
 
+def _pair_sums(roots):
+    """How many unordered pairs of distinct roots sum to each weight r + s
+    (r = s included, so that a doubled root with no such pair counts 0)."""
+    count = {}
+    for r, s in itertools.combinations_with_replacement(sorted(roots), 2):
+        wt = tuple(x + y for x, y in zip(r, s))
+        count[wt] = count.get(wt, 0) + (r != s)
+    return count
+
+
+def test_e6_pair_weights_above_the_highest_root_match_kostant():
+    """Kostant's partition function at the E6 pair weights that are not at
+    most the highest root, from one DP up to twice the highest root; weights
+    with more than 500 sequences are left out, for time."""
+    roots = _kostant_positive_roots("E", 6)
+    top = max(roots, key=sum)
+    counts = _kostant_counts(sorted(roots), tuple(2 * x for x in top))
+    above = [
+        wt for wt in _pair_sums(roots)
+        if any(x > y for x, y in zip(wt, top)) and counts[wt] <= 500
+    ]
+    cls = _cold("E6")
+    assert len(above) > 100
+    for wt in above:
+        assert len(sequences_of_weight(cls, wt)) == counts[wt], wt
+
+
 def test_weights_past_a_small_field():
     """Coordinates of 33 and 40 overflow a fixed 5-bit field; the packing
     must size its fields from the weight."""
@@ -687,15 +717,23 @@ def test_weights_past_a_small_field():
 
 def test_partition_cap(d4):
     """A capped call raises PartitionCap naming the weight, from the search
-    on a cold class and from the check on a cached enumeration."""
+    on a cold class and from the check on a cached enumeration; when the
+    enumeration is a comparable pair's interval it names the pair too."""
     cls = CommClass(ReducedWord(D4_WORD, d4))  # fresh class, empty caches
     wt = d4.parse_root("{1|2}").coeffs
+    p = _pair(cls, "{2|-4}", "{1|2}")  # not simple: its interval holds a partition
     for warm in (False, True):
         if warm:
             sequences_of_weight(cls, wt)
+            socle_candidates(p)
         with pytest.raises(PartitionCap, match="more than 1 partitions") as err:
             sequences_of_weight(cls, wt, cap=1)
         assert err.value.weight == wt and str(wt) in str(err.value)
+        assert err.value.pair is None
+        with pytest.raises(PartitionCap, match="more than 0 partitions") as err:
+            gdist(p, cap=0)
+        assert err.value.weight == p.weight()
+        assert err.value.pair == p and f"pair {p}" in str(err.value)
 
 
 @pytest.mark.parametrize("warm", [False, True])
