@@ -23,7 +23,7 @@ from .arquiver import (
 )
 from .denom import (
     WellDefinednessViolation,
-    denominator,
+    denominator_table,
     distance_polynomial,
     verify_denominator,
 )
@@ -40,6 +40,7 @@ from .seqcalc import (
     is_simple,
     minimal_sequences,
     radius,
+    socle,
     socle_candidates,
 )
 from .words import (
@@ -327,8 +328,8 @@ def cmd_pair(args):
         raise UsageError(f"{args.action} needs --pair")
     seq = _sequence(cls, args.pair)
     if args.action == "socle":
-        cands = socle_candidates(seq, cap)
-        s = cands[0] if len(cands) == 1 else None
+        s = socle(seq, cap)
+        cands = (s,) if s is not None else socle_candidates(seq, cap)
         text = str(s) if s is not None else (
             "undefined; candidates:\n" + "\n".join(str(c) for c in cands))
         _show(args, {"pair": seq.to_json(), "socle": s.to_json() if s else None,
@@ -379,12 +380,7 @@ def cmd_denom(args):
         return 0
     if args.action == "table":
         quivers = _quivers(args, lambda system: [next(all_orientations(system))])
-        n = quivers[0].system.rank
-        tables = {
-            tuple(denominator(Q, k, l, check_all=args.check_all)
-                  for k in range(1, n + 1) for l in range(k, n + 1))
-            for Q in quivers
-        }
+        tables = {denominator_table(Q, check_all=args.check_all) for Q in quivers}
         if len(tables) > 1:
             raise VerificationFailed("distance polynomials differ across orientations")
         entries = tables.pop()

@@ -15,6 +15,7 @@ from .arquiver import ARQuiver, DynkinQuiver, build_ar_quiver
 from .orders import pair
 from .rootsys import UnsupportedType
 from .seqcalc import gdist
+from .words import ClassCache
 
 
 class WellDefinednessViolation(AssertionError):
@@ -143,6 +144,9 @@ def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
     by the pairs of the slot.  With check_all every pair is computed and
     their agreement verified; otherwise only the first pair is.
 
+    A table computed from its class leaves the class with an empty
+    ``cache`` whether it returns or raises: only the table is read again.
+
     Only the member of {Q, Q^rev} with the smaller ``orientation_str()`` is
     computed; the other's table is its relabelling (k, l, t) ->
     (k*, l*, t).  Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*,
@@ -167,50 +171,79 @@ def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
     cls = arq.comm_class()
     out = {}
     fmt = Q.system.format_root
-    for key, members in slots(arq).items():
-        vals = {}  # gdist -> the first pair that has it
-        for a, b in members if check_all else members[:1]:
-            vals.setdefault(gdist(pair(cls, a, b)), (a, b))
-        if len(vals) > 1:
-            two = ", ".join(
-                f"({fmt(a)},{fmt(b)}) has gdist {g}"
-                for g, (a, b) in list(vals.items())[:2]
-            )
-            raise WellDefinednessViolation(
-                f"{Q.orientation_str()}: pairs at residues ({key[0]},{key[1]}) "
-                f"gap {key[2]} disagree: {two}"
-            )
-        out[key] = next(iter(vals))
+    try:
+        for key, members in slots(arq).items():
+            vals = {}  # gdist -> the first pair that has it
+            for a, b in members if check_all else members[:1]:
+                vals.setdefault(gdist(pair(cls, a, b)), (a, b))
+            if len(vals) > 1:
+                two = ", ".join(
+                    f"({fmt(a)},{fmt(b)}) has gdist {g}"
+                    for g, (a, b) in list(vals.items())[:2]
+                )
+                raise WellDefinednessViolation(
+                    f"{Q.orientation_str()}: pairs at residues ({key[0]},{key[1]}) "
+                    f"gap {key[2]} disagree: {two}"
+                )
+            out[key] = next(iter(vals))
+    finally:
+        # every entry depends on the class alone: dropping it costs only
+        # recomputation, never a different answer
+        cls.cache = ClassCache()
     return out
+
+
+def _distance_polynomials(
+    Q: DynkinQuiver, check_all: bool = False
+) -> dict[tuple[int, int], DistancePolynomial]:
+    """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
+    every k <= l, in row order, from one pass over each of the two o-tables.
+
+    The table of whichever of the two has the larger ``orientation_str()``
+    is the other's relabelled by the w0 involution (see ``_o_table``), so
+    only one of them is computed from its class."""
+    n = Q.system.rank
+    exps = {(k, l): {} for k in range(1, n + 1) for l in range(k, n + 1)}
+    for table in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
+        for (k, l, t), o in table.items():
+            d = exps[k, l]
+            d[t] = max(d.get(t, 0), o)
+    return {kl: DistancePolynomial.from_dict(d) for kl, d in exps.items()}
 
 
 def distance_polynomial(
     Q: DynkinQuiver, k: int, l: int, check_all: bool = False
 ) -> DistancePolynomial:
-    """prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}.
+    """The distance polynomial of residues k and l (see
+    ``_distance_polynomials``)."""
+    return _distance_polynomials(Q, check_all)[min(k, l), max(k, l)]
 
-    The table of whichever of the two has the larger ``orientation_str()``
-    is the other's relabelled by the w0 involution (see ``_o_table``), so
-    only one of them is computed from its class."""
-    key = (min(k, l), max(k, l))
-    d: dict[int, int] = {}
-    for table in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
-        for (kk, ll, t), o in table.items():
-            if (kk, ll) == key:
-                d[t] = max(d.get(t, 0), o)
-    return DistancePolynomial.from_dict(d)
+
+def _entry(Q: DynkinQuiver, k: int, l: int, poly: DistancePolynomial) -> DenominatorEntry:
+    """d_{k,l} from the distance polynomial of k and l: poly, times
+    (z-(-q)^{h_dual}) when l = k*."""
+    sys_ = Q.system
+    correction = sys_.w0_involution[k] == l
+    if correction:
+        poly = poly.times(sys_.dual_coxeter)
+    return DenominatorEntry(k, l, poly, correction, sys_.kind == "E")
 
 
 def denominator(
     Q: DynkinQuiver, k: int, l: int, check_all: bool = False
 ) -> DenominatorEntry:
-    """d_{k,l}: the distance polynomial, times (z-(-q)^{h_dual}) when l = k*."""
-    sys_ = Q.system
-    poly = distance_polynomial(Q, k, l, check_all)
-    correction = sys_.w0_involution[k] == l
-    if correction:
-        poly = poly.times(sys_.dual_coxeter)
-    return DenominatorEntry(k, l, poly, correction, sys_.kind == "E")
+    """d_{k,l} (see ``_entry``)."""
+    return _entry(Q, k, l, distance_polynomial(Q, k, l, check_all))
+
+
+def denominator_table(
+    Q: DynkinQuiver, check_all: bool = False
+) -> tuple[DenominatorEntry, ...]:
+    """Every d_{k,l}, k <= l, in row order."""
+    return tuple(
+        _entry(Q, k, l, poly)
+        for (k, l), poly in _distance_polynomials(Q, check_all).items()
+    )
 
 
 def denominator_closed_form(kind: str, n: int, k: int, l: int) -> DistancePolynomial:
@@ -268,24 +301,17 @@ def verify_denominator(Q: DynkinQuiver, check_all: bool = False) -> Verification
     if sys_.kind not in ("A", "D"):
         raise UnsupportedType("closed forms are known for types A and D only")
     bad = []
-    for k in range(1, sys_.rank + 1):
-        for l in range(k, sys_.rank + 1):
-            got = denominator(Q, k, l, check_all).poly
-            want = denominator_closed_form(sys_.kind, sys_.rank, k, l)
-            if got != want:
-                bad.append(
-                    {"k": k, "l": l, "computed": str(got), "expected": str(want)}
-                )
+    for e in denominator_table(Q, check_all):
+        want = denominator_closed_form(sys_.kind, sys_.rank, e.k, e.l)
+        if e.poly != want:
+            bad.append(
+                {"k": e.k, "l": e.l, "computed": str(e.poly), "expected": str(want)}
+            )
     return VerificationReport(Q.orientation_str(), tuple(bad))
 
 
 def conjecture_table(Q: DynkinQuiver, check_all: bool = False) -> tuple[DenominatorEntry, ...]:
     """The full d_{k,l} matrix (k <= l) read off a type-E quiver."""
-    sys_ = Q.system
-    if sys_.kind != "E":
+    if Q.system.kind != "E":
         raise UnsupportedType("the conjectural table is for type E")
-    return tuple(
-        denominator(Q, k, l, check_all)
-        for k in range(1, sys_.rank + 1)
-        for l in range(k, sys_.rank + 1)
-    )
+    return denominator_table(Q, check_all)

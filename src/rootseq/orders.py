@@ -77,9 +77,6 @@ class RootSequence:
             out.append(low.bit_length() - 1)
         return out
 
-    def mult(self, beta: PosRoot) -> int:
-        return self.counts[self.cls.position(beta)]
-
     def __str__(self) -> str:
         fmt = self.cls.system.format_root
         return "(" + ",".join(fmt(r) for r in self.roots()) + ")"

@@ -78,8 +78,11 @@ class ClassCache:
     """Answers computed over one commutation class, kept with the class.
 
     Each entry depends on the class alone, never on the queries made before
-    it, so every caller may share it.  Enumerations are stored whole and
-    checked against each caller's cap on the way out (see ``seqcalc``).
+    it, so every caller may share it, and dropping it costs only
+    recomputation.  Enumerations are stored whole and checked against each
+    caller's cap on the way out (see ``seqcalc``).  The working state of an
+    o-table lasts only as long as the table: ``denom._o_table`` replaces the
+    cache of the class it computes from when it returns or raises.
     """
 
     __slots__ = ("weights", "intervals", "pairs", "simple", "chains", "packed",
@@ -112,6 +115,9 @@ class CommClass:
         t = len(letters)
         cartan = self.system.cartan  # nonzero iff the letters do not commute
         covers: list[tuple[int, int]] = []
+        # strict reachability as bitmasks over positions; a cover (p, q) has
+        # p < q, so below[p] is complete when q is scanned
+        below = [0] * t  # positions strictly before q in every member
         for q in range(t):
             row = cartan[letters[q] - 1]
             hit: set[int] = set()
@@ -119,25 +125,15 @@ class CommClass:
                 if row[letters[p] - 1] and letters[p] not in hit:
                     covers.append((p, q))
                     hit.add(letters[p])
+                    below[q] |= (1 << p) | below[p]
         self.heap_covers = tuple(covers)
-        # strict reachability as bitmasks over positions
-        below_of = [0] * t  # positions strictly before q in every member
-        for q in range(t):
-            m = 0
-            for p, qq in covers:
-                if qq == q:
-                    m |= (1 << p) | below_of[p]
-            below_of[q] = m
-        self._below = below_of
+        self._below = below
         self._above = [0] * t
-        for q in range(t):
-            m = below_of[q]
-            p = 0
+        for q, m in enumerate(below):
             while m:
-                if m & 1:
-                    self._above[p] |= 1 << q
-                m >>= 1
-                p += 1
+                low = m & -m
+                m ^= low
+                self._above[low.bit_length() - 1] |= 1 << q
         self._pos_of_root = {r: k for k, r in enumerate(self.roots)}
         if len(self._pos_of_root) != t:
             raise NotReduced("repeated root in word")

@@ -19,8 +19,8 @@ from rootseq.denom import (
 )
 from rootseq.orders import pair
 from rootseq.rootsys import UnsupportedType, build_root_system
-from rootseq.seqcalc import gdist
-from rootseq.words import CommClass
+from rootseq.seqcalc import gdist, gdist_chain, radius
+from rootseq.words import ClassCache, CommClass
 
 
 def _quiver(kind, rank, arrows):
@@ -28,6 +28,12 @@ def _quiver(kind, rank, arrows):
 
 
 A3_MONO = lambda: _quiver("A", 3, [(1, 2), (2, 3)])
+
+
+def _released(Q):
+    """Every store of the cache of Q's class is empty."""
+    cache = build_ar_quiver(Q).comm_class().cache
+    return not any(getattr(cache, store) for store in ClassCache.__slots__)
 
 
 def test_polynomial_formatting():
@@ -123,6 +129,7 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
     try:
         with pytest.raises(WellDefinednessViolation) as err:
             _o_table(Q, check_all=True)
+        assert _released(Q)
         message = str(err.value)
         assert Q.orientation_str() in message
         assert "residues (1,1) gap 2" in message
@@ -168,7 +175,8 @@ def test_o_table_matches_its_own_class(kind, rank, limit):
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
 def test_o_tables_do_not_depend_on_query_order(kind, rank):
     """Asking Q before Q^rev or Q^rev before Q, from cold AR quivers and
-    classes, gives the same two tables."""
+    classes, gives the same two tables, and leaves the caches of both
+    classes empty."""
     for Q in all_orientations(build_root_system(kind, rank)):
         answers = []
         for first, second in ((Q, Q.rev()), (Q.rev(), Q)):
@@ -176,7 +184,35 @@ def test_o_tables_do_not_depend_on_query_order(kind, rank):
             arquiver._build_cached.cache_clear()
             tables = {R: _o_table(R, kind != "E") for R in (first, second)}
             answers.append((tables[Q], tables[Q.rev()]))
+            assert _released(Q) and _released(Q.rev()), Q.orientation_str()
         assert answers[0] == answers[1], Q.orientation_str()
+    _o_table.cache_clear()
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
+def test_answers_do_not_depend_on_a_released_cache(kind, rank):
+    """radius of every non-simple root and gdist_chain of the first pair of
+    every slot, asked of a class before its o-table is computed (which
+    releases its cache) and again after, are equal, witnesses included."""
+    Q = next(all_orientations(build_root_system(kind, rank)))
+    if Q.rev().orientation_str() < Q.orientation_str():
+        Q = Q.rev()  # the member whose table is computed from its class
+    _o_table.cache_clear()
+    arquiver._build_cached.cache_clear()
+    arq = build_ar_quiver(Q)
+    cls = arq.comm_class()
+    firsts = [members[0] for members in slots(arq).values()]
+
+    def answers():
+        radii = {g: radius(cls, g) for g in cls.roots if g.height > 1}
+        chains = [gdist_chain(pair(cls, a, b)) for a, b in firsts]
+        return radii, chains
+
+    before = answers()
+    assert not _released(Q)
+    _o_table(Q)
+    assert _released(Q)
+    assert answers() == before
     _o_table.cache_clear()
 
 

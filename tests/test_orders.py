@@ -27,7 +27,7 @@ def test_sequence_basics(a5_cls):
     s = RootSequence.from_strings(a5_cls, ["[1,3]", "[2,5]", "[1,3]"])
     assert s.size() == 3
     assert s.weight() == (2, 3, 3, 1, 1)
-    assert s.mult(a5_cls.system.parse_root("[1,3]")) == 2
+    assert s.counts[a5_cls.position(a5_cls.system.parse_root("[1,3]"))] == 2
     assert len(s.support()) == 2
     assert str(s) == "([1,3],[1,3],[2,5])"
     assert s.to_json()["weight"] == [2, 3, 3, 1, 1]

@@ -3,8 +3,9 @@ library itself, the scripts or the benchmark, not only from the tests.
 
 A definition counts as reached when its name occurs as an identifier in
 ``src/``, ``scripts/`` or ``perfbench/`` more often than it is defined
-there.  A string literal that is exactly one identifier counts as an
-occurrence too, since the benchmark wraps library functions by name.
+there.  Under ``perfbench/``, which wraps library functions by name, a
+string literal that is exactly one identifier counts as an occurrence too;
+elsewhere a string such as a CLI choice does not.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rootseq"
 SEARCHED = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+BY_NAME = ROOT / "perfbench"  # where a string literal names a definition
 
 # reference implementations kept so that tests can check the fast paths
 ORACLES = {"coarse_less_brute", "is_simple_pair_brute"}
@@ -40,7 +42,7 @@ def _identifier_counts():
             for tok in tokenize.generate_tokens(io.StringIO(src).readline):
                 if tok.type == tokenize.NAME:
                     counts[tok.string] += 1
-                elif tok.type == tokenize.STRING:
+                elif tok.type == tokenize.STRING and base == BY_NAME:
                     text = tok.string.strip("'\"")
                     if text.isidentifier():
                         counts[text] += 1

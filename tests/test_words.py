@@ -180,6 +180,45 @@ def test_random_class_heap_is_sound(seed):
         assert in_class(cls, ext)
 
 
+def _closure(t, covers):
+    """Strict reachability from the covers, by iterating to a fixpoint: for
+    each position, the bit mask of the positions below it."""
+    below = [set() for _ in range(t)]
+    for p, q in covers:
+        below[q].add(p)
+    changed = True
+    while changed:
+        changed = False
+        for q in range(t):
+            more = set().union(*(below[p] for p in below[q])) - below[q]
+            if more:
+                below[q] |= more
+                changed = True
+    return [sum(1 << p for p in b) for b in below]
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 4), ("D", 5), ("E", 6), ("E", 7)])
+def test_reachability_is_closure_of_covers(kind, rank):
+    """_below is the transitive closure of heap_covers and _above its
+    transpose, on the longest word's class and the classes of AR quiver
+    readings."""
+    from rootseq.arquiver import all_orientations, build_ar_quiver
+
+    sys_ = build_root_system(kind, rank)
+    words = [longest_word(sys_)] + [
+        build_ar_quiver(Q).reading()
+        for Q in itertools.islice(all_orientations(sys_), 6)
+    ]
+    for w in words:
+        cls = CommClass(w)
+        t = len(cls)
+        assert cls._below == _closure(t, cls.heap_covers), w
+        assert all(
+            (cls._above[p] >> q & 1) == (cls._below[q] >> p & 1)
+            for p in range(t) for q in range(t)
+        ), w
+
+
 def test_longest_class_is_adapted_reading():
     from rootseq.arquiver import find_quiver
 
