@@ -7,13 +7,14 @@ Prints one line: the number of tables, the sum of o_t over the E8 table and
 a sha256 over all tables.  Two versions of the library that print the same
 line compute the same o-tables.  Run with ``PYTHONPATH=src``.
 
-Of each orientation pair {Q, Q^rev} only the member with the smaller
-orientation string is computed from its class; the other's table is the
-relabelling of it by the w0 involution (``denom._o_table``).  The hash is
-the one printed before that was so, when every table was computed from its
-own class, so it certifies the relabelling on every table read off its
-reverse: the other half of each system's orientations, and the E8 reference
-orientation, which is read off 1>3,2>4,4>3,5>4,6>5,7>6,8>7.
+Of each system only the root of the derivation tree (the first orientation
+of ``all_orientations``) has its o-table computed from its class alone;
+every other table is derived from its parent's along a reversal (the w0
+relabelling) or a reflection at a sink or source (``denom._o_table``).  The
+hash is the one printed before either was so, when every table was computed
+from its own class, so it certifies the derivation on every table but the
+roots': every other orientation of each system, and the E8 reference
+orientation, which is derived from the E8 root along its path in the tree.
 """
 
 import hashlib
@@ -30,7 +31,10 @@ E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
 def _table_text(Q) -> str:
-    table = denom._o_table(Q)
+    # check_all passed by position, as the library passes it when it derives
+    # a table from its parent's: the lru cache keys _o_table(Q) apart from
+    # _o_table(Q, False), and would compute each parent's table twice
+    table = denom._o_table(Q, False)
     body = ";".join(f"{k},{l},{t}:{o}" for (k, l, t), o in sorted(table.items()))
     return f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {body}\n"
 
@@ -50,7 +54,7 @@ def main():
     e8 = arquiver.DynkinQuiver.from_arrows(build_root_system("E", 8), E8_REFERENCE)
     digest.update(_table_text(e8).encode())
     count += 1
-    e8_sum = sum(denom._o_table(e8).values())
+    e8_sum = sum(denom._o_table(e8, False).values())
     print(f"tables {count}  E8 sum o_t {e8_sum}  sha256 {digest.hexdigest()}")
     return 0
 

@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Sweep every orientation of the small systems through the ``rootseq`` CLI,
 in-process: the computed denominators against the closed forms (A2-A6,
-D4-D6), one E7 denominator table from all 64 orientations (each of the 32
-reversed ones read off its mirror, which checks the mirror on every pair),
-radius = multiplicity (A2-A5, D4, D5, E6) and the type-A/D distance bounds
-(A2-A5, D4, D5).  Exits non-zero unless every run exits 0."""
+D4-D6), one E7 denominator table from all 64 orientations and one E8 table
+from all 128, radius = multiplicity (A2-A5, D4, D5, E6) and the type-A/D
+distance bounds (A2-A5, D4, D5).  Exits non-zero unless every run exits 0.
+
+Of each E7 and E8 orientation only the root of the derivation tree
+(``denom._derivation_tree``) has its o-table computed from its class alone;
+every other table is derived along a reversal or a reflection, whose premise
+is checked on every edge (63 in E7, 127 in E8), and the sweep fails unless
+every orientation gives one table."""
 
 import argparse
 import sys
@@ -24,7 +29,7 @@ def main():
     sweep = ["--all-orientations"] + (["--check-all"] if args.check_all else [])
     runs = (
         [["denom", "verify", "--type", t, *sweep] for t in DENOM_TYPES]
-        + [["denom", "table", "--type", "E7", "--all-orientations"]]
+        + [["denom", "table", "--type", t, "--all-orientations"] for t in ("E7", "E8")]
         + [["verify", "rds-mul", "--type", t, "--all-orientations"]
            for t in RADIUS_TYPES]
         + [["verify", "dist-bound", "--type", t, "--all-orientations"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arquiver import ARQuiver, DynkinQuiver, build_ar_quiver
+from .arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
 from .orders import pair
 from .rootsys import UnsupportedType
 from .seqcalc import gdist
@@ -138,43 +138,136 @@ def _check_mirror(P: DynkinQuiver, R: DynkinQuiver) -> None:
     )
 
 
+def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
+    """Raise unless Gamma_Q is Gamma_P reflected at the sink or source i:
+    each root beta != alpha_i of [P] is s_i beta in [Q] with the same
+    residue, all coordinates p shift by one constant, alpha_i is extremal in
+    the heaps of both classes, and s_i maps the heap covers of [P] that avoid
+    alpha_i onto those of [Q]."""
+    sys_ = P.system
+    arq_p, arq_q = build_ar_quiver(P), build_ar_quiver(Q)
+    cls_p, cls_q = arq_p.comm_class(), arq_q.comm_class()
+    end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
+    # each class position of [P] but alpha_i's -> the position of s_i beta in [Q]
+    to_q = {k: cls_q.position(sys_.reflect(b, i))
+            for k, b in enumerate(cls_p.roots) if k != end_p}
+    at = [(arq_p.coordinate(cls_p.roots[k]), arq_q.coordinate(cls_q.roots[m]))
+          for k, m in to_q.items()]
+
+    def avoiding(cls, end):
+        return {(a, b) for a, b in cls.heap_covers if end not in (a, b)}
+
+    if any(i_p != i_q for (i_p, _), (i_q, _) in at):
+        broken = "a root's residue changed"
+    elif len({q - p for (_, p), (_, q) in at}) != 1:
+        broken = "the coordinates do not shift by one constant"
+    elif any(cls._below[k] and cls._above[k] for cls, k in ((cls_p, end_p), (cls_q, end_q))):
+        broken = f"alpha_{i} is not extremal in both heaps"
+    elif {(to_q[a], to_q[b]) for a, b in avoiding(cls_p, end_p)} != avoiding(cls_q, end_q):
+        broken = f"the heap covers that avoid alpha_{i} do not correspond"
+    else:
+        return
+    raise RuntimeError(
+        f"{Q.orientation_str()} is not the reflection of {P.orientation_str()} "
+        f"at {i}: {broken}"
+    )
+
+
+@lru_cache(maxsize=None)
+def _derivation_tree(system) -> dict:
+    """{Q: (P, i)} over every orientation Q of the system: the parent P whose
+    o-table Q's is derived from, along the reversal (i = None) or the
+    reflection at P's sink or source i; the root maps to None.
+
+    A breadth-first tree from the root ``next(all_orientations(system))``
+    whose edges from each P are tried in a fixed order: P^rev first, then
+    s_i P for P's sinks and sources in ascending i.  It depends on the
+    system alone, so no table depends on the order of the queries."""
+    root = next(all_orientations(system))
+    tree = {root: None}
+    frontier = [root]
+    for P in frontier:  # appended to while read: breadth first
+        for i in (None, *sorted(P.sinks() + P.sources())):
+            Q = P.rev() if i is None else P.reflect(i)
+            if Q not in tree:
+                tree[Q] = (P, i)
+                frontier.append(Q)
+    return tree
+
+
 @lru_cache(maxsize=None)
 def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
     """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
-    by the pairs of the slot.  With check_all every pair is computed and
-    their agreement verified; otherwise only the first pair is.
+    by the pairs of the slot.
 
-    A table computed from its class leaves the class with an empty
+    Only the root of ``_derivation_tree`` is computed from its class alone:
+    the gdist of the first pair of every slot, or with check_all of every
+    pair, which must agree.  Every other table is derived from its parent's,
+    each edge's premise checked on every call (``_check_mirror``,
+    ``_check_reflection``):
+
+    - Reversal.  Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*,
+      coordinate p -> C - p, heap reversed), so the table is the parent's
+      relabelled (k, l, t) -> (k*, l*, t).  Every member of [Q^rev] is a
+      member of [Q] read backwards, which swaps the first and the last
+      differing position of two sequences; bi-lex asks for both, so the
+      coarse order, simplicity and gdist of every sequence are unchanged.
+    - Reflection at a sink or source i (Bernstein-Gelfand-Ponomarev).
+      Alpha_i leaves one end of the heap and comes back at the other; every
+      other root beta becomes s_i beta with the same residue, the same
+      coordinate gaps and the same heap.  Alpha_i lies strictly between no
+      two roots, so a pair that avoids it has the same interval, up to s_i,
+      and the same gdist in both classes.  A slot holding such a pair takes
+      the parent's value; a slot whose pairs all contain alpha_i takes the
+      gdist of its first pair in [Q].  With check_all every alpha_i pair is
+      computed and must agree with the carried value.
+
+    Without check_all a derived slot holds the gdist of a pair that need not
+    be the first of its slot; the two agree on every well-defined slot.
+
+    A table that reads gdist from a class leaves the class with an empty
     ``cache`` whether it returns or raises: only the table is read again.
-
-    Only the member of {Q, Q^rev} with the smaller ``orientation_str()`` is
-    computed; the other's table is its relabelling (k, l, t) ->
-    (k*, l*, t).  Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*,
-    coordinate p -> C - p, heap reversed; checked on every call), so both
-    classes hold the same comparable pairs at the same gaps, and every member
-    of [Q^rev] is a member of [Q] read backwards.  Reading backwards swaps
-    the first and the last differing position, and bi-lex asks for both, so
-    the coarse order, simplicity and gdist of every sequence are unchanged.
-    Without check_all a relabelled slot holds the gdist of a pair that need
-    not be the first of its slot in [Q^rev]; the two agree on every
-    well-defined slot.
     """
-    R = Q.rev()
-    if R.orientation_str() < Q.orientation_str():
-        _check_mirror(R, Q)
+    edge = _derivation_tree(Q.system)[Q]
+    if edge is None:
+        return _slot_gdists(Q, check_all)
+    P, i = edge
+    parent = _o_table(P, check_all)
+    if i is None:
+        _check_mirror(P, Q)
         star = Q.system.w0_involution
         return {
             (min(star[k], star[l]), max(star[k], star[l]), t): o
-            for (k, l, t), o in _o_table(R, check_all).items()
+            for (k, l, t), o in parent.items()
         }
+    _check_reflection(P, Q, i)
+    return _slot_gdists(Q, check_all, parent, i)
+
+
+def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, i=None) -> dict:
+    """Q's o-table from its class; with a parent table, the table of the
+    parent's reflection at i (see ``_o_table``)."""
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
+    if parent is not None:
+        # slots() yields the class's own root objects
+        alpha = cls.roots[cls.position(Q.system.simple_root(i))]
     out = {}
     fmt = Q.system.format_root
     try:
         for key, members in slots(arq).items():
             vals = {}  # gdist -> the first pair that has it
-            for a, b in members if check_all else members[:1]:
+            if parent is not None:
+                carried = next(
+                    ((a, b) for a, b in members if a is not alpha and b is not alpha),
+                    None,
+                )
+                if carried:
+                    vals[parent[key]] = carried
+                members = [(a, b) for a, b in members if a is alpha or b is alpha]
+            if not check_all:
+                members = [] if vals else members[:1]
+            for a, b in members:
                 vals.setdefault(gdist(pair(cls, a, b)), (a, b))
             if len(vals) > 1:
                 two = ", ".join(
@@ -199,9 +292,9 @@ def _distance_polynomials(
     """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
     every k <= l, in row order, from one pass over each of the two o-tables.
 
-    The table of whichever of the two has the larger ``orientation_str()``
-    is the other's relabelled by the w0 involution (see ``_o_table``), so
-    only one of them is computed from its class."""
+    Only the root of the derivation tree has its table computed from its
+    class alone; any other of the two is derived from its parent's along a
+    reversal or a reflection (see ``_o_table``)."""
     n = Q.system.rank
     exps = {(k, l): {} for k in range(1, n + 1) for l in range(k, n + 1)}
     for table in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):

@@ -157,19 +157,73 @@ def _oracle_o_table(Q, check_all):
     return out
 
 
+def _depth(tree, Q):
+    """The number of edges from Q up to the root of the derivation tree."""
+    d = 0
+    while tree[Q] is not None:
+        Q, d = tree[Q][0], d + 1
+    return d
+
+
+def _first_at_each_depth(system):
+    """The first orientation, in ``all_orientations`` order, at each depth
+    of the system's derivation tree."""
+    tree = denom._derivation_tree(system)
+    firsts = {}
+    for Q in all_orientations(system):
+        firsts.setdefault(_depth(tree, Q), Q)
+    return list(firsts.values())
+
+
 @pytest.mark.parametrize(
     "kind,rank,limit",
     [("A", n, None) for n in range(2, 7)] + [("D", n, None) for n in (4, 5, 6)]
     + [("E", 6, None), ("E", 7, 4)],
 )
 def test_o_table_matches_its_own_class(kind, rank, limit):
-    """Whether an o-table is computed or read off its reverse's, it equals
-    the table recomputed from the quiver's own class; with check_all too
-    (A and D)."""
-    for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), limit):
+    """Whether an o-table is computed from its class or derived from its
+    parent's, it equals the table recomputed from the quiver's own class;
+    with check_all too (A and D).  E7 is checked on its first orientations
+    and on the first orientation at each depth of its derivation tree."""
+    system = build_root_system(kind, rank)
+    quivers = list(itertools.islice(all_orientations(system), limit))
+    if limit is not None:
+        quivers += [Q for Q in _first_at_each_depth(system) if Q not in quivers]
+    for Q in quivers:
         assert _o_table(Q) == _oracle_o_table(Q, False), Q.orientation_str()
         if kind != "E":
             assert _o_table(Q, True) == _oracle_o_table(Q, True), Q.orientation_str()
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_derivation_tree_reaches_the_root(kind, rank):
+    """The derivation tree holds every orientation; from each, the parents
+    lead to the root ``next(all_orientations)`` without a cycle, and every
+    edge is the reversal or the reflection at a sink or source of the
+    parent."""
+    system = build_root_system(kind, rank)
+    tree = denom._derivation_tree(system)
+    quivers = list(all_orientations(system))
+    root = quivers[0]
+    assert set(tree) == set(quivers) and len(quivers) == 2 ** len(system.datum.edges)
+    assert tree[root] is None
+    for Q in quivers:
+        seen = {Q}
+        while tree[Q] is not None:
+            P, i = tree[Q]
+            if i is None:
+                assert Q == P.rev(), Q.orientation_str()
+            else:
+                assert i in P.sinks() + P.sources(), (P.orientation_str(), i)
+                assert Q == P.reflect(i), (P.orientation_str(), i)
+            assert P not in seen, P.orientation_str()
+            seen.add(P)
+            Q = P
+        assert Q == root
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
@@ -194,9 +248,8 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
     """radius of every non-simple root and gdist_chain of the first pair of
     every slot, asked of a class before its o-table is computed (which
     releases its cache) and again after, are equal, witnesses included."""
+    # the root of the derivation tree: its table is computed from its class
     Q = next(all_orientations(build_root_system(kind, rank)))
-    if Q.rev().orientation_str() < Q.orientation_str():
-        Q = Q.rev()  # the member whose table is computed from its class
     _o_table.cache_clear()
     arquiver._build_cached.cache_clear()
     arq = build_ar_quiver(Q)
@@ -241,6 +294,81 @@ def test_mirror_check_names_both_orientations(monkeypatch, fault):
             _o_table(R)
         assert Q.orientation_str() in str(err.value)
         assert R.orientation_str() in str(err.value)
+    finally:
+        _o_table.cache_clear()
+
+
+def _reflected_a3():
+    """The A3 root orientation 1>2,2>3 and its reflection at the source 1,
+    whose table the derivation tree derives from the root's."""
+    P = A3_MONO()
+    Q = P.reflect(1)
+    assert denom._derivation_tree(P.system)[Q] == (P, 1)
+    return P, Q
+
+
+@pytest.mark.parametrize("fault", ["coordinate", "residue"])
+def test_reflection_check_names_both_orientations_and_the_vertex(monkeypatch, fault):
+    """A reflected quiver whose AR quiver is not the other's reflected at i
+    (one root other than alpha_i moved by a monkeypatched coordinate or
+    residue) raises an error naming both orientations and i instead of
+    taking the parent's table."""
+    P, Q = _reflected_a3()
+    moved = build_ar_quiver(Q)
+    top = Q.system.highest_root
+    real = ARQuiver.coordinate
+
+    def coordinate(self, beta):
+        i, p = real(self, beta)
+        if self is moved and beta == top:
+            return (i, p + 2) if fault == "coordinate" else (i % 3 + 1, p)
+        return i, p
+
+    monkeypatch.setattr(ARQuiver, "coordinate", coordinate)
+    _o_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not the reflection") as err:
+            _o_table(Q)
+        message = str(err.value)
+        assert P.orientation_str() in message
+        assert Q.orientation_str() in message
+        assert " at 1: " in message
+        assert ("shift" if fault == "coordinate" else "residue") in message
+    finally:
+        _o_table.cache_clear()
+
+
+def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
+    """In a reflected table, a slot that takes the parent's value and also
+    holds a pair containing alpha_i: when that pair's gdist (in the
+    reflected class only) disagrees, check_all raises naming both pairs,
+    and the caches of both classes are left empty."""
+    P, Q = _reflected_a3()
+    alpha = Q.system.simple_root(1)
+    cls_q = build_ar_quiver(Q).comm_class()
+    key, members = next(
+        (key, members) for key, members in slots(build_ar_quiver(Q)).items()
+        if any(alpha in ab for ab in members) and any(alpha not in ab for ab in members)
+    )
+    a1, b1 = next(ab for ab in members if alpha not in ab)
+    a2, b2 = next(ab for ab in members if alpha in ab)
+    fmt = Q.system.format_root
+    real = denom.gdist
+    monkeypatch.setattr(
+        denom, "gdist",
+        lambda seq: real(seq) + (seq.cls is cls_q and set(seq.support()) == {a2, b2}),
+    )
+    _o_table.cache_clear()
+    try:
+        o = _o_table(Q)[key]  # without check_all the alpha pair is not read
+        with pytest.raises(WellDefinednessViolation) as err:
+            _o_table(Q, check_all=True)
+        assert _released(P) and _released(Q)
+        message = str(err.value)
+        assert Q.orientation_str() in message
+        assert f"residues ({key[0]},{key[1]}) gap {key[2]}" in message
+        assert f"({fmt(a1)},{fmt(b1)}) has gdist {o}" in message
+        assert f"({fmt(a2)},{fmt(b2)}) has gdist {o + 1}" in message
     finally:
         _o_table.cache_clear()
 

@@ -614,12 +614,15 @@ def test_pairs_of_weight_matches_definition(name):
 
 def _dynkin_edges(kind, n):
     """The Dynkin diagram in the library's labels: A and D are chains, with
-    the D fork at n-2; E6 is the chain 1-2-3-4-5 with 6 on node 3."""
+    the D fork at n-2; E6 is the chain 1-2-3-4-5 with 6 on node 3, E7 the
+    chain 1-3-4-5-6-7 with 2 on node 4."""
     chain = [(i, i + 1) for i in range(1, n - 1)]
     if kind == "A":
         return chain + [(n - 1, n)]
     if kind == "D":
         return chain + [(n - 2, n)]
+    if n == 7:
+        return [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]
     return [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]  # E6
 
 
@@ -705,6 +708,19 @@ def test_e6_pair_weights_above_the_highest_root_match_kostant():
     assert len(above) > 100
     for wt in above:
         assert len(sequences_of_weight(cls, wt)) == counts[wt], wt
+
+
+def test_e7_highest_root_matches_kostant():
+    """The 18,837 sequences of the E7 highest root, on a class with nothing
+    in its cache, against Kostant's partition function from the DP."""
+    roots = _kostant_positive_roots("E", 7)
+    top = max(roots, key=sum)
+    counts = _kostant_counts(sorted(roots), top)
+    sys_ = build_root_system("E", 7)
+    assert {r.coeffs for r in sys_.positive_roots} == roots
+    assert top == sys_.highest_root.coeffs and counts[top] == 18837
+    cls = CommClass(build_ar_quiver(next(all_orientations(sys_))).reading())
+    assert len(sequences_of_weight(cls, top)) == counts[top]
 
 
 def test_weights_past_a_small_field():
