@@ -31,9 +31,6 @@ E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
 def _table_text(Q) -> str:
-    # check_all passed by position, as the library passes it when it derives
-    # a table from its parent's: the lru cache keys _o_table(Q) apart from
-    # _o_table(Q, False), and would compute each parent's table twice
     table = denom._o_table(Q, False)
     body = ";".join(f"{k},{l},{t}:{o}" for (k, l, t), o in sorted(table.items()))
     return f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {body}\n"

@@ -69,17 +69,10 @@ def all_orientations(system: RootSystem):
 
 
 def coxeter_word(Q: DynkinQuiver) -> ReducedWord:
-    """The source-to-sink word of the Coxeter element tau_Q (smallest-index
-    source first)."""
-    remaining = set(range(1, Q.system.rank + 1))
-    arrows = set(Q.arrows)
-    out = []
-    while remaining:
-        heads = {b for a, b in arrows if a in remaining and b in remaining}
-        i = min(j for j in remaining if j not in heads)
-        out.append(i)
-        remaining.discard(i)
-    return ReducedWord(tuple(out), Q.system)
+    """The source-to-sink word of the Coxeter element tau_Q: the vertices by
+    height xi descending, then by index (xi drops by 1 along every arrow)."""
+    xi = height_function(Q)
+    return ReducedWord(tuple(sorted(xi, key=lambda i: (-xi[i], i))), Q.system)
 
 
 def gamma(Q: DynkinQuiver, i: int) -> PosRoot:
@@ -171,28 +164,11 @@ class ARQuiver:
     # -- readings ------------------------------------------------------
 
     def reading(self) -> ReducedWord:
-        """A canonical arrow-compatible reading (vertices with largest p first)."""
-        tie_break = lambda v: (-v[1], v[0])
-        t = len(self.label)
-        pending = dict.fromkeys(self.label, 0)
-        for u, v in self.arrows:
-            pending[u] += 1  # u must wait for its arrow targets
-        ready = sorted((v for v, c in pending.items() if c == 0), key=tie_break)
-        pred = {}
-        for u, v in self.arrows:
-            pred.setdefault(v, []).append(u)
-        out = []
-        while ready:
-            v = ready.pop(0)
-            out.append(v[0])
-            for u in pred.get(v, ()):
-                pending[u] -= 1
-                if pending[u] == 0:
-                    ready.append(u)
-            ready.sort(key=tie_break)
-        if len(out) != t:
-            raise RuntimeError("reading did not exhaust the quiver")
-        return ReducedWord(tuple(out), self.system)
+        """The canonical arrow-compatible reading: largest p first, then by
+        residue.  Every arrow goes from p to p+1, so each vertex comes after
+        its arrow targets."""
+        order = sorted(self.label, key=lambda v: (-v[1], v[0]))
+        return ReducedWord(tuple(i for i, _ in order), self.system)
 
     def comm_class(self) -> CommClass:
         try:

@@ -388,11 +388,12 @@ def cmd_denom(args):
               _table_text(entries, latex=args.format == "latex"))
         return 0
     # verify
-    reports = [verify_denominator(Q, check_all=args.check_all)
+    reports = [(Q.orientation_str(), verify_denominator(Q, check_all=args.check_all))
                for Q in _quivers(args, lambda system: [_quiver(args)])]
-    _show(args, [r.to_json() for r in reports],
-          "\n".join(f"{r.quiver}: {'ok' if r.ok else r.mismatches}" for r in reports))
-    return 0 if all(r.ok for r in reports) else 1
+    _show(args,
+          [{"quiver": q, "ok": not bad, "mismatches": list(bad)} for q, bad in reports],
+          "\n".join(f"{q}: {bad or 'ok'}" for q, bad in reports))
+    return 1 if any(bad for _, bad in reports) else 0
 
 
 # -- arq ----------------------------------------------------------------

@@ -111,65 +111,54 @@ def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
     return out
 
 
-def _check_mirror(P: DynkinQuiver, R: DynkinQuiver) -> None:
-    """Raise unless Gamma_R is Gamma_P mirrored: each root's residue in
-    Gamma_R is the * of its residue in Gamma_P, its two coordinates p sum to
-    one constant, and the heap covers of [R] are those of [P] reversed."""
-    star = P.system.w0_involution
-    arq_p, arq_r = build_ar_quiver(P), build_ar_quiver(R)
-    cls_p, cls_r = arq_p.comm_class(), arq_r.comm_class()
-    at_p = [arq_p.coordinate(b) for b in cls_p.roots]
-    at_r = [arq_r.coordinate(b) for b in cls_p.roots]
+def _check_edge(P: DynkinQuiver, Q: DynkinQuiver, i: int | None) -> None:
+    """Raise unless Gamma_Q is Gamma_P across one edge of the derivation tree.
 
-    def covers(cls):
-        return {(cls.roots[a], cls.roots[b]) for a, b in cls.heap_covers}
-
-    if any(star[i] != j for (i, _), (j, _) in zip(at_p, at_r)):
-        broken = "the residues are not each other's *"
-    elif len({p + q for (_, p), (_, q) in zip(at_p, at_r)}) != 1:
-        broken = "the coordinates do not sum to one constant"
-    elif {(b, a) for a, b in covers(cls_p)} != covers(cls_r):
-        broken = "the heap covers are not each other's reverse"
-    else:
-        return
-    raise RuntimeError(
-        f"{R.orientation_str()} is not the mirror of {P.orientation_str()}: "
-        f"{broken}"
-    )
-
-
-def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
-    """Raise unless Gamma_Q is Gamma_P reflected at the sink or source i:
-    each root beta != alpha_i of [P] is s_i beta in [Q] with the same
-    residue, all coordinates p shift by one constant, alpha_i is extremal in
-    the heaps of both classes, and s_i maps the heap covers of [P] that avoid
-    alpha_i onto those of [Q]."""
+    The reversal (i is None): each root's residue in Gamma_Q is the * of its
+    residue in Gamma_P, its two coordinates p sum to one constant, and the
+    heap covers of [Q] are those of [P] reversed.  The reflection at P's sink
+    or source i: each root beta != alpha_i of [P] is s_i beta in [Q] with the
+    same residue, all coordinates p shift by one constant, alpha_i is
+    extremal in the heaps of both classes, and s_i maps the heap covers of
+    [P] that avoid alpha_i onto those of [Q]."""
     sys_ = P.system
     arq_p, arq_q = build_ar_quiver(P), build_ar_quiver(Q)
     cls_p, cls_q = arq_p.comm_class(), arq_q.comm_class()
-    end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
-    # each class position of [P] but alpha_i's -> the position of s_i beta in [Q]
-    to_q = {k: cls_q.position(sys_.reflect(b, i))
+    mirror = i is None
+    if mirror:
+        res, sign, end_p, end_q = sys_.w0_involution, -1, None, None
+    else:
+        res, sign = {j: j for j in sys_.w0_involution}, 1
+        end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
+    # each class position of [P] but alpha_i's -> the position of its root
+    # beta (the mirror) or of s_i beta (the reflection) in [Q]
+    to_q = {k: cls_q.position(b if mirror else sys_.reflect(b, i))
             for k, b in enumerate(cls_p.roots) if k != end_p}
     at = [(arq_p.coordinate(cls_p.roots[k]), arq_q.coordinate(cls_q.roots[m]))
           for k, m in to_q.items()]
+    covers_p = {(to_q[a], to_q[b])
+                for a, b in cls_p.heap_covers if end_p not in (a, b)}
+    # c[::-1] reverses a cover of [Q] for the mirror
+    covers_q = {c[::sign] for c in cls_q.heap_covers if end_q not in c}
 
-    def avoiding(cls, end):
-        return {(a, b) for a, b in cls.heap_covers if end not in (a, b)}
-
-    if any(i_p != i_q for (i_p, _), (i_q, _) in at):
-        broken = "a root's residue changed"
-    elif len({q - p for (_, p), (_, q) in at}) != 1:
-        broken = "the coordinates do not shift by one constant"
-    elif any(cls._below[k] and cls._above[k] for cls, k in ((cls_p, end_p), (cls_q, end_q))):
+    if any(res[i_p] != i_q for (i_p, _), (i_q, _) in at):
+        broken = ("the residues are not each other's *" if mirror
+                  else "a root's residue changed")
+    elif len({q - sign * p for (_, p), (_, q) in at}) != 1:
+        how = "sum to" if mirror else "shift by"
+        broken = f"the coordinates do not {how} one constant"
+    elif not mirror and any(cls._below[k] and cls._above[k]
+                            for cls, k in ((cls_p, end_p), (cls_q, end_q))):
         broken = f"alpha_{i} is not extremal in both heaps"
-    elif {(to_q[a], to_q[b]) for a, b in avoiding(cls_p, end_p)} != avoiding(cls_q, end_q):
-        broken = f"the heap covers that avoid alpha_{i} do not correspond"
+    elif covers_p != covers_q:
+        broken = ("the heap covers are not each other's reverse" if mirror
+                  else f"the heap covers that avoid alpha_{i} do not correspond")
     else:
         return
+    edge = "mirror" if mirror else "reflection"
     raise RuntimeError(
-        f"{Q.orientation_str()} is not the reflection of {P.orientation_str()} "
-        f"at {i}: {broken}"
+        f"{Q.orientation_str()} is not the {edge} of {P.orientation_str()}"
+        f"{'' if mirror else f' at {i}'}: {broken}"
     )
 
 
@@ -196,15 +185,15 @@ def _derivation_tree(system) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
+def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict:
     """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
     by the pairs of the slot.
 
     Only the root of ``_derivation_tree`` is computed from its class alone:
     the gdist of the first pair of every slot, or with check_all of every
     pair, which must agree.  Every other table is derived from its parent's,
-    each edge's premise checked on every call (``_check_mirror``,
-    ``_check_reflection``):
+    the premise of either edge checked on every call by one check
+    (``_check_edge``):
 
     - Reversal.  Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*,
       coordinate p -> C - p, heap reversed), so the table is the parent's
@@ -227,20 +216,21 @@ def _o_table(Q: DynkinQuiver, check_all: bool = False) -> dict:
 
     A table that reads gdist from a class leaves the class with an empty
     ``cache`` whether it returns or raises: only the table is read again.
+    check_all is positional and has no default, so the lru cache holds one
+    entry per (Q, bool).
     """
     edge = _derivation_tree(Q.system)[Q]
     if edge is None:
         return _slot_gdists(Q, check_all)
     P, i = edge
     parent = _o_table(P, check_all)
+    _check_edge(P, Q, i)
     if i is None:
-        _check_mirror(P, Q)
         star = Q.system.w0_involution
         return {
             (min(star[k], star[l]), max(star[k], star[l]), t): o
             for (k, l, t), o in parent.items()
         }
-    _check_reflection(P, Q, i)
     return _slot_gdists(Q, check_all, parent, i)
 
 
@@ -371,25 +361,9 @@ def denominator_closed_form(kind: str, n: int, k: int, l: int) -> DistancePolyno
     return DistancePolynomial.from_dict(d)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    quiver: str
-    mismatches: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def to_json(self) -> dict:
-        return {
-            "quiver": self.quiver,
-            "ok": self.ok,
-            "mismatches": list(self.mismatches),
-        }
-
-
-def verify_denominator(Q: DynkinQuiver, check_all: bool = False) -> VerificationReport:
-    """Compare d_{k,l} read off the quiver with the closed form, all k <= l."""
+def verify_denominator(Q: DynkinQuiver, check_all: bool = False) -> tuple[dict, ...]:
+    """The entries d_{k,l}, k <= l, read off the quiver that differ from the
+    closed form, each as {"k", "l", "computed", "expected"}."""
     sys_ = Q.system
     if sys_.kind not in ("A", "D"):
         raise UnsupportedType("closed forms are known for types A and D only")
@@ -400,7 +374,7 @@ def verify_denominator(Q: DynkinQuiver, check_all: bool = False) -> Verification
             bad.append(
                 {"k": e.k, "l": e.l, "computed": str(e.poly), "expected": str(want)}
             )
-    return VerificationReport(Q.orientation_str(), tuple(bad))
+    return tuple(bad)
 
 
 def conjecture_table(Q: DynkinQuiver, check_all: bool = False) -> tuple[DenominatorEntry, ...]:

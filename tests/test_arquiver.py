@@ -14,7 +14,7 @@ from rootseq.arquiver import (
 )
 from rootseq.cli import fixture_deltas, load_fixture
 from rootseq.rootsys import build_root_system
-from rootseq.words import CommClass, ReducedWord
+from rootseq.words import CommClass, ReducedWord, roots_of_word
 
 from conftest import in_class, word_from_root_order
 
@@ -108,6 +108,23 @@ def test_height_function_drops_along_arrows(a5):
     xi = height_function(Q)
     assert all(xi[b] == xi[a] - 1 for a, b in Q.arrows)
     assert xi[min(Q.sources())] == 0
+
+
+@pytest.mark.parametrize(
+    "kind,rank,limit",
+    [("A", n, None) for n in range(2, 7)] + [("D", n, None) for n in (4, 5, 6)]
+    + [("E", 6, None), ("E", 7, 8), ("E", 8, 8)],
+)
+def test_reading_is_the_vertices_by_p_descending_then_residue(kind, rank, limit):
+    """The reading's roots are the labels of the vertices sorted by
+    (-p, residue), and every arrow's head comes before its tail in it."""
+    for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), limit):
+        arq = build_ar_quiver(Q)
+        roots = roots_of_word(arq.reading())
+        order = sorted(arq.label, key=lambda v: (-v[1], v[0]))
+        assert roots == tuple(arq.label[v] for v in order), Q.orientation_str()
+        at = {r: k for k, r in enumerate(roots)}
+        assert all(at[arq.label[v]] < at[arq.label[u]] for u, v in arq.arrows)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 4), ("D", 5), ("E", 6)])

@@ -47,7 +47,7 @@ def test_polynomial_formatting():
 def test_a3_slots():
     Q = A3_MONO()
     by_slot = slots(build_ar_quiver(Q))
-    table = _o_table(Q, check_all=True)
+    table = _o_table(Q, True)
     # residues (1,1) at gap 2: two comparable pairs, both with gdist 1
     assert len(by_slot[(1, 1, 2)]) == 2
     assert table[(1, 1, 2)] == 1
@@ -104,14 +104,14 @@ def test_closed_form_d5():
 def test_all_orientations_match_closed_form(kind, rank):
     sys_ = build_root_system(kind, rank)
     for Q in all_orientations(sys_):
-        rep = verify_denominator(Q)
-        assert rep.ok, rep.to_json()
+        bad = verify_denominator(Q)
+        assert not bad, (Q.orientation_str(), bad)
 
 
 def test_check_all_well_definedness_spot():
     # exhaustive member check on a couple of small quivers
     for Q in itertools.islice(all_orientations(build_root_system("D", 4)), 2):
-        assert verify_denominator(Q, check_all=True).ok
+        assert verify_denominator(Q, check_all=True) == ()
 
 
 def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, capsys):
@@ -128,7 +128,7 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
     _o_table.cache_clear()
     try:
         with pytest.raises(WellDefinednessViolation) as err:
-            _o_table(Q, check_all=True)
+            _o_table(Q, True)
         assert _released(Q)
         message = str(err.value)
         assert Q.orientation_str() in message
@@ -141,6 +141,22 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
         assert "disagree" in capsys.readouterr().err
     finally:
         _o_table.cache_clear()
+
+
+def test_o_table_takes_check_all_by_position_only():
+    """check_all has no default and no keyword, so the lru cache holds one
+    entry per (Q, bool)."""
+    Q = A3_MONO()
+    _o_table.cache_clear()
+    with pytest.raises(TypeError):
+        _o_table(Q)
+    with pytest.raises(TypeError):
+        _o_table(Q, check_all=True)
+    assert _o_table.cache_info().currsize == 0
+    _o_table(Q, True)
+    _o_table(Q, True)
+    assert _o_table.cache_info().currsize == 1
+    _o_table.cache_clear()
 
 
 def _oracle_o_table(Q, check_all):
@@ -190,7 +206,7 @@ def test_o_table_matches_its_own_class(kind, rank, limit):
     if limit is not None:
         quivers += [Q for Q in _first_at_each_depth(system) if Q not in quivers]
     for Q in quivers:
-        assert _o_table(Q) == _oracle_o_table(Q, False), Q.orientation_str()
+        assert _o_table(Q, False) == _oracle_o_table(Q, False), Q.orientation_str()
         if kind != "E":
             assert _o_table(Q, True) == _oracle_o_table(Q, True), Q.orientation_str()
 
@@ -263,39 +279,10 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
 
     before = answers()
     assert not _released(Q)
-    _o_table(Q)
+    _o_table(Q, False)
     assert _released(Q)
     assert answers() == before
     _o_table.cache_clear()
-
-
-@pytest.mark.parametrize("fault", ["coordinate", "residue"])
-def test_mirror_check_names_both_orientations(monkeypatch, fault):
-    """A reversed quiver whose AR quiver is not the mirror of the other's
-    (one root moved by a monkeypatched coordinate) raises an error naming
-    both orientations instead of being relabelled."""
-    Q = A3_MONO()
-    R = Q.rev()
-    assert R.orientation_str() > Q.orientation_str()  # R is read off Q
-    moved = build_ar_quiver(R)
-    top = Q.system.highest_root
-    real = ARQuiver.coordinate
-
-    def coordinate(self, beta):
-        i, p = real(self, beta)
-        if self is moved and beta == top:
-            return (i, p + 2) if fault == "coordinate" else (i % 3 + 1, p)
-        return i, p
-
-    monkeypatch.setattr(ARQuiver, "coordinate", coordinate)
-    _o_table.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="not the mirror") as err:
-            _o_table(R)
-        assert Q.orientation_str() in str(err.value)
-        assert R.orientation_str() in str(err.value)
-    finally:
-        _o_table.cache_clear()
 
 
 def _reflected_a3():
@@ -307,33 +294,63 @@ def _reflected_a3():
     return P, Q
 
 
-@pytest.mark.parametrize("fault", ["coordinate", "residue"])
-def test_reflection_check_names_both_orientations_and_the_vertex(monkeypatch, fault):
-    """A reflected quiver whose AR quiver is not the other's reflected at i
-    (one root other than alpha_i moved by a monkeypatched coordinate or
-    residue) raises an error naming both orientations and i instead of
-    taking the parent's table."""
-    P, Q = _reflected_a3()
+# the broken premise each fault must be named by, per edge
+_EDGE_FAULTS = {
+    "mirror": {"coordinate": "sum to", "residue": "residue", "covers": "heap covers"},
+    "reflection": {"coordinate": "shift by", "residue": "residue",
+                   "covers": "heap covers", "extremal": "not extremal"},
+}
+
+
+@pytest.mark.parametrize("edge,fault", [
+    (edge, fault) for edge, faults in _EDGE_FAULTS.items() for fault in faults
+])
+def test_edge_check_names_both_orientations(monkeypatch, edge, fault):
+    """A derived quiver whose AR quiver is not its parent's mirrored, or
+    reflected at i, raises an error naming both orientations, i for a
+    reflection, and the broken premise, instead of taking the parent's
+    table.  Each fault is in the derived quiver alone: the highest root moved
+    by a monkeypatched coordinate or residue, one heap cover (that avoids
+    alpha_i) dropped, or alpha_i given a root on either side in the heap."""
+    if edge == "mirror":
+        P, i = A3_MONO(), None
+        Q = P.rev()
+        assert denom._derivation_tree(P.system)[Q] == (P, None)
+    else:
+        (P, Q), i = _reflected_a3(), 1
     moved = build_ar_quiver(Q)
+    cls = moved.comm_class()
+    end = None if i is None else cls.position(Q.system.simple_root(i))
     top = Q.system.highest_root
     real = ARQuiver.coordinate
 
     def coordinate(self, beta):
-        i, p = real(self, beta)
+        k, p = real(self, beta)
         if self is moved and beta == top:
-            return (i, p + 2) if fault == "coordinate" else (i % 3 + 1, p)
-        return i, p
+            return (k, p + 2) if fault == "coordinate" else (k % 3 + 1, p)
+        return k, p
 
-    monkeypatch.setattr(ARQuiver, "coordinate", coordinate)
+    if fault in ("coordinate", "residue"):
+        monkeypatch.setattr(ARQuiver, "coordinate", coordinate)
+    elif fault == "covers":
+        drop = next(c for c in cls.heap_covers if end not in c)
+        monkeypatch.setattr(cls, "heap_covers",
+                            tuple(c for c in cls.heap_covers if c != drop))
+    else:
+        other = 1 << (end + 1) % len(cls)
+        for store in ("_below", "_above"):
+            masks = list(getattr(cls, store))
+            masks[end] |= other
+            monkeypatch.setattr(cls, store, masks)
     _o_table.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match="not the reflection") as err:
-            _o_table(Q)
+        with pytest.raises(RuntimeError, match=f"not the {edge} of") as err:
+            _o_table(Q, False)
         message = str(err.value)
         assert P.orientation_str() in message
         assert Q.orientation_str() in message
-        assert " at 1: " in message
-        assert ("shift" if fault == "coordinate" else "residue") in message
+        assert (" at 1: " in message) == (edge == "reflection")
+        assert _EDGE_FAULTS[edge][fault] in message
     finally:
         _o_table.cache_clear()
 
@@ -360,9 +377,9 @@ def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
     )
     _o_table.cache_clear()
     try:
-        o = _o_table(Q)[key]  # without check_all the alpha pair is not read
+        o = _o_table(Q, False)[key]  # without check_all the alpha pair is not read
         with pytest.raises(WellDefinednessViolation) as err:
-            _o_table(Q, check_all=True)
+            _o_table(Q, True)
         assert _released(P) and _released(Q)
         message = str(err.value)
         assert Q.orientation_str() in message
