@@ -43,10 +43,12 @@ def main():
         for Q in arquiver.all_orientations(build_root_system(kind, rank)):
             digest.update(_table_text(Q).encode())
             count += 1
-        # the tables and AR quivers of one system are not needed again; the
-        # class caches were emptied as each table was finished, so this
-        # drops only the AR quivers and the finished tables
+        # the tables, slot counts and AR quivers of one system are not
+        # needed again; the class caches were emptied as each table was
+        # finished, so this drops only the AR quivers, the finished tables
+        # and their counts
         denom._o_table.cache_clear()
+        denom._slot_counts.cache_clear()
         arquiver._build_cached.cache_clear()
     e8 = arquiver.DynkinQuiver.from_arrows(build_root_system("E", 8), E8_REFERENCE)
     digest.update(_table_text(e8).encode())

@@ -9,7 +9,10 @@ Of each E7 and E8 orientation only the root of the derivation tree
 (``denom._derivation_tree``) has its o-table computed from its class alone;
 every other table is derived along a reversal or a reflection, whose premise
 is checked on every edge (63 in E7, 127 in E8), and the sweep fails unless
-every orientation gives one table."""
+every orientation gives one table.  With --check-all the A/D denominator
+sweeps and the E7 table compute the gdist of every pair of every slot; in E7
+that includes every alpha_i pair across each of the 62 reflection edges of
+the tree (the 63rd edge is the reversal).  The E8 table is run without it."""
 
 import argparse
 import sys
@@ -29,7 +32,8 @@ def main():
     sweep = ["--all-orientations"] + (["--check-all"] if args.check_all else [])
     runs = (
         [["denom", "verify", "--type", t, *sweep] for t in DENOM_TYPES]
-        + [["denom", "table", "--type", t, "--all-orientations"] for t in ("E7", "E8")]
+        + [["denom", "table", "--type", "E7", *sweep],
+           ["denom", "table", "--type", "E8", "--all-orientations"]]
         + [["verify", "rds-mul", "--type", t, "--all-orientations"]
            for t in RADIUS_TYPES]
         + [["verify", "dist-bound", "--type", t, "--all-orientations"]

@@ -184,6 +184,63 @@ def _derivation_tree(system) -> dict:
     return tree
 
 
+def _alpha_pairs(arq: ARQuiver, i: int) -> list:
+    """[(slot, pair)] over the comparable pairs of the AR quiver that
+    contain alpha_i, in the order of ``comparable_pairs``; alpha_i must be
+    extremal in the heap of its class, as ``_check_edge`` checks.
+
+    All are read off one mask: alpha_i's up-set when it is the heap's
+    minimum, for the pairs (alpha_i, beta), or its down-set when it is the
+    maximum, for the pairs (beta, alpha_i).  ``comparable_pairs`` lists
+    either kind by beta's position, as the mask's bits run."""
+    cls = arq.comm_class()
+    e = cls.position(arq.system.simple_root(i))
+    alpha = cls.roots[e]
+    k, p = arq.coordinate(alpha)
+    lowest = not cls._below[e]
+    rest = cls._above[e] if lowest else cls._below[e]
+    out = []
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        beta = cls.roots[low.bit_length() - 1]
+        kb, pb = arq.coordinate(beta)
+        out.append(((min(k, kb), max(k, kb), abs(p - pb)),
+                    (alpha, beta) if lowest else (beta, alpha)))
+    return out
+
+
+def _starred(table: dict, star: dict) -> dict:
+    """A table over slots relabelled (k, l, t) -> (k*, l*, t), k* <= l*."""
+    return {
+        (min(star[k], star[l]), max(star[k], star[l]), t): v
+        for (k, l, t), v in table.items()
+    }
+
+
+@lru_cache(maxsize=None)
+def _slot_counts(Q: DynkinQuiver) -> dict:
+    """{(k, l, t): the number of comparable pairs in the slot} over every
+    occupied slot, carried along ``_derivation_tree`` as the o-tables are:
+    the root's are counted off its slots, a reversal relabels its parent's
+    by w0, and a reflection at i takes its parent's less the parent's
+    alpha_i pairs plus its own.  They do not depend on check_all.  A
+    derived quiver's counts hold once its edge has passed ``_check_edge``,
+    which ``_o_table`` runs before it asks for them."""
+    edge = _derivation_tree(Q.system)[Q]
+    if edge is None:
+        return {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
+    P, i = edge
+    if i is None:
+        return _starred(_slot_counts(P), Q.system.w0_involution)
+    counts = dict(_slot_counts(P))
+    for key, _ in _alpha_pairs(build_ar_quiver(P), i):
+        counts[key] -= 1
+    for key, _ in _alpha_pairs(build_ar_quiver(Q), i):
+        counts[key] = counts.get(key, 0) + 1
+    return {key: n for key, n in counts.items() if n}
+
+
 @lru_cache(maxsize=None)
 def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict:
     """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
@@ -211,6 +268,16 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict:
       gdist of its first pair in [Q].  With check_all every alpha_i pair is
       computed and must agree with the carried value.
 
+    A reflection reads no pair but alpha_i's, on both sides of the edge:
+    each table's per-slot pair counts (``_slot_counts``) are carried along
+    the tree with it, so a slot holds a pair that avoids alpha_i exactly
+    when its count exceeds its number of alpha_i pairs.  Only the root's
+    slots are walked pair by pair, once for its table and once for its
+    counts; a derived table costs the edge check, the alpha_i pairs of
+    both classes (at most N each, N the number of positive roots) and one
+    pass over its slots.  Only a violation at a slot that takes the
+    parent's value walks the slots again, to name that slot's first pair.
+
     Without check_all a derived slot holds the gdist of a pair that need not
     be the first of its slot; the two agree on every well-defined slot.
 
@@ -226,40 +293,44 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict:
     parent = _o_table(P, check_all)
     _check_edge(P, Q, i)
     if i is None:
-        star = Q.system.w0_involution
-        return {
-            (min(star[k], star[l]), max(star[k], star[l]), t): o
-            for (k, l, t), o in parent.items()
-        }
+        return _starred(parent, Q.system.w0_involution)
     return _slot_gdists(Q, check_all, parent, i)
 
 
 def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, i=None) -> dict:
     """Q's o-table from its class; with a parent table, the table of the
-    parent's reflection at i (see ``_o_table``)."""
+    parent's reflection at i, from alpha_i's pairs and the carried counts
+    (see ``_o_table``)."""
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
-    if parent is not None:
-        # slots() yields the class's own root objects
-        alpha = cls.roots[cls.position(Q.system.simple_root(i))]
+    if parent is None:
+        # (slot, the pairs to read, whether the slot takes the parent's value)
+        todo = [(key, members, False) for key, members in slots(arq).items()]
+    else:
+        alpha_pairs: dict = {}
+        for key, ab in _alpha_pairs(arq, i):
+            alpha_pairs.setdefault(key, []).append(ab)
+        todo = [
+            (key, alpha_pairs.get(key, []), n > len(alpha_pairs.get(key, ())))
+            for key, n in _slot_counts(Q).items()
+        ]
     out = {}
     fmt = Q.system.format_root
     try:
-        for key, members in slots(arq).items():
-            vals = {}  # gdist -> the first pair that has it
-            if parent is not None:
-                carried = next(
-                    ((a, b) for a, b in members if a is not alpha and b is not alpha),
-                    None,
-                )
-                if carried:
-                    vals[parent[key]] = carried
-                members = [(a, b) for a, b in members if a is alpha or b is alpha]
+        for key, members, carried in todo:
+            # gdist -> the first pair that has it; the carried pair is named
+            # only if the slot disagrees
+            vals = {parent[key]: None} if carried else {}
             if not check_all:
-                members = [] if vals else members[:1]
+                members = [] if carried else members[:1]
             for a, b in members:
                 vals.setdefault(gdist(pair(cls, a, b)), (a, b))
             if len(vals) > 1:
+                if carried:
+                    alpha = Q.system.simple_root(i)
+                    vals[parent[key]] = next(
+                        ab for ab in slots(arq)[key] if alpha not in ab
+                    )
                 two = ", ".join(
                     f"({fmt(a)},{fmt(b)}) has gdist {g}"
                     for g, (a, b) in list(vals.items())[:2]

@@ -242,6 +242,65 @@ def test_derivation_tree_reaches_the_root(kind, rank):
         assert Q == root
 
 
+# the E8 orientation whose table scripts/otable_hash.py hashes
+E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
+
+
+def _path_to_root(Q):
+    """Q and its ancestors in the derivation tree, up to the root."""
+    tree = denom._derivation_tree(Q.system)
+    path = [Q]
+    while tree[path[-1]] is not None:
+        path.append(tree[path[-1]][0])
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_slot_counts_are_the_slot_sizes(kind, rank):
+    """The pair counts carried along the derivation tree, from cold, equal
+    the sizes of each quiver's own slots: on every orientation, and in E8 on
+    the path from the reference orientation to the root."""
+    system = build_root_system(kind, rank)
+    if rank == 8:
+        quivers = _path_to_root(DynkinQuiver.from_arrows(system, E8_REFERENCE))
+    else:
+        quivers = list(all_orientations(system))
+    denom._slot_counts.cache_clear()
+    for Q in quivers:
+        sizes = {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
+        assert denom._slot_counts(Q) == sizes, Q.orientation_str()
+    denom._slot_counts.cache_clear()
+
+
+def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
+    """Asking all 64 E7 o-tables from cold walks the comparable pairs of the
+    root alone, at most once for its table and once for its pair counts:
+    every derived table reads alpha_i's pairs only."""
+    system = build_root_system("E", 7)
+    walked = []
+    real = denom.comparable_pairs
+
+    def counted(arq):
+        walked.append(arq.quiver)
+        return real(arq)
+
+    monkeypatch.setattr(denom, "comparable_pairs", counted)
+    _o_table.cache_clear()
+    denom._slot_counts.cache_clear()
+    try:
+        for Q in all_orientations(system):
+            _o_table(Q, False)
+    finally:
+        _o_table.cache_clear()
+        denom._slot_counts.cache_clear()
+    assert set(walked) == {next(all_orientations(system))}
+    assert len(walked) <= 2
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
 def test_o_tables_do_not_depend_on_query_order(kind, rank):
     """Asking Q before Q^rev or Q^rev before Q, from cold AR quivers and
