@@ -3,9 +3,13 @@
 of A2-A8, D4-D8, E6 and E7, and of the E8 reference orientation
 3>1,3>4,4>2,4>5,5>6,6>7,7>8.
 
-Prints one line: the number of tables, the sum of o_t over the E8 table and
-a sha256 over all tables.  Two versions of the library that print the same
-line compute the same o-tables.  Run with ``PYTHONPATH=src``.
+Prints two lines.  The first gives the number of tables, the sum of o_t over
+the E8 table and a sha256 over all tables.  The second gives a sha256 over
+the AR quiver and commutation class of every orientation hashed: the labels
+in insertion order, mQ, the arrows, the class's roots and its heap covers.
+Two versions of the library that print the same first line compute the same
+o-tables; the same second line, the same AR quivers and heaps.  Run with
+``PYTHONPATH=src``.
 
 Of each system only the root of the derivation tree (the first orientation
 of ``all_orientations``) has its o-table computed from its class alone;
@@ -36,12 +40,23 @@ def _table_text(Q) -> str:
     return f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {body}\n"
 
 
+def _structure_text(Q) -> str:
+    arq = arquiver.build_ar_quiver(Q)
+    cls = arq.comm_class()
+    labels = ";".join(f"{i},{p}:{r.coeffs}" for (i, p), r in arq.label.items())
+    roots = ";".join(str(r.coeffs) for r in cls.roots)
+    return (f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {labels} "
+            f"{sorted(arq.mQ.items())} {arq.arrows} {roots} {cls.heap_covers}\n")
+
+
 def main():
     digest = hashlib.sha256()
+    structures = hashlib.sha256()
     count = 0
     for kind, rank in SYSTEMS:
         for Q in arquiver.all_orientations(build_root_system(kind, rank)):
             digest.update(_table_text(Q).encode())
+            structures.update(_structure_text(Q).encode())
             count += 1
         # the tables, slot counts and AR quivers of one system are not
         # needed again; the class caches were emptied as each table was
@@ -52,9 +67,11 @@ def main():
         arquiver._build_cached.cache_clear()
     e8 = arquiver.DynkinQuiver.from_arrows(build_root_system("E", 8), E8_REFERENCE)
     digest.update(_table_text(e8).encode())
+    structures.update(_structure_text(e8).encode())
     count += 1
     e8_sum = sum(denom._o_table(e8, False).values())
     print(f"tables {count}  E8 sum o_t {e8_sum}  sha256 {digest.hexdigest()}")
+    print(f"AR quivers and classes {count}  sha256 {structures.hexdigest()}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Dynkin quiver orientations, Coxeter elements and the labeled AR quiver."""
+"""Dynkin quiver orientations and the labeled AR quiver, knitted by the mesh rule."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootsys import PosRoot, RootSystem, build_root_system
-from .words import CommClass, ReducedWord, act
+from .words import CommClass, ReducedWord
 
 
 class BadOrientation(ValueError):
@@ -68,13 +68,6 @@ def all_orientations(system: RootSystem):
         yield DynkinQuiver(system, arrows)
 
 
-def coxeter_word(Q: DynkinQuiver) -> ReducedWord:
-    """The source-to-sink word of the Coxeter element tau_Q: the vertices by
-    height xi descending, then by index (xi drops by 1 along every arrow)."""
-    xi = height_function(Q)
-    return ReducedWord(tuple(sorted(xi, key=lambda i: (-xi[i], i))), Q.system)
-
-
 def gamma(Q: DynkinQuiver, i: int) -> PosRoot:
     """gamma_i = sum of alpha_j over vertices j with a directed path to i."""
     back = {i}
@@ -119,35 +112,48 @@ class ARQuiver:
         self.quiver = quiver
         self.system = quiver.system
         sys_ = self.system
-        self.xi = height_function(quiver)
-        cox = coxeter_word(quiver).letters
+        n = sys_.rank
+        self.xi = xi = height_function(quiver)
+        adj = {
+            i: [j for j in range(1, n + 1) if sys_.cartan[i - 1][j - 1] == -1]
+            for i in range(1, n + 1)
+        }
+        # Knit right to left by the mesh rule: tau_Q(M) + M is the sum of
+        # the labels (j, p-1), j ~ i, present, for every non-projective
+        # M at (i, p).  At the projective the sum is M - alpha_i, so the
+        # first vector with a negative entry ends the row.
+        at = {(i, xi[i]): gamma(quiver, i).coeffs for i in range(1, n + 1)}
+        low = dict(xi)  # the smallest p knitted so far in each row
+        open_rows = set(range(1, n + 1))
+        p = max(xi.values())
+        while open_rows:
+            # the level p-1 is complete: it was knitted from the level p+1
+            for i in [i for i in open_rows if low[i] == p]:
+                v = [-c for c in at[(i, p)]]
+                for j in adj[i]:
+                    u = at.get((j, p - 1))
+                    if u is not None:
+                        v = [a + b for a, b in zip(v, u)]
+                if min(v) < 0:
+                    open_rows.discard(i)
+                else:
+                    at[(i, p - 2)] = tuple(v)
+                    low[i] = p - 2
+            p -= 1
         label: dict[tuple[int, int], PosRoot] = {}
-        mQ: dict[int, int] = {}
-        for i in range(1, sys_.rank + 1):
-            g = gamma(quiver, i)
-            p = self.xi[i]
-            label[(i, p)] = g
-            k = 0
-            cur = g
-            while True:
-                nxt = act(sys_, cox, cur.coeffs)  # tau_Q
-                if min(nxt) < 0:
-                    break
-                k += 1
-                cur = sys_.root(nxt)
-                label[(i, p - 2 * k)] = cur
-            mQ[i] = k
-        self.mQ = mQ
+        for i in range(1, n + 1):
+            for q in range(xi[i], low[i] - 1, -2):
+                label[(i, q)] = sys_.root(at[(i, q)])
+        self.mQ = {i: (xi[i] - low[i]) // 2 for i in range(1, n + 1)}
         self.label = label
         self.vertex_of = {r: v for v, r in label.items()}
         if len(self.vertex_of) != sys_.N:
             raise RuntimeError("phi_Q failed to be a bijection onto the positive roots")
-        cartan = sys_.cartan  # -1 iff the nodes are adjacent
         self.arrows = tuple(
             ((i, p), (j, p + 1))
             for (i, p) in label
-            for j in range(1, sys_.rank + 1)
-            if cartan[i - 1][j - 1] == -1 and (j, p + 1) in label
+            for j in adj[i]
+            if (j, p + 1) in label
         )
 
     def coordinate(self, beta: PosRoot) -> tuple[int, int]:

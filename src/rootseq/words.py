@@ -41,15 +41,6 @@ class ReducedWord:
         return "s" + ".s".join(str(i) for i in self.letters)
 
 
-def act(system: RootSystem, letters, vec):
-    """Apply the Weyl group element s_{i1}...s_{it} to a coefficient vector
-    (rightmost reflection acts first)."""
-    v = vec.coeffs if isinstance(vec, PosRoot) else tuple(vec)
-    for i in reversed(letters):
-        v = system.reflect(v, i)
-    return PosRoot(v) if isinstance(vec, PosRoot) else v
-
-
 def roots_of_word(word: ReducedWord) -> tuple[PosRoot, ...]:
     """beta_k = s_{i1}...s_{i(k-1)}(alpha_{ik}); raises NotReduced on a repeat
     or a sign change."""
@@ -113,27 +104,28 @@ class CommClass:
         self.roots = roots_of_word(representative)  # may raise NotReduced
         letters = representative.letters
         t = len(letters)
-        cartan = self.system.cartan  # nonzero iff the letters do not commute
+        # per letter (0-based), the letters that do not commute with it: itself
+        # and its Dynkin neighbours, where the Cartan matrix is nonzero
+        touch = [[j for j, a in enumerate(row) if a] for row in self.system.cartan]
+        last = [-1] * len(touch)  # the last position scanned of each letter
         covers: list[tuple[int, int]] = []
         # strict reachability as bitmasks over positions; a cover (p, q) has
         # p < q, so below[p] is complete when q is scanned
         below = [0] * t  # positions strictly before q in every member
-        for q in range(t):
-            row = cartan[letters[q] - 1]
-            hit: set[int] = set()
-            for p in range(q - 1, -1, -1):
-                if row[letters[p] - 1] and letters[p] not in hit:
-                    covers.append((p, q))
-                    hit.add(letters[p])
-                    below[q] |= (1 << p) | below[p]
+        for q, i in enumerate(letters):
+            # each earlier occurrence of a letter lies below its last one
+            for p in sorted((last[j] for j in touch[i - 1] if last[j] >= 0),
+                            reverse=True):
+                covers.append((p, q))
+                below[q] |= (1 << p) | below[p]
+            last[i - 1] = q
         self.heap_covers = tuple(covers)
         self._below = below
-        self._above = [0] * t
-        for q, m in enumerate(below):
-            while m:
-                low = m & -m
-                m ^= low
-                self._above[low.bit_length() - 1] |= 1 << q
+        # covers by q descending: above[q] is complete when (p, q) is read
+        above = [0] * t
+        for p, q in reversed(covers):
+            above[p] |= (1 << q) | above[q]
+        self._above = above
         self._pos_of_root = {r: k for k, r in enumerate(self.roots)}
         if len(self._pos_of_root) != t:
             raise NotReduced("repeated root in word")

@@ -1,8 +1,33 @@
 import pytest
 
+from rootseq.arquiver import height_function
 from rootseq.orders import coarse_less
-from rootseq.rootsys import build_root_system
-from rootseq.words import NotReduced, ReducedWord, act, roots_of_word
+from rootseq.rootsys import PosRoot, build_root_system
+from rootseq.words import NotReduced, ReducedWord, roots_of_word
+
+
+# -- the reflection oracle ----------------------------------------------
+# The library applies no Weyl group element to build AR quivers or roots;
+# these helpers do, so that tests can check it against the definitions.
+
+def act(system, letters, vec):
+    """Apply the Weyl group element s_{i1}...s_{it} to a coefficient vector
+    (rightmost reflection acts first)."""
+    v = vec.coeffs if isinstance(vec, PosRoot) else tuple(vec)
+    for i in reversed(letters):
+        v = system.reflect(v, i)
+    return PosRoot(v) if isinstance(vec, PosRoot) else v
+
+
+def coxeter_word(Q):
+    """The source-to-sink word of the Coxeter element tau_Q: the vertices by
+    height xi descending, then by index (xi drops by 1 along every arrow)."""
+    xi = height_function(Q)
+    return ReducedWord(tuple(sorted(xi, key=lambda i: (-xi[i], i))), Q.system)
+
+
+# a reduced word of w0 in A5 adapted to no orientation
+NON_ADAPTED_A5 = (1, 2, 3, 5, 4, 3, 1, 2, 3, 5, 4, 3, 1, 2, 3)
 
 
 def word_from_root_order(system, root_texts):

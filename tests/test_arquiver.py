@@ -6,7 +6,6 @@ from rootseq.arquiver import (
     DynkinQuiver,
     all_orientations,
     build_ar_quiver,
-    coxeter_word,
     find_quiver,
     gamma,
     height_function,
@@ -16,7 +15,7 @@ from rootseq.cli import fixture_deltas, load_fixture
 from rootseq.rootsys import build_root_system
 from rootseq.words import CommClass, ReducedWord, roots_of_word
 
-from conftest import in_class, word_from_root_order
+from conftest import NON_ADAPTED_A5, act, coxeter_word, in_class, word_from_root_order
 
 # golden readings for the A5 quiver 1>2, 3>2, 3>4, 4>5
 A5_Q = ((1, 2), (3, 2), (3, 4), (4, 5))
@@ -43,11 +42,6 @@ D4_READINGS = [
 
 def _quiver(system, arrows):
     return DynkinQuiver.from_arrows(system, arrows)
-
-
-def NON_ADAPTED_A5(a5):
-    """A reduced word of w0 in A5 adapted to no orientation."""
-    return ReducedWord((1, 2, 3, 5, 4, 3, 1, 2, 3, 5, 4, 3, 1, 2, 3), a5)
 
 
 def test_orientation_must_cover_tree(a5):
@@ -142,6 +136,45 @@ def test_label_bijection_every_orientation(kind, rank):
             assert len(rows[i]) == arq.mQ[i] + 1
 
 
+def _ar_quiver_by_reflections(Q):
+    """The labels (in insertion order: by residue, then p descending), mQ
+    and arrows of Gamma_Q from the definition: row i starts at gamma_i at
+    (i, xi_i) and steps left by tau_Q = act(cox) until a root turns
+    negative."""
+    sys_ = Q.system
+    xi = height_function(Q)
+    cox = coxeter_word(Q).letters
+    label, mQ = {}, {}
+    for i in range(1, sys_.rank + 1):
+        cur, p = gamma(Q, i), xi[i]
+        label[(i, p)] = cur
+        while min(nxt := act(sys_, cox, cur.coeffs)) >= 0:
+            cur, p = sys_.root(nxt), p - 2
+            label[(i, p)] = cur
+        mQ[i] = (xi[i] - p) // 2
+    arrows = tuple(
+        ((i, p), (j, p + 1))
+        for (i, p) in label
+        for j in range(1, sys_.rank + 1)
+        if sys_.cartan[i - 1][j - 1] == -1 and (j, p + 1) in label
+    )
+    return list(label.items()), mQ, arrows
+
+
+@pytest.mark.parametrize(
+    "kind,rank,limit",
+    [("A", n, None) for n in range(1, 9)] + [("D", n, None) for n in range(4, 8)]
+    + [("E", 6, None), ("E", 7, None), ("E", 8, 16)],
+)
+def test_mesh_rule_labels_match_tau_q(kind, rank, limit):
+    """The labels knitted by the mesh rule, mQ and the arrows are those of
+    the reflection oracle, in the same order."""
+    for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), limit):
+        arq = build_ar_quiver(Q)
+        got = (list(arq.label.items()), arq.mQ, arq.arrows)
+        assert got == _ar_quiver_by_reflections(Q), Q.orientation_str()
+
+
 def test_mq_sum_is_number_of_roots(a5, d4, e6):
     for sys_ in (a5, d4, e6):
         for Q in itertools.islice(all_orientations(sys_), 4):
@@ -155,7 +188,7 @@ def test_a5_canonical_readings(a5):
     for order in A5_READINGS:
         assert in_class(cls, word_from_root_order(a5, order))
     # a non-adapted word of w0 is not a reading
-    assert not in_class(cls, NON_ADAPTED_A5(a5))
+    assert not in_class(cls, ReducedWord(NON_ADAPTED_A5, a5))
 
 
 def test_d4_canonical_readings(d4):
@@ -173,7 +206,7 @@ def test_find_quiver_roundtrip(a5, d4, e6):
 
 
 def test_non_adapted_class_has_no_quiver(a5):
-    w = NON_ADAPTED_A5(a5)
+    w = ReducedWord(NON_ADAPTED_A5, a5)
     assert find_quiver(CommClass(w)) is None
     assert not any(is_adapted(w, Q) for Q in all_orientations(a5))
 

@@ -10,7 +10,7 @@ from rootseq.rootsys import (
     dynkin_edges,
 )
 
-from conftest import longest_word
+from conftest import act, longest_word
 
 SMALL = [("A", 2), ("A", 5), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
 
@@ -95,8 +95,6 @@ def test_w0_involution_is_diagram_automorphism(kind, rank):
 
 
 def test_w0_involution_matches_longest_word(d4, e6):
-    from rootseq.words import act
-
     for sys_ in (d4, e6, build_root_system("A", 4)):
         w0 = longest_word(sys_)
         for i in range(1, sys_.rank + 1):

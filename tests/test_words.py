@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootseq.rootsys import build_root_system
-from rootseq.words import CommClass, NotReduced, ReducedWord, act, roots_of_word
+from rootseq.words import CommClass, NotReduced, ReducedWord, roots_of_word
 
-from conftest import class_by_swaps, in_class, longest_word
+from conftest import NON_ADAPTED_A5, act, class_by_swaps, in_class, longest_word
 
 A5_WORD = (1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4)
 A5_ORDER = ("[1]", "[3]", "[1,3]", "[2,3]", "[3,4]", "[1,4]", "[2,4]", "[4]",
@@ -217,6 +217,49 @@ def test_reachability_is_closure_of_covers(kind, rank):
             (cls._above[p] >> q & 1) == (cls._below[q] >> p & 1)
             for p in range(t) for q in range(t)
         ), w
+
+
+def _heap_by_backward_scan(cls):
+    """heap_covers, _below and _above by the O(t^2) definition: q is
+    covered by the last earlier occurrence of each letter that does not
+    commute with its own, listed by position descending."""
+    letters, cartan = cls.representative.letters, cls.system.cartan
+    t = len(letters)
+    covers, below = [], [0] * t
+    for q in range(t):
+        hit = set()
+        for p in range(q - 1, -1, -1):
+            if cartan[letters[q] - 1][letters[p] - 1] and letters[p] not in hit:
+                hit.add(letters[p])
+                covers.append((p, q))
+                below[q] |= (1 << p) | below[p]
+    above = [sum(1 << q for q in range(t) if below[q] >> p & 1) for p in range(t)]
+    return tuple(covers), below, above
+
+
+def test_heap_covers_are_the_last_occurrences():
+    """The covers read off the last occurrences, and the masks built from
+    them, equal the backward scan: on every AR quiver reading of A2-A6,
+    D4-D6 and E6, every member of one A4 class, a word adapted to no
+    orientation and a reduced word shorter than w0."""
+    from rootseq.arquiver import all_orientations, build_ar_quiver
+
+    words = []
+    for kind, rank in [("A", n) for n in range(2, 7)] + [
+        ("D", 4), ("D", 5), ("D", 6), ("E", 6)
+    ]:
+        words += [build_ar_quiver(Q).reading()
+                  for Q in all_orientations(build_root_system(kind, rank))]
+    a4 = build_root_system("A", 4)
+    members = list(CommClass(longest_word(a4)).linear_extensions())
+    assert len(members) > 1
+    words += members
+    words.append(ReducedWord(NON_ADAPTED_A5, build_root_system("A", 5)))
+    e6 = build_root_system("E", 6)
+    words.append(ReducedWord(longest_word(e6).letters[:20], e6))  # shorter than w0
+    for w in words:
+        cls = CommClass(w)
+        assert (cls.heap_covers, cls._below, cls._above) == _heap_by_backward_scan(cls), w
 
 
 def test_longest_class_is_adapted_reading():
