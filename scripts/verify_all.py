@@ -7,12 +7,12 @@ distance bounds (A2-A5, D4, D5).  Exits non-zero unless every run exits 0.
 
 Of each E7 and E8 orientation only the root of the derivation tree
 (``denom._derivation_tree``) has its o-table computed from its class alone;
-every other table is derived along a reversal or a reflection, whose premise
-is checked on every edge (63 in E7, 127 in E8), and the sweep fails unless
-every orientation gives one table.  With --check-all the A/D denominator
-sweeps and the E7 table compute the gdist of every pair of every slot; in E7
-that includes every alpha_i pair across each of the 62 reflection edges of
-the tree (the 63rd edge is the reversal).  The E8 table is run without it."""
+every other table is derived along a reflection at a sink or source, whose
+premise is checked on every edge (63 in E7, 127 in E8), and the sweep fails
+unless every orientation gives one table.  With --check-all the A/D
+denominator sweeps and the E7 table compute the gdist of every pair of every
+slot; in E7 that includes every alpha_i pair across each of the 63 edges of
+the tree.  The E8 table is run without it."""
 
 import argparse
 import sys

@@ -376,7 +376,8 @@ def cmd_denom(args):
             if not 1 <= v <= rank:
                 raise UsageError(f"{name} {v} is outside 1..{rank}, the rank")
         p = distance_polynomial(Q, args.k, args.l, check_all=args.check_all)
-        _show(args, {"k": args.k, "l": args.l, "factors": p.to_json()}, str(p))
+        _show(args, {"k": args.k, "l": args.l, "factors": p.to_json()},
+              p.format(args.format))
         return 0
     if args.action == "table":
         quivers = _quivers(args, lambda system: [next(all_orientations(system))])
@@ -388,6 +389,8 @@ def cmd_denom(args):
               _table_text(entries, latex=args.format == "latex"))
         return 0
     # verify
+    if args.format == "latex":
+        raise UsageError("denom verify has no --format latex, only text or json")
     reports = [(Q.orientation_str(), verify_denominator(Q, check_all=args.check_all))
                for Q in _quivers(args, lambda system: [_quiver(args)])]
     _show(args,

@@ -111,73 +111,59 @@ def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
     return out
 
 
-def _check_edge(P: DynkinQuiver, Q: DynkinQuiver, i: int | None) -> None:
-    """Raise unless Gamma_Q is Gamma_P across one edge of the derivation tree.
-
-    The reversal (i is None): each root's residue in Gamma_Q is the * of its
-    residue in Gamma_P, its two coordinates p sum to one constant, and the
-    heap covers of [Q] are those of [P] reversed.  The reflection at P's sink
-    or source i: each root beta != alpha_i of [P] is s_i beta in [Q] with the
-    same residue, all coordinates p shift by one constant, alpha_i is
-    extremal in the heaps of both classes, and s_i maps the heap covers of
-    [P] that avoid alpha_i onto those of [Q]."""
+def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
+    """Raise unless Gamma_Q is Gamma_P reflected at P's sink or source i:
+    each root beta != alpha_i of [P] is s_i beta in [Q] with the same
+    residue, all coordinates p shift by one constant, alpha_i is extremal in
+    the heaps of both classes, and s_i maps the heap covers of [P] that
+    avoid alpha_i onto those of [Q]."""
     sys_ = P.system
     arq_p, arq_q = build_ar_quiver(P), build_ar_quiver(Q)
     cls_p, cls_q = arq_p.comm_class(), arq_q.comm_class()
-    mirror = i is None
-    if mirror:
-        res, sign, end_p, end_q = sys_.w0_involution, -1, None, None
-    else:
-        res, sign = {j: j for j in sys_.w0_involution}, 1
-        end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
-    # each class position of [P] but alpha_i's -> the position of its root
-    # beta (the mirror) or of s_i beta (the reflection) in [Q]
-    to_q = {k: cls_q.position(b if mirror else sys_.reflect(b, i))
+    end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
+    # each class position of [P] but alpha_i's -> the position of s_i beta in [Q]
+    to_q = {k: cls_q.position(sys_.reflect(b, i))
             for k, b in enumerate(cls_p.roots) if k != end_p}
     at = [(arq_p.coordinate(cls_p.roots[k]), arq_q.coordinate(cls_q.roots[m]))
           for k, m in to_q.items()]
     covers_p = {(to_q[a], to_q[b])
                 for a, b in cls_p.heap_covers if end_p not in (a, b)}
-    # c[::-1] reverses a cover of [Q] for the mirror
-    covers_q = {c[::sign] for c in cls_q.heap_covers if end_q not in c}
+    covers_q = {c for c in cls_q.heap_covers if end_q not in c}
 
-    if any(res[i_p] != i_q for (i_p, _), (i_q, _) in at):
-        broken = ("the residues are not each other's *" if mirror
-                  else "a root's residue changed")
-    elif len({q - sign * p for (_, p), (_, q) in at}) != 1:
-        how = "sum to" if mirror else "shift by"
-        broken = f"the coordinates do not {how} one constant"
-    elif not mirror and any(cls._below[k] and cls._above[k]
-                            for cls, k in ((cls_p, end_p), (cls_q, end_q))):
+    if any(i_p != i_q for (i_p, _), (i_q, _) in at):
+        broken = "a root's residue changed"
+    elif len({q - p for (_, p), (_, q) in at}) != 1:
+        broken = "the coordinates do not shift by one constant"
+    elif any(cls._below[k] and cls._above[k]
+             for cls, k in ((cls_p, end_p), (cls_q, end_q))):
         broken = f"alpha_{i} is not extremal in both heaps"
     elif covers_p != covers_q:
-        broken = ("the heap covers are not each other's reverse" if mirror
-                  else f"the heap covers that avoid alpha_{i} do not correspond")
+        broken = f"the heap covers that avoid alpha_{i} do not correspond"
     else:
         return
-    edge = "mirror" if mirror else "reflection"
     raise RuntimeError(
-        f"{Q.orientation_str()} is not the {edge} of {P.orientation_str()}"
-        f"{'' if mirror else f' at {i}'}: {broken}"
+        f"{Q.orientation_str()} is not the reflection of {P.orientation_str()}"
+        f" at {i}: {broken}"
     )
 
 
 @lru_cache(maxsize=None)
 def _derivation_tree(system) -> dict:
     """{Q: (P, i)} over every orientation Q of the system: the parent P whose
-    o-table Q's is derived from, along the reversal (i = None) or the
-    reflection at P's sink or source i; the root maps to None.
+    o-table Q's is derived from, along the reflection at P's sink or source
+    i; the root maps to None.
 
     A breadth-first tree from the root ``next(all_orientations(system))``
-    whose edges from each P are tried in a fixed order: P^rev first, then
-    s_i P for P's sinks and sources in ascending i.  It depends on the
+    whose edges from each P are s_i P for P's sinks and sources in ascending
+    i.  The reflections at sinks and sources connect every orientation of a
+    tree-shaped Dynkin diagram, Q^rev included.  The tree depends on the
     system alone, so no table depends on the order of the queries."""
     root = next(all_orientations(system))
     tree = {root: None}
     frontier = [root]
     for P in frontier:  # appended to while read: breadth first
-        for i in (None, *sorted(P.sinks() + P.sources())):
-            Q = P.rev() if i is None else P.reflect(i)
+        for i in sorted(P.sinks() + P.sources()):
+            Q = P.reflect(i)
             if Q not in tree:
                 tree[Q] = (P, i)
                 frontier.append(Q)
@@ -187,7 +173,7 @@ def _derivation_tree(system) -> dict:
 def _alpha_pairs(arq: ARQuiver, i: int) -> list:
     """[(slot, pair)] over the comparable pairs of the AR quiver that
     contain alpha_i, in the order of ``comparable_pairs``; alpha_i must be
-    extremal in the heap of its class, as ``_check_edge`` checks.
+    extremal in the heap of its class, as ``_check_reflection`` checks.
 
     All are read off one mask: alpha_i's up-set when it is the heap's
     minimum, for the pairs (alpha_i, beta), or its down-set when it is the
@@ -210,79 +196,39 @@ def _alpha_pairs(arq: ARQuiver, i: int) -> list:
     return out
 
 
-def _starred(table: dict, star: dict) -> dict:
-    """A table over slots relabelled (k, l, t) -> (k*, l*, t), k* <= l*."""
-    return {
-        (min(star[k], star[l]), max(star[k], star[l]), t): v
-        for (k, l, t), v in table.items()
-    }
-
-
 @lru_cache(maxsize=None)
-def _slot_counts(Q: DynkinQuiver) -> dict:
-    """{(k, l, t): the number of comparable pairs in the slot} over every
-    occupied slot, carried along ``_derivation_tree`` as the o-tables are:
-    the root's are counted off its slots, a reversal relabels its parent's
-    by w0, and a reflection at i takes its parent's less the parent's
-    alpha_i pairs plus its own.  They do not depend on check_all.  A
-    derived quiver's counts hold once its edge has passed ``_check_edge``,
-    which ``_o_table`` runs before it asks for them."""
-    edge = _derivation_tree(Q.system)[Q]
-    if edge is None:
-        return {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
-    P, i = edge
-    if i is None:
-        return _starred(_slot_counts(P), Q.system.w0_involution)
-    counts = dict(_slot_counts(P))
-    for key, _ in _alpha_pairs(build_ar_quiver(P), i):
-        counts[key] -= 1
-    for key, _ in _alpha_pairs(build_ar_quiver(Q), i):
-        counts[key] = counts.get(key, 0) + 1
-    return {key: n for key, n in counts.items() if n}
-
-
-@lru_cache(maxsize=None)
-def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict:
-    """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
-    by the pairs of the slot.
+def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
+    """({(k, l, t): o_t}, {(k, l, t): n}) over every occupied slot, k <= l:
+    the gdist shared by the pairs of the slot, and their number.
 
     Only the root of ``_derivation_tree`` is computed from its class alone:
     the gdist of the first pair of every slot, or with check_all of every
-    pair, which must agree.  Every other table is derived from its parent's,
-    the premise of either edge checked on every call by one check
-    (``_check_edge``):
+    pair, which must agree, and the size of every slot, both in one walk of
+    its comparable pairs.  Every other table is derived from its parent's
+    along the reflection at the parent's sink or source i
+    (Bernstein-Gelfand-Ponomarev), its premise checked on every call
+    (``_check_reflection``).  Alpha_i leaves one end of the heap and comes
+    back at the other; every other root beta becomes s_i beta with the same
+    residue, the same coordinate gaps and the same heap.  Alpha_i lies
+    strictly between no two roots, so a pair that avoids it has the same
+    interval, up to s_i, and the same gdist in both classes.  A slot holding
+    such a pair takes the parent's value; a slot whose pairs all contain
+    alpha_i takes the gdist of its first pair in [Q].  With check_all every
+    alpha_i pair is computed and must agree with the carried value.
 
-    - Reversal.  Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*,
-      coordinate p -> C - p, heap reversed), so the table is the parent's
-      relabelled (k, l, t) -> (k*, l*, t).  Every member of [Q^rev] is a
-      member of [Q] read backwards, which swaps the first and the last
-      differing position of two sequences; bi-lex asks for both, so the
-      coarse order, simplicity and gdist of every sequence are unchanged.
-    - Reflection at a sink or source i (Bernstein-Gelfand-Ponomarev).
-      Alpha_i leaves one end of the heap and comes back at the other; every
-      other root beta becomes s_i beta with the same residue, the same
-      coordinate gaps and the same heap.  Alpha_i lies strictly between no
-      two roots, so a pair that avoids it has the same interval, up to s_i,
-      and the same gdist in both classes.  A slot holding such a pair takes
-      the parent's value; a slot whose pairs all contain alpha_i takes the
-      gdist of its first pair in [Q].  With check_all every alpha_i pair is
-      computed and must agree with the carried value.
-
-    A reflection reads no pair but alpha_i's, on both sides of the edge:
-    each table's per-slot pair counts (``_slot_counts``) are carried along
-    the tree with it, so a slot holds a pair that avoids alpha_i exactly
-    when its count exceeds its number of alpha_i pairs.  Only the root's
-    slots are walked pair by pair, once for its table and once for its
-    counts; a derived table costs the edge check, the alpha_i pairs of
-    both classes (at most N each, N the number of positive roots) and one
-    pass over its slots.  Only a violation at a slot that takes the
-    parent's value walks the slots again, to name that slot's first pair.
+    A reflection reads no pair but alpha_i's, on both sides of the edge: its
+    counts are the parent's less the parent's alpha_i pairs plus its own,
+    and a slot holds a pair that avoids alpha_i exactly when its count
+    exceeds its number of alpha_i pairs.  A derived table costs the edge
+    check, the alpha_i pairs of both classes (at most N each, N the number
+    of positive roots) and one pass over its slots.  Only a violation at a
+    slot that takes the parent's value walks the slots again, to name that
+    slot's first pair that avoids alpha_i.
 
     Without check_all a derived slot holds the gdist of a pair that need not
-    be the first of its slot; the two agree on every well-defined slot.
+    be the first of its slot; the two agree on every well-defined slot.  The
+    counts do not depend on check_all.
 
-    A table that reads gdist from a class leaves the class with an empty
-    ``cache`` whether it returns or raises: only the table is read again.
     check_all is positional and has no default, so the lru cache holds one
     entry per (Q, bool).
     """
@@ -291,28 +237,36 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict:
         return _slot_gdists(Q, check_all)
     P, i = edge
     parent = _o_table(P, check_all)
-    _check_edge(P, Q, i)
-    if i is None:
-        return _starred(parent, Q.system.w0_involution)
-    return _slot_gdists(Q, check_all, parent, i)
+    _check_reflection(P, Q, i)
+    return _slot_gdists(Q, check_all, parent, P, i)
 
 
-def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, i=None) -> dict:
-    """Q's o-table from its class; with a parent table, the table of the
-    parent's reflection at i, from alpha_i's pairs and the carried counts
-    (see ``_o_table``)."""
+def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, P=None, i=None):
+    """Q's o-table and pair counts from its class; with the parent P's, those
+    of P's reflection at i, from alpha_i's pairs in both classes (see
+    ``_o_table``).
+
+    A table that reads gdist from a class leaves the class with an empty
+    ``cache`` whether it returns or raises: only the table is read again."""
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
     if parent is None:
+        by_slot = slots(arq)
+        counts = {key: len(members) for key, members in by_slot.items()}
         # (slot, the pairs to read, whether the slot takes the parent's value)
-        todo = [(key, members, False) for key, members in slots(arq).items()]
+        todo = [(key, members, False) for key, members in by_slot.items()]
     else:
+        table_p, counts = parent[0], dict(parent[1])
+        for key, _ in _alpha_pairs(build_ar_quiver(P), i):
+            counts[key] -= 1
         alpha_pairs: dict = {}
         for key, ab in _alpha_pairs(arq, i):
+            counts[key] = counts.get(key, 0) + 1
             alpha_pairs.setdefault(key, []).append(ab)
+        counts = {key: n for key, n in counts.items() if n}
         todo = [
             (key, alpha_pairs.get(key, []), n > len(alpha_pairs.get(key, ())))
-            for key, n in _slot_counts(Q).items()
+            for key, n in counts.items()
         ]
     out = {}
     fmt = Q.system.format_root
@@ -320,7 +274,7 @@ def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, i=None) -> dict:
         for key, members, carried in todo:
             # gdist -> the first pair that has it; the carried pair is named
             # only if the slot disagrees
-            vals = {parent[key]: None} if carried else {}
+            vals = {table_p[key]: None} if carried else {}
             if not check_all:
                 members = [] if carried else members[:1]
             for a, b in members:
@@ -328,7 +282,7 @@ def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, i=None) -> dict:
             if len(vals) > 1:
                 if carried:
                     alpha = Q.system.simple_root(i)
-                    vals[parent[key]] = next(
+                    vals[table_p[key]] = next(
                         ab for ab in slots(arq)[key] if alpha not in ab
                     )
                 two = ", ".join(
@@ -344,7 +298,7 @@ def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, i=None) -> dict:
         # every entry depends on the class alone: dropping it costs only
         # recomputation, never a different answer
         cls.cache = ClassCache()
-    return out
+    return out, counts
 
 
 def _distance_polynomials(
@@ -355,10 +309,10 @@ def _distance_polynomials(
 
     Only the root of the derivation tree has its table computed from its
     class alone; any other of the two is derived from its parent's along a
-    reversal or a reflection (see ``_o_table``)."""
+    reflection (see ``_o_table``)."""
     n = Q.system.rank
     exps = {(k, l): {} for k in range(1, n + 1) for l in range(k, n + 1)}
-    for table in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
+    for table, _ in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
         for (k, l, t), o in table.items():
             d = exps[k, l]
             d[t] = max(d.get(t, 0), o)

@@ -72,8 +72,8 @@ class ClassCache:
     it, so every caller may share it, and dropping it costs only
     recomputation.  Enumerations are stored whole and checked against each
     caller's cap on the way out (see ``seqcalc``).  The working state of an
-    o-table lasts only as long as the table: ``denom._o_table`` replaces the
-    cache of the class it computes from when it returns or raises.
+    o-table lasts only as long as the table: ``denom._slot_gdists`` replaces
+    the cache of the class it computes from when it returns or raises.
     """
 
     __slots__ = ("weights", "intervals", "pairs", "simple", "chains", "packed",

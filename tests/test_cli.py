@@ -88,6 +88,20 @@ def test_denom_poly_and_table(capsys):
     assert d13["correction"] and d13["factors"] == [{"t": 4, "mult": 1}]
 
 
+def test_denom_poly_latex(capsys):
+    code, out, _ = run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3",
+                       "--k", "1", "--l", "2", "--format", "latex")
+    assert code == 0 and out.strip() == "(z+q^{3})"
+
+
+def test_denom_verify_has_no_latex(capsys):
+    """denom verify reports in text or JSON; asked for LaTeX it exits 2 and
+    names the format instead of printing text."""
+    code, out, err = run(capsys, "denom", "verify", "--type", "A3",
+                         "--all-orientations", "--format", "latex")
+    assert code == 2 and out == "" and "--format latex" in err
+
+
 def test_denom_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "denom", "verify", "--type", "A3", "--all-orientations")
     assert code == 0

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,10 +51,10 @@ def test_polynomial_formatting():
 def test_a3_slots():
     Q = A3_MONO()
     by_slot = slots(build_ar_quiver(Q))
-    table = _o_table(Q, True)
+    table, counts = _o_table(Q, True)
     # residues (1,1) at gap 2: two comparable pairs, both with gdist 1
     assert len(by_slot[(1, 1, 2)]) == 2
-    assert table[(1, 1, 2)] == 1
+    assert table[(1, 1, 2)] == 1 and counts[(1, 1, 2)] == 2
     # residue 2 holds a single pair at gap 2
     assert len(by_slot[(2, 2, 2)]) == 1
     assert table[(2, 2, 2)] == 1
@@ -160,17 +164,19 @@ def test_o_table_takes_check_all_by_position_only():
 
 
 def _oracle_o_table(Q, check_all):
-    """Q's o-table recomputed from Q's own AR quiver over a new class of it,
-    with nothing in its cache: the gdist of the first pair of every slot, or
-    with check_all of every pair of the slot, which must agree."""
+    """Q's o-table and slot sizes recomputed from Q's own AR quiver over a
+    new class of it, with nothing in its cache: the gdist of the first pair
+    of every slot, or with check_all of every pair of the slot, which must
+    agree, and the number of pairs of every slot."""
     arq = build_ar_quiver(Q)
     cls = CommClass(arq.reading())
-    out = {}
+    out, sizes = {}, {}
     for key, members in slots(arq).items():
         vals = {gdist(pair(cls, a, b)) for a, b in (members if check_all else members[:1])}
         assert len(vals) == 1, (Q.orientation_str(), key)
         out[key] = vals.pop()
-    return out
+        sizes[key] = len(members)
+    return out, sizes
 
 
 def _depth(tree, Q):
@@ -198,8 +204,9 @@ def _first_at_each_depth(system):
 )
 def test_o_table_matches_its_own_class(kind, rank, limit):
     """Whether an o-table is computed from its class or derived from its
-    parent's, it equals the table recomputed from the quiver's own class;
-    with check_all too (A and D).  E7 is checked on its first orientations
+    parent's, it equals the table recomputed from the quiver's own class,
+    and its pair counts equal the sizes of the quiver's own slots; with
+    check_all too (A and D).  E7 is checked on its first orientations
     and on the first orientation at each depth of its derivation tree."""
     system = build_root_system(kind, rank)
     quivers = list(itertools.islice(all_orientations(system), limit))
@@ -219,8 +226,7 @@ def test_o_table_matches_its_own_class(kind, rank, limit):
 def test_derivation_tree_reaches_the_root(kind, rank):
     """The derivation tree holds every orientation; from each, the parents
     lead to the root ``next(all_orientations)`` without a cycle, and every
-    edge is the reversal or the reflection at a sink or source of the
-    parent."""
+    edge is the reflection at a sink or source of the parent."""
     system = build_root_system(kind, rank)
     tree = denom._derivation_tree(system)
     quivers = list(all_orientations(system))
@@ -231,11 +237,8 @@ def test_derivation_tree_reaches_the_root(kind, rank):
         seen = {Q}
         while tree[Q] is not None:
             P, i = tree[Q]
-            if i is None:
-                assert Q == P.rev(), Q.orientation_str()
-            else:
-                assert i in P.sinks() + P.sources(), (P.orientation_str(), i)
-                assert Q == P.reflect(i), (P.orientation_str(), i)
+            assert i in P.sinks() + P.sources(), (P.orientation_str(), i)
+            assert Q == P.reflect(i), (P.orientation_str(), i)
             assert P not in seen, P.orientation_str()
             seen.add(P)
             Q = P
@@ -261,25 +264,28 @@ def _path_to_root(Q):
     + [("E", n) for n in (6, 7, 8)],
 )
 def test_slot_counts_are_the_slot_sizes(kind, rank):
-    """The pair counts carried along the derivation tree, from cold, equal
-    the sizes of each quiver's own slots: on every orientation, and in E8 on
-    the path from the reference orientation to the root."""
+    """The pair counts carried with the o-tables along the derivation tree,
+    from cold, equal the sizes of each quiver's own slots: on every
+    orientation, and in E8 on the path from the reference orientation to the
+    root."""
     system = build_root_system(kind, rank)
     if rank == 8:
         quivers = _path_to_root(DynkinQuiver.from_arrows(system, E8_REFERENCE))
     else:
         quivers = list(all_orientations(system))
-    denom._slot_counts.cache_clear()
-    for Q in quivers:
-        sizes = {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
-        assert denom._slot_counts(Q) == sizes, Q.orientation_str()
-    denom._slot_counts.cache_clear()
+    _o_table.cache_clear()
+    try:
+        for Q in quivers:
+            sizes = {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
+            assert _o_table(Q, False)[1] == sizes, Q.orientation_str()
+    finally:
+        _o_table.cache_clear()
 
 
 def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
     """Asking all 64 E7 o-tables from cold walks the comparable pairs of the
-    root alone, at most once for its table and once for its pair counts:
-    every derived table reads alpha_i's pairs only."""
+    root alone, once for its table and its pair counts together: every
+    derived table reads alpha_i's pairs only."""
     system = build_root_system("E", 7)
     walked = []
     real = denom.comparable_pairs
@@ -290,15 +296,67 @@ def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
 
     monkeypatch.setattr(denom, "comparable_pairs", counted)
     _o_table.cache_clear()
-    denom._slot_counts.cache_clear()
     try:
         for Q in all_orientations(system):
             _o_table(Q, False)
     finally:
         _o_table.cache_clear()
-        denom._slot_counts.cache_clear()
-    assert set(walked) == {next(all_orientations(system))}
-    assert len(walked) <= 2
+    assert walked == [next(all_orientations(system))]
+
+
+def _starred(table: dict, star: dict) -> dict:
+    """A table over slots relabelled (k, l, t) -> (k*, l*, t), k* <= l*."""
+    return {
+        (min(star[k], star[l]), max(star[k], star[l]), t): v
+        for (k, l, t), v in table.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)]
+    + [("E", 6), ("E", 7)],
+)
+def test_reversed_table_is_the_w0_relabelling(kind, rank):
+    """Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*, coordinate
+    p -> C - p, heap reversed), and bi-lex asks for both the first and the
+    last differing position, so Q^rev's o-table and pair counts are Q's
+    relabelled (k, l, t) -> (k*, l*, t) by the w0 involution.  Q and Q^rev
+    are reached along different reflection paths of the derivation tree, so
+    this compares two derivations: on every orientation, with check_all too
+    (A and D)."""
+    system = build_root_system(kind, rank)
+    star = system.w0_involution
+    for Q in all_orientations(system):
+        for check_all in (False, True) if kind != "E" else (False,):
+            table, counts = _o_table(Q, check_all)
+            assert _o_table(Q.rev(), check_all) == (
+                _starred(table, star), _starred(counts, star)
+            ), Q.orientation_str()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_otable_hash_is_unchanged():
+    """scripts/otable_hash.py prints the hashes of the o-tables of 599
+    orientations and of their AR quivers and classes, as computed when every
+    table was read off its own class: a change to the derivation of the
+    tables cannot pass while changing any of them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "otable_hash.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "tables 599  E8 sum o_t 871  sha256 "
+        "6aa548b3201f42871a0019b94f380fdf73d31b57aae4f9d5beb72f24515de858",
+        "AR quivers and classes 599  sha256 "
+        "a386c576fedbb5cf0238d29a6213ff95b0a8a1590bfc9e560f73b7626a127ac3",
+    ]
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
@@ -353,33 +411,23 @@ def _reflected_a3():
     return P, Q
 
 
-# the broken premise each fault must be named by, per edge
-_EDGE_FAULTS = {
-    "mirror": {"coordinate": "sum to", "residue": "residue", "covers": "heap covers"},
-    "reflection": {"coordinate": "shift by", "residue": "residue",
-                   "covers": "heap covers", "extremal": "not extremal"},
-}
+# the broken premise each fault must be named by
+_EDGE_FAULTS = {"coordinate": "shift by", "residue": "residue",
+                "covers": "heap covers", "extremal": "not extremal"}
 
 
-@pytest.mark.parametrize("edge,fault", [
-    (edge, fault) for edge, faults in _EDGE_FAULTS.items() for fault in faults
-])
-def test_edge_check_names_both_orientations(monkeypatch, edge, fault):
-    """A derived quiver whose AR quiver is not its parent's mirrored, or
-    reflected at i, raises an error naming both orientations, i for a
-    reflection, and the broken premise, instead of taking the parent's
-    table.  Each fault is in the derived quiver alone: the highest root moved
-    by a monkeypatched coordinate or residue, one heap cover (that avoids
-    alpha_i) dropped, or alpha_i given a root on either side in the heap."""
-    if edge == "mirror":
-        P, i = A3_MONO(), None
-        Q = P.rev()
-        assert denom._derivation_tree(P.system)[Q] == (P, None)
-    else:
-        (P, Q), i = _reflected_a3(), 1
+@pytest.mark.parametrize("fault", _EDGE_FAULTS, ids=lambda fault: f"reflection-{fault}")
+def test_edge_check_names_both_orientations(monkeypatch, fault):
+    """A derived quiver whose AR quiver is not its parent's reflected at i
+    raises an error naming both orientations, i and the broken premise,
+    instead of taking the parent's table.  Each fault is in the derived
+    quiver alone: the highest root moved by a monkeypatched coordinate or
+    residue, one heap cover (that avoids alpha_i) dropped, or alpha_i given
+    a root on either side in the heap."""
+    (P, Q), i = _reflected_a3(), 1
     moved = build_ar_quiver(Q)
     cls = moved.comm_class()
-    end = None if i is None else cls.position(Q.system.simple_root(i))
+    end = cls.position(Q.system.simple_root(i))
     top = Q.system.highest_root
     real = ARQuiver.coordinate
 
@@ -403,13 +451,13 @@ def test_edge_check_names_both_orientations(monkeypatch, edge, fault):
             monkeypatch.setattr(cls, store, masks)
     _o_table.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match=f"not the {edge} of") as err:
+        with pytest.raises(RuntimeError, match="not the reflection of") as err:
             _o_table(Q, False)
         message = str(err.value)
         assert P.orientation_str() in message
         assert Q.orientation_str() in message
-        assert (" at 1: " in message) == (edge == "reflection")
-        assert _EDGE_FAULTS[edge][fault] in message
+        assert " at 1: " in message
+        assert _EDGE_FAULTS[fault] in message
     finally:
         _o_table.cache_clear()
 
@@ -436,7 +484,7 @@ def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
     )
     _o_table.cache_clear()
     try:
-        o = _o_table(Q, False)[key]  # without check_all the alpha pair is not read
+        o = _o_table(Q, False)[0][key]  # without check_all the alpha pair is not read
         with pytest.raises(WellDefinednessViolation) as err:
             _o_table(Q, True)
         assert _released(P) and _released(Q)
