@@ -177,10 +177,19 @@ class ARQuiver:
         return ReducedWord(tuple(i for i, _ in order), self.system)
 
     def comm_class(self) -> CommClass:
+        """The class [Q] of the reading, with its roots read off the labels:
+        the reading takes each row right to left, so the k-th letter i of
+        it is the vertex (i, xi_i - 2k)."""
         try:
             return self._comm_class
         except AttributeError:
-            self._comm_class = CommClass(self.reading())
+            word = self.reading()
+            p = dict(self.xi)  # the p of the next vertex of each row
+            roots = []
+            for i in word.letters:
+                roots.append(self.label[(i, p[i])])
+                p[i] -= 2
+            self._comm_class = CommClass(word, tuple(roots))
             return self._comm_class
 
     def to_json(self) -> dict:

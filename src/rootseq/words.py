@@ -95,13 +95,21 @@ class CommClass:
     Positions are 0-based internally.  ``prec(a, b)`` is the strict convex
     partial order: true iff a comes before b in every member of the class.
     ``cache`` holds what the library has computed over the class.
+
+    ``roots``, when given, must be the roots of the representative in its
+    order, as ``roots_of_word`` would compute them; only
+    ``ARQuiver.comm_class`` supplies them, from the labels of Gamma_Q.
+    Without them ``roots_of_word`` computes them and raises ``NotReduced``
+    on a word that is not reduced.  Either way a root that occurs twice
+    raises ``NotReduced``.
     """
 
-    def __init__(self, representative: ReducedWord):
+    def __init__(self, representative: ReducedWord,
+                 roots: tuple[PosRoot, ...] | None = None):
         self.cache = ClassCache()
         self.representative = representative
         self.system = representative.system
-        self.roots = roots_of_word(representative)  # may raise NotReduced
+        self.roots = roots_of_word(representative) if roots is None else roots
         letters = representative.letters
         t = len(letters)
         # per letter (0-based), the letters that do not commute with it: itself

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from rootseq.arquiver import (
+    ARQuiver,
     DynkinQuiver,
     all_orientations,
     build_ar_quiver,
@@ -13,7 +14,7 @@ from rootseq.arquiver import (
 )
 from rootseq.cli import fixture_deltas, load_fixture
 from rootseq.rootsys import build_root_system
-from rootseq.words import CommClass, ReducedWord, roots_of_word
+from rootseq.words import CommClass, NotReduced, ReducedWord, roots_of_word
 
 from conftest import NON_ADAPTED_A5, act, coxeter_word, in_class, word_from_root_order
 
@@ -119,6 +120,41 @@ def test_reading_is_the_vertices_by_p_descending_then_residue(kind, rank, limit)
         assert roots == tuple(arq.label[v] for v in order), Q.orientation_str()
         at = {r: k for k, r in enumerate(roots)}
         assert all(at[arq.label[v]] < at[arq.label[u]] for u, v in arq.arrows)
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8)],
+)
+def test_class_of_gamma_q_has_the_roots_of_its_reading(kind, rank):
+    """The class of Gamma_Q takes its roots from the labels, never from
+    roots_of_word, so this is their oracle on every orientation: they are
+    the roots of the representative, which is the reading."""
+    for Q in all_orientations(build_root_system(kind, rank)):
+        arq = build_ar_quiver(Q)
+        cls = arq.comm_class()
+        assert cls.representative == arq.reading(), Q.orientation_str()
+        assert cls.roots == roots_of_word(arq.reading()), Q.orientation_str()
+
+
+def test_ar_quiver_class_does_not_recompute_its_roots(a5, monkeypatch):
+    """A class built from Gamma_Q takes its roots from the labels; a plain
+    word still goes through roots_of_word and its NotReduced check."""
+    import rootseq.words
+
+    def refuse(word):
+        raise AssertionError(f"roots_of_word({word!r}) on the AR-quiver path")
+
+    with monkeypatch.context() as m:
+        m.setattr(rootseq.words, "roots_of_word", refuse)
+        for kind, rank in (("A", 5), ("D", 5), ("E", 7)):
+            Q = next(all_orientations(build_root_system(kind, rank)))
+            arq = ARQuiver(Q)  # a fresh one, not the cached one
+            order = sorted(arq.label, key=lambda v: (-v[1], v[0]))
+            assert arq.comm_class().roots == tuple(arq.label[v] for v in order)
+    with pytest.raises(NotReduced):
+        CommClass(ReducedWord((1, 1), a5))
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 4), ("D", 5), ("E", 6)])
