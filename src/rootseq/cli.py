@@ -33,12 +33,12 @@ from .seqcalc import (
     DEFAULT_CAP,
     NotInDomain,
     PartitionCap,
-    dist,
     dist_chain,
     gdist_chain,
     good_neighbors,
     is_simple,
     minimal_sequences,
+    pair_dist,
     radius,
     socle,
     socle_candidates,
@@ -456,12 +456,12 @@ def cmd_verify(args):
                 raise UsageError("dist-bound applies to types A and D")
             for i in range(len(cls)):
                 for j in range(i + 1, len(cls)):
-                    p = pair(cls, cls.roots[i], cls.roots[j])
-                    d = dist(p)
+                    d = pair_dist(cls, i, j)
                     if d > bound:
                         failures.append({
                             "quiver": Q.orientation_str(),
-                            "pair": str(p), "dist": d, "bound": bound,
+                            "pair": str(pair(cls, cls.roots[i], cls.roots[j])),
+                            "dist": d, "bound": bound,
                         })
     else:  # fixtures
         for name in (args.fixture,) if args.fixture else ("e6", "e7", "e8"):

@@ -95,14 +95,18 @@ def pair(cls: CommClass, alpha, beta) -> RootSequence:
 
 def _member_positions(seq: RootSequence, member: ReducedWord | None):
     """Class positions listed in the order the given member visits them;
-    computed once per member and kept in the class cache."""
+    computed once per member and kept in the class cache under its letters
+    (a tuple hashes in C, the word dataclass in Python).  A member over
+    another root system raises ValueError."""
     cls = seq.cls
     if member is None:
         return range(len(cls))
-    order = cls.cache.members.get(member)
+    if member.system is not cls.system:
+        raise ValueError("the member lives over a different root system")
+    order = cls.cache.members.get(member.letters)
     if order is None:  # an error leaves nothing in the cache
         order = [cls.position(r) for r in roots_of_word(member)]
-        cls.cache.members[member] = order
+        cls.cache.members[member.letters] = order
     return order
 
 

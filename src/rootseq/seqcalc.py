@@ -10,6 +10,9 @@ lengths, the packed roots of the partition search) are kept in the class's
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
+
 from .orders import RootSequence, coarse_less
 from .rootsys import PosRoot
 from .words import CommClass
@@ -175,15 +178,16 @@ def sequences_of_weight(
     return _enumerated(cls, cls.cache.weights, weight, everywhere, weight, cap)
 
 
-def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
-    """Unordered pairs of distinct roots of the class with the given total
-    weight, by ascending first position.
+def _pairs(cls: CommClass, weight) -> tuple[tuple[int, int], ...]:
+    """The position pairs (i, j), i < j, of distinct roots of the class with
+    the given total weight, by ascending i; kept in ``cache.pairs``.
 
     They are read off the packed roots of the partition search: for each
     root, one subtraction from the packed weight, a guard-bit test and one
     lookup of the rest among the packed roots.  A pair weight is nonnegative
     and fits the fields that every pair weight shares (twice the largest
-    root coefficient); no pair sums to any other weight.
+    root coefficient); no pair sums to any other weight.  Each root is in at
+    most one pair of a weight, so the pairs have distinct first positions.
     """
     weight = tuple(weight)
     store = cls.cache.pairs
@@ -199,11 +203,50 @@ def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
                 if rest & zero == zero:
                     j = index.get(rest ^ zero)
                     if j is not None and i < j:
-                        counts = [0] * len(cls)
-                        counts[i] = counts[j] = 1
-                        out.append(RootSequence(cls, tuple(counts)))
+                        out.append((i, j))
         store[weight] = tuple(out)
     return store[weight]
+
+
+def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
+    """Unordered pairs of distinct roots of the class with the given total
+    weight, by ascending first position: the position pairs of ``_pairs``
+    as sequences."""
+    return tuple(_pair_sequence(cls, i, j) for i, j in _pairs(cls, weight))
+
+
+def _pair_sequence(cls: CommClass, i: int, j: int) -> RootSequence:
+    """The pair of the roots at class positions i and j."""
+    counts = [0] * len(cls)
+    counts[i] = counts[j] = 1
+    return RootSequence(cls, tuple(counts))
+
+
+def _pair_below(cls: CommClass, p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """The pair at positions p is coarse-below the pair at positions q, for
+    two distinct pairs of one weight.
+
+    Such pairs share no root (a shared root forces the other to be equal),
+    so the four positions all differ, and by ``coarse_less`` p is below q
+    exactly when neither root of p is heap-minimal or heap-maximal among the
+    four: each has one of the four positions below it and one above it.
+    """
+    below, above = cls._below, cls._above
+    i, j = p
+    four = 1 << i | 1 << j | 1 << q[0] | 1 << q[1]
+    return bool(below[i] & four and above[i] & four
+                and below[j] & four and above[j] & four)
+
+
+def _root_below_pair(cls: CommClass, g: int, p: tuple[int, int]) -> bool:
+    """The one-root sequence at position g is coarse-below the pair at
+    positions p of its weight (which cannot hold g): by ``coarse_less``, g
+    is neither heap-minimal nor heap-maximal among the three positions, so
+    one root of the pair is below it and one above it.  (The two roots sum
+    to gamma, so gamma lies between them in every convex order, and either
+    both masks meet the pair or neither does.)"""
+    two = 1 << p[0] | 1 << p[1]
+    return bool(cls._below[g] & two and cls._above[g] & two)
 
 
 def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
@@ -344,15 +387,6 @@ def minimal_sequences(
 # -- distances ----------------------------------------------------------
 
 
-def _dist_pool(cls: CommClass, weight) -> list[RootSequence]:
-    """The non-simple pairs of the weight."""
-    return [
-        p
-        for p in pairs_of_weight(cls, weight)
-        if not is_simple_pair(cls, *p.positions())
-    ]
-
-
 def _gdist_pool(seq: RootSequence, cap: int):
     """The function listing the pool of the gdist chains ending at seq (the
     non-simple sequences at most seq), or None when seq is simple.  A pair's
@@ -371,44 +405,71 @@ def _gdist_pool(seq: RootSequence, cap: int):
     return lambda: [m for m in _at_most(seq, cap) if not is_simple(m)]
 
 
-def _longest_chain(seq: RootSequence, pool, cache_tag) -> tuple[RootSequence, ...]:
-    """A longest coarse chain ending at seq inside the list that ``pool()``
-    returns (it must hold seq); the memo is read first, and ``pool`` called
-    only when it lacks seq.
+def _longest_chain(target, pool, memo: dict, key, less) -> tuple:
+    """A longest chain under ``less`` ending at target inside the list that
+    ``pool()`` returns (it must hold target); the memo is read first, and
+    ``pool`` called only when it lacks target.
 
-    A coarse-smaller sequence has lexicographically smaller counts: the
-    first position where two sequences differ is heap-minimal among the
+    ``key`` places a member in count order and names it in the memo: the
+    counts of a sequence, ``_count_order`` of a position pair.  A
+    coarse-smaller sequence has lexicographically smaller counts: the first
+    position where two sequences differ is heap-minimal among the
     differences, and there the smaller one has the smaller count.  So one
-    pass over the pool in count order, up to seq, settles each member from
-    the members before it: it extends the first member, in count order, of
-    the longest chains coarse-below it.  The memo holds, for each settled
+    pass over the pool in count order, up to target, settles each member
+    from the members before it: it extends the first member, in count
+    order, of the longest chains below it.  The memo holds, for each settled
     member, the member it extends (None at the start of a chain).  Every
-    member below a member is below seq, so it is in the pool, and the
+    member below a member is below target, so it is in the pool, and the
     predecessor does not depend on the pool it was found in.
     """
-    memo = seq.cls.cache.chains.setdefault(cache_tag, {})
-    target = seq.counts
-    if target not in memo:
-        length = {}  # counts -> longest chain ending there, in this pass
+    last = key(target)
+    if last not in memo:
+        length = {}  # key -> longest chain ending there, in this pass
         done = []  # (member, its longest chain), in count order
-        for m in sorted(pool(), key=lambda m: m.counts):
-            if m.counts > target:
+        for m in sorted(pool(), key=key):
+            k = key(m)
+            if k > last:
                 break
-            if m.counts in memo:
-                pred = memo[m.counts]
-                best = 0 if pred is None else length[pred.counts]
+            if k in memo:
+                pred = memo[k]
+                best = 0 if pred is None else length[key(pred)]
             else:
                 pred, best = None, 0
                 for x, v in done:
-                    if v > best and coarse_less(x, m):
+                    if v > best and less(x, m):
                         pred, best = x, v
-                memo[m.counts] = pred
-            length[m.counts] = best + 1
+                memo[k] = pred
+            length[k] = best + 1
             done.append((m, best + 1))
-    chain = [seq]
-    while (pred := memo[chain[-1].counts]) is not None:
+    chain = [target]
+    while (pred := memo[key(chain[-1])]) is not None:
         chain.append(pred)
     return tuple(reversed(chain))
+
+
+def _count_order(p: tuple[int, int]) -> tuple[int, int]:
+    """The key in count order of the pair at positions i < j: a smaller
+    first position puts a 1 earlier in the counts, and for one first
+    position a smaller second one does."""
+    return -p[0], -p[1]
+
+
+def _dist_chain(cls: CommClass, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """dist_chain of the pair at class positions i and j, as position pairs
+    (i < j): a chain DP over the non-simple pairs of its weight, compared
+    by ``_pair_below``, with the memo keyed by ``_count_order``."""
+    if i > j:
+        i, j = j, i
+    if is_simple_pair(cls, i, j):
+        return ()
+    wt = _pair_weight(cls, i, j)
+    return _longest_chain(
+        (i, j),
+        lambda: [p for p in _pairs(cls, wt) if not is_simple_pair(cls, *p)],
+        cls.cache.chains.setdefault(("dist", wt), {}),
+        _count_order,
+        partial(_pair_below, cls),
+    )
 
 
 def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
@@ -417,16 +478,20 @@ def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
     if not _is_pair(seq):
         raise NotInDomain("dist is defined for pairs")
     cls = seq.cls
-    if is_simple_pair(cls, *seq.positions()):
-        return ()
-    wt = seq.weight()
-    return _longest_chain(seq, lambda: _dist_pool(cls, wt), ("dist", wt))
+    return tuple(_pair_sequence(cls, *p) for p in _dist_chain(cls, *seq.positions()))
+
+
+def pair_dist(cls: CommClass, i: int, j: int) -> int:
+    """dist of the pair at class positions i and j."""
+    return len(_dist_chain(cls, i, j))
 
 
 def dist(seq: RootSequence) -> int:
     """Longest chain of non-simple equal-weight pairs ending at the pair,
     counted by cardinality; 0 for a simple pair."""
-    return len(dist_chain(seq))
+    if not _is_pair(seq):
+        raise NotInDomain("dist is defined for pairs")
+    return pair_dist(seq.cls, *seq.positions())
 
 
 def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence, ...]:
@@ -435,7 +500,8 @@ def gdist_chain(seq: RootSequence, cap: int = DEFAULT_CAP) -> tuple[RootSequence
     pool = _gdist_pool(seq, cap)
     if pool is None:
         return ()
-    return _longest_chain(seq, pool, ("gdist", seq.weight()))
+    memo = seq.cls.cache.chains.setdefault(("gdist", seq.weight()), {})
+    return _longest_chain(seq, pool, memo, attrgetter("counts"), coarse_less)
 
 
 def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
@@ -447,37 +513,34 @@ def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
 # -- good neighbors and length -----------------------------------------
 
 
-def _eta_condition(
-    pp: RootSequence, p: RootSequence, threshold: int | None = None
-) -> bool:
-    """Condition (i) of good adjacency: a root eta transfers between the two
-    pairs in one of the two directions, with both mixed pairs strictly closer
-    than the threshold (the dist of the pair whose neighbors are collected;
-    dist(p) when checking a single adjacency).  In each pair the first slot
-    is the root earlier in the class order."""
-    cls = p.cls
-    d = dist(p) if threshold is None else threshold
-    pp_roots, p_roots = pp.support(), p.support()
+def _eta_condition(cls: CommClass, pp, p, threshold: int) -> bool:
+    """Condition (i) of good adjacency of the pairs at positions pp and p
+    (each ascending): a root eta transfers between the two pairs in one of
+    the two directions, with both mixed pairs strictly closer than the
+    threshold (the dist of the pair whose neighbors are collected; dist(p)
+    when checking a single adjacency).  In each pair the first slot is the
+    root earlier in the class order."""
+    roots = cls.roots
+    pp_roots, p_roots = (roots[pp[0]], roots[pp[1]]), (roots[p[0]], roots[p[1]])
     # eta + b2 = b1 and eta + a1 = a2, from pp to p and from p to pp
     for (a1, b1), (a2, b2) in ((pp_roots, p_roots), (p_roots, pp_roots)):
         eta = b1 - b2
         if eta == a2 - a1 and cls.system.is_positive_root(eta):
-            q1, q2 = _mk_pair(cls, eta, b2), _mk_pair(cls, eta, a1)
-            if q1 is not None and q2 is not None and dist(q1) < d and dist(q2) < d:
+            q1, q2 = _pair_of_roots(cls, eta, b2), _pair_of_roots(cls, eta, a1)
+            if (q1 is not None and q2 is not None and pair_dist(cls, *q1) < threshold
+                    and pair_dist(cls, *q2) < threshold):
                 return True
     return False
 
 
-def _mk_pair(cls: CommClass, r1: PosRoot, r2: PosRoot) -> RootSequence | None:
+def _pair_of_roots(cls: CommClass, r1: PosRoot, r2: PosRoot) -> tuple[int, int] | None:
+    """The positions of two distinct roots of the class, or None."""
     if r1 == r2:
         return None
     try:
-        i, j = cls.position(r1), cls.position(r2)
+        return cls.position(r1), cls.position(r2)
     except KeyError:
         return None
-    counts = [0] * len(cls)
-    counts[i] = counts[j] = 1
-    return RootSequence(cls, tuple(counts))
 
 
 def good_adjacent(
@@ -488,19 +551,28 @@ def good_adjacent(
     weight sits strictly between them.
 
     A pair satisfying the eta condition against p automatically has the
-    weight of p, so the exclusion clause reduces to the betweenness check."""
+    weight of p, so pairs of two weights are never adjacent, and the
+    exclusion clause reduces to the betweenness check, a scan of the
+    position pairs of the weight with the four-mask test."""
     if not (_is_pair(pp) and _is_pair(p)):
         raise NotInDomain("good adjacency is defined for pairs")
-    if not coarse_less(pp, p):
+    if pp.cls is not p.cls:
+        raise ValueError("sequences live over different commutation classes")
+    wt = p.weight()
+    if pp.weight() != wt:
         return False
-    if not _eta_condition(pp, p, threshold):
+    cls = p.cls
+    low, top = tuple(pp.positions()), tuple(p.positions())
+    if not _pair_below(cls, low, top):
         return False
-    for q in pairs_of_weight(p.cls, p.weight()):
-        if q.counts in (p.counts, pp.counts):
-            continue
-        if coarse_less(pp, q) and coarse_less(q, p):
-            return False
-    return True
+    d = pair_dist(cls, *top) if threshold is None else threshold
+    if not _eta_condition(cls, low, top, d):
+        return False
+    return not any(
+        _pair_below(cls, low, q) and _pair_below(cls, q, top)
+        for q in _pairs(cls, wt)
+        if q != low and q != top
+    )
 
 
 def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
@@ -509,19 +581,22 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
     if not _is_pair(p):
         raise NotInDomain("length is defined for pairs")
     cls = p.cls
-    wt = p.weight()
-    pool = pairs_of_weight(cls, wt)
+    top = tuple(p.positions())
     # the eta transfer conserves weight and every chain member is coarse
     # below p, so intermediate pairs below p of the same weight suffice
-    nodes = [q for q in pool if q.counts == p.counts or coarse_less(q, p)]
-    d = dist(p)
-    adj = {q.counts: [] for q in nodes}
-    for a in nodes:
-        for b in nodes:
-            if a.counts != b.counts and good_adjacent(a, b, threshold=d):
-                adj[b.counts].append(a.counts)
-    seen = {p.counts}
-    frontier = [p.counts]
+    nodes = {
+        q: _pair_sequence(cls, *q)
+        for q in _pairs(cls, p.weight())
+        if q == top or _pair_below(cls, q, top)
+    }
+    d = pair_dist(cls, *top)
+    adj = {q: [] for q in nodes}
+    for a, sa in nodes.items():
+        for b, sb in nodes.items():
+            if a != b and good_adjacent(sa, sb, threshold=d):
+                adj[b].append(a)
+    seen = {top}
+    frontier = [top]
     while frontier:
         nxt = []
         for c in frontier:
@@ -530,13 +605,10 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
                     seen.add(c2)
                     nxt.append(c2)
         frontier = nxt
-    out = []
-    for q in nodes:
-        if q.counts == p.counts or q.counts not in seen:
-            continue
-        if not is_simple_pair(cls, *q.positions()):
-            out.append(q)
-    return tuple(out)
+    return tuple(
+        s for q, s in nodes.items()
+        if q != top and q in seen and not is_simple_pair(cls, *q)
+    )
 
 
 def radius(cls: CommClass, gamma: PosRoot) -> int:
@@ -545,13 +617,11 @@ def radius(cls: CommClass, gamma: PosRoot) -> int:
     gamma = cls.system.root(gamma)
     if gamma.height == 1:
         raise NotInDomain("radius is defined for non-simple roots")
-    counts = [0] * len(cls)
-    counts[cls.position(gamma)] = 1
-    base = RootSequence(cls, tuple(counts))
+    g = cls.position(gamma)
     vals = [
-        dist(p)
-        for p in pairs_of_weight(cls, gamma.coeffs)
-        if coarse_less(base, p)
+        pair_dist(cls, *p)
+        for p in _pairs(cls, gamma.coeffs)
+        if _root_below_pair(cls, g, p)
     ]
     if not vals:
         raise NotInDomain(f"no pairs above ({cls.system.format_root(gamma)})")

@@ -82,11 +82,12 @@ class ClassCache:
     def __init__(self):
         self.weights = {}  # weight -> its partitions over the class
         self.intervals = {}  # (i, j) -> partitions of beta_i + beta_j between i, j
-        self.pairs = {}  # weight -> pairs of distinct roots of that weight
+        self.pairs = {}  # weight -> position pairs (i, j), i < j, of that weight
         self.simple = {}  # (i, j), i < j -> simplicity of the pair
-        self.chains = {}  # (statistic, weight) -> {counts: predecessor or None}
+        # (statistic, weight) -> {count-order key: predecessor or None}
+        self.chains = {}
         self.packed = {}  # field width -> (guard mask, packed roots in DFS order)
-        self.members = {}  # member word -> class positions in its order
+        self.members = {}  # member letters -> class positions in its order
 
 
 class CommClass:

@@ -1,8 +1,9 @@
 import pytest
 
 from rootseq.arquiver import height_function
-from rootseq.orders import coarse_less
+from rootseq.orders import RootSequence, coarse_less
 from rootseq.rootsys import PosRoot, build_root_system
+from rootseq.seqcalc import is_simple_pair, pairs_of_weight
 from rootseq.words import NotReduced, ReducedWord, roots_of_word
 
 
@@ -125,6 +126,39 @@ def longest_chains(pool):
         return memo[me.counts]
 
     return {m.counts: best(m) for m in pool}
+
+
+# -- the sequence path of dist and radius -------------------------------
+# The library runs dist and radius on position pairs with mask tests; these
+# run them on RootSequence objects with coarse_less, as it once did.
+
+def dist_chains(cls, weight):
+    """dist_chain oracle: every non-simple pair of the weight, in count
+    order, with its witness: the pair extends the first pair, in count
+    order, among the longest chains of non-simple pairs coarse-below it."""
+    chains = {}  # counts -> chain, in count order
+    for p in sorted(pairs_of_weight(cls, weight), key=lambda p: p.counts):
+        if is_simple_pair(cls, *p.positions()):
+            continue
+        best = ()
+        for chain in chains.values():
+            if len(chain) > len(best) and coarse_less(chain[-1], p):
+                best = chain
+        chains[p.counts] = best + (p,)
+    return chains
+
+
+def radius_by_sequences(cls, gamma):
+    """radius oracle: the longest dist_chains witness of a pair of gamma's
+    weight coarse-above the sequence (gamma); None when there is no such
+    pair."""
+    base = RootSequence.from_roots(cls, [gamma])
+    chains = dist_chains(cls, gamma.coeffs)
+    return max(
+        (len(chains.get(p.counts, ()))
+         for p in pairs_of_weight(cls, gamma.coeffs) if coarse_less(base, p)),
+        default=None,
+    )
 
 
 def longest_word(system):

@@ -13,7 +13,7 @@ from rootseq.orders import (
     pair,
 )
 from rootseq.rootsys import build_root_system
-from rootseq.words import CommClass, ReducedWord
+from rootseq.words import CommClass, ReducedWord, roots_of_word
 
 A5_WORD = (1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4)
 
@@ -103,6 +103,35 @@ def test_cross_class_rejected(a5_cls, a5):
         bilex_less(a, b)
     with pytest.raises(ValueError):
         coarse_less(a, b)
+
+
+def test_member_positions_are_kept_by_letters(a5, monkeypatch):
+    """bilex_less reads a member's positions from the class cache, keyed by
+    its letters: a second call, with the same member or an equal word, does
+    not sweep the word again.  A member over another root system raises
+    ValueError and leaves nothing in the cache."""
+    from rootseq import orders
+
+    cls = CommClass(ReducedWord(A5_WORD, a5))
+    a = RootSequence.from_strings(cls, ["[2,3]", "[1,5]"])
+    b = RootSequence.from_strings(cls, ["[1,3]", "[2,5]"])
+    sweeps = []
+
+    def counted(word):
+        sweeps.append(word.letters)
+        return roots_of_word(word)
+
+    monkeypatch.setattr(orders, "roots_of_word", counted)
+    member = ReducedWord(A5_WORD, a5)
+    assert bilex_less(a, b, member=member)
+    assert bilex_less(a, b, member=member)
+    assert bilex_less(a, b, member=ReducedWord(A5_WORD, a5))
+    assert sweeps == [A5_WORD]
+    assert list(cls.cache.members) == [A5_WORD]
+    d5 = build_root_system("D", 5)
+    with pytest.raises(ValueError, match="different root system"):
+        bilex_less(a, b, member=ReducedWord(A5_WORD, d5))
+    assert sweeps == [A5_WORD] and list(cls.cache.members) == [A5_WORD]
 
 
 def _random_sequences(cls, rng, count, max_size=3):

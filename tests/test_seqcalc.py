@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import longest_chains
+from conftest import dist_chains, longest_chains, radius_by_sequences
 from hypothesis import assume, given, settings, strategies as st
 
 from rootseq.arquiver import (
@@ -17,8 +17,10 @@ from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
     DEFAULT_CAP,
     PartitionCap,
+    _pair_below,
     _pair_weight,
     _partitions,
+    _root_below_pair,
     _width,
     dist,
     dist_chain,
@@ -568,6 +570,87 @@ def test_e7_radius_of_multiplicity_two_root():
     g = sys_.parse_root("1122221")
     assert g.mul == 2
     assert radius(cls, g) == 3
+
+
+# -- pair statistics on position pairs ---------------------------------
+
+# (kind, rank, number of orientations; None for all of them)
+PAIR_SYSTEMS = ([("A", n, None) for n in range(2, 7)]
+                + [("D", n, None) for n in (4, 5, 6)] + [("E", 6, None)])
+
+
+def _classes(kind, rank, limit):
+    sys_ = build_root_system(kind, rank)
+    for Q in itertools.islice(all_orientations(sys_), limit):
+        yield build_ar_quiver(Q).comm_class()
+
+
+def _pairs_by_weight(cls):
+    """Every position pair (i, j), i < j, grouped by weight."""
+    out = {}
+    for i in range(len(cls)):
+        for j in range(i + 1, len(cls)):
+            out.setdefault(_pair_weight(cls, i, j), []).append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("kind,rank,limit", PAIR_SYSTEMS + [("E", 7, 8)])
+def test_mask_rules_match_coarse_less(kind, rank, limit):
+    """The four-mask test equals coarse_less on every ordered couple of
+    distinct equal-weight pairs, and the two-mask test equals it on the
+    sequence (gamma) of every non-simple root against every pair of its
+    weight."""
+    for cls in _classes(kind, rank, limit):
+        weights = _pairs_by_weight(cls)
+        between = 0
+        for pairs in weights.values():
+            seqs = [_pos_pair(cls, *p) for p in pairs]
+            for p, a in zip(pairs, seqs):
+                for q, b in zip(pairs, seqs):
+                    if p != q:
+                        assert _pair_below(cls, p, q) == coarse_less(a, b), (p, q)
+        for g, gamma in enumerate(cls.roots):
+            if gamma.height == 1:
+                continue
+            base = RootSequence.from_roots(cls, [gamma])
+            for p in weights[gamma.coeffs]:
+                below = _root_below_pair(cls, g, p)
+                assert below == coarse_less(base, _pos_pair(cls, *p)), (g, p)
+                between += below
+        assert between
+
+
+@pytest.mark.parametrize("kind,rank,limit", PAIR_SYSTEMS + [("E", 7, None), ("E", 8, 8)])
+def test_radius_matches_sequence_oracle(kind, rank, limit):
+    """radius equals the sequence path (``radius_by_sequences``) on every
+    non-simple root of every orientation, and of the first 8 of E8."""
+    for cls in _classes(kind, rank, limit):
+        for gamma in cls.system.positive_roots:
+            if gamma.height > 1:
+                assert radius(cls, gamma) == radius_by_sequences(cls, gamma), gamma
+
+
+@pytest.mark.parametrize(
+    "kind,rank", [("A", n) for n in range(2, 6)] + [("D", 4), ("D", 5), ("E", 6)]
+)
+def test_dist_chain_matches_sequence_oracle(kind, rank):
+    """dist_chain returns the witness of the sequence path (``dist_chains``),
+    the same counts in order, and dist its length, on every pair of every
+    orientation; pairs are asked in a shuffled order, so that the chain
+    memo is read from passes made for other pairs."""
+    rng = random.Random(11)
+    for cls in _classes(kind, rank, None):
+        queries = [(i, j) for i in range(len(cls)) for j in range(i + 1, len(cls))]
+        rng.shuffle(queries)
+        chains = {}
+        for i, j in queries:
+            p = _pos_pair(cls, i, j)
+            wt = p.weight()
+            if wt not in chains:
+                chains[wt] = dist_chains(cls, wt)
+            want = [m.counts for m in chains[wt].get(p.counts, ())]
+            assert [m.counts for m in dist_chain(p)] == want, (i, j)
+            assert dist(p) == len(want)
 
 
 # -- enumeration and caps ----------------------------------------------
