@@ -47,6 +47,20 @@ def notes(run):
     return [line for line in run["lines"] if ": as measured:" not in line]
 
 
+def compare(before, after):
+    """The medians of one metric on each side, the change in per cent, the
+    parent's quartiles and the number of pairs in which the change was
+    lower."""
+    med_b, med_a = statistics.median(before), statistics.median(after)
+    return {
+        "parent": med_b,
+        "change": med_a,
+        "change_pct": 100 * (med_a - med_b) / med_b if med_b else None,
+        "parent_quartiles": statistics.quantiles(before, n=4) if len(before) > 1 else None,
+        "pairs_lower": f"{sum(a < b for a, b in zip(after, before))}/{len(before)}",
+    }
+
+
 def summary(runs):
     sides = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
     values = {
@@ -54,18 +68,34 @@ def summary(runs):
             for name in rs[0]["result"]["metrics"]}
         for s, rs in sides.items()
     }
-    out = {}
-    for name, before in values["parent"].items():
-        after = values["change"][name]
-        med_b, med_a = statistics.median(before), statistics.median(after)
-        out[name] = {
-            "parent": med_b,
-            "change": med_a,
-            "change_pct": 100 * (med_a - med_b) / med_b if med_b else None,
-            "parent_quartiles": statistics.quantiles(before, n=4) if len(before) > 1 else None,
-            "pairs_lower": f"{sum(a < b for a, b in zip(after, before))}/{len(before)}",
-        }
-    return out
+    return {name: compare(before, values["change"][name])
+            for name, before in values["parent"].items()}
+
+
+def revisions(parent):
+    """The full hash of the parent revision and a description of the change:
+    HEAD, marked when tracked files have uncommitted changes."""
+    def git(*argv):
+        return subprocess.run(["git", *argv], check=True, stdout=subprocess.PIPE,
+                              text=True).stdout.strip()
+
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return git("rev-parse", parent), git("rev-parse", "HEAD") + (
+        " with uncommitted changes" if dirty else "")
+
+
+def export(rev, dest):
+    """Write the files of a revision into dest with ``git archive`` (no
+    worktree, nothing written under ``.git``)."""
+    archive = subprocess.Popen(["git", "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    if archive.wait():
+        sys.exit(f"git archive {rev} failed")
+
+
+def order(k):
+    """The sides of pair k in the order they run: the first alternates."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
 
 
 def main():
@@ -79,27 +109,17 @@ def main():
     with open("BENCHMARK.json") as fh:
         seconds = json.load(fh)["run_seconds"]
 
-    here = os.getcwd()
-    rev = subprocess.run(["git", "rev-parse", args.parent], check=True,
-                         stdout=subprocess.PIPE, text=True).stdout.strip()
-    head = subprocess.run(["git", "rev-parse", "HEAD"], check=True,
-                          stdout=subprocess.PIPE, text=True).stdout.strip()
-    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                                check=True, stdout=subprocess.PIPE, text=True).stdout.strip())
-    report = {"parent": rev, "change": head + (" with uncommitted changes" if dirty else ""),
+    rev, change = revisions(args.parent)
+    report = {"parent": rev, "change": change,
               "seed": args.seed, "seconds": seconds, "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
-        archive = subprocess.Popen(["git", "archive", rev], stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", parent_tree], stdin=archive.stdout, check=True)
-        if archive.wait():
-            sys.exit(f"git archive {rev} failed")
-        trees = {"parent": parent_tree, "change": here}
+        export(rev, parent_tree)
+        trees = {"parent": parent_tree, "change": os.getcwd()}
         for workload, n in pairs.items():
             runs = []
             for k in range(n):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                for side in order:
+                for side in order(k):
                     run = run_bench(trees[side], workload, args.seed, seconds)
                     runs.append({"side": side, "pair": k, **run})
                     wall = run["result"]["metrics"]["wall_s"]["value"] if run["result"] else None

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Tabulate the radius of every non-simple root against its multiplicity for
 one chosen orientation per system, including the exceptional types (on a
-2-core Xeon host, E7 takes about 0.03 s and E8 about 0.1 s, building the
-class included)."""
+2-core Xeon host, one cold process each, E7 takes about 0.005 s and E8
+about 0.014 s, building the class included)."""
 
 import argparse
 import sys

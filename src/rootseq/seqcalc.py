@@ -244,7 +244,8 @@ def _root_below_pair(cls: CommClass, g: int, p: tuple[int, int]) -> bool:
     is neither heap-minimal nor heap-maximal among the three positions, so
     one root of the pair is below it and one above it.  (The two roots sum
     to gamma, so gamma lies between them in every convex order, and either
-    both masks meet the pair or neither does.)"""
+    both masks meet the pair or neither does; by ``radius``'s lemma, both
+    do.)"""
     two = 1 << p[0] | 1 << p[1]
     return bool(cls._below[g] & two and cls._above[g] & two)
 
@@ -457,16 +458,19 @@ def _count_order(p: tuple[int, int]) -> tuple[int, int]:
 def _dist_chain(cls: CommClass, i: int, j: int) -> tuple[tuple[int, int], ...]:
     """dist_chain of the pair at class positions i and j, as position pairs
     (i < j): a chain DP over the non-simple pairs of its weight, compared
-    by ``_pair_below``, with the memo keyed by ``_count_order``."""
+    by ``_pair_below``, with the memo keyed by ``_count_order``.  The memo
+    holds only non-simple pairs, so a pair in it is answered without a
+    simplicity test."""
     if i > j:
         i, j = j, i
-    if is_simple_pair(cls, i, j):
-        return ()
     wt = _pair_weight(cls, i, j)
+    memo = cls.cache.chains.setdefault(("dist", wt), {})
+    if _count_order((i, j)) not in memo and is_simple_pair(cls, i, j):
+        return ()
     return _longest_chain(
         (i, j),
         lambda: [p for p in _pairs(cls, wt) if not is_simple_pair(cls, *p)],
-        cls.cache.chains.setdefault(("dist", wt), {}),
+        memo,
         _count_order,
         partial(_pair_below, cls),
     )
@@ -613,16 +617,28 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
 
 def radius(cls: CommClass, gamma: PosRoot) -> int:
     """Largest pair distance over equal-weight pairs coarse-above the
-    one-entry sequence (gamma); defined for non-simple roots."""
+    one-entry sequence (gamma); defined for non-simple roots.
+
+    The pairs of gamma's weight above (gamma) are exactly its non-simple
+    pairs, the pool of their dist chains.  In a comparable pair a < b of
+    weight gamma, gamma lies strictly between a and b in every member (by
+    convexity), so (gamma) is below the pair and the pair is not simple;
+    an incomparable pair is simple.  (No pair of gamma's weight is
+    incomparable: two incomparable positions are adjacent in some member,
+    where gamma cannot lie between them.)  So the pool is read off the
+    two-mask test with no simplicity test, one chain pass from its last
+    member in count order settles the shared ``("dist", weight)`` memo,
+    and each member's chain is read off the memo."""
     gamma = cls.system.root(gamma)
     if gamma.height == 1:
         raise NotInDomain("radius is defined for non-simple roots")
     g = cls.position(gamma)
-    vals = [
-        pair_dist(cls, *p)
-        for p in _pairs(cls, gamma.coeffs)
-        if _root_below_pair(cls, g, p)
-    ]
-    if not vals:
+    # by ascending first position, so the first is the last in count order
+    pool = [p for p in _pairs(cls, gamma.coeffs) if _root_below_pair(cls, g, p)]
+    if not pool:
         raise NotInDomain(f"no pairs above ({cls.system.format_root(gamma)})")
-    return max(vals)
+    memo = cls.cache.chains.setdefault(("dist", gamma.coeffs), {})
+    less = partial(_pair_below, cls)
+    return max(
+        len(_longest_chain(p, lambda: pool, memo, _count_order, less)) for p in pool
+    )

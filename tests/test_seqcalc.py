@@ -17,8 +17,10 @@ from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
     DEFAULT_CAP,
     PartitionCap,
+    _ordered,
     _pair_below,
     _pair_weight,
+    _pairs,
     _partitions,
     _root_below_pair,
     _width,
@@ -651,6 +653,55 @@ def test_dist_chain_matches_sequence_oracle(kind, rank):
             want = [m.counts for m in chains[wt].get(p.counts, ())]
             assert [m.counts for m in dist_chain(p)] == want, (i, j)
             assert dist(p) == len(want)
+
+
+@pytest.mark.parametrize("kind,rank,limit", PAIR_SYSTEMS + [("E", 7, None)])
+def test_pairs_of_a_root_weight_are_above_it_and_not_simple(kind, rank, limit):
+    """The lemma radius rests on, on every orientation: for every non-simple
+    root gamma, every pair of gamma's weight is comparable in the heap,
+    coarse-above (gamma) and not simple, so the two-mask test, simplicity
+    and comparability agree on every such pair."""
+    for cls in _classes(kind, rank, limit):
+        seen = 0
+        for g, gamma in enumerate(cls.roots):
+            if gamma.height == 1:
+                continue
+            for p in _pairs(cls, gamma.coeffs):
+                assert _root_below_pair(cls, g, p), (g, p)
+                assert not is_simple_pair(cls, *p), (g, p)
+                assert _ordered(cls, *p) is not None, (g, p)
+                seen += 1
+        assert seen
+
+
+@pytest.mark.parametrize("kind,rank,arrows", [("E", 7, E7_ARROWS), ("D", 5, D5_ARROWS)])
+def test_radius_and_dist_fill_one_memo(monkeypatch, kind, rank, arrows):
+    """On a cold class, radius of every non-simple root makes no simplicity
+    test; dist_chain of every pair of those weights, asked afterwards,
+    returns the sequence-path witness (``dist_chains``) read off the memo
+    that radius filled, again with no simplicity test."""
+    from rootseq import seqcalc
+
+    oracle = _arq_cls(kind, rank, arrows)
+    cls = CommClass(oracle.representative)
+    weights = [r.coeffs for r in cls.system.positive_roots if r.height > 1]
+    want = {wt: dist_chains(oracle, wt) for wt in weights}
+    calls = []
+    test = seqcalc.is_simple_pair
+    monkeypatch.setattr(
+        seqcalc, "is_simple_pair", lambda c, i, j: calls.append((i, j)) or test(c, i, j)
+    )
+    for wt in weights:
+        radius(cls, wt)
+    assert calls == []
+    longest = 0
+    for wt in weights:
+        for p in pairs_of_weight(cls, wt):
+            chain = [m.counts for m in want[wt][p.counts]]
+            assert [m.counts for m in dist_chain(p)] == chain, p
+            longest = max(longest, len(chain))
+    assert calls == []
+    assert longest > 1
 
 
 # -- enumeration and caps ----------------------------------------------
