@@ -4,9 +4,13 @@ they print.
 
 The matrix is every README example with its json/latex/dot variants, plus
 ``word class``/``word heap``, ``pair dist``, ``arq diff``, the ``verify``
-sweeps, and ``pair socle|gdist|simple|minimal`` on a sequence of three roots
-of D4 and of E6, which take the paths for sequences that are not pairs.  Prints one line: the number of invocations and a sha256 over each
-invocation's arguments, stdout and exit code.  Two versions of the CLI that
+sweeps, ``pair socle|gdist|simple|minimal`` on a sequence of three roots
+of D4 and of E6, which take the paths for sequences that are not pairs,
+``pair len`` on the E7 reference pair, and ``pair radius`` on two words of
+no AR quiver: a word of A2 shorter than w0, whose class holds [1,2] and no
+pair of its weight (exit 2), and a word of w0 in A5 adapted to no
+orientation.  Prints one line: the number of invocations and a sha256 over
+each invocation's arguments, stdout and exit code.  Two versions of the CLI that
 print the same line behave the same on the matrix.  Run with
 ``PYTHONPATH=src``.
 """
@@ -21,6 +25,8 @@ from rootseq.cli import main as cli_main
 D4 = ["--quiver", "D4:3>2,2>1,2>4"]
 E6 = ["--type", "E6", "--orient", "1>2,2>3,3>4,4>5,6>3"]
 A3_W0 = ["--type", "A3", "--word", "1 2 1 3 2 1"]
+E7 = ["--type", "E7", "--orient", "1>3,3>4,4>5,5>6,6>7,2>4"]
+A5_NON_ADAPTED = ["--type", "A5", "--word", "1 2 3 5 4 3 1 2 3 5 4 3 1 2 3"]
 
 
 def _formats(argv, formats=("text", "json")):
@@ -42,6 +48,9 @@ MATRIX = [
     *_formats(["pair", "gdist", *E6, "--pair", "111001,123212"]),
     *_formats(["pair", "radius", *D4, "--gamma", "{1|2}"]),
     *_formats(["pair", "dist", *D4, "--pair", "{2|-4},{1|2}"]),
+    *_formats(["pair", "len", *E7, "--pair", "1111100,0112221"]),
+    ["pair", "radius", "--type", "A2", "--word", "1 2", "--gamma", "[1,2]"],
+    *_formats(["pair", "radius", *A5_NON_ADAPTED, "--gamma", "[1,5]"]),
     *(argv
       for action in ("socle", "gdist", "simple", "minimal")
       for system, seq in ((D4, "{1|-4},{2|3},{2|-3}"), (E6, "111001,011100,001110"))

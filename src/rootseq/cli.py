@@ -27,7 +27,7 @@ from .denom import (
     distance_polynomial,
     verify_denominator,
 )
-from .orders import RootSequence, bilex_less, coarse_less, pair
+from .orders import RootSequence, bilex_less, coarse_less
 from .rootsys import NotARoot, ParseError, UnsupportedType, build_root_system
 from .seqcalc import (
     DEFAULT_CAP,
@@ -458,9 +458,10 @@ def cmd_verify(args):
                 for j in range(i + 1, len(cls)):
                     d = pair_dist(cls, i, j)
                     if d > bound:
+                        ab = (cls.roots[i], cls.roots[j])
                         failures.append({
                             "quiver": Q.orientation_str(),
-                            "pair": str(pair(cls, cls.roots[i], cls.roots[j])),
+                            "pair": str(RootSequence.from_roots(cls, ab)),
                             "dist": d, "bound": bound,
                         })
     else:  # fixtures

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
-from .orders import pair
+from .orders import RootSequence
 from .rootsys import UnsupportedType
 from .seqcalc import gdist
 from .words import ClassCache
@@ -278,7 +278,7 @@ def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, P=None, i=None):
             if not check_all:
                 members = [] if carried else members[:1]
             for a, b in members:
-                vals.setdefault(gdist(pair(cls, a, b)), (a, b))
+                vals.setdefault(gdist(RootSequence.from_roots(cls, (a, b))), (a, b))
             if len(vals) > 1:
                 if carried:
                     alpha = Q.system.simple_root(i)

@@ -89,10 +89,6 @@ class RootSequence:
         }
 
 
-def pair(cls: CommClass, alpha, beta) -> RootSequence:
-    return RootSequence.from_roots(cls, (alpha, beta))
-
-
 def _member_positions(seq: RootSequence, member: ReducedWord | None):
     """Class positions listed in the order the given member visits them;
     computed once per member and kept in the class cache under its letters

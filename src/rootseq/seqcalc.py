@@ -82,10 +82,6 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     With ``first`` the search stops at the first partition (an existence
     test: at most one is listed and the cap is not checked); otherwise every
     partition is listed and more than ``cap`` of them raise PartitionCap.
-    A weight that is itself a root at a position in the mask is then
-    answered by one lookup among the packed roots: every root that fits the
-    weight is at most it coordinatewise, so that root is the only fitting
-    one of its height and the search would take it first, once.
 
     A residual is packed into one int, a bit field per coordinate holding
     the coordinate plus a guard bit above every value that can occur.
@@ -101,15 +97,9 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     if min(weight) < 0:  # no partition; its fields would borrow from their neighbours
         return []
     width = _width(cls, weight)
-    zero, entries, index = _packed_roots(cls, width)  # zero: the guard bits
+    zero, entries, _ = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
     residual = zero + sum(x << s for x, s in zip(weight, shifts))
-    if first:
-        p = index.get(residual ^ zero)
-        if p is not None and within >> p & 1:
-            counts = [0] * len(cls)
-            counts[p] = 1
-            return [tuple(counts)]
     packed = [  # the roots that fit at least once
         e for e in entries if within >> e[0] & 1 and (residual - e[1]) & zero == zero
     ]
@@ -238,18 +228,6 @@ def _pair_below(cls: CommClass, p: tuple[int, int], q: tuple[int, int]) -> bool:
                 and below[j] & four and above[j] & four)
 
 
-def _root_below_pair(cls: CommClass, g: int, p: tuple[int, int]) -> bool:
-    """The one-root sequence at position g is coarse-below the pair at
-    positions p of its weight (which cannot hold g): by ``coarse_less``, g
-    is neither heap-minimal nor heap-maximal among the three positions, so
-    one root of the pair is below it and one above it.  (The two roots sum
-    to gamma, so gamma lies between them in every convex order, and either
-    both masks meet the pair or neither does; by ``radius``'s lemma, both
-    do.)"""
-    two = 1 << p[0] | 1 << p[1]
-    return bool(cls._below[g] & two and cls._above[g] & two)
-
-
 def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(cls.roots[i].coeffs, cls.roots[j].coeffs))
 
@@ -280,6 +258,13 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     """Simplicity of the pair at class positions i, j: no equal-weight
     sequence is coarse-below it.
 
+    A pair whose weight is a positive root gamma is not simple, with no
+    search.  The roots of the class are the inversion set of a reduced
+    word, which is closed, so gamma is a root of the class; and biconvex,
+    so every member lists gamma strictly between the two roots of the pair.
+    The pair is then comparable in the heap and (gamma) is coarse-below it.
+    This holds on the class of any reduced word.
+
     Incomparable pairs are always simple.  For a comparable pair the only
     possible coarse-smaller sequences of the same weight are supported
     strictly between the two roots in the heap order (the two roots are then
@@ -290,10 +275,14 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     store = cls.cache.simple
     key = _simple_key(i, j)
     if key not in store:
-        ij = _ordered(cls, i, j)
-        store[key] = ij is None or not _partitions(
-            cls, cls.interval(*ij), _pair_weight(cls, i, j), first=True
-        )
+        wt = _pair_weight(cls, i, j)
+        if cls.system.is_positive_root(wt):
+            store[key] = False
+        else:
+            ij = _ordered(cls, i, j)
+            store[key] = ij is None or not _partitions(
+                cls, cls.interval(*ij), wt, first=True
+            )
     return store[key]
 
 
@@ -617,24 +606,21 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
 
 def radius(cls: CommClass, gamma: PosRoot) -> int:
     """Largest pair distance over equal-weight pairs coarse-above the
-    one-entry sequence (gamma); defined for non-simple roots.
+    one-entry sequence (gamma); defined for non-simple roots of the class.
 
-    The pairs of gamma's weight above (gamma) are exactly its non-simple
-    pairs, the pool of their dist chains.  In a comparable pair a < b of
-    weight gamma, gamma lies strictly between a and b in every member (by
-    convexity), so (gamma) is below the pair and the pair is not simple;
-    an incomparable pair is simple.  (No pair of gamma's weight is
-    incomparable: two incomparable positions are adjacent in some member,
-    where gamma cannot lie between them.)  So the pool is read off the
-    two-mask test with no simplicity test, one chain pass from its last
-    member in count order settles the shared ``("dist", weight)`` memo,
-    and each member's chain is read off the memo."""
+    Every pair of gamma's weight is above (gamma) and not simple (see
+    ``is_simple_pair``), so the pairs of the weight are the pool of their
+    dist chains as they stand: one chain pass from the last member in count
+    order settles the shared ``("dist", weight)`` memo, and each member's
+    chain is read off the memo.  A class with no pair of gamma's weight
+    (the class of a word shorter than w0 can have none) raises NotInDomain.
+    """
     gamma = cls.system.root(gamma)
     if gamma.height == 1:
         raise NotInDomain("radius is defined for non-simple roots")
-    g = cls.position(gamma)
+    cls.position(gamma)  # a root outside the class raises RootNotInWord
     # by ascending first position, so the first is the last in count order
-    pool = [p for p in _pairs(cls, gamma.coeffs) if _root_below_pair(cls, g, p)]
+    pool = _pairs(cls, gamma.coeffs)
     if not pool:
         raise NotInDomain(f"no pairs above ({cls.system.format_root(gamma)})")
     memo = cls.cache.chains.setdefault(("dist", gamma.coeffs), {})

@@ -112,6 +112,29 @@ def commutation_classes(word):
     return classes
 
 
+def random_reduced_word(system, rng, length):
+    """A reduced word of the given length (at most N), one letter at a
+    time: each step appends a letter chosen at random among those that keep
+    the word reduced, the letters i whose new root s_{i1}...s_{ik}(alpha_i)
+    is positive."""
+    letters = []
+    for _ in range(length):
+        letters.append(rng.choice([
+            i for i in range(1, system.rank + 1)
+            if min(act(system, letters, system.simple_root(i).coeffs)) >= 0
+        ]))
+    return ReducedWord(tuple(letters), system)
+
+
+def root_below_pair(cls, g, p):
+    """Two-mask oracle: the one-root sequence at position g is coarse-below
+    the pair at positions p of its weight (which cannot hold g) when g is
+    neither heap-minimal nor heap-maximal among the three positions, that
+    is, one root of the pair is below it and one above it."""
+    two = 1 << p[0] | 1 << p[1]
+    return bool(cls._below[g] & two and cls._above[g] & two)
+
+
 def longest_chains(pool):
     """Chain-DP oracle: for every member of pool, the length of the longest
     coarse chain inside pool ending at it, as a plain longest path by

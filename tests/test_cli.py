@@ -230,6 +230,14 @@ def test_internal_error_exit_4(capsys, monkeypatch, exc):
     assert f"internal error: {exc.__name__}" in err and "Traceback" in err
 
 
+def test_radius_with_no_pair_of_its_weight_exits_2(capsys):
+    """The class of a word shorter than w0 can hold a root and no pair of
+    its weight: radius is then outside its domain."""
+    code, _, err = run(capsys, "pair", "radius", "--type", "A2", "--word", "1 2",
+                       "--gamma", "[1,2]")
+    assert code == 2 and "no pairs above ([1,2])" in err
+
+
 def test_domain_errors_exit_2(capsys):
     """Statistics asked outside their domain, roots missing from the word
     and malformed numbers are usage errors."""

@@ -21,7 +21,7 @@ from rootseq.denom import (
     slots,
     verify_denominator,
 )
-from rootseq.orders import pair
+from rootseq.orders import RootSequence
 from rootseq.rootsys import UnsupportedType, build_root_system
 from rootseq.seqcalc import gdist, gdist_chain, radius
 from rootseq.words import ClassCache, CommClass
@@ -172,7 +172,8 @@ def _oracle_o_table(Q, check_all):
     cls = CommClass(arq.reading())
     out, sizes = {}, {}
     for key, members in slots(arq).items():
-        vals = {gdist(pair(cls, a, b)) for a, b in (members if check_all else members[:1])}
+        vals = {gdist(RootSequence.from_roots(cls, (a, b)))
+                for a, b in (members if check_all else members[:1])}
         assert len(vals) == 1, (Q.orientation_str(), key)
         out[key] = vals.pop()
         sizes[key] = len(members)
@@ -391,7 +392,7 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
 
     def answers():
         radii = {g: radius(cls, g) for g in cls.roots if g.height > 1}
-        chains = [gdist_chain(pair(cls, a, b)) for a, b in firsts]
+        chains = [gdist_chain(RootSequence.from_roots(cls, (a, b))) for a, b in firsts]
         return radii, chains
 
     before = answers()

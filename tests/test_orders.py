@@ -10,7 +10,6 @@ from rootseq.orders import (
     bilex_less,
     coarse_less,
     coarse_less_brute,
-    pair,
 )
 from rootseq.rootsys import build_root_system
 from rootseq.words import CommClass, ReducedWord, roots_of_word
@@ -200,7 +199,9 @@ def test_coarse_is_a_strict_order(seed):
 
 
 def test_pair_helper(a5_cls):
+    """A pair is the sequence of its two roots."""
     sys_ = a5_cls.system
-    p = pair(a5_cls, sys_.parse_root("[1,3]"), sys_.parse_root("[2,5]"))
+    roots = (sys_.parse_root("[1,3]"), sys_.parse_root("[2,5]"))
+    p = RootSequence.from_roots(a5_cls, roots)
     assert p.size() == 2
     assert str(p) == "([1,3],[2,5])"

@@ -3,7 +3,14 @@ import itertools
 import random
 
 import pytest
-from conftest import dist_chains, longest_chains, radius_by_sequences
+from conftest import (
+    NON_ADAPTED_A5,
+    dist_chains,
+    longest_chains,
+    radius_by_sequences,
+    random_reduced_word,
+    root_below_pair,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from rootseq.arquiver import (
@@ -16,13 +23,13 @@ from rootseq.orders import RootSequence, coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
     DEFAULT_CAP,
+    NotInDomain,
     PartitionCap,
     _ordered,
     _pair_below,
     _pair_weight,
     _pairs,
     _partitions,
-    _root_below_pair,
     _width,
     dist,
     dist_chain,
@@ -40,7 +47,7 @@ from rootseq.seqcalc import (
     socle,
     socle_candidates,
 )
-from rootseq.words import CommClass, ReducedWord
+from rootseq.words import CommClass, ReducedWord, RootNotInWord
 
 D4_WORD = (3, 2, 1, 4) * 3
 E6_WORD = (1, 2, 6, 3, 5, 4, 6, 1, 3, 2, 6, 3, 5, 6, 4, 1, 3, 2, 6,
@@ -87,13 +94,38 @@ def test_singletons_are_simple(d4_cls):
         assert is_simple(RootSequence.from_roots(d4_cls, [r]))
 
 
+# systems of the seeded random reduced words of ``_word_classes``
+WORD_SYSTEMS = [("A", 4), ("A", 5), ("D", 4), ("D", 5), ("E", 6)]
+
+
+def _word_classes(kind, rank, longest=None):
+    """The classes of seeded random reduced words, one of each length up to
+    ``longest`` (N for None), and in A5 the class of NON_ADAPTED_A5:
+    classes of no AR quiver, most of them of words shorter than w0."""
+    sys_ = build_root_system(kind, rank)
+    rng = random.Random(23)
+    out = [CommClass(random_reduced_word(sys_, rng, n))
+           for n in range(1, min(sys_.N, longest or sys_.N) + 1)]
+    if (kind, rank) == ("A", 5):
+        out.append(CommClass(ReducedWord(NON_ADAPTED_A5, sys_)))
+    return out
+
+
 @pytest.mark.parametrize(
-    "kind,rank", [("A", 3), ("A", 4), ("D", 4), ("A", 5), ("D", 5)]
+    "kind,rank", [("A", 3), ("A", 4), ("D", 4), ("A", 5), ("D", 5), ("E", 6)]
 )
 def test_simple_pair_matches_brute_force(kind, rank):
+    """On the classes of the first 3 orientations (none in E6, where they
+    take seconds each) and of ``_word_classes`` up to length 30 (the brute
+    force takes 11 s over the E6 words of length 31 to 36)."""
     sys_ = build_root_system(kind, rank)
-    for Q in itertools.islice(all_orientations(sys_), 3):
-        cls = build_ar_quiver(Q).comm_class()
+    quivers = 0 if kind == "E" else 3
+    classes = [build_ar_quiver(Q).comm_class()
+               for Q in itertools.islice(all_orientations(sys_), quivers)]
+    if (kind, rank) in WORD_SYSTEMS:
+        classes += _word_classes(kind, rank, longest=30)
+    assert classes
+    for cls in classes:
         for i in range(len(cls)):
             for j in range(i + 1, len(cls)):
                 assert is_simple_pair(cls, i, j) == is_simple_pair_brute(cls, i, j)
@@ -152,12 +184,11 @@ def test_engine_matches_reference_enumeration(kind, rank, arrows):
     as a plain recursion, over random intervals and over the whole class,
     for pair weights and for weights wider than the class's shared fields.
     Every root weight is checked over the whole class, over the class
-    without the root's position (where exists mode must not answer by its
-    root lookup) and over the interval of every comparable pair of that
-    weight.  Weights with a negative coordinate have no partition: every
-    difference of two roots that has one, and every root with 2**width
-    taken from its first field and 1 added to its second, which packs to
-    the same int as the root."""
+    without the root's position and over the interval of every comparable
+    pair of that weight.  Weights with a negative coordinate have no
+    partition: every difference of two roots that has one, and every root
+    with 2**width taken from its first field and 1 added to its second,
+    which packs to the same int as the root."""
     cls = _arq_cls(kind, rank, arrows)
     rng = random.Random(7)
     comparable = [
@@ -209,8 +240,8 @@ def test_e8_pairs_above_a_root_hold_it_in_their_interval():
     """For each of the 112 non-simple roots gamma of the E8 reference class,
     every pair coarse-above the sequence (gamma) has gamma's position inside
     its interval, so (gamma) is a partition there and the pair is not
-    simple: what lets exists mode answer every simplicity search of a
-    radius by one lookup."""
+    simple: what lets ``is_simple_pair`` answer a pair of a root weight
+    with no search."""
     cls = _arq_cls("E", 8, E8_ARROWS)
     roots = [r for r in cls.roots if r.height > 1]
     assert len(roots) == 112
@@ -616,7 +647,7 @@ def test_mask_rules_match_coarse_less(kind, rank, limit):
                 continue
             base = RootSequence.from_roots(cls, [gamma])
             for p in weights[gamma.coeffs]:
-                below = _root_below_pair(cls, g, p)
+                below = root_below_pair(cls, g, p)
                 assert below == coarse_less(base, _pos_pair(cls, *p)), (g, p)
                 between += below
         assert between
@@ -630,6 +661,19 @@ def test_radius_matches_sequence_oracle(kind, rank, limit):
         for gamma in cls.system.positive_roots:
             if gamma.height > 1:
                 assert radius(cls, gamma) == radius_by_sequences(cls, gamma), gamma
+
+
+def test_radius_of_a_root_with_no_pair_of_its_weight():
+    """The class of a word shorter than w0 can hold a root and no pair of
+    its weight: the class of 1 2 in A2 holds [1] and [1,2] but not [2].
+    radius raises NotInDomain there, and RootNotInWord on a root outside
+    the class."""
+    a2 = build_root_system("A", 2)
+    cls = CommClass(ReducedWord((1, 2), a2))
+    with pytest.raises(NotInDomain, match=r"no pairs above \(\[1,2\]\)"):
+        radius(cls, (1, 1))
+    with pytest.raises(RootNotInWord):
+        radius(CommClass(ReducedWord((1,), a2)), (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -655,23 +699,36 @@ def test_dist_chain_matches_sequence_oracle(kind, rank):
             assert dist(p) == len(want)
 
 
-@pytest.mark.parametrize("kind,rank,limit", PAIR_SYSTEMS + [("E", 7, None)])
+@pytest.mark.parametrize(
+    "kind,rank,limit",
+    PAIR_SYSTEMS + [("E", 7, None)] + [(k, r, "words") for k, r in WORD_SYSTEMS],
+)
 def test_pairs_of_a_root_weight_are_above_it_and_not_simple(kind, rank, limit):
-    """The lemma radius rests on, on every orientation: for every non-simple
-    root gamma, every pair of gamma's weight is comparable in the heap,
-    coarse-above (gamma) and not simple, so the two-mask test, simplicity
-    and comparability agree on every such pair."""
-    for cls in _classes(kind, rank, limit):
-        seen = 0
-        for g, gamma in enumerate(cls.roots):
+    """The lemma ``is_simple_pair`` and radius rest on, on every orientation
+    and, with limit "words", on the classes of ``_word_classes``: for every
+    non-simple root gamma, every pair of gamma's weight in the class has
+    gamma in the class, is comparable in the heap, coarse-above (gamma) by
+    the two-mask oracle, and not simple by the interval search."""
+    classes = (_word_classes(kind, rank) if limit == "words"
+               else _classes(kind, rank, limit))
+    seen = []  # the pairs checked in each class
+    for cls in classes:
+        seen.append(0)
+        positions = {r: g for g, r in enumerate(cls.roots)}
+        for gamma in cls.system.positive_roots:
             if gamma.height == 1:
                 continue
             for p in _pairs(cls, gamma.coeffs):
-                assert _root_below_pair(cls, g, p), (g, p)
-                assert not is_simple_pair(cls, *p), (g, p)
-                assert _ordered(cls, *p) is not None, (g, p)
-                seen += 1
-        assert seen
+                g = positions.get(gamma)
+                assert g is not None, (gamma, p)
+                ij = _ordered(cls, *p)
+                assert ij is not None, (g, p)
+                assert root_below_pair(cls, g, p), (g, p)
+                wt = gamma.coeffs
+                assert _partitions(cls, cls.interval(*ij), wt, first=True), (g, p)
+                seen[-1] += 1
+    # every class of w0 has pairs of a root weight; that of a short word may not
+    assert all(seen) if limit != "words" else any(seen)
 
 
 @pytest.mark.parametrize("kind,rank,arrows", [("E", 7, E7_ARROWS), ("D", 5, D5_ARROWS)])
