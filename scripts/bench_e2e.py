@@ -12,7 +12,11 @@ side that goes first alternates from pair to pair:
 
 - ``rootseq verify rds-mul --type E8 --all-orientations --format json``
 - ``rootseq denom table --type E8 --all-orientations``
+- ``rootseq denom table --type E6``, one orientation: bound by start-up
 - ``scripts/verify_all.py``
+- ``scripts/radius_survey.py --systems E6,E7,E8`` (it prints the time of
+  each survey rounded to 0.1 s, about 0.01 s each, so a run slowed past
+  0.05 s shows as a differing output)
 
 Each run records its wall time, the peak RSS of the child (``ru_maxrss`` of
 the rusage that ``wait4`` returns for it, its own share of
@@ -41,7 +45,9 @@ COMMANDS = {
     "verify rds-mul E8": CLI + ["verify", "rds-mul", "--type", "E8",
                                 "--all-orientations", "--format", "json"],
     "denom table E8": CLI + ["denom", "table", "--type", "E8", "--all-orientations"],
+    "denom table E6": CLI + ["denom", "table", "--type", "E6"],
     "verify_all": ["scripts/verify_all.py"],
+    "radius_survey": ["scripts/radius_survey.py", "--systems", "E6,E7,E8"],
 }
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .rootsys import PosRoot, RootSystem, build_root_system
@@ -14,18 +14,20 @@ class BadOrientation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DynkinQuiver:
-    system: RootSystem
-    arrows: frozenset[tuple[int, int]]
+class DynkinQuiver(namedtuple("DynkinQuiver", "system arrows")):
+    """An orientation of the Dynkin tree of ``system``: ``arrows`` is a
+    frozenset of (tail, head) pairs covering every edge once."""
 
-    def __post_init__(self):
-        edges = {frozenset(e) for e in self.system.datum.edges}
-        got = {frozenset(a) for a in self.arrows}
-        if got != edges or len(self.arrows) != len(edges):
+    __slots__ = ()
+
+    def __new__(cls, system: RootSystem, arrows: frozenset[tuple[int, int]]):
+        edges = {frozenset(e) for e in system.datum.edges}
+        got = {frozenset(a) for a in arrows}
+        if got != edges or len(arrows) != len(edges):
             raise BadOrientation(
                 "orientation does not cover the Dynkin tree exactly once"
             )
+        return super().__new__(cls, system, arrows)
 
     @staticmethod
     def from_arrows(system: RootSystem, arrows) -> "DynkinQuiver":

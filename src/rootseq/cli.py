@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import traceback
-from importlib import resources
 
 from .arquiver import (
     BadOrientation,
@@ -211,7 +210,7 @@ def fixture_dir():
     env = os.environ.get("ARQ_FIXTURE_DIR")
     if env:
         return env
-    return str(resources.files("rootseq") / "fixtures")
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def load_fixture(name: str) -> dict:

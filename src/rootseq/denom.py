@@ -8,7 +8,7 @@ multiset of exponents; no coefficient arithmetic is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
@@ -23,11 +23,10 @@ class WellDefinednessViolation(AssertionError):
     names the orientation, the slot and two pairs with their gdists."""
 
 
-@dataclass(frozen=True)
-class DistancePolynomial:
+class DistancePolynomial(namedtuple("DistancePolynomial", "factors")):
     """prod_t (z - (-q)^t)^{mult[t]}, stored as sorted (t, mult) factors."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "DistancePolynomial":
@@ -64,16 +63,14 @@ class DistancePolynomial:
         return [{"t": t, "mult": m} for t, m in self.factors]
 
 
-@dataclass(frozen=True)
-class DenominatorEntry:
-    """One d_{k,l}: the distance polynomial with the dual-Coxeter correction
-    factor merged in when l = k*."""
+class DenominatorEntry(
+    namedtuple("DenominatorEntry", "k l poly correction conjectural")
+):
+    """One d_{k,l}: the distance polynomial ``poly`` with the dual-Coxeter
+    correction factor merged in when l = k* (``correction``); ``conjectural``
+    in type E."""
 
-    k: int
-    l: int
-    poly: DistancePolynomial
-    correction: bool
-    conjectural: bool
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -5,32 +5,46 @@ member at once)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rootsys import PosRoot
 from .words import CommClass, ReducedWord, roots_of_word
 
 
-@dataclass(frozen=True, slots=True)
 class RootSequence:
     """A finite multiset of positive roots drawn from a commutation class,
     stored as a multiplicity vector aligned with the representative word.
-    ``support_mask`` has bit k set iff position k occurs."""
+    ``support_mask`` has bit k set iff position k occurs; it is derived, so
+    equality, hash and repr read (cls, counts) only.  Immutable."""
 
-    cls: CommClass
-    counts: tuple[int, ...]
-    support_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("cls", "counts", "support_mask")
 
-    def __post_init__(self):
-        if len(self.counts) != len(self.cls):
+    def __init__(self, cls: CommClass, counts: tuple[int, ...]):
+        if len(counts) != len(cls):
             raise ValueError("multiplicity vector does not match the class length")
         mask = 0
-        for k, c in enumerate(self.counts):
+        for k, c in enumerate(counts):
             if c:
                 if c < 0:
                     raise ValueError("negative multiplicity")
                 mask |= 1 << k
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "support_mask", mask)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RootSequence is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cls, self.counts) == (other.cls, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.cls, self.counts))
+
+    def __repr__(self) -> str:
+        return f"RootSequence(cls={self.cls!r}, counts={self.counts!r})"
 
     @staticmethod
     def from_roots(cls: CommClass, roots) -> "RootSequence":
@@ -92,7 +106,7 @@ class RootSequence:
 def _member_positions(seq: RootSequence, member: ReducedWord | None):
     """Class positions listed in the order the given member visits them;
     computed once per member and kept in the class cache under its letters
-    (a tuple hashes in C, the word dataclass in Python).  A member over
+    (a tuple of ints hashes in C, a ``ReducedWord`` in Python).  A member over
     another root system raises ValueError."""
     cls = seq.cls
     if member is None:

@@ -18,7 +18,7 @@ Text syntax accepted by :func:`parse_root`:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -55,12 +55,11 @@ def dynkin_edges(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
     raise UnsupportedType(f"unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    kind: str
-    rank: int
-    edges: tuple[tuple[int, int], ...]
-    cartan_matrix: tuple[tuple[int, ...], ...]
+class CartanDatum(namedtuple("CartanDatum", "kind rank edges cartan_matrix")):
+    """kind: str, rank: int, edges: tuple[tuple[int, int], ...],
+    cartan_matrix: tuple[tuple[int, ...], ...]."""
+
+    __slots__ = ()
 
     @staticmethod
     def build(kind: str, rank: int) -> "CartanDatum":
@@ -76,9 +75,11 @@ class CartanDatum:
         return CartanDatum(kind, rank, edges, A)
 
 
-@dataclass(frozen=True, order=True)
-class PosRoot:
-    coeffs: tuple[int, ...]
+class PosRoot(namedtuple("PosRoot", "coeffs")):
+    """A positive root as its coefficient vector over the simple roots
+    (coeffs: tuple[int, ...]); ordered by that vector."""
+
+    __slots__ = ()
 
     @property
     def height(self) -> int:

@@ -201,7 +201,9 @@ def _pairs(cls: CommClass, weight) -> tuple[tuple[int, int], ...]:
 def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
     """Unordered pairs of distinct roots of the class with the given total
     weight, by ascending first position: the position pairs of ``_pairs``
-    as sequences."""
+    as sequences.  The library reads ``_pairs``; this stays public because
+    the tests and ``perfbench/spans.py`` call it by name (the tracer fails
+    to install without it)."""
     return tuple(_pair_sequence(cls, i, j) for i, j in _pairs(cls, weight))
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rootsys import PosRoot, RootSystem
 
 
@@ -22,17 +20,34 @@ class ClassTooLarge(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class ReducedWord:
-    letters: tuple[int, ...]
-    system: RootSystem
+    """A word in the simple reflections of a root system, immutable, equal
+    and hashed as (letters, system).  Not a tuple: its length is the number
+    of letters."""
 
-    def __post_init__(self):
-        for i in self.letters:
-            if not 1 <= i <= self.system.rank:
+    __slots__ = ("letters", "system")
+
+    def __init__(self, letters: tuple[int, ...], system: RootSystem):
+        for i in letters:
+            if not 1 <= i <= system.rank:
                 raise LetterOutOfRange(
-                    f"letter {i} out of range for rank {self.system.rank}"
+                    f"letter {i} out of range for rank {system.rank}"
                 )
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "system", system)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ReducedWord is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters, self.system) == (other.letters, other.system)
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.system))
 
     def __len__(self) -> int:
         return len(self.letters)
