@@ -18,12 +18,19 @@ side that goes first alternates from pair to pair:
   each survey rounded to 0.1 s, about 0.01 s each, so a run slowed past
   0.05 s shows as a differing output)
 
-Each run records its wall time, the peak RSS of the child (``ru_maxrss`` of
-the rusage that ``wait4`` returns for it, its own share of
-``RUSAGE_CHILDREN``), its exit code and the sha256 of its stdout.  The
-output JSON holds every run and, per command, the medians of wall time and
-peak RSS on each side with the parent's quartiles and the number of pairs
-in which the change was lower.  The exit code is 0 when every run of a
+Each run records its wall time, the peak RSS of the child, its exit code and
+the sha256 of its stdout.  The child starts through ``LAUNCHER``, which runs
+the command with ``runpy`` and at exit writes its own ``VmHWM`` from
+``/proc/self/status`` to a file that this script reads.  (``ru_maxrss`` would
+start at this script's resident set at the fork, which Linux keeps across
+``exec``.)  Each side reads its bytecode from a cache of its own, compiled
+before the first run (``PYTHONPYCACHEPREFIX``): otherwise a tree that holds
+``__pycache__`` would start faster and smaller than the fresh export, by
+about 30 ms and 1 MB, whenever ``PYTHONDONTWRITEBYTECODE`` is set.
+
+The output JSON holds every run and, per command, the medians of wall time
+and peak RSS on each side with the parent's quartiles and the number of
+pairs in which the change was lower.  The exit code is 0 when every run of a
 command, on both sides, printed the same stdout and exited with the same
 code, and 1 otherwise.  (``verify rds-mul`` exits 1 on E8 on both sides:
 the radius differs from the multiplicity there, a finding of the library.)
@@ -51,19 +58,50 @@ COMMANDS = {
 }
 
 
-def run(tree, argv):
-    """Run python with argv in the tree, its src first on the path."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *argv], cwd=tree, env=env,
-                            stdout=subprocess.PIPE)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
-            "exit": proc.returncode, "stdout_sha256": hashlib.sha256(out).hexdigest()}
+# python -c LAUNCHER FILE ARGV...: runs ARGV (a script, or -m and a module)
+# as python would and, at exit, writes its own peak resident set in kB
+# (VmHWM) to FILE
+LAUNCHER = """
+import atexit, os, runpy, sys
+out, argv = sys.argv[1], sys.argv[2:]
+
+def peak():
+    with open('/proc/self/status') as fh:
+        kb = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))
+    with open(out, 'w') as fh:
+        fh.write(kb)
+
+atexit.register(peak)
+if argv[0] == '-m':
+    sys.argv, sys.path[0] = argv[1:], os.getcwd()
+    runpy.run_module(argv[1], run_name='__main__', alter_sys=True)
+else:
+    sys.argv, sys.path[0] = argv, os.path.dirname(os.path.abspath(argv[0]))
+    runpy.run_path(argv[0], run_name='__main__')
+"""
+
+
+def environment(tree, pycache):
+    """The environment of a run in the tree: its src first on the path, and
+    bytecode read from and written to pycache alone."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONPYCACHEPREFIX=pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run(tree, argv, env):
+    """Run python with argv in the tree."""
+    with tempfile.TemporaryDirectory(prefix="bench-e2e-") as tmp:
+        peak = os.path.join(tmp, "vmhwm_kb")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", LAUNCHER, peak, *argv],
+                              cwd=tree, env=env, stdout=subprocess.PIPE)
+        wall = time.perf_counter() - start
+        with open(peak) as fh:
+            peak_kb = int(fh.read())
+    return {"wall_s": wall, "peak_rss_mb": peak_kb / 1024, "exit": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
 def main():
@@ -76,14 +114,21 @@ def main():
     rev, change = revisions(args.parent)
     report = {"parent": rev, "change": change, "pairs": args.pairs, "workloads": {}}
     ok = True
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
         export(rev, parent_tree)
         trees = {"parent": parent_tree, "change": os.getcwd()}
+        envs = {side: environment(tree, os.path.join(pycache, side))
+                for side, tree in trees.items()}
+        for side, tree in trees.items():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
+                           cwd=tree, env=envs[side], check=True)
         for name, argv in COMMANDS.items():
             runs = []
             for k in range(args.pairs):
                 for side in order(k):
-                    runs.append({"side": side, "pair": k, **run(trees[side], argv)})
+                    runs.append({"side": side, "pair": k,
+                                 **run(trees[side], argv, envs[side])})
                     r = runs[-1]
                     print(f"{name} pair {k} {side}: exit {r['exit']}, "
                           f"wall_s {r['wall_s']:.3f}, peak_rss_mb {r['peak_rss_mb']:.1f}",

@@ -62,7 +62,7 @@ def main():
         # class caches were emptied as each table was finished, so this
         # drops only the AR quivers and the finished tables with their counts
         denom._o_table.cache_clear()
-        arquiver._build_cached.cache_clear()
+        arquiver.build_ar_quiver.cache_clear()
     e8 = arquiver.DynkinQuiver.from_arrows(build_root_system("E", 8), E8_REFERENCE)
     digest.update(_table_text(e8).encode())
     structures.update(_structure_text(e8).encode())

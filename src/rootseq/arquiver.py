@@ -6,7 +6,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .rootsys import PosRoot, RootSystem, build_root_system
+from .rootsys import PosRoot, RootSystem
 from .words import CommClass, ReducedWord
 
 
@@ -223,13 +223,8 @@ class ARQuiver:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(arrows: frozenset, kind: str, rank: int) -> ARQuiver:
-    system = build_root_system(kind, rank)
-    return ARQuiver(DynkinQuiver(system, arrows))
-
-
 def build_ar_quiver(Q: DynkinQuiver) -> ARQuiver:
-    return _build_cached(Q.arrows, Q.system.kind, Q.system.rank)
+    return ARQuiver(Q)
 
 
 def is_adapted(word: ReducedWord, Q: DynkinQuiver) -> bool:

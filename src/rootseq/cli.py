@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad input,
 or a statistic asked outside its domain), 3 enumeration cap exceeded,
-4 internal error (any other exception; its traceback goes to stderr).
+4 internal error (any other exception; its traceback goes to stderr),
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -573,6 +574,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ClassTooLarge, PartitionCap) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -167,10 +167,11 @@ def _derivation_tree(system) -> dict:
     return tree
 
 
-def _alpha_pairs(arq: ARQuiver, i: int) -> list:
-    """[(slot, pair)] over the comparable pairs of the AR quiver that
-    contain alpha_i, in the order of ``comparable_pairs``; alpha_i must be
-    extremal in the heap of its class, as ``_check_reflection`` checks.
+def _alpha_pairs(arq: ARQuiver, i: int) -> dict[tuple[int, int, int], list]:
+    """The comparable pairs of the AR quiver that contain alpha_i, grouped
+    by slot as ``slots`` groups them, each slot in the order of
+    ``comparable_pairs``; alpha_i must be extremal in the heap of its class,
+    as ``_check_reflection`` checks.
 
     All are read off one mask: alpha_i's up-set when it is the heap's
     minimum, for the pairs (alpha_i, beta), or its down-set when it is the
@@ -182,14 +183,14 @@ def _alpha_pairs(arq: ARQuiver, i: int) -> list:
     k, p = arq.coordinate(alpha)
     lowest = not cls._below[e]
     rest = cls._above[e] if lowest else cls._below[e]
-    out = []
+    out: dict[tuple[int, int, int], list] = {}
     while rest:
         low = rest & -rest
         rest ^= low
         beta = cls.roots[low.bit_length() - 1]
         kb, pb = arq.coordinate(beta)
-        out.append(((min(k, kb), max(k, kb), abs(p - pb)),
-                    (alpha, beta) if lowest else (beta, alpha)))
+        out.setdefault((min(k, kb), max(k, kb), abs(p - pb)), []).append(
+            (alpha, beta) if lowest else (beta, alpha))
     return out
 
 
@@ -198,77 +199,59 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
     """({(k, l, t): o_t}, {(k, l, t): n}) over every occupied slot, k <= l:
     the gdist shared by the pairs of the slot, and their number.
 
-    Only the root of ``_derivation_tree`` is computed from its class alone:
-    the gdist of the first pair of every slot, or with check_all of every
-    pair, which must agree, and the size of every slot, both in one walk of
-    its comparable pairs.  Every other table is derived from its parent's
+    Each table is derived from its parent's in ``_derivation_tree``.  The
+    root has no parent: it carries an empty table and empty counts, and
+    every comparable pair of its class is new.  Any other table is derived
     along the reflection at the parent's sink or source i
     (Bernstein-Gelfand-Ponomarev), its premise checked on every call
     (``_check_reflection``).  Alpha_i leaves one end of the heap and comes
     back at the other; every other root beta becomes s_i beta with the same
     residue, the same coordinate gaps and the same heap.  Alpha_i lies
     strictly between no two roots, so a pair that avoids it has the same
-    interval, up to s_i, and the same gdist in both classes.  A slot holding
-    such a pair takes the parent's value; a slot whose pairs all contain
-    alpha_i takes the gdist of its first pair in [Q].  With check_all every
-    alpha_i pair is computed and must agree with the carried value.
+    interval, up to s_i, and the same gdist in both classes.  The new pairs
+    are Q's alpha_i pairs, and the counts are the parent's less the
+    parent's alpha_i pairs plus the new ones.
 
-    A reflection reads no pair but alpha_i's, on both sides of the edge: its
-    counts are the parent's less the parent's alpha_i pairs plus its own,
-    and a slot holds a pair that avoids alpha_i exactly when its count
-    exceeds its number of alpha_i pairs.  A derived table costs the edge
-    check, the alpha_i pairs of both classes (at most N each, N the number
-    of positive roots) and one pass over its slots.  Only a violation at a
-    slot that takes the parent's value walks the slots again, to name that
-    slot's first pair that avoids alpha_i.
+    A slot holds a carried pair (one that avoids alpha_i) exactly when its
+    count exceeds its number of new pairs; it takes the parent's value.  A
+    slot with no carried pair takes the gdist of its first new pair.  With
+    check_all every new pair is computed and must agree with the slot's
+    value.  A derived table costs the edge check, the alpha_i pairs of both
+    classes (at most N each, N the number of positive roots) and one pass
+    over its slots.  Only a violation at a slot with a carried pair walks
+    the slots again, to name that slot's first pair that avoids alpha_i.
 
     Without check_all a derived slot holds the gdist of a pair that need not
     be the first of its slot; the two agree on every well-defined slot.  The
-    counts do not depend on check_all.
+    counts do not depend on check_all.  A table leaves the class it reads
+    gdist from with an empty ``cache`` whether it returns or raises: only
+    the table is read again.
 
     check_all is positional and has no default, so the lru cache holds one
     entry per (Q, bool).
     """
     edge = _derivation_tree(Q.system)[Q]
-    if edge is None:
-        return _slot_gdists(Q, check_all)
-    P, i = edge
-    parent = _o_table(P, check_all)
-    _check_reflection(P, Q, i)
-    return _slot_gdists(Q, check_all, parent, P, i)
-
-
-def _slot_gdists(Q: DynkinQuiver, check_all: bool, parent=None, P=None, i=None):
-    """Q's o-table and pair counts from its class; with the parent P's, those
-    of P's reflection at i, from alpha_i's pairs in both classes (see
-    ``_o_table``).
-
-    A table that reads gdist from a class leaves the class with an empty
-    ``cache`` whether it returns or raises: only the table is read again."""
     arq = build_ar_quiver(Q)
-    cls = arq.comm_class()
-    if parent is None:
-        by_slot = slots(arq)
-        counts = {key: len(members) for key, members in by_slot.items()}
-        # (slot, the pairs to read, whether the slot takes the parent's value)
-        todo = [(key, members, False) for key, members in by_slot.items()]
+    if edge is None:
+        table_p, counts, new = {}, {}, slots(arq)
     else:
-        table_p, counts = parent[0], dict(parent[1])
-        for key, _ in _alpha_pairs(build_ar_quiver(P), i):
-            counts[key] -= 1
-        alpha_pairs: dict = {}
-        for key, ab in _alpha_pairs(arq, i):
-            counts[key] = counts.get(key, 0) + 1
-            alpha_pairs.setdefault(key, []).append(ab)
-        counts = {key: n for key, n in counts.items() if n}
-        todo = [
-            (key, alpha_pairs.get(key, []), n > len(alpha_pairs.get(key, ())))
-            for key, n in counts.items()
-        ]
-    out = {}
+        P, i = edge
+        table_p, counts = _o_table(P, check_all)
+        _check_reflection(P, Q, i)
+        counts = dict(counts)
+        for key, pairs in _alpha_pairs(build_ar_quiver(P), i).items():
+            counts[key] -= len(pairs)
+        new = _alpha_pairs(arq, i)
+    for key, pairs in new.items():
+        counts[key] = counts.get(key, 0) + len(pairs)
+    counts = {key: n for key, n in counts.items() if n}
+    cls = arq.comm_class()
     fmt = Q.system.format_root
+    out = {}
     try:
-        for key, members, carried in todo:
+        for key, n in counts.items():
+            members = new.get(key, [])
+            carried = n > len(members)
             # gdist -> the first pair that has it; the carried pair is named
             # only if the slot disagrees
             vals = {table_p[key]: None} if carried else {}

@@ -171,10 +171,3 @@ def coarse_less(a: RootSequence, b: RootSequence) -> bool:
             return False
     return bool(diffs)
 
-
-def coarse_less_brute(a: RootSequence, b: RootSequence, members=None) -> bool:
-    """Reference implementation: check bi-lex against every class member
-    (``members``: the members of the class, when already listed)."""
-    if members is None:
-        members = a.cls.linear_extensions()
-    return all(bilex_less(a, b, member=w) for w in members)

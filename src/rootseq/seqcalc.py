@@ -3,8 +3,8 @@ sequences over a commutation class.
 
 All sequences here live over a fixed commutation class and are compared with
 the coarse bi-lex order from :mod:`rootseq.orders`.  Expensive intermediate
-results (partitions of a weight or of an interval, pair simplicity, chain
-lengths, the packed roots of the partition search) are kept in the class's
+results (partitions of a weight, pair simplicity, chain lengths, the
+packed roots of the partition search) are kept in the class's
 ``cache`` (:class:`rootseq.words.ClassCache`).
 """
 
@@ -143,29 +143,22 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     return out
 
 
-def _enumerated(
-    cls: CommClass, store: dict, key, within: int, weight, cap: int
-) -> tuple[RootSequence, ...]:
-    """The partitions of the weight over the positions in the mask, cached
-    in the store under the key and checked against the cap on every call, so
-    that capped and uncapped calls agree whatever order they come in."""
-    if key not in store:
-        store[key] = tuple(
-            RootSequence(cls, counts)
-            for counts in _partitions(cls, within, weight, cap)
-        )
-    if len(store[key]) > cap:
-        raise PartitionCap(weight, cap + 1, cap)
-    return store[key]
-
-
 def sequences_of_weight(
     cls: CommClass, weight, cap: int = DEFAULT_CAP
 ) -> tuple[RootSequence, ...]:
-    """Every multiset of roots of the class with the given total weight."""
+    """Every multiset of roots of the class with the given total weight,
+    cached in ``cache.weights`` and checked against the cap on every call,
+    so that capped and uncapped calls agree whatever order they come in."""
     weight = tuple(weight)
-    everywhere = (1 << len(cls)) - 1
-    return _enumerated(cls, cls.cache.weights, weight, everywhere, weight, cap)
+    store = cls.cache.weights
+    if weight not in store:
+        store[weight] = tuple(
+            RootSequence(cls, counts)
+            for counts in _partitions(cls, (1 << len(cls)) - 1, weight, cap)
+        )
+    if len(store[weight]) > cap:
+        raise PartitionCap(weight, cap + 1, cap)
+    return store[weight]
 
 
 def _pairs(cls: CommClass, weight) -> tuple[tuple[int, int], ...]:
@@ -288,17 +281,6 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     return store[key]
 
 
-def is_simple_pair_brute(cls: CommClass, i: int, j: int) -> bool:
-    """Reference implementation straight from the definition."""
-    counts = [0] * len(cls)
-    counts[i] += 1
-    counts[j] += 1
-    p = RootSequence(cls, tuple(counts))
-    return not any(
-        coarse_less(m, p) for m in sequences_of_weight(cls, p.weight())
-    )
-
-
 def is_simple(seq: RootSequence) -> bool:
     """A sequence is simple if every pair of distinct occupied positions
     forms a simple pair (so one with a single occupied position is)."""
@@ -333,8 +315,9 @@ def _at_most(seq: RootSequence, cap: int) -> tuple[RootSequence, ...]:
     if ij is None:
         return (seq,)
     try:
-        below = _enumerated(
-            cls, cls.cache.intervals, ij, cls.interval(*ij), seq.weight(), cap
+        below = tuple(
+            RootSequence(cls, counts)
+            for counts in _partitions(cls, cls.interval(*ij), seq.weight(), cap)
         )
     except PartitionCap as e:
         raise PartitionCap(e.weight, e.count, cap, pair=seq) from None
@@ -510,99 +493,57 @@ def gdist(seq: RootSequence, cap: int = DEFAULT_CAP) -> int:
 
 def _eta_condition(cls: CommClass, pp, p, threshold: int) -> bool:
     """Condition (i) of good adjacency of the pairs at positions pp and p
-    (each ascending): a root eta transfers between the two pairs in one of
-    the two directions, with both mixed pairs strictly closer than the
-    threshold (the dist of the pair whose neighbors are collected; dist(p)
-    when checking a single adjacency).  In each pair the first slot is the
-    root earlier in the class order."""
-    roots = cls.roots
+    (each ascending): a root eta of the class transfers between the two
+    pairs in one of the two directions, with both mixed pairs strictly
+    closer than the threshold (the dist of the pair whose neighbors are
+    collected).  In each pair the first slot is the root earlier in the
+    class order.  Eta is neither b2 nor a1: twice a root is no root."""
+    roots, pos = cls.roots, cls._pos_of_root
     pp_roots, p_roots = (roots[pp[0]], roots[pp[1]]), (roots[p[0]], roots[p[1]])
     # eta + b2 = b1 and eta + a1 = a2, from pp to p and from p to pp
     for (a1, b1), (a2, b2) in ((pp_roots, p_roots), (p_roots, pp_roots)):
         eta = b1 - b2
-        if eta == a2 - a1 and cls.system.is_positive_root(eta):
-            q1, q2 = _pair_of_roots(cls, eta, b2), _pair_of_roots(cls, eta, a1)
-            if (q1 is not None and q2 is not None and pair_dist(cls, *q1) < threshold
-                    and pair_dist(cls, *q2) < threshold):
-                return True
+        e = pos.get(eta)
+        if (e is not None and eta == a2 - a1
+                and pair_dist(cls, e, pos[b2]) < threshold
+                and pair_dist(cls, e, pos[a1]) < threshold):
+            return True
     return False
 
 
-def _pair_of_roots(cls: CommClass, r1: PosRoot, r2: PosRoot) -> tuple[int, int] | None:
-    """The positions of two distinct roots of the class, or None."""
-    if r1 == r2:
-        return None
-    try:
-        return cls.position(r1), cls.position(r2)
-    except KeyError:
-        return None
-
-
-def good_adjacent(
-    pp: RootSequence, p: RootSequence, threshold: int | None = None
-) -> bool:
-    """pp and p are good adjacent neighbors: pp is coarse-below p, some root
-    transfers between them per the eta condition, and no pair of the same
-    weight sits strictly between them.
-
-    A pair satisfying the eta condition against p automatically has the
-    weight of p, so pairs of two weights are never adjacent, and the
-    exclusion clause reduces to the betweenness check, a scan of the
-    position pairs of the weight with the four-mask test."""
-    if not (_is_pair(pp) and _is_pair(p)):
-        raise NotInDomain("good adjacency is defined for pairs")
-    if pp.cls is not p.cls:
-        raise ValueError("sequences live over different commutation classes")
-    wt = p.weight()
-    if pp.weight() != wt:
-        return False
-    cls = p.cls
-    low, top = tuple(pp.positions()), tuple(p.positions())
-    if not _pair_below(cls, low, top):
-        return False
-    d = pair_dist(cls, *top) if threshold is None else threshold
-    if not _eta_condition(cls, low, top, d):
-        return False
-    return not any(
-        _pair_below(cls, low, q) and _pair_below(cls, q, top)
-        for q in _pairs(cls, wt)
-        if q != low and q != top
-    )
-
-
 def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
-    """Non-simple equal-weight pairs below p reachable by a chain of good
-    adjacent steps; their count is the length of p."""
+    """Non-simple equal-weight pairs below p reachable from p by a chain of
+    good adjacent steps; their count is the length of p.
+
+    A step goes from a pair b down to a pair a when a is coarse-below b,
+    some root eta transfers between them (``_eta_condition`` at the
+    threshold dist(p)) and no pair of the weight lies strictly between
+    them.  The eta transfer conserves weight and every step goes down, so a
+    breadth-first search from p over the position pairs of p's weight below
+    p finds them all; a pair between two of those is below p too (the
+    coarse order is transitive), so the betweenness scan runs over the same
+    pairs."""
     if not _is_pair(p):
         raise NotInDomain("length is defined for pairs")
     cls = p.cls
     top = tuple(p.positions())
-    # the eta transfer conserves weight and every chain member is coarse
-    # below p, so intermediate pairs below p of the same weight suffice
-    nodes = {
-        q: _pair_sequence(cls, *q)
-        for q in _pairs(cls, p.weight())
-        if q == top or _pair_below(cls, q, top)
-    }
+    below = [
+        q for q in _pairs(cls, p.weight()) if q != top and _pair_below(cls, q, top)
+    ]
     d = pair_dist(cls, *top)
-    adj = {q: [] for q in nodes}
-    for a, sa in nodes.items():
-        for b, sb in nodes.items():
-            if a != b and good_adjacent(sa, sb, threshold=d):
-                adj[b].append(a)
     seen = {top}
     frontier = [top]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for c2 in adj[c]:
-                if c2 not in seen:
-                    seen.add(c2)
-                    nxt.append(c2)
-        frontier = nxt
+    for b in frontier:  # appended to while read: breadth first
+        for a in below:
+            if (a not in seen and _pair_below(cls, a, b)
+                    and _eta_condition(cls, a, b, d)
+                    and not any(_pair_below(cls, a, q) and _pair_below(cls, q, b)
+                                for q in below if q != a and q != b)):
+                seen.add(a)
+                frontier.append(a)
     return tuple(
-        s for q, s in nodes.items()
-        if q != top and q in seen and not is_simple_pair(cls, *q)
+        _pair_sequence(cls, *q) for q in below
+        if q in seen and not is_simple_pair(cls, *q)
     )
 
 

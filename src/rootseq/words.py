@@ -85,18 +85,17 @@ class ClassCache:
 
     Each entry depends on the class alone, never on the queries made before
     it, so every caller may share it, and dropping it costs only
-    recomputation.  Enumerations are stored whole and checked against each
-    caller's cap on the way out (see ``seqcalc``).  The working state of an
-    o-table lasts only as long as the table: ``denom._slot_gdists`` replaces
-    the cache of the class it computes from when it returns or raises.
+    recomputation.  The enumerations of a weight are stored whole and
+    checked against each caller's cap on the way out (see
+    ``seqcalc.sequences_of_weight``).  The working state of an o-table lasts
+    only as long as the table: ``denom._o_table`` replaces the cache of the
+    class it computes from when it returns or raises.
     """
 
-    __slots__ = ("weights", "intervals", "pairs", "simple", "chains", "packed",
-                 "members")
+    __slots__ = ("weights", "pairs", "simple", "chains", "packed", "members")
 
     def __init__(self):
         self.weights = {}  # weight -> its partitions over the class
-        self.intervals = {}  # (i, j) -> partitions of beta_i + beta_j between i, j
         self.pairs = {}  # weight -> position pairs (i, j), i < j, of that weight
         self.simple = {}  # (i, j), i < j -> simplicity of the pair
         # (statistic, weight) -> {count-order key: predecessor or None}

@@ -1,9 +1,14 @@
 import pytest
 
 from rootseq.arquiver import height_function
-from rootseq.orders import RootSequence, coarse_less
+from rootseq.orders import RootSequence, bilex_less, coarse_less
 from rootseq.rootsys import PosRoot, build_root_system
-from rootseq.seqcalc import is_simple_pair, pairs_of_weight
+from rootseq.seqcalc import (
+    dist,
+    is_simple_pair,
+    pairs_of_weight,
+    sequences_of_weight,
+)
 from rootseq.words import NotReduced, ReducedWord, roots_of_word
 
 
@@ -181,6 +186,84 @@ def radius_by_sequences(cls, gamma):
         (len(chains.get(p.counts, ()))
          for p in pairs_of_weight(cls, gamma.coeffs) if coarse_less(base, p)),
         default=None,
+    )
+
+
+# -- the definitions of the coarse order and of simplicity -------------
+# The library decides both with mask tests; these read the definitions.
+
+def coarse_less_brute(a, b, members=None):
+    """Coarse-order oracle: a is bi-lex below b for every class member
+    (``members``: the members of the class, when already listed)."""
+    if members is None:
+        members = a.cls.linear_extensions()
+    return all(bilex_less(a, b, member=w) for w in members)
+
+
+def is_simple_pair_brute(cls, i, j):
+    """Simplicity oracle: no sequence of the weight of the pair at class
+    positions i and j is coarse-below it."""
+    counts = [0] * len(cls)
+    counts[i] += 1
+    counts[j] += 1
+    p = RootSequence(cls, tuple(counts))
+    return not any(
+        coarse_less(m, p) for m in sequences_of_weight(cls, p.weight())
+    )
+
+
+# -- the sequence path of good neighbors --------------------------------
+# The library searches good neighbors on position pairs; these build the
+# adjacency of every pair of the weight below p on RootSequence objects.
+
+def _eta_transfer(cls, pp, p, threshold):
+    """A root eta of the class transfers between the pairs pp and p in one
+    of the two directions (eta + b2 = b1 and eta + a1 = a2, each pair's
+    roots in class order), with both mixed pairs (eta, b2) and (eta, a1)
+    strictly closer than the threshold."""
+    pp_roots, p_roots = pp.support(), p.support()
+    for (a1, b1), (a2, b2) in ((pp_roots, p_roots), (p_roots, pp_roots)):
+        eta = b1 - b2
+        if eta == a2 - a1 and eta in cls.roots and eta not in (b2, a1):
+            if all(dist(RootSequence.from_roots(cls, (eta, r))) < threshold
+                   for r in (b2, a1)):
+                return True
+    return False
+
+
+def good_adjacent(pp, p, threshold):
+    """Good-adjacency oracle: pp is coarse-below p, some root transfers
+    between them (``_eta_transfer``) and no pair of the weight sits
+    strictly between them."""
+    cls, wt = p.cls, p.weight()
+    if pp.weight() != wt or not coarse_less(pp, p):
+        return False
+    return _eta_transfer(cls, pp, p, threshold) and not any(
+        coarse_less(pp, q) and coarse_less(q, p) for q in pairs_of_weight(cls, wt)
+    )
+
+
+def good_neighbors_by_sequences(p):
+    """good_neighbors oracle: the adjacency of every pair of p's weight at
+    most p, at the threshold dist(p), searched breadth first from p; the
+    non-simple pairs reached, p excluded, in the order of pairs_of_weight."""
+    cls = p.cls
+    nodes = [q for q in pairs_of_weight(cls, p.weight()) if q == p or coarse_less(q, p)]
+    d = dist(p)
+    adj = {b: [a for a in nodes if a != b and good_adjacent(a, b, d)] for b in nodes}
+    seen = {p}
+    frontier = [p]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for a in adj[b]:
+                if a not in seen:
+                    seen.add(a)
+                    nxt.append(a)
+        frontier = nxt
+    return tuple(
+        q for q in nodes
+        if q != p and q in seen and not is_simple_pair(cls, *q.positions())
     )
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,3 +352,22 @@ def test_determinism(capsys):
     a = run(capsys, "denom", "table", "--type", "D4", "--format", "json")
     b = run(capsys, "denom", "table", "--type", "D4", "--format", "json")
     assert a == b and a[0] == 0
+
+
+def test_closed_stdout_exits_141():
+    """A reader that closes the pipe before the command writes (as
+    ``| head -1`` may) gives exit 141, the shell's code for SIGPIPE, and no
+    traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootseq.cli", "denom", "table", "--type", "A3"],
+            stdout=write, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr

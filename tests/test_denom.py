@@ -369,7 +369,7 @@ def test_o_tables_do_not_depend_on_query_order(kind, rank):
         answers = []
         for first, second in ((Q, Q.rev()), (Q.rev(), Q)):
             _o_table.cache_clear()
-            arquiver._build_cached.cache_clear()
+            arquiver.build_ar_quiver.cache_clear()
             tables = {R: _o_table(R, kind != "E") for R in (first, second)}
             answers.append((tables[Q], tables[Q.rev()]))
             assert _released(Q) and _released(Q.rev()), Q.orientation_str()
@@ -385,7 +385,7 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
     # the root of the derivation tree: its table is computed from its class
     Q = next(all_orientations(build_root_system(kind, rank)))
     _o_table.cache_clear()
-    arquiver._build_cached.cache_clear()
+    arquiver.build_ar_quiver.cache_clear()
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
     firsts = [members[0] for members in slots(arq).values()]

@@ -2,15 +2,11 @@ import itertools
 import random
 
 import pytest
+from conftest import coarse_less_brute
 from hypothesis import given, settings, strategies as st
 
 from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
-from rootseq.orders import (
-    RootSequence,
-    bilex_less,
-    coarse_less,
-    coarse_less_brute,
-)
+from rootseq.orders import RootSequence, bilex_less, coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.words import CommClass, ReducedWord, roots_of_word
 

@@ -19,9 +19,6 @@ PACKAGE = ROOT / "src" / "rootseq"
 SEARCHED = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
 BY_NAME = ROOT / "perfbench"  # where a string literal names a definition
 
-# reference implementations kept so that tests can check the fast paths
-ORACLES = {"coarse_less_brute", "is_simple_pair_brute"}
-
 
 def _definitions():
     """(name, "module:line") of every non-dunder def and class in the package."""
@@ -57,6 +54,6 @@ def test_every_definition_is_reached():
     unreached = sorted(
         f"{name} ({where})"
         for name, where in defs
-        if counts[name] <= n_defs[name] and name not in ORACLES
+        if counts[name] <= n_defs[name]
     )
     assert not unreached, "reached only from the tests: " + ", ".join(unreached)

@@ -6,6 +6,9 @@ import pytest
 from conftest import (
     NON_ADAPTED_A5,
     dist_chains,
+    good_adjacent,
+    good_neighbors_by_sequences,
+    is_simple_pair_brute,
     longest_chains,
     radius_by_sequences,
     random_reduced_word,
@@ -35,11 +38,9 @@ from rootseq.seqcalc import (
     dist_chain,
     gdist,
     gdist_chain,
-    good_adjacent,
     good_neighbors,
     is_simple,
     is_simple_pair,
-    is_simple_pair_brute,
     minimal_sequences,
     pairs_of_weight,
     radius,
@@ -584,6 +585,30 @@ def test_e7_good_neighbors():
     assert good_adjacent(u1, mid1, threshold=d)
     assert good_adjacent(mid2, u, threshold=d)
     assert good_adjacent(u2, mid2, threshold=d)
+
+
+def _assert_good_neighbors_match(cls):
+    n = len(cls)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = _pos_pair(cls, i, j)
+            assert good_neighbors(p) == good_neighbors_by_sequences(p), (i, j)
+
+
+@pytest.mark.parametrize("kind,rank,first", [
+    ("A", 2, None), ("A", 3, None), ("A", 4, None), ("A", 5, None),
+    ("D", 4, None), ("D", 5, 4), ("E", 6, 4),
+])
+def test_good_neighbors_match_sequence_path(kind, rank, first):
+    """good_neighbors on position pairs equals the adjacency search on
+    sequences, on every pair of every orientation (of the first ``first``
+    of D5 and E6)."""
+    for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), first):
+        _assert_good_neighbors_match(build_ar_quiver(Q).comm_class())
+
+
+def test_e7_good_neighbors_match_sequence_path():
+    _assert_good_neighbors_match(_arq_cls("E", 7, E7_ARROWS))
 
 
 def test_d4_radius(d4_cls):
