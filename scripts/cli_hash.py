@@ -6,10 +6,11 @@ The matrix is every README example with its json/latex/dot variants, plus
 ``word class``/``word heap``, ``pair dist``, ``arq diff``, the ``verify``
 sweeps, ``pair socle|gdist|simple|minimal`` on a sequence of three roots
 of D4 and of E6, which take the paths for sequences that are not pairs,
-``pair len`` on the E7 reference pair, and ``pair radius`` on two words of
+``pair len`` on the E7 reference pair, ``pair radius`` on two words of
 no AR quiver: a word of A2 shorter than w0, whose class holds [1,2] and no
 pair of its weight (exit 2), and a word of w0 in A5 adapted to no
-orientation.  Prints one line: the number of invocations and a sha256 over
+orientation, and ``denom verify`` on every E6 orientation (exit 0) and on
+the E7 reference orientation (exit 1: six entries lie above the reading).  Prints one line: the number of invocations and a sha256 over
 each invocation's arguments, stdout and exit code.  Two versions of the CLI that
 print the same line behave the same on the matrix.  Run with
 ``PYTHONPATH=src``.
@@ -63,6 +64,8 @@ MATRIX = [
               ("text", "json", "latex")),
     *_formats(["denom", "verify", "--type", "D5", "--all-orientations",
                "--check-all"]),
+    *_formats(["denom", "verify", "--type", "E6", "--all-orientations"]),
+    ["denom", "verify", *E7],
     *_formats(["verify", "fixtures"]),
     *_formats(["verify", "rds-mul", "--type", "D4", "--all-orientations"]),
     ["verify", "dist-bound", "--type", "A4"],

@@ -9,6 +9,7 @@ import sys
 import time
 
 from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
+from rootseq.cli import run_piped
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import radius
 
@@ -52,4 +53,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_piped(main))

@@ -569,17 +569,25 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_piped(fn, *args) -> int:
+    """fn(*args) with stdout flushed, or 141 with nothing more printed if
+    the reader of stdout has closed it (as ``| head -1`` may)."""
     try:
-        code = args.fn(args)
+        code = fn(*args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the flush at
         # interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return run_piped(args.fn, args)
     except (ClassTooLarge, PartitionCap) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -593,7 +601,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    return code
 
 
 if __name__ == "__main__":

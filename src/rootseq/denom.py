@@ -1,6 +1,8 @@
-"""Distance polynomials read off an AR quiver, and the closed-form
-denominator polynomials of the corresponding untwisted affine quantum
-algebras (types A and D proven, type E conjectural).
+"""Distance polynomials read off an AR quiver, and the denominator
+polynomials d_{k,l} of the corresponding untwisted affine quantum algebras
+built from them (types A and D proven, type E conjectural), checked against
+the inverse quantum Cartan matrix read off the same AR quiver, which holds
+for every type.
 
 A factored polynomial in z whose roots are powers of (-q) is stored as the
 multiset of exponents; no coefficient arithmetic is ever needed.
@@ -334,52 +336,33 @@ def denominator_table(
     )
 
 
-def denominator_closed_form(kind: str, n: int, k: int, l: int) -> DistancePolynomial:
-    """The known factored denominator of the untwisted affine algebra of type
-    A_n or D_n for the fundamental-weight indices k, l."""
-    d: dict[int, int] = {}
-
-    def add(t):
-        d[t] = d.get(t, 0) + 1
-
-    if kind == "A":
-        for x in range(1, min(k, l, n + 1 - k, n + 1 - l) + 1):
-            add(abs(k - l) + 2 * x)
-    elif kind == "D":
-        if k > l:
-            k, l = l, k
-        if l <= n - 2:
-            for x in range(1, min(k, l) + 1):
-                add(abs(k - l) + 2 * x)
-                add(2 * n - 2 - k - l + 2 * x)
-        elif k <= n - 2:
-            for x in range(1, k + 1):
-                add(n - k - 1 + 2 * x)
-        elif k != l:
-            for x in range(1, (n - 1) // 2 + 1):
-                add(4 * x)
-        else:
-            for x in range(1, n // 2 + 1):
-                add(4 * x - 2)
-    else:
-        raise UnsupportedType(f"no closed-form denominator for type {kind}")
-    return DistancePolynomial.from_dict(d)
+def quantum_cartan_denominators(Q: DynkinQuiver) -> dict[tuple[int, int], DistancePolynomial]:
+    """{(k, l): d_{k,l}} for every k <= l, in row order, read off Gamma_Q as
+    the inverse quantum Cartan matrix (Hernandez-Leclerc, arXiv:1109.0862;
+    Fujita, arXiv:1911.12693): d_{k,l} = prod_{u=1..h} (z-(-q)^{u+1})^{c_{k,l}(u)},
+    h the dual Coxeter number, where c_{k,l}(u) is the alpha_k coefficient
+    of the root at vertex (l, xi_k - u + 1), or 0 if there is no vertex."""
+    arq = build_ar_quiver(Q)
+    n, h, xi, label = Q.system.rank, Q.system.dual_coxeter, arq.xi, arq.label
+    return {
+        (k, l): DistancePolynomial.from_dict({
+            u + 1: label[l, xi[k] - u + 1].coeffs[k - 1]
+            for u in range(1, h + 1) if (l, xi[k] - u + 1) in label
+        })
+        for k in range(1, n + 1) for l in range(k, n + 1)
+    }
 
 
 def verify_denominator(Q: DynkinQuiver, check_all: bool = False) -> tuple[dict, ...]:
-    """The entries d_{k,l}, k <= l, read off the quiver that differ from the
-    closed form, each as {"k", "l", "computed", "expected"}."""
-    sys_ = Q.system
-    if sys_.kind not in ("A", "D"):
-        raise UnsupportedType("closed forms are known for types A and D only")
-    bad = []
-    for e in denominator_table(Q, check_all):
-        want = denominator_closed_form(sys_.kind, sys_.rank, e.k, e.l)
-        if e.poly != want:
-            bad.append(
-                {"k": e.k, "l": e.l, "computed": str(e.poly), "expected": str(want)}
-            )
-    return tuple(bad)
+    """The entries d_{k,l}, k <= l, read off the quiver that differ from
+    ``quantum_cartan_denominators``, each as {"k", "l", "computed",
+    "expected"}."""
+    want = quantum_cartan_denominators(Q)
+    return tuple(
+        {"k": e.k, "l": e.l, "computed": str(e.poly), "expected": str(want[e.k, e.l])}
+        for e in denominator_table(Q, check_all)
+        if e.poly != want[e.k, e.l]
+    )
 
 
 def conjecture_table(Q: DynkinQuiver, check_all: bool = False) -> tuple[DenominatorEntry, ...]:

@@ -116,13 +116,6 @@ _W0_INVOLUTIONS = {
     ),
 }
 
-_DUAL_COXETER = {
-    "A": lambda n: n + 1,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-}
-
-
 class RootSystem:
     """Positive roots of a finite ADE root system, with parsing helpers."""
 
@@ -136,7 +129,8 @@ class RootSystem:
         self._index = {r.coeffs: k for k, r in enumerate(self.positive_roots)}
         self.highest_root = max(self.positive_roots, key=lambda r: r.height)
         self.w0_involution = _W0_INVOLUTIONS[self.kind](self.rank)
-        self.dual_coxeter = _DUAL_COXETER[self.kind](self.rank)
+        # simply laced: h_dual = h = the height of the highest root + 1
+        self.dual_coxeter = self.highest_root.height + 1
         if self.kind == "D":
             self._eps_table = {
                 self.eps_vector(r): r for r in self.positive_roots

@@ -1,8 +1,9 @@
 import pytest
 
 from rootseq.arquiver import height_function
+from rootseq.denom import DistancePolynomial
 from rootseq.orders import RootSequence, bilex_less, coarse_less
-from rootseq.rootsys import PosRoot, build_root_system
+from rootseq.rootsys import PosRoot, UnsupportedType, build_root_system
 from rootseq.seqcalc import (
     dist,
     is_simple_pair,
@@ -265,6 +266,42 @@ def good_neighbors_by_sequences(p):
         q for q in nodes
         if q != p and q in seen and not is_simple_pair(cls, *q.positions())
     )
+
+
+# -- the closed-form denominators of types A and D ----------------------
+# The library checks its denominators against the inverse quantum Cartan
+# matrix read off Gamma_Q; these are the known formulas it agrees with.
+
+def denominator_closed_form(kind, n, k, l):
+    """The known factored denominator d_{k,l} of the untwisted affine
+    algebra of type A_n or D_n for the fundamental-weight indices k, l."""
+    d = {}
+
+    def add(t):
+        d[t] = d.get(t, 0) + 1
+
+    if kind == "A":
+        for x in range(1, min(k, l, n + 1 - k, n + 1 - l) + 1):
+            add(abs(k - l) + 2 * x)
+    elif kind == "D":
+        if k > l:
+            k, l = l, k
+        if l <= n - 2:
+            for x in range(1, min(k, l) + 1):
+                add(abs(k - l) + 2 * x)
+                add(2 * n - 2 - k - l + 2 * x)
+        elif k <= n - 2:
+            for x in range(1, k + 1):
+                add(n - k - 1 + 2 * x)
+        elif k != l:
+            for x in range(1, (n - 1) // 2 + 1):
+                add(4 * x)
+        else:
+            for x in range(1, n // 2 + 1):
+                add(4 * x - 2)
+    else:
+        raise UnsupportedType(f"no closed-form denominator for type {kind}")
+    return DistancePolynomial.from_dict(d)
 
 
 def longest_word(system):

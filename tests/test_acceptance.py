@@ -18,7 +18,7 @@ from rootseq.arquiver import (
     find_quiver,
 )
 from rootseq.cli import fixture_deltas, load_fixture
-from rootseq.denom import denominator, denominator_closed_form
+from rootseq.denom import denominator
 from rootseq.orders import RootSequence, bilex_less, coarse_less
 from rootseq.rootsys import build_root_system
 from rootseq.seqcalc import (
@@ -32,7 +32,13 @@ from rootseq.seqcalc import (
 )
 from rootseq.words import CommClass, ReducedWord, roots_of_word
 
-from conftest import commutation_classes, in_class, longest_word, word_from_root_order
+from conftest import (
+    commutation_classes,
+    denominator_closed_form,
+    in_class,
+    longest_word,
+    word_from_root_order,
+)
 
 A5_SECT_WORD = (1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4)
 A5_SECT_ORDER = ["[1]", "[3]", "[1,3]", "[2,3]", "[3,4]", "[1,4]", "[2,4]",

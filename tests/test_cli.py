@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -354,20 +355,56 @@ def test_determinism(capsys):
     assert a == b and a[0] == 0
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _closed_stdout_run(argv):
+    """Run argv with PYTHONPATH=src and a stdout pipe whose read end is
+    closed before the child writes."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            argv, stdout=write, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60,
+        )
+    finally:
+        os.close(write)
+
+
 def test_closed_stdout_exits_141():
     """A reader that closes the pipe before the command writes (as
     ``| head -1`` may) gives exit 141, the shell's code for SIGPIPE, and no
     traceback."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "rootseq.cli", "denom", "table", "--type", "A3"],
-            stdout=write, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
-        )
-    finally:
-        os.close(write)
+    proc = _closed_stdout_run(
+        [sys.executable, "-m", "rootseq.cli", "denom", "table", "--type", "A3"])
     assert proc.returncode == 141
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", [
+    ["radius_survey.py", "--systems", "E6,E7,E8"],
+    ["e6_table.py"],
+    ["verify_all.py"],
+])
+def test_scripts_exit_141_on_closed_stdout(script):
+    """The scripts treat a closed stdout as the CLI does."""
+    proc = _closed_stdout_run([sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]])
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr
+
+
+def test_verify_all_stops_on_a_closed_stdout(monkeypatch):
+    """A CLI run that exits 141 stops the sweep with 141 and is not counted
+    as a failure; a run that fails does not stop it."""
+    spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
+    verify_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify_all)
+    monkeypatch.setattr(sys, "argv", ["verify_all.py"])
+    every = (len(verify_all.DENOM_TYPES) + 2 + len(verify_all.RADIUS_TYPES)
+             + len(verify_all.DIST_BOUND_TYPES))
+    for code, runs, want in ((141, 1, 141), (1, every, 1)):
+        calls = []
+        monkeypatch.setattr(verify_all, "cli_main", lambda argv: calls.append(argv) or code)
+        assert verify_all.main() == want
+        assert len(calls) == runs

@@ -15,9 +15,10 @@ from rootseq.denom import (
     comparable_pairs,
     conjecture_table,
     denominator,
-    denominator_closed_form,
+    denominator_table,
     _o_table,
     distance_polynomial,
+    quantum_cartan_denominators,
     slots,
     verify_denominator,
 )
@@ -25,6 +26,8 @@ from rootseq.orders import RootSequence
 from rootseq.rootsys import UnsupportedType, build_root_system
 from rootseq.seqcalc import gdist, gdist_chain, radius
 from rootseq.words import ClassCache, CommClass
+
+from conftest import denominator_closed_form
 
 
 def _quiver(kind, rank, arrows):
@@ -104,8 +107,54 @@ def test_closed_form_d5():
         denominator_closed_form("E", 6, 1, 1)
 
 
+def _inverse_quantum_cartan(system):
+    """{(k, l): [c~_{k,l}(u) for u = 0..h]} by the recursion
+    (Hernandez-Leclerc, arXiv:1109.0862): c~(0) = 0, c~(1) = 1,
+    c~_{k,l}(u+1) = sum of c~_{i,l}(u) over i adjacent to k, less c~_{k,l}(u-1)."""
+    nodes = range(1, system.rank + 1)
+    adj = {k: [i for i in nodes if system.cartan[k - 1][i - 1] == -1] for k in nodes}
+    c = {(k, l): [0, int(k == l)] for k in nodes for l in nodes}
+    for u in range(1, system.dual_coxeter):
+        for k in nodes:
+            for l in nodes:
+                c[k, l].append(sum(c[i, l][u] for i in adj[k]) - c[k, l][u - 1])
+    return c
+
+
+ALL_TYPES = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+             + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind,rank", ALL_TYPES)
+def test_quantum_cartan_reading_matches_recursion(kind, rank):
+    """The reading off Gamma_Q is the inverse quantum Cartan matrix, with
+    c~_{k,l}(u) as the exponent of (z-(-q)^{u+1}), on every orientation."""
+    sys_ = build_root_system(kind, rank)
+    c = _inverse_quantum_cartan(sys_)
+    want = {
+        (k, l): DistancePolynomial.from_dict(
+            {u + 1: c[k, l][u] for u in range(1, sys_.dual_coxeter + 1)})
+        for k in range(1, rank + 1) for l in range(k, rank + 1)
+    }
+    for Q in all_orientations(sys_):
+        got = quantum_cartan_denominators(Q)
+        assert list(got) == list(want)  # row order
+        assert got == want, Q.orientation_str()
+
+
+@pytest.mark.parametrize("kind,rank", [kr for kr in ALL_TYPES if kr[0] != "E"])
+def test_quantum_cartan_reading_equals_closed_form(kind, rank):
+    sys_ = build_root_system(kind, rank)
+    for Q in all_orientations(sys_):
+        for (k, l), poly in quantum_cartan_denominators(Q).items():
+            assert poly == denominator_closed_form(kind, rank, k, l), (
+                Q.orientation_str(), k, l)
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)])
 def test_all_orientations_match_closed_form(kind, rank):
+    """verify_denominator checks against the Gamma_Q reading, which equals
+    the closed form on A and D (test_quantum_cartan_reading_equals_closed_form)."""
     sys_ = build_root_system(kind, rank)
     for Q in all_orientations(sys_):
         bad = verify_denominator(Q)
@@ -533,5 +582,31 @@ def test_conjecture_table_shape_e6():
     assert by[(1, 5)].correction  # 5 = 1* in E6
     with pytest.raises(UnsupportedType):
         conjecture_table(A3_MONO())
-    with pytest.raises(UnsupportedType):
-        verify_denominator(Q)
+
+
+E7_ABOVE_READING = {(4, 4), (4, 5), (4, 6), (5, 5), (5, 6), (6, 6)}
+
+
+def _excess(Q):
+    """{(k, l): {t: the computed exponent less the reading's}}."""
+    want = quantum_cartan_denominators(Q)
+    out = {}
+    for e in denominator_table(Q):
+        got, ref = e.poly.as_dict(), want[e.k, e.l].as_dict()
+        out[e.k, e.l] = {t: got.get(t, 0) - ref.get(t, 0) for t in got.keys() | ref.keys()}
+    return out
+
+
+def test_verify_denominator_on_type_e():
+    """verify_denominator takes type E: E6 agrees with the Gamma_Q reading;
+    E7 lies above it in exactly six entries, each exponent by at most one,
+    and E8 in 23 entries, never below it."""
+    assert verify_denominator(_quiver("E", 6, [(1, 2), (2, 3), (3, 4), (4, 5), (6, 3)])) == ()
+    Q = _quiver("E", 7, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)])
+    assert {(e["k"], e["l"]) for e in verify_denominator(Q)} == E7_ABOVE_READING
+    excess = _excess(Q)
+    assert {kl for kl, d in excess.items() if any(d.values())} == E7_ABOVE_READING
+    assert all(set(d.values()) <= {0, 1} for d in excess.values())
+    Q = _quiver("E", 8, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)])
+    assert len(verify_denominator(Q)) == 23
+    assert all(x >= 0 for d in _excess(Q).values() for x in d.values())
