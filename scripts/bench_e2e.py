@@ -10,8 +10,10 @@ below runs as its own process with ``PYTHONPATH=src``, in the parent's copy
 and in this tree, one after the other, for the given number of pairs; the
 side that goes first alternates from pair to pair:
 
-- ``rootseq verify rds-mul --type E8 --all-orientations --format json``
+- ``rootseq verify rds-mul --type E8 --format json``, every orientation
 - ``rootseq denom table --type E8 --all-orientations``
+- ``rootseq denom table --type E8 --all-orientations --check-all``, the
+  slowest of the commands (about 10 s)
 - ``rootseq denom table --type E6``, one orientation: bound by start-up
 - ``scripts/verify_all.py``
 - ``scripts/radius_survey.py --systems E6,E7,E8`` (it prints the time of
@@ -49,9 +51,10 @@ from bench_compare import compare, export, order, revisions
 
 CLI = ["-m", "rootseq.cli"]
 COMMANDS = {
-    "verify rds-mul E8": CLI + ["verify", "rds-mul", "--type", "E8",
-                                "--all-orientations", "--format", "json"],
+    "verify rds-mul E8": CLI + ["verify", "rds-mul", "--type", "E8", "--format", "json"],
     "denom table E8": CLI + ["denom", "table", "--type", "E8", "--all-orientations"],
+    "denom table E8 check-all": CLI + ["denom", "table", "--type", "E8",
+                                       "--all-orientations", "--check-all"],
     "denom table E6": CLI + ["denom", "table", "--type", "E6"],
     "verify_all": ["scripts/verify_all.py"],
     "radius_survey": ["scripts/radius_survey.py", "--systems", "E6,E7,E8"],

@@ -3,16 +3,17 @@
 they print.
 
 The matrix is every README example with its json/latex/dot variants, plus
-``word class``/``word heap``, ``pair dist``, ``arq diff``, the ``verify``
-sweeps, ``pair socle|gdist|simple|minimal`` on a sequence of three roots
-of D4 and of E6, which take the paths for sequences that are not pairs,
-``pair len`` on the E7 reference pair, ``pair radius`` on two words of
-no AR quiver: a word of A2 shorter than w0, whose class holds [1,2] and no
-pair of its weight (exit 2), and a word of w0 in A5 adapted to no
-orientation, and ``denom verify`` on every E6 orientation (exit 0) and on
-the E7 reference orientation (exit 1: six entries lie above the reading).  Prints one line: the number of invocations and a sha256 over
-each invocation's arguments, stdout and exit code.  Two versions of the CLI that
-print the same line behave the same on the matrix.  Run with
+``word class``/``word heap``, ``pair dist``, ``verify fixtures`` on each
+fixture, the ``verify`` sweeps, ``pair socle|gdist|simple|minimal`` on a
+sequence of three roots of D4 and of E6, which take the paths for sequences
+that are not pairs, ``pair len`` on the E7 reference pair, ``pair radius``
+on two words of no AR quiver: a word of A2 shorter than w0, whose class
+holds [1,2] and no pair of its weight (exit 2), and a word of w0 in A5
+adapted to no orientation, and ``denom verify`` on every E6 orientation
+(exit 0) and on the E7 reference orientation (exit 1: six entries lie above
+the reading).  Prints one line: the number of invocations and a sha256 over
+each invocation's arguments, stdout and exit code.  Two versions of the CLI
+that print the same line behave the same on the matrix.  Run with
 ``PYTHONPATH=src``.
 """
 
@@ -23,7 +24,7 @@ import sys
 
 from rootseq.cli import main as cli_main
 
-D4 = ["--quiver", "D4:3>2,2>1,2>4"]
+D4 = ["--type", "D4", "--orient", "3>2,2>1,2>4"]
 E6 = ["--type", "E6", "--orient", "1>2,2>3,3>4,4>5,6>3"]
 A3_W0 = ["--type", "A3", "--word", "1 2 1 3 2 1"]
 E7 = ["--type", "E7", "--orient", "1>3,3>4,4>5,5>6,6>7,2>4"]
@@ -41,10 +42,10 @@ MATRIX = [
     *_formats(["word", "class", *A3_W0]),
     *_formats(["word", "heap", *A3_W0]),
     *_formats(["arq", "show", *D4], ("text", "json", "dot", "latex")),
-    ["arq", "diff", "--fixture", "e6"],
-    ["arq", "diff", "--fixture", "e7"],
-    ["arq", "diff", "--fixture", "e8"],
-    ["arq", "diff", "--fixture", "e6", "--format", "json"],
+    ["verify", "fixtures", "--fixture", "e6"],
+    ["verify", "fixtures", "--fixture", "e7"],
+    ["verify", "fixtures", "--fixture", "e8"],
+    ["verify", "fixtures", "--fixture", "e6", "--format", "json"],
     *_formats(["pair", "socle", *D4, "--pair", "{2|-4},{1|2}"]),
     *_formats(["pair", "gdist", *E6, "--pair", "111001,123212"]),
     *_formats(["pair", "radius", *D4, "--gamma", "{1|2}"]),
@@ -58,7 +59,7 @@ MATRIX = [
       for argv in _formats(["pair", action, *system, "--pair", seq])),
     *_formats(["order", *D4, "--seq-a", "{1|-4},{2|3},{2|-3}",
                "--seq-b", "{2|-4},{1|2}"]),
-    *_formats(["denom", "poly", "--quiver", "A3:1>2,2>3", "--k", "1", "--l", "2"],
+    *_formats(["denom", "poly", "--type", "A3", "--orient", "1>2,2>3", "--k", "1", "--l", "2"],
               ("text", "json", "latex")),
     *_formats(["denom", "table", "--type", "E6", "--all-orientations"],
               ("text", "json", "latex")),
@@ -67,7 +68,7 @@ MATRIX = [
     *_formats(["denom", "verify", "--type", "E6", "--all-orientations"]),
     ["denom", "verify", *E7],
     *_formats(["verify", "fixtures"]),
-    *_formats(["verify", "rds-mul", "--type", "D4", "--all-orientations"]),
+    *_formats(["verify", "rds-mul", "--type", "D4"]),
     ["verify", "dist-bound", "--type", "A4"],
     ["verify", "dist-bound", "--type", "D4"],
 ]

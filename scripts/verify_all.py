@@ -38,10 +38,8 @@ def main():
         [["denom", "verify", "--type", t, *sweep] for t in DENOM_TYPES]
         + [["denom", "table", "--type", "E7", *sweep],
            ["denom", "table", "--type", "E8", "--all-orientations"]]
-        + [["verify", "rds-mul", "--type", t, "--all-orientations"]
-           for t in RADIUS_TYPES]
-        + [["verify", "dist-bound", "--type", t, "--all-orientations"]
-           for t in DIST_BOUND_TYPES]
+        + [["verify", "rds-mul", "--type", t] for t in RADIUS_TYPES]
+        + [["verify", "dist-bound", "--type", t] for t in DIST_BOUND_TYPES]
     )
     failed = 0
     for argv in runs:

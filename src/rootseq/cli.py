@@ -83,24 +83,17 @@ def _int(text, what):
         raise UsageError(f"bad {what} {text!r}, expected an integer") from None
 
 
-def _parse_type_rank(args):
-    t = args.type
-    if t is None:
-        raise UsageError("--type is required")
-    t = t.strip()
+def _type_rank(text):
+    """--type as (kind, rank): a letter followed by the rank, such as D4."""
+    t = text.strip()
     if len(t) > 1 and t[1:].isdigit():
-        kind, rank = t[0].upper(), int(t[1:])
-        if args.rank is not None and args.rank != rank:
-            raise UsageError(f"--rank {args.rank} contradicts --type {t}")
-        return kind, rank
-    if args.rank is None:
-        raise UsageError("--rank is required with a bare --type letter")
-    return t.upper(), args.rank
+        return t[0].upper(), int(t[1:])
+    raise argparse.ArgumentTypeError(
+        f"expected a letter and a rank such as D4, got {text!r}")
 
 
 def _system(args):
-    kind, rank = _parse_type_rank(args)
-    return build_root_system(kind, rank)
+    return build_root_system(*args.type)
 
 
 def _parse_orient(system, text):
@@ -117,42 +110,17 @@ def _parse_orient(system, text):
 
 
 def _quiver(args):
-    if args.quiver:
-        spec = args.quiver
-        if ":" not in spec:
-            raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
-        head, tail = spec.split(":", 1)
-        head = head.strip()
-        if not head:
-            raise UsageError("--quiver expects 'TYPErank:a>b,c>d'")
-        kind, rank = head[0].upper(), _int(head[1:], "rank")
-        if args.type is not None:
-            given = _parse_type_rank(args)
-        else:
-            given = kind, rank if args.rank is None else args.rank
-        if given != (kind, rank):
-            named = [f"--{k} {v}" for k, v in (("type", args.type), ("rank", args.rank))
-                     if v is not None]
-            raise UsageError(f"--quiver {spec} contradicts {' '.join(named)}")
-        system = build_root_system(kind, rank)
-        return _parse_orient(system, tail)
     system = _system(args)
     if not args.orient:
         if not system.datum.edges:  # rank 1: the empty orientation
             return DynkinQuiver.from_arrows(system, [])
-        raise UsageError("--orient (or --quiver) is required")
+        raise UsageError("--orient is required")
     return _parse_orient(system, args.orient)
 
 
-def _quivers(args, default):
-    """The quiver given by --orient/--quiver, else every orientation under
-    --all-orientations, else ``default(system)``."""
-    if args.orient or args.quiver:
-        if args.all_orientations:
-            raise UsageError("--all-orientations takes no --orient or --quiver")
-        return [_quiver(args)]
-    system = _system(args)
-    return list(all_orientations(system)) if args.all_orientations else default(system)
+def _sweep(args):
+    """The quiver given by --orient, else every orientation of --type."""
+    return [_quiver(args)] if args.orient else all_orientations(_system(args))
 
 
 def _parse_word(system, text) -> ReducedWord:
@@ -181,7 +149,7 @@ def _split_roots(text):
 
 
 def _class_of(args):
-    """The commutation class selected by --quiver/--orient or --word."""
+    """The commutation class selected by --orient or --word."""
     if args.word:
         system = _system(args)
         return CommClass(_parse_word(system, args.word))
@@ -251,8 +219,6 @@ def fixture_deltas(name: str) -> list[dict]:
 
 def cmd_word(args):
     system = _system(args)
-    if args.word is None:
-        raise UsageError("--word is required")
     word = _parse_word(system, args.word)
     if args.action == "roots":
         roots = [system.format_root(r) for r in roots_of_word(word)]
@@ -314,22 +280,17 @@ def cmd_order(args):
 
 def cmd_pair(args):
     cls = _class_of(args)
-    cap = args.cap_partitions
     fmt = cls.system.format_root
     if args.action == "radius":
-        if not args.gamma:
-            raise UsageError("radius needs --gamma")
         g = cls.system.parse_root(args.gamma)
         r = radius(cls, g)
         _show(args, {"gamma": fmt(g), "radius": r, "mul": g.mul},
               f"radius({fmt(g)}) = {r}")
         return 0
-    if not args.pair:
-        raise UsageError(f"{args.action} needs --pair")
     seq = _sequence(cls, args.pair)
     if args.action == "socle":
-        s = socle(seq, cap)
-        cands = (s,) if s is not None else socle_candidates(seq, cap)
+        s = socle(seq, args.cap_partitions)
+        cands = (s,) if s is not None else socle_candidates(seq, args.cap_partitions)
         text = str(s) if s is not None else (
             "undefined; candidates:\n" + "\n".join(str(c) for c in cands))
         _show(args, {"pair": seq.to_json(), "socle": s.to_json() if s else None,
@@ -338,11 +299,12 @@ def cmd_pair(args):
         val = is_simple(seq)
         _show(args, {"sequence": seq.to_json(), "simple": val}, str(val))
     elif args.action == "minimal":
-        mins = minimal_sequences(seq, cap)
+        mins = minimal_sequences(seq, args.cap_partitions)
         _show(args, {"sequence": seq.to_json(), "minimal": [m.to_json() for m in mins]},
               "\n".join(str(m) for m in mins))
     elif args.action in ("dist", "gdist"):
-        chain = dist_chain(seq) if args.action == "dist" else gdist_chain(seq, cap=cap)
+        chain = (dist_chain(seq) if args.action == "dist"
+                 else gdist_chain(seq, cap=args.cap_partitions))
         _show(args, {"pair": seq.to_json(), args.action: len(chain),
                      "chain": [c.to_json() for c in chain]}, str(len(chain)))
     elif args.action == "len":
@@ -368,8 +330,6 @@ def _table_text(entries, latex=False):
 
 def cmd_denom(args):
     if args.action == "poly":
-        if args.k is None or args.l is None:
-            raise UsageError("poly needs --k and --l")
         Q = _quiver(args)
         rank = Q.system.rank
         for name, v in (("--k", args.k), ("--l", args.l)):
@@ -380,7 +340,8 @@ def cmd_denom(args):
               p.format(args.format))
         return 0
     if args.action == "table":
-        quivers = _quivers(args, lambda system: [next(all_orientations(system))])
+        quivers = (_sweep(args) if args.orient or args.all_orientations
+                   else [next(all_orientations(_system(args)))])
         tables = {denominator_table(Q, check_all=args.check_all) for Q in quivers}
         if len(tables) > 1:
             raise VerificationFailed("distance polynomials differ across orientations")
@@ -389,10 +350,9 @@ def cmd_denom(args):
               _table_text(entries, latex=args.format == "latex"))
         return 0
     # verify
-    if args.format == "latex":
-        raise UsageError("denom verify has no --format latex, only text or json")
     reports = [(Q.orientation_str(), verify_denominator(Q, check_all=args.check_all))
-               for Q in _quivers(args, lambda system: [_quiver(args)])]
+               for Q in (all_orientations(_system(args)) if args.all_orientations
+                         else [_quiver(args)])]
     _show(args,
           [{"quiver": q, "ok": not bad, "mismatches": list(bad)} for q, bad in reports],
           "\n".join(f"{q}: {bad or 'ok'}" for q, bad in reports))
@@ -403,12 +363,6 @@ def cmd_denom(args):
 
 
 def cmd_arq(args):
-    if args.action == "diff":
-        deltas = fixture_deltas(args.fixture)
-        _show(args, {"fixture": args.fixture, "diff": deltas},
-              "match" if not deltas else "\n".join(map(str, deltas)))
-        return 0 if not deltas else 1
-    # show
     arq = build_ar_quiver(_quiver(args))
     fmt = arq.system.format_root
     rows = sorted(arq.rows().items())
@@ -436,7 +390,7 @@ def cmd_arq(args):
 def cmd_verify(args):
     failures = []
     if args.property == "rds-mul":
-        for Q in _quivers(args, all_orientations):
+        for Q in _sweep(args):
             cls = build_ar_quiver(Q).comm_class()
             for g in cls.system.positive_roots:
                 if g.height == 1:
@@ -449,7 +403,7 @@ def cmd_verify(args):
                         "radius": r, "mul": g.mul,
                     })
     elif args.property == "dist-bound":
-        for Q in _quivers(args, all_orientations):
+        for Q in _sweep(args):
             cls = build_ar_quiver(Q).comm_class()
             bound = {"A": 1, "D": 2}.get(cls.system.kind)
             if bound is None:
@@ -483,17 +437,20 @@ def _add_output(p, formats=("text", "json")):
 
 
 def _add_system(p):
-    p.add_argument("--type", help="root system type, e.g. A, D4, E6")
-    p.add_argument("--rank", type=int)
+    p.add_argument("--type", required=True, type=_type_rank,
+                   help="root system, a letter and the rank: A3, D4, E6, ...")
 
 
 def _add_quiver(p):
-    p.add_argument("--orient", help="directed Dynkin edges 'a>b,c>d'")
-    p.add_argument("--quiver", help="shorthand 'D4:3>2,2>1,2>4'")
+    """--type and --orient; returns the group of options that exclude --orient."""
+    _add_system(p)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--orient", help="directed Dynkin edges 'a>b,c>d'")
+    return group
 
 
-def _add_word(p):
-    p.add_argument("--word", help="reduced word '1 3 2 ...'")
+def _add_word(p, required=False):
+    p.add_argument("--word", required=required, help="reduced word '1 3 2 ...'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,70 +458,72 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rootseq",
         description="Positive-root sequence combinatorics over AR quivers",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    commands = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("word", help="reduced-word utilities")
-    p.add_argument("action", choices=["roots", "class", "heap", "quiver"])
-    _add_system(p)
-    _add_word(p)
-    _add_output(p)
-    p.add_argument("--cap-class", type=int, default=DEFAULT_CAP,
-                   help="most members that 'word class' may list")
-    p.set_defaults(fn=cmd_word)
+    def command(name, help, fn, dest="action"):
+        """A subcommand run by fn; its actions are added to the sub-parsers
+        returned."""
+        p = commands.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p.add_subparsers(dest=dest, required=True)
 
-    p = sub.add_parser("order", help="compare two root sequences")
+    word = command("word", "reduced-word utilities", cmd_word)
+    for action in ("roots", "class", "heap", "quiver"):
+        p = word.add_parser(action)
+        _add_system(p)
+        _add_word(p, required=True)
+        _add_output(p)
+        if action == "class":
+            p.add_argument("--cap-class", type=int, default=DEFAULT_CAP,
+                           help="most members that 'word class' may list")
+
+    p = commands.add_parser("order", help="compare two root sequences")
     p.add_argument("--seq-a", required=True)
     p.add_argument("--seq-b", required=True)
-    _add_system(p)
-    _add_quiver(p)
-    _add_word(p)
+    _add_word(_add_quiver(p))
     _add_output(p)
     p.set_defaults(fn=cmd_order)
 
-    p = sub.add_parser("pair", help="socle / distance statistics")
-    p.add_argument(
-        "action",
-        choices=["socle", "dist", "gdist", "len", "radius", "simple", "minimal"],
-    )
-    p.add_argument("--pair", help="comma-separated roots")
-    p.add_argument("--gamma", help="target root for radius")
-    _add_system(p)
-    _add_quiver(p)
-    _add_word(p)
-    _add_output(p)
-    p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP,
-                   help="most partitions one enumeration may list; "
-                        "existence tests never reach it")
-    p.set_defaults(fn=cmd_pair)
+    pair = command("pair", "socle / distance statistics", cmd_pair)
+    for action in ("socle", "dist", "gdist", "len", "radius", "simple", "minimal"):
+        p = pair.add_parser(action)
+        if action == "radius":
+            p.add_argument("--gamma", required=True, help="a non-simple root")
+        else:
+            p.add_argument("--pair", required=True, help="comma-separated roots")
+        _add_word(_add_quiver(p))
+        _add_output(p)
+        if action in ("socle", "gdist", "minimal"):
+            p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP,
+                           help="most partitions one enumeration may list")
 
-    p = sub.add_parser("denom", help="distance polynomials and denominators")
-    p.add_argument("action", choices=["poly", "table", "verify"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--all-orientations", action="store_true")
-    p.add_argument("--check-all", action="store_true",
-                   help="verify well-definedness across all pairs per slot")
-    _add_system(p)
-    _add_quiver(p)
-    _add_output(p, formats=("text", "json", "latex"))
-    p.set_defaults(fn=cmd_denom)
+    denom = command("denom", "distance polynomials and denominators", cmd_denom)
+    for action in ("poly", "table", "verify"):
+        p = denom.add_parser(action)
+        group = _add_quiver(p)
+        if action == "poly":
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--l", type=int, required=True)
+        else:
+            group.add_argument("--all-orientations", action="store_true")
+        p.add_argument("--check-all", action="store_true",
+                       help="verify well-definedness across all pairs per slot")
+        _add_output(p, ("text", "json") if action == "verify"
+                    else ("text", "json", "latex"))
 
-    p = sub.add_parser("arq", help="AR quiver display and fixture diff")
-    p.add_argument("action", choices=["show", "diff"])
-    p.add_argument("--fixture", help="fixture name, e.g. e6")
-    _add_system(p)
+    p = command("arq", "AR quiver display", cmd_arq).add_parser("show")
     _add_quiver(p)
     _add_output(p, formats=("text", "json", "dot", "latex"))
-    p.set_defaults(fn=cmd_arq)
 
-    p = sub.add_parser("verify", help="property verification sweeps")
-    p.add_argument("property", choices=["rds-mul", "dist-bound", "fixtures"])
-    p.add_argument("--all-orientations", action="store_true")
-    p.add_argument("--fixture")
-    _add_system(p)
-    _add_quiver(p)
+    verify = command("verify", "property verification sweeps", cmd_verify, dest="property")
+    for prop, what in (("rds-mul", "radius = multiplicity"),
+                       ("dist-bound", "dist <= 1 (A), 2 (D)")):
+        p = verify.add_parser(prop, help=f"{what} on --orient, else on every orientation")
+        _add_quiver(p)
+        _add_output(p)
+    p = verify.add_parser("fixtures")
+    p.add_argument("--fixture", help="fixture name, e.g. e6; default e6, e7 and e8")
     _add_output(p)
-    p.set_defaults(fn=cmd_verify)
 
     return top
 

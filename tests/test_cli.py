@@ -9,13 +9,24 @@ import pytest
 
 from rootseq.cli import main
 
-D4_ARGS = ["--quiver", "D4:3>2,2>1,2>4"]
+D4_ARGS = ["--type", "D4", "--orient", "3>2,2>1,2>4"]
+A3_ARGS = ["--type", "A3", "--orient", "1>2,2>3"]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def rejected(capsys, *argv):
+    """The stderr of argv, which argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    return out.err
 
 
 def test_word_roots(capsys):
@@ -81,8 +92,7 @@ def test_pair_radius(capsys):
 
 
 def test_denom_poly_and_table(capsys):
-    code, out, _ = run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3",
-                       "--k", "1", "--l", "2")
+    code, out, _ = run(capsys, "denom", "poly", *A3_ARGS, "--k", "1", "--l", "2")
     assert code == 0 and out.strip() == "(z+q^3)"
     code, out, _ = run(capsys, "denom", "table", "--type", "A3",
                        "--all-orientations", "--format", "json")
@@ -94,7 +104,7 @@ def test_denom_poly_and_table(capsys):
 
 
 def test_denom_poly_latex(capsys):
-    code, out, _ = run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3",
+    code, out, _ = run(capsys, "denom", "poly", *A3_ARGS,
                        "--k", "1", "--l", "2", "--format", "latex")
     assert code == 0 and out.strip() == "(z+q^{3})"
 
@@ -102,9 +112,9 @@ def test_denom_poly_latex(capsys):
 def test_denom_verify_has_no_latex(capsys):
     """denom verify reports in text or JSON; asked for LaTeX it exits 2 and
     names the format instead of printing text."""
-    code, out, err = run(capsys, "denom", "verify", "--type", "A3",
-                         "--all-orientations", "--format", "latex")
-    assert code == 2 and out == "" and "--format latex" in err
+    err = rejected(capsys, "denom", "verify", "--type", "A3",
+                   "--all-orientations", "--format", "latex")
+    assert "argument --format: invalid choice: 'latex'" in err
 
 
 def test_denom_verify_exit_codes(capsys):
@@ -116,8 +126,8 @@ def test_denom_verify_exit_codes(capsys):
 def test_arq_show_dot_and_diff(capsys):
     code, out, _ = run(capsys, "arq", "show", *D4_ARGS, "--format", "dot")
     assert code == 0 and out.startswith("digraph")
-    code, out, _ = run(capsys, "arq", "diff", "--fixture", "e6")
-    assert code == 0 and out.strip() == "match"
+    code, out, _ = run(capsys, "verify", "fixtures", "--fixture", "e6")
+    assert code == 0 and out.strip() == "ok"
 
 
 def test_arq_show_rank_one(capsys):
@@ -137,74 +147,48 @@ def test_verify_rds_mul_d4(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run(capsys, "word", "roots", "--word", "1")[0] == 2  # no type
-    assert run(capsys, "pair", "socle", *D4_ARGS)[0] == 2  # no --pair
+    assert "required: --type" in rejected(capsys, "word", "roots", "--word", "1")
+    assert "required: --pair" in rejected(capsys, "pair", "socle", *D4_ARGS)
+    assert "required: --gamma" in rejected(capsys, "pair", "radius", *D4_ARGS)
+    assert "such as D4, got 'D'" in rejected(capsys, "denom", "table", "--type", "D")
+    assert "--word: not allowed with argument --orient" in rejected(
+        capsys, "pair", "simple", *D4_ARGS, "--word", "1 2", "--pair", "[1]")
     assert run(capsys, "word", "roots", "--type", "A2", "--word", "1 1")[0] == 2
     assert run(capsys, "pair", "socle", *D4_ARGS, "--pair", "[1,2],[3]")[0] == 2
-    assert run(capsys, "arq", "diff", "--fixture", "nope")[0] == 2
+    assert run(capsys, "verify", "fixtures", "--fixture", "nope")[0] == 2
     assert run(capsys, "verify", "dist-bound", "--type", "E6",
                "--orient", "1>2,2>3,3>4,4>5,6>3")[0] == 2
+    code, out, err = run(capsys, "arq", "show", "--type", "A3")
+    assert code == 2 and out == "" and "--orient is required" in err
 
 
 @pytest.mark.parametrize("action", ["roots", "class", "heap", "quiver"])
 def test_word_without_word_exit_2(capsys, action):
     """A missing --word is a usage error, not a fault of the program."""
-    code, out, err = run(capsys, "word", action, "--type", "A2")
-    assert code == 2 and out == ""
-    assert "--word is required" in err and "Traceback" not in err
+    err = rejected(capsys, "word", action, "--type", "A2")
+    assert "the following arguments are required: --word" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("system", [
-    ["--type", "A3"], ["--type", "D5"], ["--type", "D", "--rank", "5"],
-    ["--type", "E6"],
-], ids=["other-kind", "other-rank", "other-rank-flag", "exceptional"])
-def test_quiver_contradicting_type_exit_2(capsys, system):
-    """--quiver of another system than --type/--rank names both and exits 2,
-    where it printed the --quiver system's table under the --type label."""
-    code, out, err = run(capsys, "denom", "table", *system, *D4_ARGS)
-    assert code == 2 and out == ""
-    assert "D4:3>2,2>1,2>4" in err and " ".join(system) in err
-
-
-@pytest.mark.parametrize("system", [
-    [], ["--type", "D4"], ["--type", "D", "--rank", "4"], ["--type", "d4"],
-    ["--type", "D04"],
-], ids=["quiver-alone", "same-type", "same-type-and-rank", "lower-case", "leading-zero"])
+    ["--type", "D4"], ["--type", "d4"], ["--type", "D04"],
+], ids=["same-type", "lower-case", "leading-zero"])
 def test_quiver_agreeing_with_type(capsys, system):
-    code, out, _ = run(capsys, "denom", "poly", *system, *D4_ARGS,
-                       "--k", "1", "--l", "2")
+    orient = ["--orient", "3>2,2>1,2>4"]
+    code, out, _ = run(capsys, "denom", "poly", *system, *orient, "--k", "1", "--l", "2")
     assert code == 0 and out.strip() == "(z+q^3)(z+q^5)"
-    if system:
-        code, out, _ = run(capsys, "denom", "table", *system, *D4_ARGS)
-        assert code == 0 and len(out.splitlines()) == 10
+    code, out, _ = run(capsys, "denom", "table", *system, *orient)
+    assert code == 0 and len(out.splitlines()) == 10
 
 
-@pytest.mark.parametrize("command,last", [
-    (["denom", "table"], "d_4,4(z) = (z-q^2)(z-q^6)"),
-    (["denom", "verify"], "2>1,2>4,3>2: ok"),
-    (["verify", "rds-mul"], "ok"), (["verify", "dist-bound"], "ok"),
-], ids=["denom-table", "denom-verify", "rds-mul", "dist-bound"])
-def test_quiver_alone_names_the_system(capsys, command, last):
-    """--quiver without --type runs every command that takes a quiver,
-    where the sweeps exited 2 asking for --type."""
-    code, out, err = run(capsys, *command, *D4_ARGS)
-    assert code == 0 and err == "" and out.splitlines()[-1] == last
-
-
-@pytest.mark.parametrize("quiver", [
-    ["--type", "D4", "--orient", "3>2,2>1,2>4"], D4_ARGS, ["--type", "D4", *D4_ARGS],
-    ["--type", "A3", *D4_ARGS],
-], ids=["orient", "quiver", "quiver-and-type", "quiver-contradicting-type"])
-@pytest.mark.parametrize("command", [
-    ["denom", "table"], ["denom", "verify"], ["verify", "rds-mul"],
-    ["verify", "dist-bound"],
-])
+@pytest.mark.parametrize("quiver", [["--type", "D4", "--orient", "3>2,2>1,2>4"]],
+                         ids=["orient"])
+@pytest.mark.parametrize("command", [["denom", "table"], ["denom", "verify"]])
 def test_all_orientations_with_a_quiver_exit_2(capsys, command, quiver):
     """--all-orientations with a given quiver is a usage error, where the
     sweep ran over every orientation of --type and ignored the quiver."""
-    code, out, err = run(capsys, *command, "--all-orientations", *quiver)
-    assert code == 2 and out == ""
-    assert "--all-orientations takes no --orient or --quiver" in err
+    err = rejected(capsys, *command, "--all-orientations", *quiver)
+    assert "--orient: not allowed with argument --all-orientations" in err
 
 
 @pytest.mark.parametrize("k,l,named", [
@@ -214,8 +198,7 @@ def test_all_orientations_with_a_quiver_exit_2(capsys, command, quiver):
 def test_denom_poly_index_outside_rank_exit_2(capsys, k, l, named):
     """--k and --l outside 1..rank name the value and the rank and exit 2,
     where they printed the polynomial 1."""
-    code, out, err = run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3",
-                         "--k", k, "--l", l)
+    code, out, err = run(capsys, "denom", "poly", *A3_ARGS, "--k", k, "--l", l)
     assert code == 2 and out == ""
     assert f"{named} is outside 1..3, the rank" in err
 
@@ -253,9 +236,10 @@ def test_domain_errors_exit_2(capsys):
                "--pair", "[1],[3]")[0] == 2
     assert run(capsys, "word", "roots", "--type", "A2", "--word", "1 x")[0] == 2
     assert run(capsys, "word", "roots", "--type", "A2", "--word", "1 5")[0] == 2
-    assert run(capsys, "arq", "show", "--quiver", "E:1>2")[0] == 2
+    assert run(capsys, "arq", "show", "--type", "E9", "--orient", "1>2")[0] == 2
     assert run(capsys, "arq", "show", "--type", "A3", "--orient", "1>3,2>3")[0] == 2
-    assert run(capsys, "denom", "poly", "--quiver", "A3:1>2,2>3")[0] == 2
+    assert run(capsys, "arq", "show", "--type", "A3", "--orient", "1>x,2>3")[0] == 2
+    assert "required: --k, --l" in rejected(capsys, "denom", "poly", *A3_ARGS)
 
 
 A4_W0 = ["--type", "A4", "--word", "1 2 1 3 2 1 4 3 2 1"]  # a class of 12 members
@@ -295,19 +279,66 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-E6_QUIVER = ["--quiver", "E6:1>2,2>3,3>4,4>5,6>3"]
+D4_QUIVER = ["--quiver", "D4:3>2,2>1,2>4"]
+D4_PAIR = ["--pair", "{2|-4},{1|2}"]
+A2_WORD = ["--type", "A2", "--word", "1 2 1"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["arq", "show", "--type", "D4", *D4_QUIVER], "unrecognized arguments: --quiver"),
+    (["order", "--type", "D4", *D4_QUIVER, "--seq-a", "{1|2}", "--seq-b", "{1|-4}"],
+     "unrecognized arguments: --quiver"),
+    (["denom", "table", "--type", "D4", "--rank", "4"], "unrecognized arguments: --rank"),
+    (["denom", "table", "--type", "D", "--rank", "4"], "such as D4, got 'D'"),
+    (["word", "class", *A2_WORD, "--rank", "2"], "unrecognized arguments: --rank"),
+    (["arq", "diff", "--fixture", "e6"], "invalid choice: 'diff'"),
+    (["verify", "rds-mul", "--type", "A3", "--all-orientations"],
+     "unrecognized arguments: --all-orientations"),
+    *((["word", action, *A2_WORD, "--cap-class", "5"],
+       "unrecognized arguments: --cap-class") for action in ("roots", "heap", "quiver")),
+    *((["pair", action, *D4_ARGS, *D4_PAIR, "--gamma", "{1|2}"],
+       "unrecognized arguments: --gamma") for action in ("socle", "gdist")),
+    (["pair", "minimal", *D4_ARGS, "--pair", "{1|-4},{2|3},{2|-3}", "--gamma", "{1|2}"],
+     "unrecognized arguments: --gamma"),
+    *((["pair", action, *D4_ARGS, *D4_PAIR, "--cap-partitions", "5"],
+       "unrecognized arguments: --cap-partitions") for action in ("simple", "dist", "len")),
+    (["pair", "radius", *D4_ARGS, "--gamma", "{1|2}", *D4_PAIR],
+     "unrecognized arguments: --pair"),
+    (["denom", "poly", *A3_ARGS, "--k", "1", "--l", "2", "--all-orientations"],
+     "unrecognized arguments: --all-orientations"),
+    (["denom", "table", "--type", "A3", "--k", "1"], "unrecognized arguments: --k"),
+    (["denom", "verify", "--type", "A3", "--all-orientations", "--l", "2"],
+     "unrecognized arguments: --l"),
+    (["arq", "show", *A3_ARGS, "--fixture", "e6"], "unrecognized arguments: --fixture"),
+    *((["verify", prop, "--type", "A3", "--fixture", "e6"],
+       "unrecognized arguments: --fixture") for prop in ("rds-mul", "dist-bound")),
+    (["verify", "fixtures", "--fixture", "e6", "--type", "A3", "--orient", "1>2,3>2"],
+     "unrecognized arguments: --type A3 --orient 1>2,3>2"),
+    (["verify", "fixtures", "--fixture", "e6", "--all-orientations"],
+     "unrecognized arguments: --all-orientations"),
+], ids=lambda v: "-".join(v[:2]) if isinstance(v, list)
+    else v.replace("unrecognized arguments: ", ""))
+def test_removed_spellings_and_unread_options_exit_2(capsys, argv, named):
+    """The second spellings (--quiver, --rank, arq diff, verify
+    --all-orientations) and options that a command accepted and never read
+    exit 2 and are named, where each of these runs printed a result."""
+    assert named in rejected(capsys, *argv)
+
+
+E6_QUIVER = ["--type", "E6", "--orient", "1>2,2>3,3>4,4>5,6>3"]
 E6_PAIR = ["--pair", "111001,012211"]  # 12 interval partitions
 # exit code of each pair action under --cap-partitions 1: enumerations list
-# the partitions of the pair's interval or of the root and pass the cap;
-# existence tests list at most one partition and are never capped
+# the partitions of the pair's interval or of the root and pass the cap
+# (3); existence tests list at most one partition, are never capped and
+# take no --cap-partitions (2, from argparse)
 CAPPED_EXIT = {
     "socle": (E6_PAIR, 3),
     "gdist": (E6_PAIR, 3),
     "minimal": (["--pair", "123211"], 3),
-    "simple": (E6_PAIR, 0),
-    "dist": (E6_PAIR, 0),
-    "len": (E6_PAIR, 0),
-    "radius": (["--gamma", "123211"], 0),
+    "simple": (E6_PAIR, 2),
+    "dist": (E6_PAIR, 2),
+    "len": (E6_PAIR, 2),
+    "radius": (["--gamma", "123211"], 2),
 }
 
 
@@ -315,10 +346,12 @@ CAPPED_EXIT = {
 def test_pair_cap_partitions(capsys, action):
     target, code = CAPPED_EXIT[action]
     assert run(capsys, "pair", action, *E6_QUIVER, *target)[0] == 0
-    got, _, err = run(capsys, "pair", action, *E6_QUIVER, *target,
-                      "--cap-partitions", "1")
-    assert got == code
-    assert ("more than 1 partitions" in err) == (code == 3)
+    argv = ["pair", action, *E6_QUIVER, *target, "--cap-partitions", "1"]
+    if code == 2:
+        assert "unrecognized arguments: --cap-partitions 1" in rejected(capsys, *argv)
+    else:
+        got, _, err = run(capsys, *argv)
+        assert got == code and "more than 1 partitions" in err
 
 
 def test_pair_cap_names_the_pair(capsys):
