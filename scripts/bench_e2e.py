@@ -21,7 +21,10 @@ side that goes first alternates from pair to pair:
   0.05 s shows as a differing output)
 
 Each run records its wall time, the peak RSS of the child, its exit code and
-the sha256 of its stdout.  The child starts through ``LAUNCHER``, which runs
+two sha256 digests of its stdout: one over the echo lines, the lines that
+start with ``rootseq `` (``verify_all.py`` prints the argv of each CLI run
+before running it), and one over the result lines, all the others.  The
+child starts through ``LAUNCHER``, which runs
 the command with ``runpy`` and at exit writes its own ``VmHWM`` from
 ``/proc/self/status`` to a file that this script reads.  (``ru_maxrss`` would
 start at this script's resident set at the fork, which Linux keeps across
@@ -33,9 +36,11 @@ about 30 ms and 1 MB, whenever ``PYTHONDONTWRITEBYTECODE`` is set.
 The output JSON holds every run and, per command, the medians of wall time
 and peak RSS on each side with the parent's quartiles and the number of
 pairs in which the change was lower.  The exit code is 0 when every run of a
-command, on both sides, printed the same stdout and exited with the same
-code, and 1 otherwise.  (``verify rds-mul`` exits 1 on E8 on both sides:
-the radius differs from the multiplicity there, a finding of the library.)
+command, on both sides, printed the same result lines and exited with the
+same code, and 1 otherwise.  Echo lines that differ (a change to how the
+sweep spells a command) are reported as a note and do not change the exit
+code.  (``verify rds-mul`` exits 1 on E8 on both sides: the radius differs
+from the multiplicity there, a finding of the library.)
 """
 
 import argparse
@@ -59,6 +64,10 @@ COMMANDS = {
     "verify_all": ["scripts/verify_all.py"],
     "radius_survey": ["scripts/radius_survey.py", "--systems", "E6,E7,E8"],
 }
+
+# the start of an echo line: scripts/verify_all.py prints "rootseq ARGV..."
+# before each CLI run
+ECHO = b"rootseq "
 
 
 # python -c LAUNCHER FILE ARGV...: runs ARGV (a script, or -m and a module)
@@ -93,6 +102,15 @@ def environment(tree, pycache):
     return env
 
 
+def digests(stdout):
+    """The sha256 of the echo lines of stdout and of its result lines."""
+    lines = stdout.splitlines(keepends=True)
+    echo = b"".join(line for line in lines if line.startswith(ECHO))
+    result = b"".join(line for line in lines if not line.startswith(ECHO))
+    return {"echo_sha256": hashlib.sha256(echo).hexdigest(),
+            "result_sha256": hashlib.sha256(result).hexdigest()}
+
+
 def run(tree, argv, env):
     """Run python with argv in the tree."""
     with tempfile.TemporaryDirectory(prefix="bench-e2e-") as tmp:
@@ -104,7 +122,7 @@ def run(tree, argv, env):
         with open(peak) as fh:
             peak_kb = int(fh.read())
     return {"wall_s": wall, "peak_rss_mb": peak_kb / 1024, "exit": proc.returncode,
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+            **digests(proc.stdout)}
 
 
 def main():
@@ -136,12 +154,13 @@ def main():
                     print(f"{name} pair {k} {side}: exit {r['exit']}, "
                           f"wall_s {r['wall_s']:.3f}, peak_rss_mb {r['peak_rss_mb']:.1f}",
                           flush=True)
-            identical = len({(r["exit"], r["stdout_sha256"]) for r in runs}) == 1
+            identical = len({(r["exit"], r["result_sha256"]) for r in runs}) == 1
             ok = ok and identical
             by_side = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
             report["workloads"][name] = {
                 "argv": argv,
                 "identical": identical,
+                "echo_identical": len({r["echo_sha256"] for r in runs}) == 1,
                 "medians": {
                     metric: compare([r[metric] for r in by_side["parent"]],
                                     [r[metric] for r in by_side["change"]])
@@ -158,6 +177,8 @@ def main():
             print(f"{name} {metric}: {m['parent']:.4g} -> {m['change']:.4g} "
                   f"({pct}lower in {m['pairs_lower']})")
         print(f"{name}: {'identical' if entry['identical'] else 'OUTPUTS DIFFER'}")
+        if not entry["echo_identical"]:
+            print(f"{name}: note: the echoed command lines differ")
     return 0 if ok else 1
 
 

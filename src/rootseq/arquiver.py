@@ -158,9 +158,6 @@ class ARQuiver:
             if (j, p + 1) in label
         )
 
-    def coordinate(self, beta: PosRoot) -> tuple[int, int]:
-        return self.vertex_of[beta]
-
     def rows(self) -> dict[int, list[PosRoot]]:
         """Per-residue labels, ordered by increasing p (left to right)."""
         out: dict[int, list[PosRoot]] = {}
@@ -181,17 +178,24 @@ class ARQuiver:
     def comm_class(self) -> CommClass:
         """The class [Q] of the reading, with its roots read off the labels:
         the reading takes each row right to left, so the k-th letter i of
-        it is the vertex (i, xi_i - 2k)."""
+        it is the vertex (i, xi_i - 2k).
+
+        It also sets ``coords``: the vertex (i, p) of each class position,
+        coords[k] = vertex_of[roots[k]], the key tuples of ``label``
+        themselves."""
         try:
             return self._comm_class
         except AttributeError:
             word = self.reading()
             p = dict(self.xi)  # the p of the next vertex of each row
-            roots = []
+            roots, coords = [], []
             for i in word.letters:
-                roots.append(self.label[(i, p[i])])
+                root = self.label[(i, p[i])]
+                roots.append(root)
+                coords.append(self.vertex_of[root])
                 p[i] -= 2
             self._comm_class = CommClass(word, tuple(roots))
+            self.coords = tuple(coords)
             return self._comm_class
 
     def to_json(self) -> dict:

@@ -377,7 +377,7 @@ def cmd_arq(args):
         )
     else:
         text = "\n".join(
-            f"row {i}: " + " ".join(f"{fmt(r)}@{arq.coordinate(r)[1]}" for r in roots)
+            f"row {i}: " + " ".join(f"{fmt(r)}@{arq.vertex_of[r][1]}" for r in roots)
             for i, roots in rows
         )
     _show(args, arq.to_json(), text)

@@ -89,8 +89,7 @@ def comparable_pairs(arq: ARQuiver):
     order, together with their residues and coordinate gap; alpha runs over
     the class positions, and beta over the set bits of its up-set."""
     cls = arq.comm_class()
-    roots = cls.roots
-    coords = [arq.coordinate(r) for r in roots]
+    roots, coords = cls.roots, arq.coords
     for a, (ka, pa), rest in zip(roots, coords, cls._above):
         while rest:
             low = rest & -rest
@@ -110,21 +109,31 @@ def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _reflection(system, i: int) -> dict:
+    """{beta: s_i beta} over the positive roots beta != alpha_i of the
+    system, each image the system's own PosRoot: s_i permutes them."""
+    alpha = system.simple_root(i)
+    return {b: system.root(system.reflect(b, i))
+            for b in system.positive_roots if b != alpha}
+
+
 def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
     """Raise unless Gamma_Q is Gamma_P reflected at P's sink or source i:
     each root beta != alpha_i of [P] is s_i beta in [Q] with the same
     residue, all coordinates p shift by one constant, alpha_i is extremal in
     the heaps of both classes, and s_i maps the heap covers of [P] that
-    avoid alpha_i onto those of [Q]."""
+    avoid alpha_i onto those of [Q].  The coordinates are read by class
+    position (``ARQuiver.coords``), as the o-tables read them."""
     sys_ = P.system
     arq_p, arq_q = build_ar_quiver(P), build_ar_quiver(Q)
     cls_p, cls_q = arq_p.comm_class(), arq_q.comm_class()
     end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
+    s_i = _reflection(sys_, i)
     # each class position of [P] but alpha_i's -> the position of s_i beta in [Q]
-    to_q = {k: cls_q.position(sys_.reflect(b, i))
+    to_q = {k: cls_q.position(s_i[b])
             for k, b in enumerate(cls_p.roots) if k != end_p}
-    at = [(arq_p.coordinate(cls_p.roots[k]), arq_q.coordinate(cls_q.roots[m]))
-          for k, m in to_q.items()]
+    at = [(arq_p.coords[k], arq_q.coords[m]) for k, m in to_q.items()]
     covers_p = {(to_q[a], to_q[b])
                 for a, b in cls_p.heap_covers if end_p not in (a, b)}
     covers_q = {c for c in cls_q.heap_covers if end_q not in c}
@@ -180,17 +189,19 @@ def _alpha_pairs(arq: ARQuiver, i: int) -> dict[tuple[int, int, int], list]:
     maximum, for the pairs (beta, alpha_i).  ``comparable_pairs`` lists
     either kind by beta's position, as the mask's bits run."""
     cls = arq.comm_class()
+    roots, coords = cls.roots, arq.coords
     e = cls.position(arq.system.simple_root(i))
-    alpha = cls.roots[e]
-    k, p = arq.coordinate(alpha)
+    alpha = roots[e]
+    k, p = coords[e]
     lowest = not cls._below[e]
     rest = cls._above[e] if lowest else cls._below[e]
     out: dict[tuple[int, int, int], list] = {}
     while rest:
         low = rest & -rest
         rest ^= low
-        beta = cls.roots[low.bit_length() - 1]
-        kb, pb = arq.coordinate(beta)
+        j = low.bit_length() - 1
+        beta = roots[j]
+        kb, pb = coords[j]
         out.setdefault((min(k, kb), max(k, kb), abs(p - pb)), []).append(
             (alpha, beta) if lowest else (beta, alpha))
     return out
@@ -218,10 +229,13 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
     count exceeds its number of new pairs; it takes the parent's value.  A
     slot with no carried pair takes the gdist of its first new pair.  With
     check_all every new pair is computed and must agree with the slot's
-    value.  A derived table costs the edge check, the alpha_i pairs of both
-    classes (at most N each, N the number of positive roots) and one pass
-    over its slots.  Only a violation at a slot with a carried pair walks
-    the slots again, to name that slot's first pair that avoids alpha_i.
+    value.  A derived table starts as a copy of the parent's, drops the
+    slots whose count reaches 0 and visits only the slots with new pairs,
+    in the order of the counts.  So it costs the edge check and the alpha_i
+    pairs of both classes (at most N each, N the number of positive roots),
+    plus two dict copies; nothing is done per slot or per root beyond that.
+    Only a violation at a slot with a carried pair walks the slots, to name
+    that slot's first pair that avoids alpha_i.
 
     Without check_all a derived slot holds the gdist of a pair that need not
     be the first of its slot; the two agree on every well-defined slot.  The
@@ -235,36 +249,39 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
     edge = _derivation_tree(Q.system)[Q]
     arq = build_ar_quiver(Q)
     if edge is None:
-        table_p, counts, new = {}, {}, slots(arq)
+        out, counts, gone, new = {}, {}, {}, slots(arq)
     else:
         P, i = edge
         table_p, counts = _o_table(P, check_all)
         _check_reflection(P, Q, i)
-        counts = dict(counts)
-        for key, pairs in _alpha_pairs(build_ar_quiver(P), i).items():
+        out, counts = dict(table_p), dict(counts)
+        gone = _alpha_pairs(build_ar_quiver(P), i)
+        for key, pairs in gone.items():
             counts[key] -= len(pairs)
         new = _alpha_pairs(arq, i)
     for key, pairs in new.items():
         counts[key] = counts.get(key, 0) + len(pairs)
-    counts = {key: n for key, n in counts.items() if n}
+    for key in gone:
+        if not counts[key]:  # every pair of the slot held alpha_i
+            del counts[key], out[key]
     cls = arq.comm_class()
     fmt = Q.system.format_root
-    out = {}
     try:
-        for key, n in counts.items():
-            members = new.get(key, [])
-            carried = n > len(members)
+        # the slots with new pairs, in the order of counts (and of out)
+        for key in filter(new.__contains__, counts):
+            members = new[key]
+            carried = counts[key] > len(members)
+            if carried and not check_all:
+                continue  # out holds the parent's value
             # gdist -> the first pair that has it; the carried pair is named
             # only if the slot disagrees
-            vals = {table_p[key]: None} if carried else {}
-            if not check_all:
-                members = [] if carried else members[:1]
-            for a, b in members:
+            vals = {out[key]: None} if carried else {}
+            for a, b in members if check_all else members[:1]:
                 vals.setdefault(gdist(RootSequence.from_roots(cls, (a, b))), (a, b))
             if len(vals) > 1:
                 if carried:
                     alpha = Q.system.simple_root(i)
-                    vals[table_p[key]] = next(
+                    vals[out[key]] = next(
                         ab for ab in slots(arq)[key] if alpha not in ab
                     )
                 two = ", ".join(

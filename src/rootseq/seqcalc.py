@@ -10,11 +10,11 @@ packed roots of the partition search) are kept in the class's
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .orders import RootSequence, coarse_less
-from .rootsys import PosRoot
+from .rootsys import PosRoot, RootSystem
 from .words import CommClass
 
 DEFAULT_CAP = 10**6
@@ -40,28 +40,41 @@ class PartitionCap(RuntimeError):
         self.pair = pair
 
 
+@lru_cache(maxsize=None)
+def _system_packed(system: RootSystem, width: int):
+    """The guard mask and every positive root of the system in search order
+    (height descending, then coefficients), each as (root, packed
+    coefficients, mask of the bit fields it touches), for fields of the
+    given width: packed once per (system, width) and shared by its
+    classes."""
+    field = (1 << width) - 1
+    shifts = range(0, width * system.rank, width)
+    zero = sum(1 << (s + width - 1) for s in shifts)
+    return zero, tuple(
+        (
+            r,
+            sum(x << s for x, s in zip(r.coeffs, shifts)),
+            sum(field << s for x, s in zip(r.coeffs, shifts) if x),
+        )
+        for r in sorted(system.positive_roots, key=lambda r: (-r.height, r.coeffs))
+    )
+
+
 def _packed_roots(cls: CommClass, width: int):
     """The guard mask, the class's roots in search order (height descending,
     then coefficients), each as (position, packed coefficients, mask of the
     bit fields it touches), and the position of each packed root, in
-    position order, for fields of the given width."""
+    position order, for fields of the given width.
+
+    The roots are packed once per system (``_system_packed``); a class
+    only places them at its positions, keeping those it holds (the class of
+    a word shorter than w0 holds fewer than all)."""
     table = cls.cache.packed.get(width)
     if table is None:
-        roots = cls.roots
-        field = (1 << width) - 1
-        shifts = range(0, width * cls.system.rank, width)
-        entries = [
-            (
-                p,
-                sum(x << s for x, s in zip(roots[p].coeffs, shifts)),
-                sum(field << s for x, s in zip(roots[p].coeffs, shifts) if x),
-            )
-            for p in sorted(
-                range(len(cls)), key=lambda p: (-roots[p].height, roots[p].coeffs)
-            )
-        ]
-        index = {packed: p for p, packed, _ in sorted(entries)}
-        zero = sum(1 << (s + width - 1) for s in shifts)
+        zero, packed = _system_packed(cls.system, width)
+        pos = cls._pos_of_root
+        entries = [(pos[r], root, mask) for r, root, mask in packed if r in pos]
+        index = {root: p for p, root, _ in sorted(entries)}
         table = cls.cache.packed[width] = (zero, entries, index)
     return table
 

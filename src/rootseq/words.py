@@ -100,7 +100,8 @@ class ClassCache:
         self.simple = {}  # (i, j), i < j -> simplicity of the pair
         # (statistic, weight) -> {count-order key: predecessor or None}
         self.chains = {}
-        self.packed = {}  # field width -> (guard mask, packed roots in DFS order)
+        # field width -> (guard mask, packed roots in DFS order, their positions)
+        self.packed = {}
         self.members = {}  # member letters -> class positions in its order
 
 

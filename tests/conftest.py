@@ -132,6 +132,29 @@ def random_reduced_word(system, rng, length):
     return ReducedWord(tuple(letters), system)
 
 
+def packed_roots_by_class(cls, width):
+    """What ``seqcalc._packed_roots`` returns, packed from the class alone:
+    the guard mask, the class's roots in search order (height descending,
+    then coefficients) as (position, packed coefficients, mask of the bit
+    fields it touches), and {packed root: position} in position order."""
+    roots = cls.roots
+    field = (1 << width) - 1
+    shifts = range(0, width * cls.system.rank, width)
+    entries = [
+        (
+            p,
+            sum(x << s for x, s in zip(roots[p].coeffs, shifts)),
+            sum(field << s for x, s in zip(roots[p].coeffs, shifts) if x),
+        )
+        for p in sorted(
+            range(len(cls)), key=lambda p: (-roots[p].height, roots[p].coeffs)
+        )
+    ]
+    index = {packed: p for p, packed, _ in sorted(entries)}
+    zero = sum(1 << (s + width - 1) for s in shifts)
+    return zero, entries, index
+
+
 def root_below_pair(cls, g, p):
     """Two-mask oracle: the one-root sequence at position g is coarse-below
     the pair at positions p of its weight (which cannot hold g) when g is

@@ -138,6 +138,25 @@ def test_class_of_gamma_q_has_the_roots_of_its_reading(kind, rank):
         assert cls.roots == roots_of_word(arq.reading()), Q.orientation_str()
 
 
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8)],
+)
+def test_coords_are_the_coordinates_of_the_class_positions(kind, rank):
+    """On every orientation, coords[k] is the vertex of Gamma_Q labelled by
+    the root at class position k, and it is the key tuple of ``label``
+    itself (``vertex_of`` holds those tuples)."""
+    for Q in all_orientations(build_root_system(kind, rank)):
+        arq = build_ar_quiver(Q)
+        roots = arq.comm_class().roots
+        assert len(arq.coords) == len(roots)
+        keys = {v: v for v in arq.label}
+        for v, r in zip(arq.coords, roots):
+            assert arq.label[v] == r, Q.orientation_str()
+            assert v is keys[v] and v is arq.vertex_of[r]
+
+
 def test_ar_quiver_class_does_not_recompute_its_roots(a5, monkeypatch):
     """A class built from Gamma_Q takes its roots from the labels; a plain
     word still goes through roots_of_word and its NotReduced check."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rootseq import arquiver, denom
-from rootseq.arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
+from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
 from rootseq.cli import main
 from rootseq.denom import (
     DistancePolynomial,
@@ -123,6 +123,23 @@ def _inverse_quantum_cartan(system):
 
 ALL_TYPES = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
              + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind,rank", ALL_TYPES)
+def test_reflection_map_is_reflect(kind, rank):
+    """The cached s_i map of the edge check holds s_i beta for every
+    positive root beta != alpha_i and every i, as the system's own root
+    objects, and permutes those roots."""
+    sys_ = build_root_system(kind, rank)
+    for i in range(1, rank + 1):
+        s_i = denom._reflection(sys_, i)
+        alpha = sys_.simple_root(i)
+        others = [b for b in sys_.positive_roots if b != alpha]
+        assert list(s_i) == others
+        for b in others:
+            assert s_i[b] == sys_.reflect(b, i)
+            assert s_i[b] is sys_.root(s_i[b])
+        assert set(s_i.values()) == set(others)
 
 
 @pytest.mark.parametrize("kind,rank", ALL_TYPES)
@@ -317,7 +334,7 @@ def test_slot_counts_are_the_slot_sizes(kind, rank):
     """The pair counts carried with the o-tables along the derivation tree,
     from cold, equal the sizes of each quiver's own slots: on every
     orientation, and in E8 on the path from the reference orientation to the
-    root."""
+    root.  Each table lists its slots in the order of its counts."""
     system = build_root_system(kind, rank)
     if rank == 8:
         quivers = _path_to_root(DynkinQuiver.from_arrows(system, E8_REFERENCE))
@@ -327,7 +344,9 @@ def test_slot_counts_are_the_slot_sizes(kind, rank):
     try:
         for Q in quivers:
             sizes = {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
-            assert _o_table(Q, False)[1] == sizes, Q.orientation_str()
+            table, counts = _o_table(Q, False)
+            assert counts == sizes, Q.orientation_str()
+            assert list(table) == list(counts), Q.orientation_str()
     finally:
         _o_table.cache_clear()
 
@@ -471,24 +490,21 @@ def test_edge_check_names_both_orientations(monkeypatch, fault):
     """A derived quiver whose AR quiver is not its parent's reflected at i
     raises an error naming both orientations, i and the broken premise,
     instead of taking the parent's table.  Each fault is in the derived
-    quiver alone: the highest root moved by a monkeypatched coordinate or
-    residue, one heap cover (that avoids alpha_i) dropped, or alpha_i given
-    a root on either side in the heap."""
+    quiver alone: the highest root moved in the coordinates by class
+    position (``ARQuiver.coords``, which the check and the tables read) to
+    another coordinate or residue, one heap cover (that avoids alpha_i)
+    dropped, or alpha_i given a root on either side in the heap."""
     (P, Q), i = _reflected_a3(), 1
     moved = build_ar_quiver(Q)
     cls = moved.comm_class()
     end = cls.position(Q.system.simple_root(i))
-    top = Q.system.highest_root
-    real = ARQuiver.coordinate
-
-    def coordinate(self, beta):
-        k, p = real(self, beta)
-        if self is moved and beta == top:
-            return (k, p + 2) if fault == "coordinate" else (k % 3 + 1, p)
-        return k, p
+    top = cls.position(Q.system.highest_root)
 
     if fault in ("coordinate", "residue"):
-        monkeypatch.setattr(ARQuiver, "coordinate", coordinate)
+        coords = list(moved.coords)
+        k, p = coords[top]
+        coords[top] = (k, p + 2) if fault == "coordinate" else (k % 3 + 1, p)
+        monkeypatch.setattr(moved, "coords", tuple(coords))
     elif fault == "covers":
         drop = next(c for c in cls.heap_covers if end not in c)
         monkeypatch.setattr(cls, "heap_covers",

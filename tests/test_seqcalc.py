@@ -10,6 +10,7 @@ from conftest import (
     good_neighbors_by_sequences,
     is_simple_pair_brute,
     longest_chains,
+    packed_roots_by_class,
     radius_by_sequences,
     random_reduced_word,
     root_below_pair,
@@ -31,6 +32,7 @@ from rootseq.seqcalc import (
     _ordered,
     _pair_below,
     _pair_weight,
+    _packed_roots,
     _pairs,
     _partitions,
     _width,
@@ -110,6 +112,35 @@ def _word_classes(kind, rank, longest=None):
     if (kind, rank) == ("A", 5):
         out.append(CommClass(ReducedWord(NON_ADAPTED_A5, sys_)))
     return out
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8)],
+)
+def test_packed_roots_match_the_per_class_packing(kind, rank):
+    """The packed roots of a class, placed from the system's one packing,
+    equal the packing of the class alone (``packed_roots_by_class``), in
+    the same order, for the shared field width and a wider one: on a fresh
+    class of w0 (the reading of the first orientation) and on the classes
+    of seeded random reduced words shorter than w0, which hold some of the
+    roots only."""
+    sys_ = build_root_system(kind, rank)
+    reading = build_ar_quiver(next(all_orientations(sys_))).reading()
+    rng = random.Random(28)
+    classes = [CommClass(reading)] + [
+        CommClass(random_reduced_word(sys_, rng, rng.randrange(1, sys_.N)))
+        for _ in range(3 if sys_.N > 1 else 0)
+    ]
+    for cls in classes:
+        shared = _width(cls, (0,))
+        for width in (shared, shared + 2):
+            zero, entries, index = _packed_roots(cls, width)
+            want_zero, want_entries, want_index = packed_roots_by_class(cls, width)
+            assert zero == want_zero
+            assert entries == want_entries, cls.representative
+            assert list(index.items()) == list(want_index.items())
 
 
 @pytest.mark.parametrize(
