@@ -75,15 +75,14 @@ def main():
 
     print("\nwitness for (1,4): every comparable pair at residue gap 9 is simple,")
     print("so no (z+q^9) factor can arise from the definitions:")
-    for a, b in by_slot[(1, 4, 9)]:
-        p = RootSequence.from_roots(cls, (a, b))
-        print(f"  ({sys6.format_root(a)},{sys6.format_root(b)}): "
-              f"simple={is_simple(p)}")
+    for ab in by_slot[(1, 4, 9)]:
+        p = RootSequence.from_positions(cls, ab)
+        print(f"  {p}: simple={is_simple(p)}")
 
     print("\nwitness for (3,3): a pair at gap 6 with a length-3 chain of")
     print("non-simple equal-weight sequences below it:")
-    for a, b in by_slot[(3, 3, 6)][:1]:
-        p = RootSequence.from_roots(cls, (a, b))
+    for ab in by_slot[(3, 3, 6)][:1]:
+        p = RootSequence.from_positions(cls, ab)
         print(f"  pair {p}: gdist = {gdist(p)}")
         for m in gdist_chain(p):
             print(f"    {m}")

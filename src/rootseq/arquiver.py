@@ -106,48 +106,58 @@ def height_function(Q: DynkinQuiver) -> dict[int, int]:
     return xi
 
 
+def _knit(quiver: DynkinQuiver, xi: dict, adj: dict) -> dict[tuple[int, int], PosRoot]:
+    """The labels of Gamma_Q by vertex (i, p), row by row, each right to
+    left, knitted right to left by the mesh rule: tau_Q(M) + M is the sum
+    of the labels (j, p-1), j ~ i, present, for every non-projective M at
+    (i, p).  At the projective the sum is M - alpha_i, so the first vector
+    with a negative entry ends the row."""
+    n = quiver.system.rank
+    at = {(i, xi[i]): gamma(quiver, i).coeffs for i in range(1, n + 1)}
+    low = dict(xi)  # the smallest p knitted so far in each row
+    open_rows = set(range(1, n + 1))
+    p = max(xi.values())
+    while open_rows:
+        # the level p-1 is complete: it was knitted from the level p+1
+        for i in [i for i in open_rows if low[i] == p]:
+            v = [-c for c in at[(i, p)]]
+            for j in adj[i]:
+                u = at.get((j, p - 1))
+                if u is not None:
+                    v = [a + b for a, b in zip(v, u)]
+            if min(v) < 0:
+                open_rows.discard(i)
+            else:
+                at[(i, p - 2)] = tuple(v)
+                low[i] = p - 2
+        p -= 1
+    root = quiver.system.root
+    return {v: root(at[v]) for v in sorted(at, key=lambda v: (v[0], -v[1]))}
+
+
 class ARQuiver:
     """The AR quiver Gamma_Q: vertices (i, p) labeled bijectively by the
-    positive roots, with arrows (i, p) -> (j, p+1) for adjacent i, j."""
+    positive roots, with arrows (i, p) -> (j, p+1) for adjacent i, j.
+
+    Its vertices in the canonical reading order (p descending, then by
+    residue) are ``coords``: coords[k] is the vertex of class position k of
+    ``comm_class()``, whose k-th letter is i and k-th root label[coords[k]].
+    Every arrow goes from p to p+1, so each vertex comes after its arrow
+    targets and the reading is arrow-compatible."""
 
     def __init__(self, quiver: DynkinQuiver):
         self.quiver = quiver
-        self.system = quiver.system
-        sys_ = self.system
+        self.system = sys_ = quiver.system
         n = sys_.rank
         self.xi = xi = height_function(quiver)
         adj = {
             i: [j for j in range(1, n + 1) if sys_.cartan[i - 1][j - 1] == -1]
             for i in range(1, n + 1)
         }
-        # Knit right to left by the mesh rule: tau_Q(M) + M is the sum of
-        # the labels (j, p-1), j ~ i, present, for every non-projective
-        # M at (i, p).  At the projective the sum is M - alpha_i, so the
-        # first vector with a negative entry ends the row.
-        at = {(i, xi[i]): gamma(quiver, i).coeffs for i in range(1, n + 1)}
-        low = dict(xi)  # the smallest p knitted so far in each row
-        open_rows = set(range(1, n + 1))
-        p = max(xi.values())
-        while open_rows:
-            # the level p-1 is complete: it was knitted from the level p+1
-            for i in [i for i in open_rows if low[i] == p]:
-                v = [-c for c in at[(i, p)]]
-                for j in adj[i]:
-                    u = at.get((j, p - 1))
-                    if u is not None:
-                        v = [a + b for a, b in zip(v, u)]
-                if min(v) < 0:
-                    open_rows.discard(i)
-                else:
-                    at[(i, p - 2)] = tuple(v)
-                    low[i] = p - 2
-            p -= 1
-        label: dict[tuple[int, int], PosRoot] = {}
-        for i in range(1, n + 1):
-            for q in range(xi[i], low[i] - 1, -2):
-                label[(i, q)] = sys_.root(at[(i, q)])
-        self.mQ = {i: (xi[i] - low[i]) // 2 for i in range(1, n + 1)}
-        self.label = label
+        # knitted in a frame of its own, whose working state is freed
+        # before the class below is built
+        self.label = label = _knit(quiver, xi, adj)
+        self.mQ = {i: sum(j == i for j, _ in label) - 1 for i in range(1, n + 1)}
         self.vertex_of = {r: v for v, r in label.items()}
         if len(self.vertex_of) != sys_.N:
             raise RuntimeError("phi_Q failed to be a bijection onto the positive roots")
@@ -156,6 +166,13 @@ class ARQuiver:
             for (i, p) in label
             for j in adj[i]
             if (j, p + 1) in label
+        )
+        # the key tuples of label themselves; the class takes its roots
+        # from the labels, so none is recomputed
+        self.coords = coords = tuple(sorted(label, key=lambda v: (-v[1], v[0])))
+        self._comm_class = CommClass(
+            ReducedWord(tuple(i for i, _ in coords), sys_),
+            tuple(label[v] for v in coords),
         )
 
     def rows(self) -> dict[int, list[PosRoot]]:
@@ -166,37 +183,9 @@ class ARQuiver:
             out[i] = [self.label[(i, p)] for p in ps]
         return out
 
-    # -- readings ------------------------------------------------------
-
-    def reading(self) -> ReducedWord:
-        """The canonical arrow-compatible reading: largest p first, then by
-        residue.  Every arrow goes from p to p+1, so each vertex comes after
-        its arrow targets."""
-        order = sorted(self.label, key=lambda v: (-v[1], v[0]))
-        return ReducedWord(tuple(i for i, _ in order), self.system)
-
     def comm_class(self) -> CommClass:
-        """The class [Q] of the reading, with its roots read off the labels:
-        the reading takes each row right to left, so the k-th letter i of
-        it is the vertex (i, xi_i - 2k).
-
-        It also sets ``coords``: the vertex (i, p) of each class position,
-        coords[k] = vertex_of[roots[k]], the key tuples of ``label``
-        themselves."""
-        try:
-            return self._comm_class
-        except AttributeError:
-            word = self.reading()
-            p = dict(self.xi)  # the p of the next vertex of each row
-            roots, coords = [], []
-            for i in word.letters:
-                root = self.label[(i, p[i])]
-                roots.append(root)
-                coords.append(self.vertex_of[root])
-                p[i] -= 2
-            self._comm_class = CommClass(word, tuple(roots))
-            self.coords = tuple(coords)
-            return self._comm_class
+        """The class [Q] of the canonical reading, built with the quiver."""
+        return self._comm_class
 
     def to_json(self) -> dict:
         return {

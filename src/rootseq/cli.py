@@ -412,10 +412,9 @@ def cmd_verify(args):
                 for j in range(i + 1, len(cls)):
                     d = pair_dist(cls, i, j)
                     if d > bound:
-                        ab = (cls.roots[i], cls.roots[j])
                         failures.append({
                             "quiver": Q.orientation_str(),
-                            "pair": str(RootSequence.from_roots(cls, ab)),
+                            "pair": str(RootSequence.from_positions(cls, (i, j))),
                             "dist": d, "bound": bound,
                         })
     else:  # fixtures

@@ -84,28 +84,35 @@ class DenominatorEntry(
         }
 
 
+def _slot_walk(coords, x: int, mask: int):
+    """(x, j, slot) for each set bit j of the mask, ascending: the slot
+    (k, l, t), k <= l, of class positions x and j holds their residues and
+    their coordinate gap, read off ``coords`` (``ARQuiver.coords``)."""
+    k, p = coords[x]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        j = low.bit_length() - 1
+        kj, pj = coords[j]
+        yield x, j, (min(k, kj), max(k, kj), abs(p - pj))
+
+
 def comparable_pairs(arq: ARQuiver):
-    """All pairs (alpha, beta) with alpha strictly below beta in the quiver
-    order, together with their residues and coordinate gap; alpha runs over
-    the class positions, and beta over the set bits of its up-set."""
-    cls = arq.comm_class()
-    roots, coords = cls.roots, arq.coords
-    for a, (ka, pa), rest in zip(roots, coords, cls._above):
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            kb, pb = coords[j]
-            yield a, roots[j], (min(ka, kb), max(ka, kb)), abs(pa - pb)
+    """(a, b, slot) for every pair of class positions a < b with a strictly
+    below b in the heap order: a runs over the class positions, and b over
+    the set bits of its up-set."""
+    for a, up in enumerate(arq.comm_class()._above):
+        yield from _slot_walk(arq.coords, a, up)
 
 
 def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
-    """The comparable pairs grouped by slot (k, l, t), k <= l: residues
-    {k, l} and coordinate gap t, each slot in the order of
-    ``comparable_pairs``."""
+    """The comparable pairs as position pairs (a, b), a < b, grouped by slot
+    (k, l, t), k <= l: residues {k, l} and coordinate gap t, each slot in
+    the order of ``comparable_pairs``.  ``arq.coords[a]`` is the vertex
+    (i, p) of position a."""
     out: dict[tuple[int, int, int], list] = {}
-    for a, b, (k, l), t in comparable_pairs(arq):
-        out.setdefault((k, l, t), []).append((a, b))
+    for a, b, key in comparable_pairs(arq):
+        out.setdefault(key, []).append((a, b))
     return out
 
 
@@ -179,31 +186,22 @@ def _derivation_tree(system) -> dict:
 
 
 def _alpha_pairs(arq: ARQuiver, i: int) -> dict[tuple[int, int, int], list]:
-    """The comparable pairs of the AR quiver that contain alpha_i, grouped
-    by slot as ``slots`` groups them, each slot in the order of
-    ``comparable_pairs``; alpha_i must be extremal in the heap of its class,
-    as ``_check_reflection`` checks.
+    """The comparable pairs of the AR quiver that contain alpha_i, as
+    position pairs grouped by slot as ``slots`` groups them, each slot in
+    the order of ``comparable_pairs``; alpha_i must be extremal in the heap
+    of its class, as ``_check_reflection`` checks.
 
-    All are read off one mask: alpha_i's up-set when it is the heap's
-    minimum, for the pairs (alpha_i, beta), or its down-set when it is the
-    maximum, for the pairs (beta, alpha_i).  ``comparable_pairs`` lists
-    either kind by beta's position, as the mask's bits run."""
+    All are read off one mask by ``_slot_walk``: alpha_i's up-set when it is
+    the heap's minimum e, for the pairs (e, j), or its down-set when it is
+    the maximum, for the pairs (j, e).  ``comparable_pairs`` lists either
+    kind by j, as the mask's bits run."""
     cls = arq.comm_class()
-    roots, coords = cls.roots, arq.coords
     e = cls.position(arq.system.simple_root(i))
-    alpha = roots[e]
-    k, p = coords[e]
     lowest = not cls._below[e]
-    rest = cls._above[e] if lowest else cls._below[e]
     out: dict[tuple[int, int, int], list] = {}
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        j = low.bit_length() - 1
-        beta = roots[j]
-        kb, pb = coords[j]
-        out.setdefault((min(k, kb), max(k, kb), abs(p - pb)), []).append(
-            (alpha, beta) if lowest else (beta, alpha))
+    mask = cls._above[e] if lowest else cls._below[e]
+    for _, j, key in _slot_walk(arq.coords, e, mask):
+        out.setdefault(key, []).append((e, j) if lowest else (j, e))
     return out
 
 
@@ -265,7 +263,7 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
         if not counts[key]:  # every pair of the slot held alpha_i
             del counts[key], out[key]
     cls = arq.comm_class()
-    fmt = Q.system.format_root
+    roots, fmt = cls.roots, Q.system.format_root
     try:
         # the slots with new pairs, in the order of counts (and of out)
         for key in filter(new.__contains__, counts):
@@ -276,16 +274,14 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
             # gdist -> the first pair that has it; the carried pair is named
             # only if the slot disagrees
             vals = {out[key]: None} if carried else {}
-            for a, b in members if check_all else members[:1]:
-                vals.setdefault(gdist(RootSequence.from_roots(cls, (a, b))), (a, b))
+            for ab in members if check_all else members[:1]:
+                vals.setdefault(gdist(RootSequence.from_positions(cls, ab)), ab)
             if len(vals) > 1:
                 if carried:
-                    alpha = Q.system.simple_root(i)
-                    vals[out[key]] = next(
-                        ab for ab in slots(arq)[key] if alpha not in ab
-                    )
+                    e = cls.position(Q.system.simple_root(i))
+                    vals[out[key]] = next(ab for ab in slots(arq)[key] if e not in ab)
                 two = ", ".join(
-                    f"({fmt(a)},{fmt(b)}) has gdist {g}"
+                    f"({fmt(roots[a])},{fmt(roots[b])}) has gdist {g}"
                     for g, (a, b) in list(vals.items())[:2]
                 )
                 raise WellDefinednessViolation(

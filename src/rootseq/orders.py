@@ -47,11 +47,19 @@ class RootSequence:
         return f"RootSequence(cls={self.cls!r}, counts={self.counts!r})"
 
     @staticmethod
-    def from_roots(cls: CommClass, roots) -> "RootSequence":
+    def from_positions(cls: CommClass, positions) -> "RootSequence":
+        """The sequence of the roots at the given class positions, a
+        position once per occurrence."""
         counts = [0] * len(cls)
-        for r in roots:
-            counts[cls.position(cls.system.root(r))] += 1
+        for k in positions:
+            counts[k] += 1
         return RootSequence(cls, tuple(counts))
+
+    @staticmethod
+    def from_roots(cls: CommClass, roots) -> "RootSequence":
+        return RootSequence.from_positions(
+            cls, (cls.position(cls.system.root(r)) for r in roots)
+        )
 
     @staticmethod
     def from_strings(cls: CommClass, texts) -> "RootSequence":

@@ -210,14 +210,7 @@ def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
     as sequences.  The library reads ``_pairs``; this stays public because
     the tests and ``perfbench/spans.py`` call it by name (the tracer fails
     to install without it)."""
-    return tuple(_pair_sequence(cls, i, j) for i, j in _pairs(cls, weight))
-
-
-def _pair_sequence(cls: CommClass, i: int, j: int) -> RootSequence:
-    """The pair of the roots at class positions i and j."""
-    counts = [0] * len(cls)
-    counts[i] = counts[j] = 1
-    return RootSequence(cls, tuple(counts))
+    return tuple(RootSequence.from_positions(cls, p) for p in _pairs(cls, weight))
 
 
 def _pair_below(cls: CommClass, p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -240,16 +233,6 @@ def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(cls.roots[i].coeffs, cls.roots[j].coeffs))
 
 
-def _ordered(cls: CommClass, i: int, j: int) -> tuple[int, int] | None:
-    """Positions i and j with the one lower in the heap order first, or None
-    when the two are incomparable."""
-    if cls.prec_pos(i, j):
-        return i, j
-    if cls.prec_pos(j, i):
-        return j, i
-    return None
-
-
 def _is_pair(seq: RootSequence) -> bool:
     return seq.support_mask.bit_count() == 2 and seq.size() == 2
 
@@ -257,14 +240,15 @@ def _is_pair(seq: RootSequence) -> bool:
 # -- simplicity ---------------------------------------------------------
 
 
-def _simple_key(i: int, j: int) -> tuple[int, int]:
-    """The key of the pair at positions i, j in ``cache.simple``."""
-    return (i, j) if i < j else (j, i)
-
-
 def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
-    """Simplicity of the pair at class positions i, j: no equal-weight
-    sequence is coarse-below it.
+    """Simplicity of the pair at class positions i, j, in either order: no
+    equal-weight sequence is coarse-below it.  The answer is kept in
+    ``cache.simple`` under the positions sorted, so (i, j) and (j, i) read
+    one entry.
+
+    Class positions are a linear extension of the heap (every cover (p, q)
+    has p < q), so of two positions i < j only i can precede j: one
+    ``prec_pos(i, j)`` decides whether the pair is comparable.
 
     A pair whose weight is a positive root gamma is not simple, with no
     search.  The roots of the class are the inversion set of a reduced
@@ -280,16 +264,15 @@ def is_simple_pair(cls: CommClass, i: int, j: int) -> bool:
     look for a partition of the weight inside that open interval.  The
     search stops at the first one, so no cap applies.
     """
+    key = (i, j) if i < j else (j, i)
     store = cls.cache.simple
-    key = _simple_key(i, j)
     if key not in store:
-        wt = _pair_weight(cls, i, j)
+        wt = _pair_weight(cls, *key)
         if cls.system.is_positive_root(wt):
             store[key] = False
         else:
-            ij = _ordered(cls, i, j)
-            store[key] = ij is None or not _partitions(
-                cls, cls.interval(*ij), wt, first=True
+            store[key] = not cls.prec_pos(*key) or not _partitions(
+                cls, cls.interval(*key), wt, first=True
             )
     return store[key]
 
@@ -324,8 +307,8 @@ def _at_most(seq: RootSequence, cap: int) -> tuple[RootSequence, ...]:
             m for m in sequences_of_weight(cls, seq.weight(), cap)
             if m.counts == seq.counts or coarse_less(m, seq)
         )
-    ij = _ordered(cls, *seq.positions())
-    if ij is None:
+    ij = tuple(seq.positions())  # ascending
+    if not cls.prec_pos(*ij):
         return (seq,)
     try:
         below = tuple(
@@ -334,7 +317,7 @@ def _at_most(seq: RootSequence, cap: int) -> tuple[RootSequence, ...]:
         )
     except PartitionCap as e:
         raise PartitionCap(e.weight, e.count, cap, pair=seq) from None
-    cls.cache.simple[_simple_key(*ij)] = not below
+    cls.cache.simple[ij] = not below
     return below + (seq,)
 
 
@@ -469,7 +452,9 @@ def dist_chain(seq: RootSequence) -> tuple[RootSequence, ...]:
     if not _is_pair(seq):
         raise NotInDomain("dist is defined for pairs")
     cls = seq.cls
-    return tuple(_pair_sequence(cls, *p) for p in _dist_chain(cls, *seq.positions()))
+    return tuple(
+        RootSequence.from_positions(cls, p) for p in _dist_chain(cls, *seq.positions())
+    )
 
 
 def pair_dist(cls: CommClass, i: int, j: int) -> int:
@@ -555,7 +540,7 @@ def good_neighbors(p: RootSequence) -> tuple[RootSequence, ...]:
                 seen.add(a)
                 frontier.append(a)
     return tuple(
-        _pair_sequence(cls, *q) for q in below
+        RootSequence.from_positions(cls, q) for q in below
         if q in seen and not is_simple_pair(cls, *q)
     )
 

@@ -83,13 +83,14 @@ def roots_of_word(word: ReducedWord) -> tuple[PosRoot, ...]:
 class ClassCache:
     """Answers computed over one commutation class, kept with the class.
 
-    Each entry depends on the class alone, never on the queries made before
-    it, so every caller may share it, and dropping it costs only
-    recomputation.  The enumerations of a weight are stored whole and
-    checked against each caller's cap on the way out (see
-    ``seqcalc.sequences_of_weight``).  The working state of an o-table lasts
-    only as long as the table: ``denom._o_table`` replaces the cache of the
-    class it computes from when it returns or raises.
+    A root is named by its class position and a pair by its two positions
+    (i, j), i < j, as ``CommClass`` indexes them.  Each entry depends on the
+    class alone, never on the queries made before it, so every caller may
+    share it, and dropping it costs only recomputation.  The enumerations
+    of a weight are stored whole and checked against each caller's cap on
+    the way out (see ``seqcalc.sequences_of_weight``).  The working state of
+    an o-table lasts only as long as the table: ``denom._o_table`` replaces
+    the cache of the class it computes from when it returns or raises.
     """
 
     __slots__ = ("weights", "pairs", "simple", "chains", "packed", "members")
@@ -108,13 +109,16 @@ class ClassCache:
 class CommClass:
     """A commutation class, represented by a word plus the heap on its letters.
 
-    Positions are 0-based internally.  ``prec(a, b)`` is the strict convex
-    partial order: true iff a comes before b in every member of the class.
+    Positions are 0-based internally: position k holds the k-th letter of
+    the representative and its root ``roots[k]``.  ``prec(a, b)`` is the
+    strict convex partial order: true iff a comes before b in every member
+    of the class.  Every heap cover (p, q) has p < q, so the positions are
+    a linear extension of the heap: ``prec_pos(p, q)`` implies p < q.
     ``cache`` holds what the library has computed over the class.
 
     ``roots``, when given, must be the roots of the representative in its
-    order, as ``roots_of_word`` would compute them; only
-    ``ARQuiver.comm_class`` supplies them, from the labels of Gamma_Q.
+    order, as ``roots_of_word`` would compute them; only ``ARQuiver``
+    supplies them, from the labels of Gamma_Q, when it builds its class.
     Without them ``roots_of_word`` computes them and raises ``NotReduced``
     on a word that is not reduced.  Either way a root that occurs twice
     raises ``NotReduced``.

@@ -441,3 +441,22 @@ def test_verify_all_stops_on_a_closed_stdout(monkeypatch):
         monkeypatch.setattr(verify_all, "cli_main", lambda argv: calls.append(argv) or code)
         assert verify_all.main() == want
         assert len(calls) == runs
+
+
+def test_cli_hash_is_unchanged():
+    """scripts/cli_hash.py runs a fixed matrix of 64 CLI invocations in
+    process and hashes their arguments, output and exit codes: a change to
+    the library or the CLI cannot pass while changing what any of them
+    prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_hash.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "invocations 64  sha256 "
+        "c4d8fd8805350e648223e46bd1b881df4baf57bb5cfbac5fbb7d4123718014bf",
+    ]

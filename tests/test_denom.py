@@ -190,10 +190,13 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
     exits 1."""
     Q = A3_MONO()
     fmt = Q.system.format_root
-    (a1, b1), (a2, b2) = slots(build_ar_quiver(Q))[(1, 1, 2)]
+    arq = build_ar_quiver(Q)
+    first, second = slots(arq)[(1, 1, 2)]
+    roots = arq.comm_class().roots
+    (a1, b1), (a2, b2) = ((roots[a], roots[b]) for a, b in (first, second))
     real = denom.gdist
     monkeypatch.setattr(
-        denom, "gdist", lambda seq: real(seq) + (set(seq.support()) == {a2, b2})
+        denom, "gdist", lambda seq: real(seq) + (seq.positions() == list(second))
     )
     _o_table.cache_clear()
     try:
@@ -235,11 +238,11 @@ def _oracle_o_table(Q, check_all):
     of every slot, or with check_all of every pair of the slot, which must
     agree, and the number of pairs of every slot."""
     arq = build_ar_quiver(Q)
-    cls = CommClass(arq.reading())
+    cls = CommClass(arq.comm_class().representative)
     out, sizes = {}, {}
     for key, members in slots(arq).items():
-        vals = {gdist(RootSequence.from_roots(cls, (a, b)))
-                for a, b in (members if check_all else members[:1])}
+        vals = {gdist(RootSequence.from_positions(cls, ab))
+                for ab in (members if check_all else members[:1])}
         assert len(vals) == 1, (Q.orientation_str(), key)
         out[key] = vals.pop()
         sizes[key] = len(members)
@@ -460,7 +463,7 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
 
     def answers():
         radii = {g: radius(cls, g) for g in cls.roots if g.height > 1}
-        chains = [gdist_chain(RootSequence.from_roots(cls, (a, b))) for a, b in firsts]
+        chains = [gdist_chain(RootSequence.from_positions(cls, ab)) for ab in firsts]
         return radii, chains
 
     before = answers()
@@ -534,19 +537,21 @@ def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
     reflected class only) disagrees, check_all raises naming both pairs,
     and the caches of both classes are left empty."""
     P, Q = _reflected_a3()
-    alpha = Q.system.simple_root(1)
     cls_q = build_ar_quiver(Q).comm_class()
+    e = cls_q.position(Q.system.simple_root(1))
     key, members = next(
         (key, members) for key, members in slots(build_ar_quiver(Q)).items()
-        if any(alpha in ab for ab in members) and any(alpha not in ab for ab in members)
+        if any(e in ab for ab in members) and any(e not in ab for ab in members)
     )
-    a1, b1 = next(ab for ab in members if alpha not in ab)
-    a2, b2 = next(ab for ab in members if alpha in ab)
+    carried = next(ab for ab in members if e not in ab)
+    new = next(ab for ab in members if e in ab)
+    roots = cls_q.roots
+    (a1, b1), (a2, b2) = ((roots[a], roots[b]) for a, b in (carried, new))
     fmt = Q.system.format_root
     real = denom.gdist
     monkeypatch.setattr(
         denom, "gdist",
-        lambda seq: real(seq) + (seq.cls is cls_q and set(seq.support()) == {a2, b2}),
+        lambda seq: real(seq) + (seq.cls is cls_q and seq.positions() == list(new)),
     )
     _o_table.cache_clear()
     try:

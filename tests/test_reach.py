@@ -10,6 +10,7 @@ elsewhere a string such as a CLI choice does not.
 
 import ast
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -31,19 +32,58 @@ def _definitions():
                     yield name, f"{path.name}:{node.lineno}"
 
 
+def _names(src: str, by_name: bool = False):
+    """The identifiers of a source text, one per occurrence: its NAME tokens,
+    with by_name every string literal that is exactly one identifier, and
+    the identifiers of the replacement fields of its f-strings.  Before
+    Python 3.12 an f-string is one STRING token, so its fields are parsed
+    and tokenized here; from 3.12 on, tokenize yields their NAME tokens
+    itself."""
+    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.string
+        elif tok.type == tokenize.STRING:
+            text = tok.string.strip("'\"")
+            if by_name and text.isidentifier():
+                yield text
+            if "f" in re.match(r"[a-zA-Z]*", tok.string).group().lower():
+                for field in _fields(ast.parse(tok.string, mode="eval").body):
+                    yield from _names(ast.unparse(field))
+
+
+def _fields(joined: ast.JoinedStr):
+    """The expressions of the replacement fields of an f-string, those of
+    its format specs included, each once."""
+    for value in joined.values:
+        if isinstance(value, ast.FormattedValue):
+            yield value.value
+            if value.format_spec is not None:
+                yield from _fields(value.format_spec)
+
+
 def _identifier_counts():
     counts = Counter()
     for base in SEARCHED:
         for path in base.rglob("*.py"):
-            src = path.read_text()
-            for tok in tokenize.generate_tokens(io.StringIO(src).readline):
-                if tok.type == tokenize.NAME:
-                    counts[tok.string] += 1
-                elif tok.type == tokenize.STRING and base == BY_NAME:
-                    text = tok.string.strip("'\"")
-                    if text.isidentifier():
-                        counts[text] += 1
+            counts.update(_names(path.read_text(), by_name=base == BY_NAME))
     return counts
+
+
+def test_a_name_used_only_in_an_f_string_is_counted():
+    """A call inside an f-string's replacement field reaches its name, as
+    ``rootseq arq show`` once reached ``ARQuiver.coordinate``; nested
+    f-strings and format specs are counted once, and plain strings are
+    not read outside ``perfbench/``."""
+    src = (
+        'line = f"{fmt(r)}@{arq.coordinate(r)[1]}"\n'
+        'cell = f"{f\'{inner(x)}\'!r:>{width(y)}}"\n'
+        'choice = "outside"\n'
+    )
+    counts = Counter(_names(src))
+    assert counts["coordinate"] == counts["fmt"] == 1 and counts["r"] == 2
+    assert counts["inner"] == counts["width"] == 1
+    assert counts["outside"] == 0
+    assert Counter(_names(src, by_name=True))["outside"] == 1
 
 
 def test_every_definition_is_reached():

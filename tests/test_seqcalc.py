@@ -29,7 +29,6 @@ from rootseq.seqcalc import (
     DEFAULT_CAP,
     NotInDomain,
     PartitionCap,
-    _ordered,
     _pair_below,
     _pair_weight,
     _packed_roots,
@@ -127,7 +126,7 @@ def test_packed_roots_match_the_per_class_packing(kind, rank):
     of seeded random reduced words shorter than w0, which hold some of the
     roots only."""
     sys_ = build_root_system(kind, rank)
-    reading = build_ar_quiver(next(all_orientations(sys_))).reading()
+    reading = build_ar_quiver(next(all_orientations(sys_))).comm_class().representative
     rng = random.Random(28)
     classes = [CommClass(reading)] + [
         CommClass(random_reduced_word(sys_, rng, rng.randrange(1, sys_.N)))
@@ -149,7 +148,8 @@ def test_packed_roots_match_the_per_class_packing(kind, rank):
 def test_simple_pair_matches_brute_force(kind, rank):
     """On the classes of the first 3 orientations (none in E6, where they
     take seconds each) and of ``_word_classes`` up to length 30 (the brute
-    force takes 11 s over the E6 words of length 31 to 36)."""
+    force takes 11 s over the E6 words of length 31 to 36).  Asked as
+    (j, i), a pair reads the cache entry that (i, j) wrote."""
     sys_ = build_root_system(kind, rank)
     quivers = 0 if kind == "E" else 3
     classes = [build_ar_quiver(Q).comm_class()
@@ -160,7 +160,13 @@ def test_simple_pair_matches_brute_force(kind, rank):
     for cls in classes:
         for i in range(len(cls)):
             for j in range(i + 1, len(cls)):
-                assert is_simple_pair(cls, i, j) == is_simple_pair_brute(cls, i, j)
+                simple = is_simple_pair(cls, i, j)
+                assert simple == is_simple_pair_brute(cls, i, j)
+                store = cls.cache.simple
+                store[i, j] = "kept"  # read back, not recomputed
+                assert is_simple_pair(cls, j, i) == "kept" and (j, i) not in store
+                store[i, j] = simple
+                assert is_simple_pair(cls, j, i) == simple
 
 
 def test_exists_mode_is_first_enumerated_partition():
@@ -777,11 +783,10 @@ def test_pairs_of_a_root_weight_are_above_it_and_not_simple(kind, rank, limit):
             for p in _pairs(cls, gamma.coeffs):
                 g = positions.get(gamma)
                 assert g is not None, (gamma, p)
-                ij = _ordered(cls, *p)
-                assert ij is not None, (g, p)
+                assert cls.prec_pos(*p), (g, p)
                 assert root_below_pair(cls, g, p), (g, p)
                 wt = gamma.coeffs
-                assert _partitions(cls, cls.interval(*ij), wt, first=True), (g, p)
+                assert _partitions(cls, cls.interval(*p), wt, first=True), (g, p)
                 seen[-1] += 1
     # every class of w0 has pairs of a root weight; that of a short word may not
     assert all(seen) if limit != "words" else any(seen)
@@ -966,7 +971,8 @@ def test_e7_highest_root_matches_kostant():
     sys_ = build_root_system("E", 7)
     assert {r.coeffs for r in sys_.positive_roots} == roots
     assert top == sys_.highest_root.coeffs and counts[top] == 18837
-    cls = CommClass(build_ar_quiver(next(all_orientations(sys_))).reading())
+    reading = build_ar_quiver(next(all_orientations(sys_))).comm_class().representative
+    cls = CommClass(reading)
     assert len(sequences_of_weight(cls, top)) == counts[top]
 
 
@@ -1008,7 +1014,8 @@ def test_cap_holds_on_cached_enumerations(warm):
 
     e6 = build_root_system("E", 6)
     # a fresh class, so that no other test has filled its caches
-    cls = CommClass(build_ar_quiver(DynkinQuiver.from_arrows(e6, E6_ARROWS)).reading())
+    arq = build_ar_quiver(DynkinQuiver.from_arrows(e6, E6_ARROWS))
+    cls = CommClass(arq.comm_class().representative)
     p = _pair(cls, "111001", "012211")  # 12 interval partitions
     one = RootSequence.from_strings(cls, ["123211"])
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from rootseq.rootsys import build_root_system
 from rootseq.words import CommClass, NotReduced, ReducedWord, roots_of_word
 
-from conftest import NON_ADAPTED_A5, act, class_by_swaps, in_class, longest_word
+from conftest import (
+    NON_ADAPTED_A5, act, class_by_swaps, in_class, longest_word, random_reduced_word,
+)
 
 A5_WORD = (1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4)
 A5_ORDER = ("[1]", "[3]", "[1,3]", "[2,3]", "[3,4]", "[1,4]", "[2,4]", "[4]",
@@ -206,7 +208,7 @@ def test_reachability_is_closure_of_covers(kind, rank):
 
     sys_ = build_root_system(kind, rank)
     words = [longest_word(sys_)] + [
-        build_ar_quiver(Q).reading()
+        build_ar_quiver(Q).comm_class().representative
         for Q in itertools.islice(all_orientations(sys_), 6)
     ]
     for w in words:
@@ -239,27 +241,33 @@ def _heap_by_backward_scan(cls):
 
 def test_heap_covers_are_the_last_occurrences():
     """The covers read off the last occurrences, and the masks built from
-    them, equal the backward scan: on every AR quiver reading of A2-A6,
-    D4-D6 and E6, every member of one A4 class, a word adapted to no
-    orientation and a reduced word shorter than w0."""
+    them, equal the backward scan: on the class of Gamma_Q of every
+    orientation of A2-A6, D4-D6 and E6, every member of one A4 class, a
+    word adapted to no orientation, a reduced word shorter than w0 and
+    seeded random reduced words of E6 shorter than w0.  On each, the class
+    positions are a linear extension of the heap: _above[p] has no bit at
+    or below p."""
     from rootseq.arquiver import all_orientations, build_ar_quiver
 
-    words = []
+    classes = []
     for kind, rank in [("A", n) for n in range(2, 7)] + [
         ("D", 4), ("D", 5), ("D", 6), ("E", 6)
     ]:
-        words += [build_ar_quiver(Q).reading()
-                  for Q in all_orientations(build_root_system(kind, rank))]
+        classes += [build_ar_quiver(Q).comm_class()
+                    for Q in all_orientations(build_root_system(kind, rank))]
     a4 = build_root_system("A", 4)
-    members = list(CommClass(longest_word(a4)).linear_extensions())
-    assert len(members) > 1
-    words += members
+    words = list(CommClass(longest_word(a4)).linear_extensions())
+    assert len(words) > 1
     words.append(ReducedWord(NON_ADAPTED_A5, build_root_system("A", 5)))
     e6 = build_root_system("E", 6)
     words.append(ReducedWord(longest_word(e6).letters[:20], e6))  # shorter than w0
-    for w in words:
-        cls = CommClass(w)
+    rng = random.Random(29)
+    words += [random_reduced_word(e6, rng, rng.randrange(1, e6.N)) for _ in range(5)]
+    classes += [CommClass(w) for w in words]
+    for cls in classes:
+        w = cls.representative
         assert (cls.heap_covers, cls._below, cls._above) == _heap_by_backward_scan(cls), w
+        assert all(up & ((2 << p) - 1) == 0 for p, up in enumerate(cls._above)), w
 
 
 def test_longest_class_is_adapted_reading():
