@@ -6,7 +6,7 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .rootsys import PosRoot, RootSystem
+from .rootsys import PosRoot, RootSystem, field_width, packed_roots
 from .words import CommClass, ReducedWord
 
 
@@ -31,7 +31,13 @@ class DynkinQuiver(namedtuple("DynkinQuiver", "system arrows")):
 
     @staticmethod
     def from_arrows(system: RootSystem, arrows) -> "DynkinQuiver":
-        return DynkinQuiver(system, frozenset((int(a), int(b)) for a, b in arrows))
+        """The quiver of the given (tail, head) pairs: a pair given twice is
+        refused, not merged into the set."""
+        given = [(int(a), int(b)) for a, b in arrows]
+        arrows = frozenset(given)
+        if len(arrows) != len(given):
+            raise BadOrientation("orientation gives an arrow more than once")
+        return DynkinQuiver(system, arrows)
 
     def sources(self) -> tuple[int, ...]:
         heads = {b for _, b in self.arrows}
@@ -70,22 +76,6 @@ def all_orientations(system: RootSystem):
         yield DynkinQuiver(system, arrows)
 
 
-def gamma(Q: DynkinQuiver, i: int) -> PosRoot:
-    """gamma_i = sum of alpha_j over vertices j with a directed path to i."""
-    back = {i}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in Q.arrows:
-            if b in back and a not in back:
-                back.add(a)
-                changed = True
-    v = [0] * Q.system.rank
-    for j in back:
-        v[j - 1] = 1
-    return Q.system.root(tuple(v))
-
-
 def height_function(Q: DynkinQuiver) -> dict[int, int]:
     """xi with xi = 0 at the smallest-index source; xi drops by 1 along arrows."""
     start = min(Q.sources())
@@ -106,33 +96,70 @@ def height_function(Q: DynkinQuiver) -> dict[int, int]:
     return xi
 
 
-def _knit(quiver: DynkinQuiver, xi: dict, adj: dict) -> dict[tuple[int, int], PosRoot]:
+@lru_cache(maxsize=None)
+def _packing(system: RootSystem):
+    """Per system: the Dynkin neighbours of each vertex (by index, 1-based,
+    ascending), the field width of the packed labels of Gamma_Q, their
+    guard bits and the positive root of each packed label.  The width is
+    the one every pair weight uses (``rootsys.field_width``): it holds
+    every mesh sum."""
+    n = system.rank
+    adj = [()] + [
+        tuple(j for j in range(1, n + 1) if system.cartan[i - 1][j - 1] == -1)
+        for i in range(1, n + 1)
+    ]
+    width = field_width(system)
+    zero, entries = packed_roots(system, width)
+    return adj, width, zero, {packed: r for r, packed, _ in entries}
+
+
+def _knit(quiver: DynkinQuiver, xi: dict) -> tuple[dict, dict]:
     """The labels of Gamma_Q by vertex (i, p), row by row, each right to
-    left, knitted right to left by the mesh rule: tau_Q(M) + M is the sum
-    of the labels (j, p-1), j ~ i, present, for every non-projective M at
-    (i, p).  At the projective the sum is M - alpha_i, so the first vector
-    with a negative entry ends the row."""
-    n = quiver.system.rank
-    at = {(i, xi[i]): gamma(quiver, i).coeffs for i in range(1, n + 1)}
-    low = dict(xi)  # the smallest p knitted so far in each row
-    open_rows = set(range(1, n + 1))
+    left, and mQ.
+
+    Knitted right to left by the mesh rule: tau_Q(M) + M is the sum of the
+    labels (j, p-1), j ~ i, present, for every non-projective M at (i, p).
+    At the projective the sum is M - alpha_i, so the first vector with a
+    negative entry ends the row.  Each label is one packed int
+    (``rootsys.packed_roots``): a sum holds at most two roots, or the
+    radical of a projective, so it fits the fields, and in
+    zero - M + sum a cleared guard bit is a negative entry.  Only the
+    finished labels become roots, each by one lookup."""
+    system = quiver.system
+    n = system.rank
+    adj, width, zero, root_of = _packing(system)
+    # Row i starts at gamma_i = alpha_i + the gamma_a of its arrows a -> i
+    # (the Dynkin tree has one path from each vertex to i).  A tail has the
+    # larger xi, so by xi descending each gamma_a is complete when added.
+    gamma = [0] + [1 << width * (i - 1) for i in range(1, n + 1)]
+    for a, b in sorted(quiver.arrows, key=lambda e: -xi[e[0]]):
+        gamma[b] += gamma[a]
+    rows = [[g] for g in gamma]  # rows[i]: row i from (i, xi_i) leftwards
+    open_rows = range(1, n + 1)
     p = max(xi.values())
     while open_rows:
         # the level p-1 is complete: it was knitted from the level p+1
-        for i in [i for i in open_rows if low[i] == p]:
-            v = [-c for c in at[(i, p)]]
-            for j in adj[i]:
-                u = at.get((j, p - 1))
-                if u is not None:
-                    v = [a + b for a, b in zip(v, u)]
-            if min(v) < 0:
-                open_rows.discard(i)
-            else:
-                at[(i, p - 2)] = tuple(v)
-                low[i] = p - 2
+        still = []
+        for i in open_rows:
+            row = rows[i]
+            if xi[i] - 2 * len(row) + 2 == p:
+                v = zero - row[-1]
+                for j in adj[i]:
+                    k = (xi[j] - p + 1) >> 1  # (j, p-1) is rows[j][k]
+                    if 0 <= k < len(rows[j]):
+                        v += rows[j][k]
+                if v & zero != zero:
+                    continue
+                row.append(v ^ zero)
+            still.append(i)
+        open_rows = still
         p -= 1
-    root = quiver.system.root
-    return {v: root(at[v]) for v in sorted(at, key=lambda v: (v[0], -v[1]))}
+    try:
+        label = {(i, xi[i] - 2 * k): root_of[v]
+                 for i in range(1, n + 1) for k, v in enumerate(rows[i])}
+    except KeyError:
+        raise RuntimeError("phi_Q failed: a label is not a positive root") from None
+    return label, {i: len(rows[i]) - 1 for i in range(1, n + 1)}
 
 
 class ARQuiver:
@@ -143,36 +170,39 @@ class ARQuiver:
     residue) are ``coords``: coords[k] is the vertex of class position k of
     ``comm_class()``, whose k-th letter is i and k-th root label[coords[k]].
     Every arrow goes from p to p+1, so each vertex comes after its arrow
-    targets and the reading is arrow-compatible."""
+    targets and the reading is arrow-compatible.  ``arrows`` is computed
+    on each read; the library itself reads the class."""
 
     def __init__(self, quiver: DynkinQuiver):
         self.quiver = quiver
         self.system = sys_ = quiver.system
-        n = sys_.rank
         self.xi = xi = height_function(quiver)
-        adj = {
-            i: [j for j in range(1, n + 1) if sys_.cartan[i - 1][j - 1] == -1]
-            for i in range(1, n + 1)
-        }
         # knitted in a frame of its own, whose working state is freed
         # before the class below is built
-        self.label = label = _knit(quiver, xi, adj)
-        self.mQ = {i: sum(j == i for j, _ in label) - 1 for i in range(1, n + 1)}
+        self.label, self.mQ = _knit(quiver, xi)
+        label = self.label
         self.vertex_of = {r: v for v, r in label.items()}
         if len(self.vertex_of) != sys_.N:
             raise RuntimeError("phi_Q failed to be a bijection onto the positive roots")
-        self.arrows = tuple(
-            ((i, p), (j, p + 1))
-            for (i, p) in label
-            for j in adj[i]
-            if (j, p + 1) in label
-        )
         # the key tuples of label themselves; the class takes its roots
         # from the labels, so none is recomputed
         self.coords = coords = tuple(sorted(label, key=lambda v: (-v[1], v[0])))
         self._comm_class = CommClass(
             ReducedWord(tuple(i for i, _ in coords), sys_),
             tuple(label[v] for v in coords),
+        )
+
+    @property
+    def arrows(self) -> tuple:
+        """The arrows (i, p) -> (j, p + 1), by tail in the order of
+        ``label``, then by j."""
+        adj = _packing(self.system)[0]
+        label = self.label
+        return tuple(
+            ((i, p), (j, p + 1))
+            for (i, p) in label
+            for j in adj[i]
+            if (j, p + 1) in label
         )
 
     def rows(self) -> dict[int, list[PosRoot]]:

@@ -264,3 +264,37 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def build_root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(CartanDatum.build(kind, rank))
+
+
+def field_width(system: RootSystem, weight=()) -> int:
+    """The bit-field width of a packed vector: wide enough for the weight
+    and for twice the largest root coefficient (every pair weight and every
+    mesh sum of an AR quiver), plus the guard bit."""
+    top = max((2 * max(system.highest_root.coeffs), *weight))
+    return top.bit_length() + 1
+
+
+@lru_cache(maxsize=None)
+def packed_roots(system: RootSystem, width: int):
+    """The guard mask and every positive root of the system in search order
+    (height descending, then coefficients), each as (root, packed
+    coefficients, mask of the bit fields it touches), for fields of the
+    given width: packed once per (system, width) and shared by every
+    reader.
+
+    Coordinate k of a vector sits in the k-th field from the low end.  A
+    packed vector plus the guard mask holds each coordinate with a guard
+    bit above it, so a sum or difference of packed vectors clears a guard
+    bit exactly when that coordinate goes negative, as long as every
+    coordinate stays below the guard bit."""
+    field = (1 << width) - 1
+    shifts = range(0, width * system.rank, width)
+    zero = sum(1 << (s + width - 1) for s in shifts)
+    return zero, tuple(
+        (
+            r,
+            sum(x << s for x, s in zip(r.coeffs, shifts)),
+            sum(field << s for x, s in zip(r.coeffs, shifts) if x),
+        )
+        for r in sorted(system.positive_roots, key=lambda r: (-r.height, r.coeffs))
+    )

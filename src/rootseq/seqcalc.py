@@ -10,11 +10,11 @@ packed roots of the partition search) are kept in the class's
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from operator import attrgetter
 
 from .orders import RootSequence, coarse_less
-from .rootsys import PosRoot, RootSystem
+from .rootsys import PosRoot, field_width, packed_roots
 from .words import CommClass
 
 DEFAULT_CAP = 10**6
@@ -40,50 +40,23 @@ class PartitionCap(RuntimeError):
         self.pair = pair
 
 
-@lru_cache(maxsize=None)
-def _system_packed(system: RootSystem, width: int):
-    """The guard mask and every positive root of the system in search order
-    (height descending, then coefficients), each as (root, packed
-    coefficients, mask of the bit fields it touches), for fields of the
-    given width: packed once per (system, width) and shared by its
-    classes."""
-    field = (1 << width) - 1
-    shifts = range(0, width * system.rank, width)
-    zero = sum(1 << (s + width - 1) for s in shifts)
-    return zero, tuple(
-        (
-            r,
-            sum(x << s for x, s in zip(r.coeffs, shifts)),
-            sum(field << s for x, s in zip(r.coeffs, shifts) if x),
-        )
-        for r in sorted(system.positive_roots, key=lambda r: (-r.height, r.coeffs))
-    )
-
-
 def _packed_roots(cls: CommClass, width: int):
     """The guard mask, the class's roots in search order (height descending,
     then coefficients), each as (position, packed coefficients, mask of the
     bit fields it touches), and the position of each packed root, in
     position order, for fields of the given width.
 
-    The roots are packed once per system (``_system_packed``); a class
+    The roots are packed once per system (``rootsys.packed_roots``); a class
     only places them at its positions, keeping those it holds (the class of
     a word shorter than w0 holds fewer than all)."""
     table = cls.cache.packed.get(width)
     if table is None:
-        zero, packed = _system_packed(cls.system, width)
+        zero, packed = packed_roots(cls.system, width)
         pos = cls._pos_of_root
         entries = [(pos[r], root, mask) for r, root, mask in packed if r in pos]
         index = {root: p for p, root, _ in sorted(entries)}
         table = cls.cache.packed[width] = (zero, entries, index)
     return table
-
-
-def _width(cls: CommClass, weight) -> int:
-    """The field width for a weight: wide enough for the weight and for
-    twice the largest root coefficient, plus the guard bit."""
-    top = max(2 * max(cls.system.highest_root.coeffs), *weight)
-    return top.bit_length() + 1
 
 
 def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
@@ -109,7 +82,7 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     weight = tuple(weight)
     if min(weight) < 0:  # no partition; its fields would borrow from their neighbours
         return []
-    width = _width(cls, weight)
+    width = field_width(cls.system, weight)
     zero, entries, _ = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
     residual = zero + sum(x << s for x, s in zip(weight, shifts))
@@ -189,8 +162,8 @@ def _pairs(cls: CommClass, weight) -> tuple[tuple[int, int], ...]:
     store = cls.cache.pairs
     if weight not in store:
         out = []
-        width = _width(cls, weight)
-        if min(weight) >= 0 and width == _width(cls, (0,)):
+        width = field_width(cls.system, weight)
+        if min(weight) >= 0 and width == field_width(cls.system):
             zero, _, index = _packed_roots(cls, width)
             shifts = range(0, width * len(weight), width)
             residual = zero + sum(x << s for x, s in zip(weight, shifts))

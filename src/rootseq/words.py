@@ -112,8 +112,12 @@ class CommClass:
     Positions are 0-based internally: position k holds the k-th letter of
     the representative and its root ``roots[k]``.  ``prec(a, b)`` is the
     strict convex partial order: true iff a comes before b in every member
-    of the class.  Every heap cover (p, q) has p < q, so the positions are
-    a linear extension of the heap: ``prec_pos(p, q)`` implies p < q.
+    of the class.  ``heap_covers`` holds the relations (p, q) from each
+    position q to the last earlier occurrence p of its letter and of each
+    Dynkin neighbour; they generate the heap order, but they are not all
+    covers: a same-letter relation is one only when no neighbouring letter
+    occurs between the two.  Every relation has p < q, so the positions
+    are a linear extension of the heap: ``prec_pos(p, q)`` implies p < q.
     ``cache`` holds what the library has computed over the class.
 
     ``roots``, when given, must be the roots of the representative in its
@@ -142,10 +146,13 @@ class CommClass:
         below = [0] * t  # positions strictly before q in every member
         for q, i in enumerate(letters):
             # each earlier occurrence of a letter lies below its last one
-            for p in sorted((last[j] for j in touch[i - 1] if last[j] >= 0),
-                            reverse=True):
+            ps = [last[j] for j in touch[i - 1] if last[j] >= 0]
+            ps.sort(reverse=True)
+            mask = 0
+            for p in ps:
                 covers.append((p, q))
-                below[q] |= (1 << p) | below[p]
+                mask |= (1 << p) | below[p]
+            below[q] = mask
             last[i - 1] = q
         self.heap_covers = tuple(covers)
         self._below = below

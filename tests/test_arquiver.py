@@ -4,11 +4,11 @@ import pytest
 
 from rootseq.arquiver import (
     ARQuiver,
+    BadOrientation,
     DynkinQuiver,
     all_orientations,
     build_ar_quiver,
     find_quiver,
-    gamma,
     height_function,
     is_adapted,
 )
@@ -46,10 +46,15 @@ def _quiver(system, arrows):
 
 
 def test_orientation_must_cover_tree(a5):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadOrientation):
         DynkinQuiver.from_arrows(a5, [(1, 2), (2, 1), (3, 4), (4, 5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadOrientation):
         DynkinQuiver.from_arrows(a5, [(1, 3), (2, 3), (3, 4), (4, 5)])
+    # an arrow given twice covers its edge twice, though its set is a cover
+    with pytest.raises(BadOrientation):
+        DynkinQuiver.from_arrows(a5, [(1, 2), (2, 3), (3, 4), (4, 5), (4, 5)])
+    with pytest.raises(BadOrientation):
+        DynkinQuiver.from_arrows(build_root_system("A", 3), [(1, 2), (2, 3), (2, 3)])
 
 
 def test_sources_sinks_reflect(a5):
@@ -83,6 +88,19 @@ def test_gamma_theta(a5):
     assert a5.format_root(gamma(Q, 5)) == "[3,5]"
     assert a5.format_root(theta(Q, 1)) == "[1,2]"
     assert a5.format_root(theta(Q, 3)) == "[2,5]"
+
+
+def gamma(Q, i):
+    """gamma_i = sum of alpha_j over vertices j with a directed path to i."""
+    back = {i}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in Q.arrows:
+            if b in back and a not in back:
+                back.add(a)
+                changed = True
+    return Q.system.root(tuple(int(j in back) for j in range(1, Q.system.rank + 1)))
 
 
 def theta(Q, i):
@@ -218,16 +236,47 @@ def _ar_quiver_by_reflections(Q):
 
 @pytest.mark.parametrize(
     "kind,rank,limit",
-    [("A", n, None) for n in range(1, 9)] + [("D", n, None) for n in range(4, 8)]
-    + [("E", 6, None), ("E", 7, None), ("E", 8, 16)],
+    [("A", n, None) for n in range(1, 9)] + [("D", n, None) for n in range(4, 9)]
+    + [("E", 6, None), ("E", 7, None), ("E", 8, None), ("A", 12, 1), ("D", 10, 1)],
 )
 def test_mesh_rule_labels_match_tau_q(kind, rank, limit):
     """The labels knitted by the mesh rule, mQ and the arrows are those of
-    the reflection oracle, in the same order."""
+    the reflection oracle, in the same order: on every orientation up to
+    rank 8, where D8 and E8 fill the packed fields most, and on one each of
+    A12 and D10."""
     for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), limit):
         arq = build_ar_quiver(Q)
         got = (list(arq.label.items()), arq.mQ, arq.arrows)
         assert got == _ar_quiver_by_reflections(Q), Q.orientation_str()
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8)],
+)
+def test_heap_relations_are_the_arrows_and_the_row_steps(kind, rank):
+    """On the class of Gamma_Q, the heap relations (p, q) with nothing
+    between them are exactly the arrows of Gamma_Q, read by class position
+    through coords (an arrow u -> v is the relation from v to u), and
+    every other relation is a row step (i, p) -> (i, p + 2), one for each
+    vertex but the last of its row.  So the arrows computed on demand are
+    those of the class built with the quiver."""
+    sys_ = build_root_system(kind, rank)
+    for Q in all_orientations(sys_):
+        arq = build_ar_quiver(Q)
+        cls = arq.comm_class()
+        coords = arq.coords
+        at = {v: k for k, v in enumerate(coords)}
+        arrows = {(at[v], at[u]) for u, v in arq.arrows}
+        assert len(arrows) == len(arq.arrows)
+        covers = {(p, q) for p, q in cls.heap_covers if cls.interval(p, q) == 0}
+        assert covers == arrows, Q.orientation_str()
+        steps = [(p, q) for p, q in cls.heap_covers if cls.interval(p, q)]
+        assert len(steps) == sys_.N - rank
+        for p, q in steps:
+            (i, s), (j, t) = coords[q], coords[p]
+            assert (i, s + 2) == (j, t), Q.orientation_str()
 
 
 def test_mq_sum_is_number_of_roots(a5, d4, e6):

@@ -162,6 +162,15 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and out == "" and "--orient is required" in err
 
 
+def test_repeated_arrow_exit_2(capsys):
+    """An arrow given twice covers its edge twice: it exits 2, where the
+    repeat was merged away and the quiver shown."""
+    code, out, err = run(capsys, "arq", "show", "--type", "A3",
+                         "--orient", "1>2,2>3,2>3")
+    assert code == 2 and out == ""
+    assert "orientation gives an arrow more than once" in err
+
+
 @pytest.mark.parametrize("action", ["roots", "class", "heap", "quiver"])
 def test_word_without_word_exit_2(capsys, action):
     """A missing --word is a usage error, not a fault of the program."""

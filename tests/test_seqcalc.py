@@ -24,7 +24,7 @@ from rootseq.arquiver import (
     find_quiver,
 )
 from rootseq.orders import RootSequence, coarse_less
-from rootseq.rootsys import build_root_system
+from rootseq.rootsys import build_root_system, field_width
 from rootseq.seqcalc import (
     DEFAULT_CAP,
     NotInDomain,
@@ -34,7 +34,6 @@ from rootseq.seqcalc import (
     _packed_roots,
     _pairs,
     _partitions,
-    _width,
     dist,
     dist_chain,
     gdist,
@@ -133,7 +132,7 @@ def test_packed_roots_match_the_per_class_packing(kind, rank):
         for _ in range(3 if sys_.N > 1 else 0)
     ]
     for cls in classes:
-        shared = _width(cls, (0,))
+        shared = field_width(cls.system)
         for width in (shared, shared + 2):
             zero, entries, index = _packed_roots(cls, width)
             want_zero, want_entries, want_index = packed_roots_by_class(cls, width)
@@ -258,7 +257,7 @@ def test_engine_matches_reference_enumeration(kind, rank, arrows):
         cases += [(cls.interval(i, j), wt) for i, j in comparable
                   if _pair_weight(cls, i, j) == wt]
         aliased = list(wt)
-        aliased[0] -= 1 << _width(cls, wt)
+        aliased[0] -= 1 << field_width(cls.system, wt)
         aliased[1] += 1
         cases.append((everywhere, tuple(aliased)))
         for beta in cls.roots:

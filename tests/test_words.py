@@ -223,8 +223,10 @@ def test_reachability_is_closure_of_covers(kind, rank):
 
 def _heap_by_backward_scan(cls):
     """heap_covers, _below and _above by the O(t^2) definition: q is
-    covered by the last earlier occurrence of each letter that does not
-    commute with its own, listed by position descending."""
+    related to the last earlier occurrence of each letter that does not
+    commute with its own, listed by position descending.  These relations
+    generate the heap order; a same-letter one is a cover only when no
+    neighbouring letter occurs between the two."""
     letters, cartan = cls.representative.letters, cls.system.cartan
     t = len(letters)
     covers, below = [], [0] * t
