@@ -15,8 +15,9 @@ run as a command, never imported.
 
 The output JSON holds every run (its exit code, its output lines and its
 result line) and, per workload and metric, the median of each side, the
-change in per cent, the parent's quartiles and the number of pairs in which
-the change was lower.  The exit code is 0 when every run exited 0 with
+change in per cent, the parent's quartiles, whether the change's median lies
+between them and the number of pairs in which the change was lower; a median
+between the parent's quartiles is printed as "inside the parent's spread".  The exit code is 0 when every run exited 0 with
 ``"correct": true`` and both sides printed the same notes (the lines above
 the result that report what the checks saw, apart from the timings), and 1
 otherwise.
@@ -49,16 +50,27 @@ def notes(run):
 
 def compare(before, after):
     """The medians of one metric on each side, the change in per cent, the
-    parent's quartiles and the number of pairs in which the change was
-    lower."""
+    parent's quartiles, whether the change's median lies between them (then
+    the runs cannot tell the two sides apart), and the number of pairs in
+    which the change was lower."""
     med_b, med_a = statistics.median(before), statistics.median(after)
+    quartiles = statistics.quantiles(before, n=4) if len(before) > 1 else None
     return {
         "parent": med_b,
         "change": med_a,
         "change_pct": 100 * (med_a - med_b) / med_b if med_b else None,
-        "parent_quartiles": statistics.quantiles(before, n=4) if len(before) > 1 else None,
+        "parent_quartiles": quartiles,
+        "inside_parent_quartiles": quartiles[0] <= med_a <= quartiles[2] if quartiles else None,
         "pairs_lower": f"{sum(a < b for a, b in zip(after, before))}/{len(before)}",
     }
+
+
+def describe(label, m):
+    """One line for a metric compared by ``compare``."""
+    pct = "" if m["change_pct"] is None else f"{m['change_pct']:+.1f} %, "
+    spread = ", inside the parent's spread" if m["inside_parent_quartiles"] else ""
+    return (f"{label}: {m['parent']:.4g} -> {m['change']:.4g} "
+            f"({pct}lower in {m['pairs_lower']}{spread})")
 
 
 def summary(runs):
@@ -140,9 +152,7 @@ def main():
         fh.write("\n")
     for workload, entry in report["workloads"].items():
         for name, m in (entry["medians"] or {}).items():
-            pct = "" if m["change_pct"] is None else f"{m['change_pct']:+.1f} %, "
-            print(f"{workload} {name}: {m['parent']:.4g} -> {m['change']:.4g} "
-                  f"({pct}lower in {m['pairs_lower']})")
+            print(describe(f"{workload} {name}", m))
     return 0 if ok else 1
 
 

@@ -12,8 +12,8 @@ side that goes first alternates from pair to pair:
 
 - ``rootseq verify rds-mul --type E8 --format json``, every orientation
 - ``rootseq denom table --type E8 --all-orientations``
-- ``rootseq denom table --type E8 --all-orientations --check-all``, the
-  slowest of the commands (about 10 s)
+- ``rootseq denom table --type E8 --all-orientations --check-all`` (about
+  1 s, as the table without it)
 - ``rootseq denom table --type E6``, one orientation: bound by start-up
 - ``scripts/verify_all.py``
 - ``scripts/radius_survey.py --systems E6,E7,E8`` (it prints the time of
@@ -34,8 +34,10 @@ before the first run (``PYTHONPYCACHEPREFIX``): otherwise a tree that holds
 about 30 ms and 1 MB, whenever ``PYTHONDONTWRITEBYTECODE`` is set.
 
 The output JSON holds every run and, per command, the medians of wall time
-and peak RSS on each side with the parent's quartiles and the number of
-pairs in which the change was lower.  The exit code is 0 when every run of a
+and peak RSS on each side with the parent's quartiles, whether the change's
+median lies between them (printed as "inside the parent's spread": the runs
+cannot tell such a change from noise) and the number of pairs in which the
+change was lower.  The exit code is 0 when every run of a
 command, on both sides, printed the same result lines and exited with the
 same code, and 1 otherwise.  Echo lines that differ (a change to how the
 sweep spells a command) are reported as a note and do not change the exit
@@ -52,7 +54,7 @@ import sys
 import tempfile
 import time
 
-from bench_compare import compare, export, order, revisions
+from bench_compare import compare, describe, export, order, revisions
 
 CLI = ["-m", "rootseq.cli"]
 COMMANDS = {
@@ -173,9 +175,7 @@ def main():
         fh.write("\n")
     for name, entry in report["workloads"].items():
         for metric, m in entry["medians"].items():
-            pct = "" if m["change_pct"] is None else f"{m['change_pct']:+.1f} %, "
-            print(f"{name} {metric}: {m['parent']:.4g} -> {m['change']:.4g} "
-                  f"({pct}lower in {m['pairs_lower']})")
+            print(describe(f"{name} {metric}", m))
         print(f"{name}: {'identical' if entry['identical'] else 'OUTPUTS DIFFER'}")
         if not entry["echo_identical"]:
             print(f"{name}: note: the echoed command lines differ")

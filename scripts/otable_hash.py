@@ -35,7 +35,7 @@ E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
 def _table_text(Q) -> str:
-    table, _ = denom._o_table(Q, False)
+    table = denom._o_table(Q, False)[0]
     body = ";".join(f"{k},{l},{t}:{o}" for (k, l, t), o in sorted(table.items()))
     return f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {body}\n"
 

@@ -12,9 +12,11 @@ Of each E7 and E8 orientation only the root of the derivation tree
 every other table is derived along a reflection at a sink or source, whose
 premise is checked on every edge (63 in E7, 127 in E8), and the sweep fails
 unless every orientation gives one table.  With --check-all the
-denominator sweeps and the E7 table compute the gdist of every pair of every
-slot; in E7 that includes every alpha_i pair across each of the 63 edges of
-the tree.  The E8 table is run without it.  ``denom verify`` exits 1 on E7
+denominator sweeps and the E7 table give every pair the gdist of its ordered
+slot (``denom._o_table``), computed once per ordered slot (434 in E7), check
+that the two orders of every slot agree, and check the premise of the
+reflection at every sink and source of every orientation (367 edge checks in
+E7).  The E8 table is run without it.  ``denom verify`` exits 1 on E7
 and E8, where the computed table lies above the reading, so neither is
 swept."""
 
@@ -31,7 +33,8 @@ DIST_BOUND_TYPES = ["A2", "A3", "A4", "A5", "D4", "D5"]
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--check-all", action="store_true",
-                    help="verify slot well-definedness over every pair")
+                    help="check slot well-definedness by ordered slot and "
+                         "every reflection edge (see rootseq denom table --help)")
     args = ap.parse_args()
     sweep = ["--all-orientations"] + (["--check-all"] if args.check_all else [])
     runs = (

@@ -506,7 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             group.add_argument("--all-orientations", action="store_true")
         p.add_argument("--check-all", action="store_true",
-                       help="verify well-definedness across all pairs per slot")
+                       help="check well-definedness: each pair takes the gdist "
+                            "of its ordered slot (its residues in heap order and "
+                            "their gap), computed once; the two orders of every "
+                            "slot must agree, and every reflection at a sink or "
+                            "source has its premise checked")
         _add_output(p, ("text", "json") if action == "verify"
                     else ("text", "json", "latex"))
 

@@ -162,6 +162,15 @@ def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
     )
 
 
+def _reflections(P: DynkinQuiver):
+    """(i, s_i P) for P's sinks and sources i in ascending order: the edges
+    from P of the graph of orientations (none in A1, where s_1 P = P)."""
+    for i in sorted(set(P.sinks() + P.sources())):
+        Q = P.reflect(i)
+        if Q != P:
+            yield i, Q
+
+
 @lru_cache(maxsize=None)
 def _derivation_tree(system) -> dict:
     """{Q: (P, i)} over every orientation Q of the system: the parent P whose
@@ -169,16 +178,15 @@ def _derivation_tree(system) -> dict:
     i; the root maps to None.
 
     A breadth-first tree from the root ``next(all_orientations(system))``
-    whose edges from each P are s_i P for P's sinks and sources in ascending
-    i.  The reflections at sinks and sources connect every orientation of a
-    tree-shaped Dynkin diagram, Q^rev included.  The tree depends on the
-    system alone, so no table depends on the order of the queries."""
+    whose edges from each P are ``_reflections(P)``.  The reflections at
+    sinks and sources connect every orientation of a tree-shaped Dynkin
+    diagram, Q^rev included.  The tree depends on the system alone, so no
+    table depends on the order of the queries."""
     root = next(all_orientations(system))
     tree = {root: None}
     frontier = [root]
     for P in frontier:  # appended to while read: breadth first
-        for i in sorted(P.sinks() + P.sources()):
-            Q = P.reflect(i)
+        for i, Q in _reflections(P):
             if Q not in tree:
                 tree[Q] = (P, i)
                 frontier.append(Q)
@@ -205,10 +213,19 @@ def _alpha_pairs(arq: ARQuiver, i: int) -> dict[tuple[int, int, int], list]:
     return out
 
 
+def _ordered_slot(coords, ab: tuple[int, int]) -> tuple[int, int, int]:
+    """(i, j, p - q) for the position pair (a, b), a < b: (i, p) is the
+    vertex of a and (j, q) that of b, read off ``coords``
+    (``ARQuiver.coords``)."""
+    (i, p), (j, q) = coords[ab[0]], coords[ab[1]]
+    return i, j, p - q
+
+
 @lru_cache(maxsize=None)
-def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
-    """({(k, l, t): o_t}, {(k, l, t): n}) over every occupied slot, k <= l:
-    the gdist shared by the pairs of the slot, and their number.
+def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict, dict]:
+    """({(k, l, t): o_t}, {(k, l, t): n}, memo) over every occupied slot,
+    k <= l: the gdist shared by the pairs of the slot, their number, and
+    the system's gdist memo by ordered slot.
 
     Each table is derived from its parent's in ``_derivation_tree``.  The
     root has no parent: it carries an empty table and empty counts, and
@@ -223,17 +240,32 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
     are Q's alpha_i pairs, and the counts are the parent's less the
     parent's alpha_i pairs plus the new ones.
 
+    The ordered slot of a pair (a, b), a < b, is (i, j, p - q), (i, p) the
+    vertex of a and (j, q) that of b (``_ordered_slot``).  A reflection
+    keeps the ordered slot of every pair it carries, and the classes of
+    pairs that reflections at sinks and sources carry to one another, over
+    every orientation, are exactly the ordered slots: so gdist depends on
+    the ordered slot alone.  The memo
+    maps each ordered slot seen so far to its gdist, computed once, on
+    first sight, from the pair of the table that first has it.  The root
+    creates the memo and every derived table shares its parent's, so it
+    lives as long as the lru cache: ``_o_table.cache_clear()`` drops it.
+
     A slot holds a carried pair (one that avoids alpha_i) exactly when its
     count exceeds its number of new pairs; it takes the parent's value.  A
-    slot with no carried pair takes the gdist of its first new pair.  With
-    check_all every new pair is computed and must agree with the slot's
-    value.  A derived table starts as a copy of the parent's, drops the
-    slots whose count reaches 0 and visits only the slots with new pairs,
-    in the order of the counts.  So it costs the edge check and the alpha_i
-    pairs of both classes (at most N each, N the number of positive roots),
-    plus two dict copies; nothing is done per slot or per root beyond that.
-    Only a violation at a slot with a carried pair walks the slots, to name
-    that slot's first pair that avoids alpha_i.
+    slot with no carried pair takes the memo value of its first new pair.
+    With check_all every new pair takes its ordered slot's memo value, which
+    must equal the carried value, and a slot's two orders (k, l, t) and
+    (l, k, t) must agree; and the reflections at every sink and source of Q,
+    not only the tree edge, have their premise checked, since the memo
+    trusts transport along all of them.  A derived table starts as a copy
+    of the parent's, drops the slots whose count reaches 0 and visits only
+    the slots with new pairs, in the order of the counts.  So it costs the
+    edge check and the alpha_i pairs of both classes (at most N each, N the
+    number of positive roots), plus two dict copies; nothing is done per
+    slot or per root beyond that.  Only a violation at a slot with a carried
+    pair walks the slots, to name that slot's first pair that avoids
+    alpha_i.
 
     Without check_all a derived slot holds the gdist of a pair that need not
     be the first of its slot; the two agree on every well-defined slot.  The
@@ -242,28 +274,31 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
     the table is read again.
 
     check_all is positional and has no default, so the lru cache holds one
-    entry per (Q, bool).
+    entry per (Q, bool), and each value of check_all has its own memo.
     """
     edge = _derivation_tree(Q.system)[Q]
     arq = build_ar_quiver(Q)
     if edge is None:
-        out, counts, gone, new = {}, {}, {}, slots(arq)
+        out, counts, memo, gone, new = {}, {}, {}, {}, slots(arq)
     else:
         P, i = edge
-        table_p, counts = _o_table(P, check_all)
+        table_p, counts, memo = _o_table(P, check_all)
         _check_reflection(P, Q, i)
         out, counts = dict(table_p), dict(counts)
         gone = _alpha_pairs(build_ar_quiver(P), i)
         for key, pairs in gone.items():
             counts[key] -= len(pairs)
         new = _alpha_pairs(arq, i)
+    if check_all:
+        for j, R in _reflections(Q):
+            _check_reflection(Q, R, j)
     for key, pairs in new.items():
         counts[key] = counts.get(key, 0) + len(pairs)
     for key in gone:
         if not counts[key]:  # every pair of the slot held alpha_i
             del counts[key], out[key]
     cls = arq.comm_class()
-    roots, fmt = cls.roots, Q.system.format_root
+    roots, coords, fmt = cls.roots, arq.coords, Q.system.format_root
     try:
         # the slots with new pairs, in the order of counts (and of out)
         for key in filter(new.__contains__, counts):
@@ -275,7 +310,10 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
             # only if the slot disagrees
             vals = {out[key]: None} if carried else {}
             for ab in members if check_all else members[:1]:
-                vals.setdefault(gdist(RootSequence.from_positions(cls, ab)), ab)
+                o = _ordered_slot(coords, ab)
+                if o not in memo:
+                    memo[o] = gdist(RootSequence.from_positions(cls, ab))
+                vals.setdefault(memo[o], ab)
             if len(vals) > 1:
                 if carried:
                     e = cls.position(Q.system.simple_root(i))
@@ -293,7 +331,7 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict]:
         # every entry depends on the class alone: dropping it costs only
         # recomputation, never a different answer
         cls.cache = ClassCache()
-    return out, counts
+    return out, counts, memo
 
 
 def _distance_polynomials(
@@ -307,7 +345,7 @@ def _distance_polynomials(
     reflection (see ``_o_table``)."""
     n = Q.system.rank
     exps = {(k, l): {} for k in range(1, n + 1) for l in range(k, n + 1)}
-    for table, _ in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
+    for table, *_ in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
         for (k, l, t), o in table.items():
             d = exps[k, l]
             d[t] = max(d.get(t, 0), o)

@@ -103,6 +103,21 @@ def test_denom_poly_and_table(capsys):
     assert d13["correction"] and d13["factors"] == [{"t": 4, "mult": 1}]
 
 
+def test_denom_table_e8_check_all(capsys):
+    """The E8 table over all 128 orientations with --check-all (one gdist
+    per ordered slot, every reflection edge checked) exits 0 and prints the
+    table printed without it."""
+    from rootseq.denom import _o_table
+
+    argv = ["denom", "table", "--type", "E8", "--all-orientations"]
+    try:
+        code, checked, _ = run(capsys, *argv, "--check-all")
+        assert code == 0
+        assert run(capsys, *argv) == (0, checked, "")
+    finally:
+        _o_table.cache_clear()
+
+
 def test_denom_poly_latex(capsys):
     code, out, _ = run(capsys, "denom", "poly", *A3_ARGS,
                        "--k", "1", "--l", "2", "--format", "latex")

@@ -54,7 +54,7 @@ def test_polynomial_formatting():
 def test_a3_slots():
     Q = A3_MONO()
     by_slot = slots(build_ar_quiver(Q))
-    table, counts = _o_table(Q, True)
+    table, counts, _ = _o_table(Q, True)
     # residues (1,1) at gap 2: two comparable pairs, both with gdist 1
     assert len(by_slot[(1, 1, 2)]) == 2
     assert table[(1, 1, 2)] == 1 and counts[(1, 1, 2)] == 2
@@ -184,14 +184,30 @@ def test_check_all_well_definedness_spot():
         assert verify_denominator(Q, check_all=True) == ()
 
 
+def _ordered(coords, ab):
+    """The ordered slot (i, j, p - q) of the position pair (a, b), a < b:
+    (i, p) is the vertex of a and (j, q) that of b."""
+    (i, p), (j, q) = coords[ab[0]], coords[ab[1]]
+    return i, j, p - q
+
+
 def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, capsys):
-    """When two pairs of one slot disagree on gdist, check_all raises an
-    error naming the orientation, the slot and both pairs, and the CLI
-    exits 1."""
+    """When the two orders (k, l, t) and (l, k, t) of one slot disagree on
+    gdist, check_all raises an error naming the orientation, the slot and a
+    pair of each order, and the CLI exits 1.  The fault is at the first pair
+    of the slot's second order in the root's class, where the memo computes
+    that ordered slot's gdist on first sight."""
     Q = A3_MONO()
+    assert denom._derivation_tree(Q.system)[Q] is None
     fmt = Q.system.format_root
     arq = build_ar_quiver(Q)
-    first, second = slots(arq)[(1, 1, 2)]
+    key, first, second = next(
+        (key, members[0], ab)
+        for key, members in slots(arq).items() for ab in members
+        if _ordered(arq.coords, ab) != _ordered(arq.coords, members[0])
+    )
+    cls = CommClass(arq.comm_class().representative)
+    g = gdist(RootSequence.from_positions(cls, first))
     roots = arq.comm_class().roots
     (a1, b1), (a2, b2) = ((roots[a], roots[b]) for a, b in (first, second))
     real = denom.gdist
@@ -205,9 +221,9 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
         assert _released(Q)
         message = str(err.value)
         assert Q.orientation_str() in message
-        assert "residues (1,1) gap 2" in message
-        assert f"({fmt(a1)},{fmt(b1)}) has gdist 1" in message
-        assert f"({fmt(a2)},{fmt(b2)}) has gdist 2" in message
+        assert f"residues ({key[0]},{key[1]}) gap {key[2]}" in message
+        assert f"({fmt(a1)},{fmt(b1)}) has gdist {g}" in message
+        assert f"({fmt(a2)},{fmt(b2)}) has gdist {g + 1}" in message
         code = main(["denom", "table", "--type", "A3", "--orient", "1>2,2>3",
                      "--check-all"])
         assert code == 1
@@ -283,9 +299,9 @@ def test_o_table_matches_its_own_class(kind, rank, limit):
     if limit is not None:
         quivers += [Q for Q in _first_at_each_depth(system) if Q not in quivers]
     for Q in quivers:
-        assert _o_table(Q, False) == _oracle_o_table(Q, False), Q.orientation_str()
+        assert _o_table(Q, False)[:2] == _oracle_o_table(Q, False), Q.orientation_str()
         if kind != "E":
-            assert _o_table(Q, True) == _oracle_o_table(Q, True), Q.orientation_str()
+            assert _o_table(Q, True)[:2] == _oracle_o_table(Q, True), Q.orientation_str()
 
 
 @pytest.mark.parametrize(
@@ -347,7 +363,7 @@ def test_slot_counts_are_the_slot_sizes(kind, rank):
     try:
         for Q in quivers:
             sizes = {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
-            table, counts = _o_table(Q, False)
+            table, counts, _ = _o_table(Q, False)
             assert counts == sizes, Q.orientation_str()
             assert list(table) == list(counts), Q.orientation_str()
     finally:
@@ -401,8 +417,8 @@ def test_reversed_table_is_the_w0_relabelling(kind, rank):
     star = system.w0_involution
     for Q in all_orientations(system):
         for check_all in (False, True) if kind != "E" else (False,):
-            table, counts = _o_table(Q, check_all)
-            assert _o_table(Q.rev(), check_all) == (
+            table, counts, _ = _o_table(Q, check_all)
+            assert _o_table(Q.rev(), check_all)[:2] == (
                 _starred(table, star), _starred(counts, star)
             ), Q.orientation_str()
 
@@ -441,7 +457,7 @@ def test_o_tables_do_not_depend_on_query_order(kind, rank):
         for first, second in ((Q, Q.rev()), (Q.rev(), Q)):
             _o_table.cache_clear()
             arquiver.build_ar_quiver.cache_clear()
-            tables = {R: _o_table(R, kind != "E") for R in (first, second)}
+            tables = {R: _o_table(R, kind != "E")[:2] for R in (first, second)}
             answers.append((tables[Q], tables[Q.rev()]))
             assert _released(Q) and _released(Q.rev()), Q.orientation_str()
         assert answers[0] == answers[1], Q.orientation_str()
@@ -531,20 +547,63 @@ def test_edge_check_names_both_orientations(monkeypatch, fault):
         _o_table.cache_clear()
 
 
+def test_check_all_checks_every_reflection_of_a_table(monkeypatch):
+    """With check_all a table checks the premise of the reflection at every
+    sink and source of its quiver, not only along its tree edge, since the
+    memo by ordered slot trusts transport along all of them: a neighbour
+    whose table is never asked, with its AR quiver broken, is named, and
+    without check_all it is not read."""
+    (P, Q), i = _reflected_a3(), 1
+    j = next(j for j in Q.sinks() + Q.sources() if j != i)
+    R = Q.reflect(j)
+    assert R not in [P.reflect(k) for k in P.sinks() + P.sources()]
+    moved = build_ar_quiver(R)
+    top = moved.comm_class().position(R.system.highest_root)
+    coords = list(moved.coords)
+    k, p = coords[top]
+    coords[top] = (k, p + 2)
+    monkeypatch.setattr(moved, "coords", tuple(coords))
+    _o_table.cache_clear()
+    try:
+        _o_table(Q, False)
+        with pytest.raises(RuntimeError, match="shift by") as err:
+            _o_table(Q, True)
+        assert (f"{R.orientation_str()} is not the reflection of "
+                f"{Q.orientation_str()} at {j}: ") in str(err.value)
+    finally:
+        _o_table.cache_clear()
+
+
+def _first_sight_at_a_carried_slot(system):
+    """(P, Q, key, carried, new) for the first child Q = s_i P of the root P
+    of the derivation tree with a slot that holds a pair avoiding alpha_i
+    (carried) and an alpha_i pair (new) whose ordered slot no pair of P has."""
+    P = next(all_orientations(system))
+    arq_p = build_ar_quiver(P)
+    seen = {_ordered(arq_p.coords, ab) for members in slots(arq_p).values()
+            for ab in members}
+    for Q, edge in denom._derivation_tree(system).items():
+        if edge is None or edge[0] != P:
+            continue
+        arq = build_ar_quiver(Q)
+        e = arq.comm_class().position(system.simple_root(edge[1]))
+        for key, members in slots(arq).items():
+            carried = [ab for ab in members if e not in ab]
+            new = [ab for ab in members
+                   if e in ab and _ordered(arq.coords, ab) not in seen]
+            if carried and new:
+                return P, Q, key, carried[0], new[0]
+    raise LookupError(system)
+
+
 def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
     """In a reflected table, a slot that takes the parent's value and also
-    holds a pair containing alpha_i: when that pair's gdist (in the
-    reflected class only) disagrees, check_all raises naming both pairs,
-    and the caches of both classes are left empty."""
-    P, Q = _reflected_a3()
+    holds an alpha_i pair whose ordered slot the parent has no pair of: the
+    memo computes that pair's gdist on first sight, in the reflected class.
+    When it disagrees, check_all raises naming both pairs, and the caches of
+    both classes are left empty.  (A3 has no such slot; D4 has.)"""
+    P, Q, key, carried, new = _first_sight_at_a_carried_slot(build_root_system("D", 4))
     cls_q = build_ar_quiver(Q).comm_class()
-    e = cls_q.position(Q.system.simple_root(1))
-    key, members = next(
-        (key, members) for key, members in slots(build_ar_quiver(Q)).items()
-        if any(e in ab for ab in members) and any(e not in ab for ab in members)
-    )
-    carried = next(ab for ab in members if e not in ab)
-    new = next(ab for ab in members if e in ab)
     roots = cls_q.roots
     (a1, b1), (a2, b2) = ((roots[a], roots[b]) for a, b in (carried, new))
     fmt = Q.system.format_root
@@ -566,6 +625,107 @@ def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
         assert f"({fmt(a2)},{fmt(b2)}) has gdist {o + 1}" in message
     finally:
         _o_table.cache_clear()
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
+def test_transport_classes_are_the_ordered_slots(kind, rank):
+    """Join two comparable pairs when the reflection at a sink or source i
+    carries one to the other: the pair avoids alpha_i, and s_i maps its two
+    roots to a comparable pair of s_i P in the same order.  Over every
+    reflection edge of every orientation, the classes of this join are
+    exactly the ordered slots (i, j, p - q), which the o-tables' gdist memo
+    is keyed by.  Computed from the root system's reflections, with no
+    o-table."""
+    system = build_root_system(kind, rank)
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    ordered = {}
+    for P in all_orientations(system):
+        arq = build_ar_quiver(P)
+        roots = arq.comm_class().roots
+        pairs = [(a, b) for a, b, _ in comparable_pairs(arq)]
+        for ab in pairs:
+            ordered[P, ab] = _ordered(arq.coords, ab)
+        for i in set(P.sinks() + P.sources()):
+            Q = P.reflect(i)
+            cls_q = build_ar_quiver(Q).comm_class()
+            alpha = system.simple_root(i)
+            for a, b in pairs:
+                if alpha in (roots[a], roots[b]):
+                    continue
+                a2, b2 = (cls_q.position(system.root(system.reflect(roots[x], i)))
+                          for x in (a, b))
+                assert a2 < b2 and cls_q._above[a2] >> b2 & 1, (P.orientation_str(), i)
+                parent[find((P, (a, b)))] = find((Q, (a2, b2)))
+    classes = {}
+    for node, slot in ordered.items():
+        classes.setdefault(find(node), set()).add(slot)
+    assert all(len(slot) == 1 for slot in classes.values())
+    assert len(classes) == len(set(ordered.values()))
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(2, 7)] + [("D", 4), ("D", 5), ("E", 6)],
+)
+def test_every_pair_has_its_ordered_slots_gdist(kind, rank):
+    """gdist of every comparable pair of every orientation, computed on a
+    new class with nothing in its cache and no memo, depends on the pair's
+    ordered slot alone, and each o-table holds that value at the pair's
+    slot."""
+    system = build_root_system(kind, rank)
+    value = {}
+    for Q in all_orientations(system):
+        arq = build_ar_quiver(Q)
+        cls = CommClass(arq.comm_class().representative)
+        table = _o_table(Q, False)[0]
+        for a, b, key in comparable_pairs(arq):
+            g = gdist(RootSequence.from_positions(cls, (a, b)))
+            slot = _ordered(arq.coords, (a, b))
+            assert value.setdefault(slot, g) == g, (Q.orientation_str(), slot)
+            assert table[key] == g, (Q.orientation_str(), key)
+
+
+def test_cache_clear_leaves_no_memo(monkeypatch):
+    """The gdist memo by ordered slot lives in the lru cache of _o_table:
+    a table asked again reads the cache, and after _o_table.cache_clear()
+    the same tables call gdist again, as many times as from cold."""
+    Q = A3_MONO()
+    calls = []
+    real = denom.gdist
+    monkeypatch.setattr(denom, "gdist", lambda seq: calls.append(seq) or real(seq))
+    _o_table.cache_clear()
+    try:
+        first = [_o_table(R, False)[:2] for R in (Q, Q.rev())]
+        n = len(calls)
+        assert n > 0
+        assert [_o_table(R, False)[:2] for R in (Q, Q.rev())] == first
+        assert len(calls) == n
+        _o_table.cache_clear()
+        assert [_o_table(R, False)[:2] for R in (Q, Q.rev())] == first
+        assert len(calls) == 2 * n
+    finally:
+        _o_table.cache_clear()
+
+
+def test_e6_tables_do_not_depend_on_query_order():
+    """The 32 E6 o-tables, asked in ``all_orientations`` order and in the
+    reverse order from cleared caches (so the memo by ordered slot fills in
+    another order), are equal, with check_all and without."""
+    quivers = list(all_orientations(build_root_system("E", 6)))
+    for check_all in (False, True):
+        answers = []
+        for order in (quivers, quivers[::-1]):
+            _o_table.cache_clear()
+            arquiver.build_ar_quiver.cache_clear()
+            answers.append({Q: _o_table(Q, check_all)[:2] for Q in order})
+        assert answers[0] == answers[1]
+    _o_table.cache_clear()
 
 
 def test_symmetry_in_k_l():
