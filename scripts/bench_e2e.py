@@ -14,6 +14,8 @@ side that goes first alternates from pair to pair:
 - ``rootseq denom table --type E8 --all-orientations``
 - ``rootseq denom table --type E8 --all-orientations --check-all`` (about
   1 s, as the table without it)
+- ``rootseq denom table --type E7 --all-orientations``: the CLI form of the
+  denom-e7 workload, less bound by start-up than the E6 row
 - ``rootseq denom table --type E6``, one orientation: bound by start-up
 - ``scripts/verify_all.py``
 - ``scripts/radius_survey.py --systems E6,E7,E8`` (it prints the time of
@@ -62,6 +64,7 @@ COMMANDS = {
     "denom table E8": CLI + ["denom", "table", "--type", "E8", "--all-orientations"],
     "denom table E8 check-all": CLI + ["denom", "table", "--type", "E8",
                                        "--all-orientations", "--check-all"],
+    "denom table E7": CLI + ["denom", "table", "--type", "E7", "--all-orientations"],
     "denom table E6": CLI + ["denom", "table", "--type", "E6"],
     "verify_all": ["scripts/verify_all.py"],
     "radius_survey": ["scripts/radius_survey.py", "--systems", "E6,E7,E8"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import sub
 
 from .arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
 from .orders import RootSequence
@@ -85,16 +86,18 @@ class DenominatorEntry(
 
 
 def _slot_walk(coords, x: int, mask: int):
-    """(x, j, slot) for each set bit j of the mask, ascending: the slot
-    (k, l, t), k <= l, of class positions x and j holds their residues and
-    their coordinate gap, read off ``coords`` (``ARQuiver.coords``)."""
+    """(x, j, slot) for each set bit j of x's up-set mask, ascending: the
+    slot (k, l, t), k <= l, of class positions x and j holds their residues
+    and their coordinate gap, read off ``coords`` (``ARQuiver.coords``).
+    ``coords`` lists the vertices by p descending, so x below j in the heap
+    has the larger p and the gap is p_x - p_j."""
     k, p = coords[x]
     while mask:
         low = mask & -mask
         mask ^= low
         j = low.bit_length() - 1
         kj, pj = coords[j]
-        yield x, j, (min(k, kj), max(k, kj), abs(p - pj))
+        yield x, j, (k, kj, p - pj) if k <= kj else (kj, k, p - pj)
 
 
 def comparable_pairs(arq: ARQuiver):
@@ -131,28 +134,37 @@ def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
     residue, all coordinates p shift by one constant, alpha_i is extremal in
     the heaps of both classes, and s_i maps the heap covers of [P] that
     avoid alpha_i onto those of [Q].  The coordinates are read by class
-    position (``ARQuiver.coords``), as the o-tables read them."""
+    position (``ARQuiver.coords``), as the o-tables read them.
+
+    The roots are mapped by C-level dict lookups, with no ``position``
+    call per root.  With alpha_i's position of [P] sent to alpha_i's of
+    [Q], the covers of [P] that avoid alpha_i map onto those of [Q] exactly
+    when the two sets of covers differ only in covers that hold alpha_i's
+    position of [Q]."""
     sys_ = P.system
     arq_p, arq_q = build_ar_quiver(P), build_ar_quiver(Q)
     cls_p, cls_q = arq_p.comm_class(), arq_q.comm_class()
-    end_p, end_q = (cls.position(sys_.simple_root(i)) for cls in (cls_p, cls_q))
-    s_i = _reflection(sys_, i)
+    alpha = sys_.simple_root(i)
+    end_p, end_q = cls_p.position(alpha), cls_q.position(alpha)
     # each class position of [P] but alpha_i's -> the position of s_i beta in [Q]
-    to_q = {k: cls_q.position(s_i[b])
-            for k, b in enumerate(cls_p.roots) if k != end_p}
-    at = [(arq_p.coords[k], arq_q.coords[m]) for k, m in to_q.items()]
-    covers_p = {(to_q[a], to_q[b])
-                for a, b in cls_p.heap_covers if end_p not in (a, b)}
-    covers_q = {c for c in cls_q.heap_covers if end_q not in c}
+    images = list(map(_reflection(sys_, i).__getitem__,
+                      cls_p.roots[:end_p] + cls_p.roots[end_p + 1:]))
+    to_q = list(map(cls_q._pos_of_root.get, images))
+    if None in to_q:
+        cls_q.position(images[to_q.index(None)])  # raises RootNotInWord
+    res_p, at_p = zip(*arq_p.coords[:end_p] + arq_p.coords[end_p + 1:])
+    res_q, at_q = zip(*map(arq_q.coords.__getitem__, to_q))
+    to_q.insert(end_p, end_q)
+    moved = {(to_q[a], to_q[b]) for a, b in cls_p.heap_covers}
 
-    if any(i_p != i_q for (i_p, _), (i_q, _) in at):
+    if res_p != res_q:
         broken = "a root's residue changed"
-    elif len({q - p for (_, p), (_, q) in at}) != 1:
+    elif len(set(map(sub, at_q, at_p))) != 1:
         broken = "the coordinates do not shift by one constant"
-    elif any(cls._below[k] and cls._above[k]
-             for cls, k in ((cls_p, end_p), (cls_q, end_q))):
+    elif (cls_p._below[end_p] and cls_p._above[end_p]
+          or cls_q._below[end_q] and cls_q._above[end_q]):
         broken = f"alpha_{i} is not extremal in both heaps"
-    elif covers_p != covers_q:
+    elif [c for c in moved.symmetric_difference(cls_q.heap_covers) if end_q not in c]:
         broken = f"the heap covers that avoid alpha_{i} do not correspond"
     else:
         return
@@ -199,16 +211,26 @@ def _alpha_pairs(arq: ARQuiver, i: int) -> dict[tuple[int, int, int], list]:
     the order of ``comparable_pairs``; alpha_i must be extremal in the heap
     of its class, as ``_check_reflection`` checks.
 
-    All are read off one mask by ``_slot_walk``: alpha_i's up-set when it is
+    All are read off one mask, walked inline: alpha_i's up-set when it is
     the heap's minimum e, for the pairs (e, j), or its down-set when it is
     the maximum, for the pairs (j, e).  ``comparable_pairs`` lists either
-    kind by j, as the mask's bits run."""
+    kind by j, as the mask's bits run.  ``coords`` lists the vertices by p
+    descending (see ``_slot_walk``), so the gap of (e, j) is p_e - p_j and
+    that of (j, e) is p_j - p_e."""
     cls = arq.comm_class()
+    coords = arq.coords
     e = cls.position(arq.system.simple_root(i))
+    k, p = coords[e]
     lowest = not cls._below[e]
+    mask, sign = (cls._above[e], 1) if lowest else (cls._below[e], -1)
     out: dict[tuple[int, int, int], list] = {}
-    mask = cls._above[e] if lowest else cls._below[e]
-    for _, j, key in _slot_walk(arq.coords, e, mask):
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        j = low.bit_length() - 1
+        kj, pj = coords[j]
+        t = sign * (p - pj)
+        key = (k, kj, t) if k <= kj else (kj, k, t)
         out.setdefault(key, []).append((e, j) if lowest else (j, e))
     return out
 
@@ -258,14 +280,19 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict, dict]:
     must equal the carried value, and a slot's two orders (k, l, t) and
     (l, k, t) must agree; and the reflections at every sink and source of Q,
     not only the tree edge, have their premise checked, since the memo
-    trusts transport along all of them.  A derived table starts as a copy
-    of the parent's, drops the slots whose count reaches 0 and visits only
-    the slots with new pairs, in the order of the counts.  So it costs the
-    edge check and the alpha_i pairs of both classes (at most N each, N the
-    number of positive roots), plus two dict copies; nothing is done per
-    slot or per root beyond that.  Only a violation at a slot with a carried
-    pair walks the slots, to name that slot's first pair that avoids
-    alpha_i.
+    trusts transport along all of them.  The parent's table, computed
+    first, has then checked the tree edge among its own, so each edge is
+    checked once: along the tree edge without check_all, and at every sink
+    and source of each table with it.
+
+    A derived table starts as a copy of the parent's, drops the slots whose
+    count reaches 0 and visits only the slots with new pairs, in the order
+    of the counts.  So it costs one Python step per alpha_i pair of both
+    classes (at most N each, N the number of positive roots) and per slot
+    with new pairs; the edge check maps the roots and the heap covers with
+    C-level dict and set operations, and the two dict copies are C-level
+    too.  Only a violation at a slot with a carried pair walks the slots,
+    to name that slot's first pair that avoids alpha_i.
 
     Without check_all a derived slot holds the gdist of a pair that need not
     be the first of its slot; the two agree on every well-defined slot.  The
@@ -283,7 +310,8 @@ def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict, dict]:
     else:
         P, i = edge
         table_p, counts, memo = _o_table(P, check_all)
-        _check_reflection(P, Q, i)
+        if not check_all:  # with it, P's table has checked all its edges
+            _check_reflection(P, Q, i)
         out, counts = dict(table_p), dict(counts)
         gone = _alpha_pairs(build_ar_quiver(P), i)
         for key, pairs in gone.items():
@@ -338,18 +366,27 @@ def _distance_polynomials(
     Q: DynkinQuiver, check_all: bool = False
 ) -> dict[tuple[int, int], DistancePolynomial]:
     """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
-    every k <= l, in row order, from one pass over each of the two o-tables.
+    every k <= l, in row order.
 
     Only the root of the derivation tree has its table computed from its
     class alone; any other of the two is derived from its parent's along a
-    reflection (see ``_o_table``)."""
+    reflection (see ``_o_table``).  The merge is the union of the two tables
+    (C-level), with the max taken only over the slots where they differ.
+    Q^rev's table is Q's relabelled by the w0 involution, so there are none
+    where that is the identity (E7, E8, D_n for n even).  Then one pass
+    groups the nonzero exponents by (k, l), and each group is sorted."""
     n = Q.system.rank
-    exps = {(k, l): {} for k in range(1, n + 1) for l in range(k, n + 1)}
-    for table, *_ in (_o_table(Q, check_all), _o_table(Q.rev(), check_all)):
-        for (k, l, t), o in table.items():
-            d = exps[k, l]
-            d[t] = max(d.get(t, 0), o)
-    return {kl: DistancePolynomial.from_dict(d) for kl, d in exps.items()}
+    mine = _o_table(Q, check_all)[0]
+    theirs = _o_table(Q.rev(), check_all)[0]
+    both = mine | theirs
+    for key, o in mine.items() - theirs.items():
+        if o > both[key]:  # theirs holds the key with a smaller o_t
+            both[key] = o
+    exps = {(k, l): [] for k in range(1, n + 1) for l in range(k, n + 1)}
+    for (k, l, t), o in both.items():
+        if o:
+            exps[k, l].append((t, o))
+    return {kl: DistancePolynomial(tuple(sorted(f))) for kl, f in exps.items()}
 
 
 def distance_polynomial(

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from rootseq.denom import (
 from rootseq.orders import RootSequence
 from rootseq.rootsys import UnsupportedType, build_root_system
 from rootseq.seqcalc import gdist, gdist_chain, radius
-from rootseq.words import ClassCache, CommClass
+from rootseq.words import ClassCache, CommClass, RootNotInWord
 
 from conftest import denominator_closed_form
 
@@ -392,6 +393,30 @@ def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
     assert walked == [next(all_orientations(system))]
 
 
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)] + [("E", 6)],
+)
+def test_alpha_pairs_are_the_alpha_pairs_of_the_slots(kind, rank):
+    """On every orientation and every sink or source i, the inline walk of
+    ``_alpha_pairs`` gives the comparable pairs that contain alpha_i
+    grouped as ``slots`` groups them, each slot's pairs in the order of
+    ``comparable_pairs`` and the slots in the order of their first alpha_i
+    pair.  (The slots of ``slots`` itself run in the order of their first
+    pair, which need not hold alpha_i.)"""
+    system = build_root_system(kind, rank)
+    for Q in all_orientations(system):
+        arq = build_ar_quiver(Q)
+        for i in set(Q.sinks() + Q.sources()):
+            e = arq.comm_class().position(system.simple_root(i))
+            want = {}
+            for a, b, key in comparable_pairs(arq):
+                if e in (a, b):
+                    want.setdefault(key, []).append((a, b))
+            got = denom._alpha_pairs(arq, i)
+            assert list(got.items()) == list(want.items()), (Q.orientation_str(), i)
+
+
 def _starred(table: dict, star: dict) -> dict:
     """A table over slots relabelled (k, l, t) -> (k*, l*, t), k* <= l*."""
     return {
@@ -421,6 +446,47 @@ def test_reversed_table_is_the_w0_relabelling(kind, rank):
             assert _o_table(Q.rev(), check_all)[:2] == (
                 _starred(table, star), _starred(counts, star)
             ), Q.orientation_str()
+
+
+def _reference_merge(system, mine, theirs):
+    """The merge of two o-tables by a loop over every slot of both: the max
+    of o_t per (k, l, t), a factor dropped when that max is 0."""
+    n = system.rank
+    exps = {(k, l): {} for k in range(1, n + 1) for l in range(k, n + 1)}
+    for table in (mine, theirs):
+        for (k, l, t), o in table.items():
+            d = exps[k, l]
+            d[t] = max(d.get(t, 0), o)
+    return {kl: DistancePolynomial.from_dict(d) for kl, d in exps.items()}
+
+
+def test_merge_takes_the_max_where_the_tables_differ(monkeypatch):
+    """_distance_polynomials merges the o-tables of Q and Q^rev as the loop
+    over every slot did, on two synthetic tables with a slot in each table
+    alone, a slot where each side is larger, equal slots and o = 0 slots."""
+    Q = A3_MONO()
+    mine = {(1, 1, 2): 1, (1, 2, 1): 2, (2, 3, 1): 1, (1, 3, 2): 0,
+            (2, 2, 2): 1, (1, 2, 3): 4}
+    theirs = {(1, 1, 2): 1, (1, 2, 1): 3, (2, 3, 1): 0, (3, 3, 2): 2,
+              (2, 2, 2): 0, (1, 2, 5): 1}
+    tables = {Q: mine, Q.rev(): theirs}
+    monkeypatch.setattr(denom, "_o_table", lambda R, check_all: (tables[R], {}, {}))
+    got = denom._distance_polynomials(Q)
+    assert got == _reference_merge(Q.system, mine, theirs)
+    assert list(got) == list(_reference_merge(Q.system, mine, theirs))
+    assert got[1, 2].factors == ((1, 3), (3, 4), (5, 1))
+    assert got[1, 3].factors == () and got[3, 3].factors == ((2, 2),)
+
+
+def test_merge_matches_the_loop_on_every_e6_orientation():
+    """On every E6 orientation, where Q^rev's o-table relabels the
+    residues by the w0 involution, the merge equals the loop over every
+    slot of both tables."""
+    system = build_root_system("E", 6)
+    for Q in all_orientations(system):
+        want = _reference_merge(system, _o_table(Q, False)[0], _o_table(Q.rev(), False)[0])
+        assert denom._distance_polynomials(Q) == want, Q.orientation_str()
+    _o_table.cache_clear()
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -572,6 +638,48 @@ def test_check_all_checks_every_reflection_of_a_table(monkeypatch):
                 f"{Q.orientation_str()} at {j}: ") in str(err.value)
     finally:
         _o_table.cache_clear()
+
+
+@pytest.mark.parametrize("check_all", [False, True])
+def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
+    """Every E6 o-table, asked from cold, checks each reflection premise
+    once.  Without check_all those are the tree edges.  With it they are
+    every (P, i), i a sink or source of P with s_i P != P: the tree edge of
+    a derived table is among its parent's, which are checked first."""
+    system = build_root_system("E", 6)
+    checked = []
+    real = denom._check_reflection
+
+    def counted(P, Q, i):
+        checked.append((P, i))
+        return real(P, Q, i)
+
+    monkeypatch.setattr(denom, "_check_reflection", counted)
+    _o_table.cache_clear()
+    try:
+        for Q in all_orientations(system):
+            _o_table(Q, check_all)
+    finally:
+        _o_table.cache_clear()
+    if check_all:
+        want = [(P, i) for P in all_orientations(system) for i, _ in denom._reflections(P)]
+    else:
+        want = [edge for edge in denom._derivation_tree(system).values() if edge]
+    assert len(checked) == len(set(checked))
+    assert set(checked) == set(want)
+
+
+def test_edge_check_names_a_root_missing_from_the_reflected_class(monkeypatch):
+    """A root beta of [P] whose image s_i beta the class of [Q] does not
+    hold raises RootNotInWord naming s_i beta, as ``CommClass.position``
+    does."""
+    (P, Q), i = _reflected_a3(), 1
+    cls = build_ar_quiver(Q).comm_class()
+    top = Q.system.highest_root
+    monkeypatch.setattr(cls, "_pos_of_root",
+                        {r: k for r, k in cls._pos_of_root.items() if r != top})
+    with pytest.raises(RootNotInWord, match=re.escape(f"{top} does not occur")):
+        denom._check_reflection(P, Q, i)
 
 
 def _first_sight_at_a_carried_slot(system):
