@@ -14,6 +14,9 @@ side that goes first alternates from pair to pair:
 - ``rootseq denom table --type E8 --all-orientations``
 - ``rootseq denom table --type E8 --all-orientations --check-all`` (about
   1 s, as the table without it)
+- ``rootseq denom table --type E8 --orient 3>1,3>4,4>2,4>5,5>6,6>7,7>8
+  --check-all``: one orientation, which still checks the premise of all
+  672 E8 reflections
 - ``rootseq denom table --type E7 --all-orientations``: the CLI form of the
   denom-e7 workload, less bound by start-up than the E6 row
 - ``rootseq denom table --type E6``, one orientation: bound by start-up
@@ -64,6 +67,9 @@ COMMANDS = {
     "denom table E8": CLI + ["denom", "table", "--type", "E8", "--all-orientations"],
     "denom table E8 check-all": CLI + ["denom", "table", "--type", "E8",
                                        "--all-orientations", "--check-all"],
+    "denom table E8 reference check-all": CLI + [
+        "denom", "table", "--type", "E8", "--orient", "3>1,3>4,4>2,4>5,5>6,6>7,7>8",
+        "--check-all"],
     "denom table E7": CLI + ["denom", "table", "--type", "E7", "--all-orientations"],
     "denom table E6": CLI + ["denom", "table", "--type", "E6"],
     "verify_all": ["scripts/verify_all.py"],

@@ -11,14 +11,11 @@ Two versions of the library that print the same first line compute the same
 o-tables; the same second line, the same AR quivers and heaps.  Run with
 ``PYTHONPATH=src``.
 
-Of each system only the root of the derivation tree (the first orientation
-of ``all_orientations``) has its o-table computed from its class alone;
-every other table is derived from its parent's along a reflection at a sink
-or source (``denom._o_table``).  The hash is the one printed before any
-table was derived, when every table was computed from its own class, so it
-certifies the derivation on every table but the roots': every other
-orientation of each system, and the E8 reference orientation, which is
-derived from the E8 root along its path in the tree.
+Each o-table is read off the rows of its own AR quiver, its gdists taken
+from a memo shared by the tables of the system (``denom._o_table``).  The
+hash is the one printed when every table was computed from its own class,
+each slot's gdist from the slot's first pair, so it certifies the reading
+on every table and the sharing of the memo.
 """
 
 import hashlib
@@ -35,7 +32,7 @@ E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
 def _table_text(Q) -> str:
-    table = denom._o_table(Q, False)[0]
+    table = denom._o_table(Q, False)
     body = ";".join(f"{k},{l},{t}:{o}" for (k, l, t), o in sorted(table.items()))
     return f"{Q.system.kind}{Q.system.rank} {Q.orientation_str()} {body}\n"
 
@@ -58,16 +55,15 @@ def main():
             digest.update(_table_text(Q).encode())
             structures.update(_structure_text(Q).encode())
             count += 1
-        # the tables and AR quivers of one system are not needed again; the
-        # class caches were emptied as each table was finished, so this
-        # drops only the AR quivers and the finished tables with their counts
-        denom._o_table.cache_clear()
+        # the AR quivers and the gdist memo of one system are not needed
+        # again; the class caches were emptied as each table was finished
+        denom._memo.cache_clear()
         arquiver.build_ar_quiver.cache_clear()
     e8 = arquiver.DynkinQuiver.from_arrows(build_root_system("E", 8), E8_REFERENCE)
     digest.update(_table_text(e8).encode())
     structures.update(_structure_text(e8).encode())
     count += 1
-    e8_sum = sum(denom._o_table(e8, False)[0].values())
+    e8_sum = sum(denom._o_table(e8, False).values())
     print(f"tables {count}  E8 sum o_t {e8_sum}  sha256 {digest.hexdigest()}")
     print(f"AR quivers and classes {count}  sha256 {structures.hexdigest()}")
     return 0

@@ -7,18 +7,16 @@ all 64 orientations and one E8 table from all 128, radius = multiplicity
 Exits non-zero unless every run exits 0; if the reader of stdout closes it
 (as ``| head -1`` does), stops at once and exits 141, as the CLI does.
 
-Of each E7 and E8 orientation only the root of the derivation tree
-(``denom._derivation_tree``) has its o-table computed from its class alone;
-every other table is derived along a reflection at a sink or source, whose
-premise is checked on every edge (63 in E7, 127 in E8), and the sweep fails
-unless every orientation gives one table.  With --check-all the
-denominator sweeps and the E7 table give every pair the gdist of its ordered
-slot (``denom._o_table``), computed once per ordered slot (434 in E7), check
-that the two orders of every slot agree, and check the premise of the
-reflection at every sink and source of every orientation (367 edge checks in
-E7).  The E8 table is run without it.  ``denom verify`` exits 1 on E7
-and E8, where the computed table lies above the reading, so neither is
-swept."""
+Each E7 and E8 o-table is read off the rows of its orientation's AR quiver,
+its gdists taken from a memo shared by the system's tables
+(``denom._o_table``), one per slot (245 in E7), and the sweep fails unless
+every orientation gives one table.  With --check-all the denominator sweeps
+and the E7 table key that memo by ordered slot (434 in E7), check that the
+two orders of every slot agree, and first check the premise of the
+reflection at every sink and source of every orientation (304 in E7), since
+the memo trusts transport along all of them.  The E8 table is run without
+it.  ``denom verify`` exits 1 on E7 and E8, where the computed table lies
+above the reading, so neither is swept."""
 
 import argparse
 import sys

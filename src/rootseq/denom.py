@@ -134,7 +134,7 @@ def _check_reflection(P: DynkinQuiver, Q: DynkinQuiver, i: int) -> None:
     residue, all coordinates p shift by one constant, alpha_i is extremal in
     the heaps of both classes, and s_i maps the heap covers of [P] that
     avoid alpha_i onto those of [Q].  The coordinates are read by class
-    position (``ARQuiver.coords``), as the o-tables read them.
+    position (``ARQuiver.coords``).
 
     The roots are mapped by C-level dict lookups, with no ``position``
     call per root.  With alpha_i's position of [P] sent to alpha_i's of
@@ -184,182 +184,130 @@ def _reflections(P: DynkinQuiver):
 
 
 @lru_cache(maxsize=None)
-def _derivation_tree(system) -> dict:
-    """{Q: (P, i)} over every orientation Q of the system: the parent P whose
-    o-table Q's is derived from, along the reflection at P's sink or source
-    i; the root maps to None.
-
-    A breadth-first tree from the root ``next(all_orientations(system))``
-    whose edges from each P are ``_reflections(P)``.  The reflections at
-    sinks and sources connect every orientation of a tree-shaped Dynkin
-    diagram, Q^rev included.  The tree depends on the system alone, so no
-    table depends on the order of the queries."""
-    root = next(all_orientations(system))
-    tree = {root: None}
-    frontier = [root]
-    for P in frontier:  # appended to while read: breadth first
-        for i, Q in _reflections(P):
-            if Q not in tree:
-                tree[Q] = (P, i)
-                frontier.append(Q)
-    return tree
+def _tree_distance(system) -> list[list[int]]:
+    """dist[i][j], the number of edges between the vertices i and j of the
+    Dynkin tree, 1-based (row and column 0 unused)."""
+    n = system.rank
+    adj = [[] for _ in range(n + 1)]
+    for a, b in system.datum.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        frontier = [i]
+        for u in frontier:  # appended to while read: breadth first
+            for v in adj[u]:
+                if v != i and not dist[i][v]:
+                    dist[i][v] = dist[i][u] + 1
+                    frontier.append(v)
+    return dist
 
 
-def _alpha_pairs(arq: ARQuiver, i: int) -> dict[tuple[int, int, int], list]:
-    """The comparable pairs of the AR quiver that contain alpha_i, as
-    position pairs grouped by slot as ``slots`` groups them, each slot in
-    the order of ``comparable_pairs``; alpha_i must be extremal in the heap
-    of its class, as ``_check_reflection`` checks.
+def _gaps(arq: ARQuiver, i: int, j: int) -> range:
+    """The gaps t of the ordered slots (i, j, t) that hold a comparable pair
+    of Gamma_Q: a vertex (i, p) below a vertex (j, p - t) in the heap.
 
-    All are read off one mask, walked inline: alpha_i's up-set when it is
-    the heap's minimum e, for the pairs (e, j), or its down-set when it is
-    the maximum, for the pairs (j, e).  ``comparable_pairs`` lists either
-    kind by j, as the mask's bits run.  ``coords`` lists the vertices by p
-    descending (see ``_slot_walk``), so the gap of (e, j) is p_e - p_j and
-    that of (j, e) is p_j - p_e."""
-    cls = arq.comm_class()
-    coords = arq.coords
-    e = cls.position(arq.system.simple_root(i))
-    k, p = coords[e]
-    lowest = not cls._below[e]
-    mask, sign = (cls._above[e], 1) if lowest else (cls._below[e], -1)
-    out: dict[tuple[int, int, int], list] = {}
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        j = low.bit_length() - 1
-        kj, pj = coords[j]
-        t = sign * (p - pj)
-        key = (k, kj, t) if k <= kj else (kj, k, t)
-        out.setdefault(key, []).append((e, j) if lowest else (j, e))
-    return out
+    Gamma_Q is a convex (path-closed) piece of ZQ (Happel, Triangulated
+    Categories in the Representation Theory of Finite-Dimensional Algebras,
+    LMS LN 119, 1988), so (i, p) lies below (j, p - t) exactly when both
+    vertices exist and t >= dist(i, j), the distance in the Dynkin tree,
+    with t >= 2 when i = j.  Row i is p = xi_i, xi_i - 2, ..., xi_i - 2 mQ_i,
+    and xi moves by 1 along each edge, so |xi_i - xi_j| <= dist(i, j): the
+    gaps run in steps of 2 from dist(i, j) (2 when i = j) to
+    xi_i - xi_j + 2 mQ_j, the gap from the first vertex of row i to the last
+    of row j."""
+    return range(_tree_distance(arq.system)[i][j] or 2,
+                 arq.xi[i] - arq.xi[j] + 2 * arq.mQ[j] + 1, 2)
 
 
-def _ordered_slot(coords, ab: tuple[int, int]) -> tuple[int, int, int]:
-    """(i, j, p - q) for the position pair (a, b), a < b: (i, p) is the
-    vertex of a and (j, q) that of b, read off ``coords``
-    (``ARQuiver.coords``)."""
-    (i, p), (j, q) = coords[ab[0]], coords[ab[1]]
-    return i, j, p - q
+def _first_pair(arq: ARQuiver, i: int, j: int, t: int) -> tuple[tuple, tuple]:
+    """The vertices of the first pair of the ordered slot (i, j, t), t in
+    ``_gaps(arq, i, j)``: the one with the largest p, which is also its
+    first in ``comparable_pairs`` order."""
+    p = min(arq.xi[i], arq.xi[j] + t)
+    return (i, p), (j, p - t)
 
 
 @lru_cache(maxsize=None)
-def _o_table(Q: DynkinQuiver, check_all: bool, /) -> tuple[dict, dict, dict]:
-    """({(k, l, t): o_t}, {(k, l, t): n}, memo) over every occupied slot,
-    k <= l: the gdist shared by the pairs of the slot, their number, and
-    the system's gdist memo by ordered slot.
+def _memo(system, check_all: bool, /) -> dict:
+    """The gdist memo that the o-tables of the system share: by slot
+    (k, l, t), or with check_all by ordered slot (i, j, t).
 
-    Each table is derived from its parent's in ``_derivation_tree``.  The
-    root has no parent: it carries an empty table and empty counts, and
-    every comparable pair of its class is new.  Any other table is derived
-    along the reflection at the parent's sink or source i
-    (Bernstein-Gelfand-Ponomarev), its premise checked on every call
-    (``_check_reflection``).  Alpha_i leaves one end of the heap and comes
-    back at the other; every other root beta becomes s_i beta with the same
-    residue, the same coordinate gaps and the same heap.  Alpha_i lies
-    strictly between no two roots, so a pair that avoids it has the same
-    interval, up to s_i, and the same gdist in both classes.  The new pairs
-    are Q's alpha_i pairs, and the counts are the parent's less the
-    parent's alpha_i pairs plus the new ones.
-
-    The ordered slot of a pair (a, b), a < b, is (i, j, p - q), (i, p) the
-    vertex of a and (j, q) that of b (``_ordered_slot``).  A reflection
-    keeps the ordered slot of every pair it carries, and the classes of
-    pairs that reflections at sinks and sources carry to one another, over
-    every orientation, are exactly the ordered slots: so gdist depends on
-    the ordered slot alone.  The memo
-    maps each ordered slot seen so far to its gdist, computed once, on
-    first sight, from the pair of the table that first has it.  The root
-    creates the memo and every derived table shares its parent's, so it
-    lives as long as the lru cache: ``_o_table.cache_clear()`` drops it.
-
-    A slot holds a carried pair (one that avoids alpha_i) exactly when its
-    count exceeds its number of new pairs; it takes the parent's value.  A
-    slot with no carried pair takes the memo value of its first new pair.
-    With check_all every new pair takes its ordered slot's memo value, which
-    must equal the carried value, and a slot's two orders (k, l, t) and
-    (l, k, t) must agree; and the reflections at every sink and source of Q,
-    not only the tree edge, have their premise checked, since the memo
-    trusts transport along all of them.  The parent's table, computed
-    first, has then checked the tree edge among its own, so each edge is
-    checked once: along the tree edge without check_all, and at every sink
-    and source of each table with it.
-
-    A derived table starts as a copy of the parent's, drops the slots whose
-    count reaches 0 and visits only the slots with new pairs, in the order
-    of the counts.  So it costs one Python step per alpha_i pair of both
-    classes (at most N each, N the number of positive roots) and per slot
-    with new pairs; the edge check maps the roots and the heap covers with
-    C-level dict and set operations, and the two dict copies are C-level
-    too.  Only a violation at a slot with a carried pair walks the slots,
-    to name that slot's first pair that avoids alpha_i.
-
-    Without check_all a derived slot holds the gdist of a pair that need not
-    be the first of its slot; the two agree on every well-defined slot.  The
-    counts do not depend on check_all.  A table leaves the class it reads
-    gdist from with an empty ``cache`` whether it returns or raises: only
-    the table is read again.
-
-    check_all is positional and has no default, so the lru cache holds one
-    entry per (Q, bool), and each value of check_all has its own memo.
-    """
-    edge = _derivation_tree(Q.system)[Q]
-    arq = build_ar_quiver(Q)
-    if edge is None:
-        out, counts, memo, gone, new = {}, {}, {}, {}, slots(arq)
-    else:
-        P, i = edge
-        table_p, counts, memo = _o_table(P, check_all)
-        if not check_all:  # with it, P's table has checked all its edges
-            _check_reflection(P, Q, i)
-        out, counts = dict(table_p), dict(counts)
-        gone = _alpha_pairs(build_ar_quiver(P), i)
-        for key, pairs in gone.items():
-            counts[key] -= len(pairs)
-        new = _alpha_pairs(arq, i)
+    A reflection at a sink or source i (Bernstein-Gelfand-Ponomarev)
+    carries each comparable pair that avoids alpha_i to one of s_i Q with
+    the same ordered slot and, up to s_i, the same interval; over every
+    reflection of every orientation these classes are exactly the ordered
+    slots, so gdist depends on the ordered slot alone, and on the slot
+    where its two orders agree.  With check_all every such reflection has
+    its premise checked (``_check_reflection``), each once, before the memo
+    is created.  check_all is positional with no default, so the lru cache
+    holds one memo per (system, bool)."""
     if check_all:
-        for j, R in _reflections(Q):
-            _check_reflection(Q, R, j)
-    for key, pairs in new.items():
-        counts[key] = counts.get(key, 0) + len(pairs)
-    for key in gone:
-        if not counts[key]:  # every pair of the slot held alpha_i
-            del counts[key], out[key]
-    cls = arq.comm_class()
-    roots, coords, fmt = cls.roots, arq.coords, Q.system.format_root
+        for P in all_orientations(system):
+            for i, Q in _reflections(P):
+                _check_reflection(P, Q, i)
+    return {}
+
+
+def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict[tuple[int, int, int], int]:
+    """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
+    by the comparable pairs of the slot, read off the rows of Gamma_Q.
+
+    The ordered slots (k, l, t) and (l, k, t) of a slot both start at
+    dist(k, l) (``_gaps``), so its gaps run in steps of 2 to the larger of
+    their last gaps.  Each slot reads the system's memo (``_memo``); a miss
+    computes gdist of the first pair (``_first_pair``) of the slot's first
+    occupied order on Q's class.  With check_all each ordered slot reads
+    the memo, keyed by ordered slot, and the two orders of a slot must
+    agree, or WellDefinednessViolation names the orientation, the slot and
+    the first pair of each order with its gdist.  Q's class is left with an
+    empty ``cache`` whether the table returns or raises."""
+    sys_ = Q.system
+    arq = build_ar_quiver(Q)
+    cls, xi, mQ, label = arq.comm_class(), arq.xi, arq.mQ, arq.label
+    dist = _tree_distance(sys_)
+    memo = _memo(sys_, check_all)
+
+    def first_gdist(i, j, t):
+        """gdist of the first pair of the ordered slot (i, j, t)."""
+        a, b = _first_pair(arq, i, j, t)
+        return gdist(RootSequence.from_roots(cls, (label[a], label[b])))
+
+    out = {}
     try:
-        # the slots with new pairs, in the order of counts (and of out)
-        for key in filter(new.__contains__, counts):
-            members = new[key]
-            carried = counts[key] > len(members)
-            if carried and not check_all:
-                continue  # out holds the parent's value
-            # gdist -> the first pair that has it; the carried pair is named
-            # only if the slot disagrees
-            vals = {out[key]: None} if carried else {}
-            for ab in members if check_all else members[:1]:
-                o = _ordered_slot(coords, ab)
-                if o not in memo:
-                    memo[o] = gdist(RootSequence.from_positions(cls, ab))
-                vals.setdefault(memo[o], ab)
-            if len(vals) > 1:
-                if carried:
-                    e = cls.position(Q.system.simple_root(i))
-                    vals[out[key]] = next(ab for ab in slots(arq)[key] if e not in ab)
-                two = ", ".join(
-                    f"({fmt(roots[a])},{fmt(roots[b])}) has gdist {g}"
-                    for g, (a, b) in list(vals.items())[:2]
-                )
-                raise WellDefinednessViolation(
-                    f"{Q.orientation_str()}: pairs at residues ({key[0]},{key[1]}) "
-                    f"gap {key[2]} disagree: {two}"
-                )
-            out[key] = next(iter(vals))
+        for k in range(1, sys_.rank + 1):
+            for l in range(k, sys_.rank + 1):
+                if not check_all:
+                    last = max(xi[k] - xi[l] + 2 * mQ[l], xi[l] - xi[k] + 2 * mQ[k])
+                    for t in range(dist[k][l] or 2, last + 1, 2):
+                        slot = (k, l, t)
+                        o = memo.get(slot)
+                        if o is None:
+                            i, j = (k, l) if t in _gaps(arq, k, l) else (l, k)
+                            o = memo[slot] = first_gdist(i, j, t)
+                        out[slot] = o
+                    continue
+                for i, j in ((k, l), (l, k)) if k != l else ((k, k),):
+                    for t in _gaps(arq, i, j):
+                        o = memo.get((i, j, t))
+                        if o is None:
+                            o = memo[i, j, t] = first_gdist(i, j, t)
+                        if out.setdefault((k, l, t), o) != o:  # set by the order (k, l)
+                            fmt = sys_.format_root
+                            two = ", ".join(
+                                f"({fmt(label[a])},{fmt(label[b])}) has gdist {g}"
+                                for (a, b), g in ((_first_pair(arq, k, l, t), out[k, l, t]),
+                                                  (_first_pair(arq, l, k, t), o))
+                            )
+                            raise WellDefinednessViolation(
+                                f"{Q.orientation_str()}: pairs at residues ({k},{l}) "
+                                f"gap {t} disagree: {two}"
+                            )
     finally:
         # every entry depends on the class alone: dropping it costs only
         # recomputation, never a different answer
         cls.cache = ClassCache()
-    return out, counts, memo
+    return out
 
 
 def _distance_polynomials(
@@ -368,16 +316,14 @@ def _distance_polynomials(
     """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
     every k <= l, in row order.
 
-    Only the root of the derivation tree has its table computed from its
-    class alone; any other of the two is derived from its parent's along a
-    reflection (see ``_o_table``).  The merge is the union of the two tables
-    (C-level), with the max taken only over the slots where they differ.
-    Q^rev's table is Q's relabelled by the w0 involution, so there are none
-    where that is the identity (E7, E8, D_n for n even).  Then one pass
-    groups the nonzero exponents by (k, l), and each group is sorted."""
+    The merge is the union of the two o-tables (C-level), with the max
+    taken only over the slots where they differ.  Q^rev's table is Q's
+    relabelled by the w0 involution, so there are none where that is the
+    identity (E7, E8, D_n for n even).  Then one pass groups the nonzero
+    exponents by (k, l), and each group is sorted."""
     n = Q.system.rank
-    mine = _o_table(Q, check_all)[0]
-    theirs = _o_table(Q.rev(), check_all)[0]
+    mine = _o_table(Q, check_all)
+    theirs = _o_table(Q.rev(), check_all)
     both = mine | theirs
     for key, o in mine.items() - theirs.items():
         if o > both[key]:  # theirs holds the key with a smaller o_t

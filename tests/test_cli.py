@@ -107,7 +107,7 @@ def test_denom_table_e8_check_all(capsys):
     """The E8 table over all 128 orientations with --check-all (one gdist
     per ordered slot, every reflection edge checked) exits 0 and prints the
     table printed without it."""
-    from rootseq.denom import _o_table
+    from rootseq.denom import _memo
 
     argv = ["denom", "table", "--type", "E8", "--all-orientations"]
     try:
@@ -115,7 +115,7 @@ def test_denom_table_e8_check_all(capsys):
         assert code == 0
         assert run(capsys, *argv) == (0, checked, "")
     finally:
-        _o_table.cache_clear()
+        _memo.cache_clear()
 
 
 def test_denom_poly_latex(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import os
+from collections import Counter
 import re
 import subprocess
 import sys
@@ -55,10 +56,10 @@ def test_polynomial_formatting():
 def test_a3_slots():
     Q = A3_MONO()
     by_slot = slots(build_ar_quiver(Q))
-    table, counts, _ = _o_table(Q, True)
+    table = _o_table(Q, True)
     # residues (1,1) at gap 2: two comparable pairs, both with gdist 1
     assert len(by_slot[(1, 1, 2)]) == 2
-    assert table[(1, 1, 2)] == 1 and counts[(1, 1, 2)] == 2
+    assert table[(1, 1, 2)] == 1
     # residue 2 holds a single pair at gap 2
     assert len(by_slot[(2, 2, 2)]) == 1
     assert table[(2, 2, 2)] == 1
@@ -196,10 +197,9 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
     """When the two orders (k, l, t) and (l, k, t) of one slot disagree on
     gdist, check_all raises an error naming the orientation, the slot and a
     pair of each order, and the CLI exits 1.  The fault is at the first pair
-    of the slot's second order in the root's class, where the memo computes
-    that ordered slot's gdist on first sight."""
+    of the slot's second order, where the memo, cold, computes that ordered
+    slot's gdist on first sight."""
     Q = A3_MONO()
-    assert denom._derivation_tree(Q.system)[Q] is None
     fmt = Q.system.format_root
     arq = build_ar_quiver(Q)
     key, first, second = next(
@@ -215,7 +215,7 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
     monkeypatch.setattr(
         denom, "gdist", lambda seq: real(seq) + (seq.positions() == list(second))
     )
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
     try:
         with pytest.raises(WellDefinednessViolation) as err:
             _o_table(Q, True)
@@ -230,58 +230,40 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
         assert code == 1
         assert "disagree" in capsys.readouterr().err
     finally:
-        _o_table.cache_clear()
+        denom._memo.cache_clear()
 
 
 def test_o_table_takes_check_all_by_position_only():
-    """check_all has no default and no keyword, so the lru cache holds one
-    entry per (Q, bool)."""
+    """check_all has no default and no keyword, in _o_table and in the memo
+    it reads, so the lru cache of memos holds one entry per (system, bool),
+    shared by the tables of the system."""
     Q = A3_MONO()
-    _o_table.cache_clear()
-    with pytest.raises(TypeError):
-        _o_table(Q)
-    with pytest.raises(TypeError):
-        _o_table(Q, check_all=True)
-    assert _o_table.cache_info().currsize == 0
+    denom._memo.cache_clear()
+    for f, arg in ((_o_table, Q), (denom._memo, Q.system)):
+        with pytest.raises(TypeError):
+            f(arg)
+        with pytest.raises(TypeError):
+            f(arg, check_all=True)
+    assert denom._memo.cache_info().currsize == 0
     _o_table(Q, True)
-    _o_table(Q, True)
-    assert _o_table.cache_info().currsize == 1
-    _o_table.cache_clear()
+    _o_table(Q.rev(), True)
+    assert denom._memo.cache_info().currsize == 1
+    denom._memo.cache_clear()
 
 
 def _oracle_o_table(Q, check_all):
-    """Q's o-table and slot sizes recomputed from Q's own AR quiver over a
-    new class of it, with nothing in its cache: the gdist of the first pair
-    of every slot, or with check_all of every pair of the slot, which must
-    agree, and the number of pairs of every slot."""
+    """Q's o-table recomputed from Q's own AR quiver over a new class of it,
+    with nothing in its cache: the gdist of the first pair of every slot,
+    or with check_all of every pair of the slot, which must agree."""
     arq = build_ar_quiver(Q)
     cls = CommClass(arq.comm_class().representative)
-    out, sizes = {}, {}
+    out = {}
     for key, members in slots(arq).items():
         vals = {gdist(RootSequence.from_positions(cls, ab))
                 for ab in (members if check_all else members[:1])}
         assert len(vals) == 1, (Q.orientation_str(), key)
         out[key] = vals.pop()
-        sizes[key] = len(members)
-    return out, sizes
-
-
-def _depth(tree, Q):
-    """The number of edges from Q up to the root of the derivation tree."""
-    d = 0
-    while tree[Q] is not None:
-        Q, d = tree[Q][0], d + 1
-    return d
-
-
-def _first_at_each_depth(system):
-    """The first orientation, in ``all_orientations`` order, at each depth
-    of the system's derivation tree."""
-    tree = denom._derivation_tree(system)
-    firsts = {}
-    for Q in all_orientations(system):
-        firsts.setdefault(_depth(tree, Q), Q)
-    return list(firsts.values())
+    return out
 
 
 @pytest.mark.parametrize(
@@ -290,59 +272,55 @@ def _first_at_each_depth(system):
     + [("E", 6, None), ("E", 7, 4)],
 )
 def test_o_table_matches_its_own_class(kind, rank, limit):
-    """Whether an o-table is computed from its class or derived from its
-    parent's, it equals the table recomputed from the quiver's own class,
-    and its pair counts equal the sizes of the quiver's own slots; with
-    check_all too (A and D).  E7 is checked on its first orientations
-    and on the first orientation at each depth of its derivation tree."""
+    """An o-table read off the rows of Gamma_Q, with gdists from the memo
+    the system's tables share, equals the table recomputed from the
+    quiver's own class; with check_all too (A and D).  E7 is checked on its
+    first orientations and on every 16th after them."""
     system = build_root_system(kind, rank)
-    quivers = list(itertools.islice(all_orientations(system), limit))
-    if limit is not None:
-        quivers += [Q for Q in _first_at_each_depth(system) if Q not in quivers]
-    for Q in quivers:
-        assert _o_table(Q, False)[:2] == _oracle_o_table(Q, False), Q.orientation_str()
-        if kind != "E":
-            assert _o_table(Q, True)[:2] == _oracle_o_table(Q, True), Q.orientation_str()
-
-
-@pytest.mark.parametrize(
-    "kind,rank",
-    [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)]
-    + [("E", n) for n in (6, 7, 8)],
-)
-def test_derivation_tree_reaches_the_root(kind, rank):
-    """The derivation tree holds every orientation; from each, the parents
-    lead to the root ``next(all_orientations)`` without a cycle, and every
-    edge is the reflection at a sink or source of the parent."""
-    system = build_root_system(kind, rank)
-    tree = denom._derivation_tree(system)
     quivers = list(all_orientations(system))
-    root = quivers[0]
-    assert set(tree) == set(quivers) and len(quivers) == 2 ** len(system.datum.edges)
-    assert tree[root] is None
+    if limit is not None:
+        quivers = quivers[:limit] + quivers[limit::16]
     for Q in quivers:
-        seen = {Q}
-        while tree[Q] is not None:
-            P, i = tree[Q]
-            assert i in P.sinks() + P.sources(), (P.orientation_str(), i)
-            assert Q == P.reflect(i), (P.orientation_str(), i)
-            assert P not in seen, P.orientation_str()
-            seen.add(P)
-            Q = P
-        assert Q == root
+        assert _o_table(Q, False) == _oracle_o_table(Q, False), Q.orientation_str()
+        if kind != "E":
+            assert _o_table(Q, True) == _oracle_o_table(Q, True), Q.orientation_str()
 
 
 # the E8 orientation whose table scripts/otable_hash.py hashes
 E8_REFERENCE = ((3, 1), (3, 4), (4, 2), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
-def _path_to_root(Q):
-    """Q and its ancestors in the derivation tree, up to the root."""
-    tree = denom._derivation_tree(Q.system)
-    path = [Q]
-    while tree[path[-1]] is not None:
-        path.append(tree[path[-1]][0])
-    return path
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_slot_counts_are_the_slot_sizes(kind, rank):
+    """The ordered slots read off the rows of Gamma_Q (``denom._gaps``),
+    each with the number of vertex pairs (i, p), (j, p - t) that the two
+    rows hold, are exactly the ordered slots of the comparable pairs, each
+    with its number of pairs, and ``denom._first_pair`` gives each one's
+    first pair in ``comparable_pairs`` order: on every orientation, and in
+    E8 on the first 16 and the reference orientation."""
+    system = build_root_system(kind, rank)
+    quivers = list(all_orientations(system))
+    if kind == "E" and rank == 8:
+        quivers = quivers[:16] + [DynkinQuiver.from_arrows(system, E8_REFERENCE)]
+    for Q in quivers:
+        arq = build_ar_quiver(Q)
+        sizes, firsts = {}, {}
+        for a, b, _ in comparable_pairs(arq):
+            slot = _ordered(arq.coords, (a, b))
+            sizes[slot] = sizes.get(slot, 0) + 1
+            firsts.setdefault(slot, (arq.coords[a], arq.coords[b]))
+        rows = {i: {p for r, p in arq.label if r == i} for i in range(1, rank + 1)}
+        counts = {
+            (i, j, t): len(rows[i] & {p + t for p in rows[j]})
+            for i in rows for j in rows for t in denom._gaps(arq, i, j)
+        }
+        assert counts == sizes, Q.orientation_str()
+        assert all(denom._first_pair(arq, *slot) == first
+                   for slot, first in firsts.items()), Q.orientation_str()
 
 
 @pytest.mark.parametrize(
@@ -350,71 +328,24 @@ def _path_to_root(Q):
     [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)]
     + [("E", n) for n in (6, 7, 8)],
 )
-def test_slot_counts_are_the_slot_sizes(kind, rank):
-    """The pair counts carried with the o-tables along the derivation tree,
-    from cold, equal the sizes of each quiver's own slots: on every
-    orientation, and in E8 on the path from the reference orientation to the
-    root.  Each table lists its slots in the order of its counts."""
+def test_reflections_connect_every_orientation(kind, rank):
+    """The reflections at sinks and sources (``_reflections``) connect every
+    orientation to the first of ``all_orientations``, each edge from P the
+    reflection s_i P != P at a sink or source i of P.  The memo's transport
+    argument joins the pairs of all orientations along these edges, and
+    with check_all the premise of every one is checked."""
     system = build_root_system(kind, rank)
-    if rank == 8:
-        quivers = _path_to_root(DynkinQuiver.from_arrows(system, E8_REFERENCE))
-    else:
-        quivers = list(all_orientations(system))
-    _o_table.cache_clear()
-    try:
-        for Q in quivers:
-            sizes = {key: len(members) for key, members in slots(build_ar_quiver(Q)).items()}
-            table, counts, _ = _o_table(Q, False)
-            assert counts == sizes, Q.orientation_str()
-            assert list(table) == list(counts), Q.orientation_str()
-    finally:
-        _o_table.cache_clear()
-
-
-def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
-    """Asking all 64 E7 o-tables from cold walks the comparable pairs of the
-    root alone, once for its table and its pair counts together: every
-    derived table reads alpha_i's pairs only."""
-    system = build_root_system("E", 7)
-    walked = []
-    real = denom.comparable_pairs
-
-    def counted(arq):
-        walked.append(arq.quiver)
-        return real(arq)
-
-    monkeypatch.setattr(denom, "comparable_pairs", counted)
-    _o_table.cache_clear()
-    try:
-        for Q in all_orientations(system):
-            _o_table(Q, False)
-    finally:
-        _o_table.cache_clear()
-    assert walked == [next(all_orientations(system))]
-
-
-@pytest.mark.parametrize(
-    "kind,rank",
-    [("A", n) for n in range(2, 7)] + [("D", n) for n in (4, 5, 6)] + [("E", 6)],
-)
-def test_alpha_pairs_are_the_alpha_pairs_of_the_slots(kind, rank):
-    """On every orientation and every sink or source i, the inline walk of
-    ``_alpha_pairs`` gives the comparable pairs that contain alpha_i
-    grouped as ``slots`` groups them, each slot's pairs in the order of
-    ``comparable_pairs`` and the slots in the order of their first alpha_i
-    pair.  (The slots of ``slots`` itself run in the order of their first
-    pair, which need not hold alpha_i.)"""
-    system = build_root_system(kind, rank)
-    for Q in all_orientations(system):
-        arq = build_ar_quiver(Q)
-        for i in set(Q.sinks() + Q.sources()):
-            e = arq.comm_class().position(system.simple_root(i))
-            want = {}
-            for a, b, key in comparable_pairs(arq):
-                if e in (a, b):
-                    want.setdefault(key, []).append((a, b))
-            got = denom._alpha_pairs(arq, i)
-            assert list(got.items()) == list(want.items()), (Q.orientation_str(), i)
+    quivers = list(all_orientations(system))
+    assert len(set(quivers)) == len(quivers) == 2 ** len(system.datum.edges)
+    reached = {quivers[0]}
+    frontier = [quivers[0]]
+    for P in frontier:  # appended to while read
+        for i, Q in denom._reflections(P):
+            assert i in P.sinks() + P.sources() and Q == P.reflect(i) != P
+            if Q not in reached:
+                reached.add(Q)
+                frontier.append(Q)
+    assert reached == set(quivers)
 
 
 def _starred(table: dict, star: dict) -> dict:
@@ -433,19 +364,15 @@ def _starred(table: dict, star: dict) -> dict:
 def test_reversed_table_is_the_w0_relabelling(kind, rank):
     """Gamma_{Q^rev} is Gamma_Q mirrored (residue i -> i*, coordinate
     p -> C - p, heap reversed), and bi-lex asks for both the first and the
-    last differing position, so Q^rev's o-table and pair counts are Q's
-    relabelled (k, l, t) -> (k*, l*, t) by the w0 involution.  Q and Q^rev
-    are reached along different reflection paths of the derivation tree, so
-    this compares two derivations: on every orientation, with check_all too
-    (A and D)."""
+    last differing position, so Q^rev's o-table is Q's relabelled
+    (k, l, t) -> (k*, l*, t) by the w0 involution.  The two are read off
+    different rows: on every orientation, with check_all too (A and D)."""
     system = build_root_system(kind, rank)
     star = system.w0_involution
     for Q in all_orientations(system):
         for check_all in (False, True) if kind != "E" else (False,):
-            table, counts, _ = _o_table(Q, check_all)
-            assert _o_table(Q.rev(), check_all)[:2] == (
-                _starred(table, star), _starred(counts, star)
-            ), Q.orientation_str()
+            assert _o_table(Q.rev(), check_all) == _starred(
+                _o_table(Q, check_all), star), Q.orientation_str()
 
 
 def _reference_merge(system, mine, theirs):
@@ -470,7 +397,7 @@ def test_merge_takes_the_max_where_the_tables_differ(monkeypatch):
     theirs = {(1, 1, 2): 1, (1, 2, 1): 3, (2, 3, 1): 0, (3, 3, 2): 2,
               (2, 2, 2): 0, (1, 2, 5): 1}
     tables = {Q: mine, Q.rev(): theirs}
-    monkeypatch.setattr(denom, "_o_table", lambda R, check_all: (tables[R], {}, {}))
+    monkeypatch.setattr(denom, "_o_table", lambda R, check_all: tables[R])
     got = denom._distance_polynomials(Q)
     assert got == _reference_merge(Q.system, mine, theirs)
     assert list(got) == list(_reference_merge(Q.system, mine, theirs))
@@ -484,9 +411,8 @@ def test_merge_matches_the_loop_on_every_e6_orientation():
     slot of both tables."""
     system = build_root_system("E", 6)
     for Q in all_orientations(system):
-        want = _reference_merge(system, _o_table(Q, False)[0], _o_table(Q.rev(), False)[0])
+        want = _reference_merge(system, _o_table(Q, False), _o_table(Q.rev(), False))
         assert denom._distance_polynomials(Q) == want, Q.orientation_str()
-    _o_table.cache_clear()
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -495,8 +421,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_otable_hash_is_unchanged():
     """scripts/otable_hash.py prints the hashes of the o-tables of 599
     orientations and of their AR quivers and classes, as computed when every
-    table was read off its own class: a change to the derivation of the
-    tables cannot pass while changing any of them."""
+    table was read off its own class, each slot's gdist from the slot's
+    first pair: a change to how the tables are read or share their gdists
+    cannot pass while changing any of them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -521,13 +448,13 @@ def test_o_tables_do_not_depend_on_query_order(kind, rank):
     for Q in all_orientations(build_root_system(kind, rank)):
         answers = []
         for first, second in ((Q, Q.rev()), (Q.rev(), Q)):
-            _o_table.cache_clear()
+            denom._memo.cache_clear()
             arquiver.build_ar_quiver.cache_clear()
-            tables = {R: _o_table(R, kind != "E")[:2] for R in (first, second)}
+            tables = {R: _o_table(R, kind != "E") for R in (first, second)}
             answers.append((tables[Q], tables[Q.rev()]))
             assert _released(Q) and _released(Q.rev()), Q.orientation_str()
         assert answers[0] == answers[1], Q.orientation_str()
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
@@ -535,9 +462,8 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
     """radius of every non-simple root and gdist_chain of the first pair of
     every slot, asked of a class before its o-table is computed (which
     releases its cache) and again after, are equal, witnesses included."""
-    # the root of the derivation tree: its table is computed from its class
     Q = next(all_orientations(build_root_system(kind, rank)))
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
     arquiver.build_ar_quiver.cache_clear()
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
@@ -553,15 +479,17 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
     _o_table(Q, False)
     assert _released(Q)
     assert answers() == before
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
 
 
 def _reflected_a3():
-    """The A3 root orientation 1>2,2>3 and its reflection at the source 1,
-    whose table the derivation tree derives from the root's."""
+    """The A3 orientation 1>2,2>3, the first of ``all_orientations``, and
+    its reflection at the source 1: the first reflection whose premise the
+    memo checks with check_all."""
     P = A3_MONO()
     Q = P.reflect(1)
-    assert denom._derivation_tree(P.system)[Q] == (P, 1)
+    assert P == next(all_orientations(P.system))
+    assert next(denom._reflections(P)) == (1, Q)
     return P, Q
 
 
@@ -572,10 +500,10 @@ _EDGE_FAULTS = {"coordinate": "shift by", "residue": "residue",
 
 @pytest.mark.parametrize("fault", _EDGE_FAULTS, ids=lambda fault: f"reflection-{fault}")
 def test_edge_check_names_both_orientations(monkeypatch, fault):
-    """A derived quiver whose AR quiver is not its parent's reflected at i
-    raises an error naming both orientations, i and the broken premise,
-    instead of taking the parent's table.  Each fault is in the derived
-    quiver alone: the highest root moved in the coordinates by class
+    """With check_all, a quiver whose AR quiver is not its neighbour's
+    reflected at i raises an error naming both orientations, i and the
+    broken premise, before any table is read.  Each fault is in the
+    reflected quiver alone: the highest root moved in the coordinates by class
     position (``ARQuiver.coords``, which the check and the tables read) to
     another coordinate or residue, one heap cover (that avoids alpha_i)
     dropped, or alpha_i given a root on either side in the heap."""
@@ -600,73 +528,100 @@ def test_edge_check_names_both_orientations(monkeypatch, fault):
             masks = list(getattr(cls, store))
             masks[end] |= other
             monkeypatch.setattr(cls, store, masks)
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not the reflection of") as err:
-            _o_table(Q, False)
+            _o_table(Q, True)
         message = str(err.value)
         assert P.orientation_str() in message
         assert Q.orientation_str() in message
         assert " at 1: " in message
         assert _EDGE_FAULTS[fault] in message
     finally:
-        _o_table.cache_clear()
+        denom._memo.cache_clear()
 
 
 def test_check_all_checks_every_reflection_of_a_table(monkeypatch):
-    """With check_all a table checks the premise of the reflection at every
-    sink and source of its quiver, not only along its tree edge, since the
-    memo by ordered slot trusts transport along all of them: a neighbour
-    whose table is never asked, with its AR quiver broken, is named, and
-    without check_all it is not read."""
+    """With check_all the memo is created only once the premise of the
+    reflection at every sink and source of every orientation is checked,
+    since it trusts transport along all of them: an orientation R that no
+    table asked reads, with its AR quiver broken, is named by the first
+    table asked with check_all, and without check_all it is not read."""
     (P, Q), i = _reflected_a3(), 1
     j = next(j for j in Q.sinks() + Q.sources() if j != i)
     R = Q.reflect(j)
-    assert R not in [P.reflect(k) for k in P.sinks() + P.sources()]
+    assert R not in (P, Q)
     moved = build_ar_quiver(R)
     top = moved.comm_class().position(R.system.highest_root)
     coords = list(moved.coords)
     k, p = coords[top]
     coords[top] = (k, p + 2)
     monkeypatch.setattr(moved, "coords", tuple(coords))
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
     try:
-        _o_table(Q, False)
+        _o_table(P, False)
         with pytest.raises(RuntimeError, match="shift by") as err:
-            _o_table(Q, True)
-        assert (f"{R.orientation_str()} is not the reflection of "
-                f"{Q.orientation_str()} at {j}: ") in str(err.value)
+            _o_table(P, True)
+        assert "is not the reflection of" in str(err.value)
+        assert R.orientation_str() in str(err.value)
     finally:
-        _o_table.cache_clear()
+        denom._memo.cache_clear()
 
 
 @pytest.mark.parametrize("check_all", [False, True])
-def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
-    """Every E6 o-table, asked from cold, checks each reflection premise
-    once.  Without check_all those are the tree edges.  With it they are
-    every (P, i), i a sink or source of P with s_i P != P: the tree edge of
-    a derived table is among its parent's, which are checked first."""
+def test_e6_o_tables_cost_one_gdist_per_memo_key(monkeypatch, check_all):
+    """The 32 E6 o-tables, asked from a cold memo, compute one gdist per
+    slot (123), or with check_all one per ordered slot (210), and walk no
+    comparable pair.  Without check_all no reflection premise is checked;
+    with it each (P, i), i a sink or source of P with s_i P != P, is
+    checked once."""
     system = build_root_system("E", 6)
-    checked = []
-    real = denom._check_reflection
+    checked, calls = [], []
+    real_check, real_gdist = denom._check_reflection, denom.gdist
 
-    def counted(P, Q, i):
-        checked.append((P, i))
-        return real(P, Q, i)
+    def walked(*args):
+        raise AssertionError("an o-table walked the comparable pairs")
 
-    monkeypatch.setattr(denom, "_check_reflection", counted)
-    _o_table.cache_clear()
+    monkeypatch.setattr(denom, "_check_reflection",
+                        lambda P, Q, i: checked.append((P, i)) or real_check(P, Q, i))
+    monkeypatch.setattr(denom, "gdist", lambda seq: calls.append(seq) or real_gdist(seq))
+    monkeypatch.setattr(denom, "comparable_pairs", walked)
+    monkeypatch.setattr(denom, "slots", walked)
+    denom._memo.cache_clear()
     try:
         for Q in all_orientations(system):
             _o_table(Q, check_all)
     finally:
-        _o_table.cache_clear()
-    if check_all:
-        want = [(P, i) for P in all_orientations(system) for i, _ in denom._reflections(P)]
-    else:
-        want = [edge for edge in denom._derivation_tree(system).values() if edge]
-    assert len(checked) == len(set(checked))
-    assert set(checked) == set(want)
+        denom._memo.cache_clear()
+    assert len(calls) == (210 if check_all else 123)
+    want = [(P, i) for P in all_orientations(system) for i, _ in denom._reflections(P)]
+    assert Counter(checked) == (Counter(want) if check_all else Counter())
+
+
+@pytest.mark.parametrize("check_all", [True])
+def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
+    """With check_all, the first E6 o-table asked from a cold memo checks
+    the premise of every reflection of every orientation, each (P, i) once,
+    before it computes any gdist; the other 31 tables check none."""
+    system = build_root_system("E", 6)
+    events = []
+    real_check, real_gdist = denom._check_reflection, denom.gdist
+    monkeypatch.setattr(denom, "_check_reflection",
+                        lambda P, Q, i: events.append((P, i)) or real_check(P, Q, i))
+    monkeypatch.setattr(denom, "gdist", lambda seq: events.append("gdist") or real_gdist(seq))
+    quivers = list(all_orientations(system))
+    denom._memo.cache_clear()
+    try:
+        _o_table(quivers[0], check_all)
+        first = list(events)
+        for Q in quivers[1:]:
+            _o_table(Q, check_all)
+    finally:
+        denom._memo.cache_clear()
+    want = [(P, i) for P in quivers for i, _ in denom._reflections(P)]
+    assert first[:len(want)] == want and "gdist" in first[len(want):]
+    assert "gdist" not in first[:len(want)]
+    assert [e for e in events if e != "gdist"] == want
 
 
 def test_edge_check_names_a_root_missing_from_the_reflected_class(monkeypatch):
@@ -680,59 +635,6 @@ def test_edge_check_names_a_root_missing_from_the_reflected_class(monkeypatch):
                         {r: k for r, k in cls._pos_of_root.items() if r != top})
     with pytest.raises(RootNotInWord, match=re.escape(f"{top} does not occur")):
         denom._check_reflection(P, Q, i)
-
-
-def _first_sight_at_a_carried_slot(system):
-    """(P, Q, key, carried, new) for the first child Q = s_i P of the root P
-    of the derivation tree with a slot that holds a pair avoiding alpha_i
-    (carried) and an alpha_i pair (new) whose ordered slot no pair of P has."""
-    P = next(all_orientations(system))
-    arq_p = build_ar_quiver(P)
-    seen = {_ordered(arq_p.coords, ab) for members in slots(arq_p).values()
-            for ab in members}
-    for Q, edge in denom._derivation_tree(system).items():
-        if edge is None or edge[0] != P:
-            continue
-        arq = build_ar_quiver(Q)
-        e = arq.comm_class().position(system.simple_root(edge[1]))
-        for key, members in slots(arq).items():
-            carried = [ab for ab in members if e not in ab]
-            new = [ab for ab in members
-                   if e in ab and _ordered(arq.coords, ab) not in seen]
-            if carried and new:
-                return P, Q, key, carried[0], new[0]
-    raise LookupError(system)
-
-
-def test_check_all_computes_the_alpha_pairs_of_a_carried_slot(monkeypatch):
-    """In a reflected table, a slot that takes the parent's value and also
-    holds an alpha_i pair whose ordered slot the parent has no pair of: the
-    memo computes that pair's gdist on first sight, in the reflected class.
-    When it disagrees, check_all raises naming both pairs, and the caches of
-    both classes are left empty.  (A3 has no such slot; D4 has.)"""
-    P, Q, key, carried, new = _first_sight_at_a_carried_slot(build_root_system("D", 4))
-    cls_q = build_ar_quiver(Q).comm_class()
-    roots = cls_q.roots
-    (a1, b1), (a2, b2) = ((roots[a], roots[b]) for a, b in (carried, new))
-    fmt = Q.system.format_root
-    real = denom.gdist
-    monkeypatch.setattr(
-        denom, "gdist",
-        lambda seq: real(seq) + (seq.cls is cls_q and seq.positions() == list(new)),
-    )
-    _o_table.cache_clear()
-    try:
-        o = _o_table(Q, False)[0][key]  # without check_all the alpha pair is not read
-        with pytest.raises(WellDefinednessViolation) as err:
-            _o_table(Q, True)
-        assert _released(P) and _released(Q)
-        message = str(err.value)
-        assert Q.orientation_str() in message
-        assert f"residues ({key[0]},{key[1]}) gap {key[2]}" in message
-        assert f"({fmt(a1)},{fmt(b1)}) has gdist {o}" in message
-        assert f"({fmt(a2)},{fmt(b2)}) has gdist {o + 1}" in message
-    finally:
-        _o_table.cache_clear()
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 5), ("D", 5), ("E", 6)])
@@ -791,7 +693,7 @@ def test_every_pair_has_its_ordered_slots_gdist(kind, rank):
     for Q in all_orientations(system):
         arq = build_ar_quiver(Q)
         cls = CommClass(arq.comm_class().representative)
-        table = _o_table(Q, False)[0]
+        table = _o_table(Q, False)
         for a, b, key in comparable_pairs(arq):
             g = gdist(RootSequence.from_positions(cls, (a, b)))
             slot = _ordered(arq.coords, (a, b))
@@ -800,25 +702,25 @@ def test_every_pair_has_its_ordered_slots_gdist(kind, rank):
 
 
 def test_cache_clear_leaves_no_memo(monkeypatch):
-    """The gdist memo by ordered slot lives in the lru cache of _o_table:
-    a table asked again reads the cache, and after _o_table.cache_clear()
-    the same tables call gdist again, as many times as from cold."""
+    """The gdist memo lives in the lru cache of _memo: tables asked again
+    read it and call no gdist, and after _memo.cache_clear() the same
+    tables call gdist again, as many times as from cold."""
     Q = A3_MONO()
     calls = []
     real = denom.gdist
     monkeypatch.setattr(denom, "gdist", lambda seq: calls.append(seq) or real(seq))
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
     try:
-        first = [_o_table(R, False)[:2] for R in (Q, Q.rev())]
+        first = [_o_table(R, False) for R in (Q, Q.rev())]
         n = len(calls)
         assert n > 0
-        assert [_o_table(R, False)[:2] for R in (Q, Q.rev())] == first
+        assert [_o_table(R, False) for R in (Q, Q.rev())] == first
         assert len(calls) == n
-        _o_table.cache_clear()
-        assert [_o_table(R, False)[:2] for R in (Q, Q.rev())] == first
+        denom._memo.cache_clear()
+        assert [_o_table(R, False) for R in (Q, Q.rev())] == first
         assert len(calls) == 2 * n
     finally:
-        _o_table.cache_clear()
+        denom._memo.cache_clear()
 
 
 def test_e6_tables_do_not_depend_on_query_order():
@@ -829,11 +731,11 @@ def test_e6_tables_do_not_depend_on_query_order():
     for check_all in (False, True):
         answers = []
         for order in (quivers, quivers[::-1]):
-            _o_table.cache_clear()
+            denom._memo.cache_clear()
             arquiver.build_ar_quiver.cache_clear()
-            answers.append({Q: _o_table(Q, check_all)[:2] for Q in order})
+            answers.append({Q: _o_table(Q, check_all) for Q in order})
         assert answers[0] == answers[1]
-    _o_table.cache_clear()
+    denom._memo.cache_clear()
 
 
 def test_symmetry_in_k_l():

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from rootseq.arquiver import BadOrientation, DynkinQuiver
+from rootseq.arquiver import BadOrientation, DynkinQuiver, build_ar_quiver
 from rootseq.cli import fixture_dir
-from rootseq.denom import DenominatorEntry, DistancePolynomial, _o_table
+from rootseq.denom import DenominatorEntry, DistancePolynomial
 from rootseq.orders import RootSequence
 from rootseq.rootsys import CartanDatum, PosRoot, build_root_system
 from rootseq.words import CommClass, LetterOutOfRange, ReducedWord
@@ -110,10 +110,10 @@ def test_pos_root_order_is_the_coefficient_order():
 
 
 def test_dynkin_quiver_is_an_lru_cache_key():
-    """Two equal orientations built apart share one cached o-table."""
+    """Two equal orientations built apart share one cached AR quiver."""
     Q = DynkinQuiver.from_arrows(A2, [(1, 2)])
-    assert _o_table(Q, False) is _o_table(DynkinQuiver(A2, frozenset({(1, 2)})), False)
-    assert _o_table(Q.rev(), False) is not _o_table(Q, False)
+    assert build_ar_quiver(Q) is build_ar_quiver(DynkinQuiver(A2, frozenset({(1, 2)})))
+    assert build_ar_quiver(Q.rev()) is not build_ar_quiver(Q)
 
 
 def test_fixture_dir(monkeypatch, tmp_path):
