@@ -598,11 +598,14 @@ def test_e6_o_tables_cost_one_gdist_per_memo_key(monkeypatch, check_all):
     assert Counter(checked) == (Counter(want) if check_all else Counter())
 
 
-@pytest.mark.parametrize("check_all", [True])
+@pytest.mark.parametrize("check_all", [False, True])
 def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
-    """With check_all, the first E6 o-table asked from a cold memo checks
-    the premise of every reflection of every orientation, each (P, i) once,
-    before it computes any gdist; the other 31 tables check none."""
+    """Every E6 o-table is asked from a cold memo, first with the given
+    check_all and then with the other.  Over both passes each reflection
+    premise, (P, i) with i a sink or source of P and s_i P != P, is checked
+    once: by the first table asked with check_all, before it computes any
+    gdist.  The other tables asked with check_all, and every table asked
+    without it, check none."""
     system = build_root_system("E", 6)
     events = []
     real_check, real_gdist = denom._check_reflection, denom.gdist
@@ -610,18 +613,57 @@ def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
                         lambda P, Q, i: events.append((P, i)) or real_check(P, Q, i))
     monkeypatch.setattr(denom, "gdist", lambda seq: events.append("gdist") or real_gdist(seq))
     quivers = list(all_orientations(system))
+
+    def ask(mode):
+        """The events of each table asked with check_all = mode."""
+        tables = []
+        for Q in quivers:
+            start = len(events)
+            _o_table(Q, mode)
+            tables.append(events[start:])
+        return tables
+
     denom._memo.cache_clear()
     try:
-        _o_table(quivers[0], check_all)
-        first = list(events)
-        for Q in quivers[1:]:
-            _o_table(Q, check_all)
+        first_pass = ask(check_all)
+        second_pass = ask(not check_all)
     finally:
         denom._memo.cache_clear()
+    checked, plain = (first_pass, second_pass) if check_all else (second_pass, first_pass)
     want = [(P, i) for P in quivers for i, _ in denom._reflections(P)]
+    first = checked[0]
     assert first[:len(want)] == want and "gdist" in first[len(want):]
-    assert "gdist" not in first[:len(want)]
+    assert all(e == "gdist" for e in first[len(want):])
+    assert all(e == "gdist" for table in checked[1:] + plain for e in table)
     assert [e for e in events if e != "gdist"] == want
+
+
+def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
+    """Asking all 64 E7 o-tables from a cold memo, with and without
+    check_all, walks the comparable pairs of no orientation, the root's
+    included: each table reads its slots off the rows of Gamma_Q.  Only a
+    direct ``slots`` call, as the E6 table script makes on the root, walks
+    them, and it walks the root's alone."""
+    system = build_root_system("E", 7)
+    walked = []
+    real = denom.comparable_pairs
+
+    def counted(arq):
+        walked.append(arq.quiver)
+        return real(arq)
+
+    monkeypatch.setattr(denom, "comparable_pairs", counted)
+    root = next(all_orientations(system))
+    denom._memo.cache_clear()
+    try:
+        for check_all in (False, True):
+            for Q in all_orientations(system):
+                _o_table(Q, check_all)
+    finally:
+        denom._memo.cache_clear()
+    assert walked == []
+    denom.slots(build_ar_quiver(root))
+    assert walked == [root]
 
 
 def test_edge_check_names_a_root_missing_from_the_reflected_class(monkeypatch):
