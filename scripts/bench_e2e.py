@@ -15,8 +15,9 @@ side that goes first alternates from pair to pair:
 - ``rootseq denom table --type E8 --all-orientations --check-all`` (about
   1 s, as the table without it)
 - ``rootseq denom table --type E8 --orient 3>1,3>4,4>2,4>5,5>6,6>7,7>8
-  --check-all``: one orientation, which still checks the premise of all
-  672 E8 reflections
+  --check-all``: one orientation, while ``--check-all`` checks the whole
+  system whatever ``--orient`` says (the premise of all 672 E8 reflections
+  and one gdist per ordered slot, 952, on every Gamma_Q)
 - ``rootseq denom table --type E7 --all-orientations``: the CLI form of the
   denom-e7 workload, less bound by start-up than the E6 row
 - ``rootseq denom table --type E6``, one orientation: bound by start-up

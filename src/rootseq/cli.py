@@ -23,6 +23,7 @@ from .arquiver import (
 )
 from .denom import (
     WellDefinednessViolation,
+    check_well_defined,
     denominator_table,
     distance_polynomial,
     verify_denominator,
@@ -90,6 +91,13 @@ def _type_rank(text):
         return t[0].upper(), int(t[1:])
     raise argparse.ArgumentTypeError(
         f"expected a letter and a rank such as D4, got {text!r}")
+
+
+def _cap(text):
+    """A cap on what an enumeration may list: an integer >= 0."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _system(args):
@@ -329,20 +337,22 @@ def _table_text(entries, latex=False):
 
 
 def cmd_denom(args):
+    if args.check_all:
+        check_well_defined(_system(args))
     if args.action == "poly":
         Q = _quiver(args)
         rank = Q.system.rank
         for name, v in (("--k", args.k), ("--l", args.l)):
             if not 1 <= v <= rank:
                 raise UsageError(f"{name} {v} is outside 1..{rank}, the rank")
-        p = distance_polynomial(Q, args.k, args.l, check_all=args.check_all)
+        p = distance_polynomial(Q, args.k, args.l)
         _show(args, {"k": args.k, "l": args.l, "factors": p.to_json()},
               p.format(args.format))
         return 0
     if args.action == "table":
         quivers = (_sweep(args) if args.orient or args.all_orientations
                    else [next(all_orientations(_system(args)))])
-        tables = {denominator_table(Q, check_all=args.check_all) for Q in quivers}
+        tables = {denominator_table(Q) for Q in quivers}
         if len(tables) > 1:
             raise VerificationFailed("distance polynomials differ across orientations")
         entries = tables.pop()
@@ -350,7 +360,7 @@ def cmd_denom(args):
               _table_text(entries, latex=args.format == "latex"))
         return 0
     # verify
-    reports = [(Q.orientation_str(), verify_denominator(Q, check_all=args.check_all))
+    reports = [(Q.orientation_str(), verify_denominator(Q))
                for Q in (all_orientations(_system(args)) if args.all_orientations
                          else [_quiver(args)])]
     _show(args,
@@ -473,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_word(p, required=True)
         _add_output(p)
         if action == "class":
-            p.add_argument("--cap-class", type=int, default=DEFAULT_CAP,
+            p.add_argument("--cap-class", type=_cap, default=DEFAULT_CAP,
                            help="most members that 'word class' may list")
 
     p = commands.add_parser("order", help="compare two root sequences")
@@ -493,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_word(_add_quiver(p))
         _add_output(p)
         if action in ("socle", "gdist", "minimal"):
-            p.add_argument("--cap-partitions", type=int, default=DEFAULT_CAP,
+            p.add_argument("--cap-partitions", type=_cap, default=DEFAULT_CAP,
                            help="most partitions one enumeration may list")
 
     denom = command("denom", "distance polynomials and denominators", cmd_denom)
@@ -506,11 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             group.add_argument("--all-orientations", action="store_true")
         p.add_argument("--check-all", action="store_true",
-                       help="check well-definedness: each pair takes the gdist "
-                            "of its ordered slot (its residues in heap order and "
-                            "their gap), computed once; the two orders of every "
-                            "slot must agree, and every reflection at a sink or "
-                            "source has its premise checked")
+                       help="first check well-definedness on the whole system, "
+                            "whatever --orient says: every reflection at a sink "
+                            "or source has its premise checked, each ordered "
+                            "slot (residues in heap order and their gap) takes "
+                            "the gdist of its first pair, computed once, and the "
+                            "two orders of every slot must agree")
         _add_output(p, ("text", "json") if action == "verify"
                     else ("text", "json", "latex"))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from operator import sub
 
 from .arquiver import ARQuiver, DynkinQuiver, all_orientations, build_ar_quiver
@@ -22,8 +23,8 @@ from .words import ClassCache
 
 
 class WellDefinednessViolation(AssertionError):
-    """Two pairs in the same residue/gap slot disagree on gdist; the message
-    names the orientation, the slot and two pairs with their gdists."""
+    """The two orders of a residue/gap slot disagree on gdist; the message
+    names each such slot and, per order, an orientation and pair with it."""
 
 
 class DistancePolynomial(namedtuple("DistancePolynomial", "factors")):
@@ -85,27 +86,22 @@ class DenominatorEntry(
         }
 
 
-def _slot_walk(coords, x: int, mask: int):
-    """(x, j, slot) for each set bit j of x's up-set mask, ascending: the
-    slot (k, l, t), k <= l, of class positions x and j holds their residues
-    and their coordinate gap, read off ``coords`` (``ARQuiver.coords``).
-    ``coords`` lists the vertices by p descending, so x below j in the heap
-    has the larger p and the gap is p_x - p_j."""
-    k, p = coords[x]
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        j = low.bit_length() - 1
-        kj, pj = coords[j]
-        yield x, j, (k, kj, p - pj) if k <= kj else (kj, k, p - pj)
-
-
 def comparable_pairs(arq: ARQuiver):
     """(a, b, slot) for every pair of class positions a < b with a strictly
     below b in the heap order: a runs over the class positions, and b over
-    the set bits of its up-set."""
-    for a, up in enumerate(arq.comm_class()._above):
-        yield from _slot_walk(arq.coords, a, up)
+    the set bits of its up-set, ascending.  The slot (k, l, t), k <= l,
+    holds their residues and their coordinate gap, read off
+    ``arq.coords``, which lists the vertices by p descending: a below b
+    has the larger p, and the gap is p_a - p_b."""
+    coords = arq.coords
+    for a, mask in enumerate(arq.comm_class()._above):
+        k, p = coords[a]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            b = low.bit_length() - 1
+            kb, pb = coords[b]
+            yield a, b, (k, kb, p - pb) if k <= kb else (kb, k, p - pb)
 
 
 def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
@@ -228,91 +224,92 @@ def _first_pair(arq: ARQuiver, i: int, j: int, t: int) -> tuple[tuple, tuple]:
     return (i, p), (j, p - t)
 
 
+def _first_gdist(arq: ARQuiver, i: int, j: int, t: int) -> int:
+    """gdist of the first pair of the ordered slot (i, j, t) (``_first_pair``)."""
+    a, b = _first_pair(arq, i, j, t)
+    return gdist(RootSequence.from_roots(arq.comm_class(), (arq.label[a], arq.label[b])))
+
+
 @lru_cache(maxsize=None)
-def _memo(system, check_all: bool, /) -> dict:
-    """The gdist memo that the o-tables of the system share: by slot
-    (k, l, t), or with check_all by ordered slot (i, j, t).
+def _memo(system) -> dict:
+    """The gdist memo by slot (k, l, t) that the system's o-tables share.
 
     A reflection at a sink or source i (Bernstein-Gelfand-Ponomarev)
     carries each comparable pair that avoids alpha_i to one of s_i Q with
     the same ordered slot and, up to s_i, the same interval; over every
     reflection of every orientation these classes are exactly the ordered
     slots, so gdist depends on the ordered slot alone, and on the slot
-    where its two orders agree.  With check_all every such reflection has
-    its premise checked (``_check_reflection``), each once, before the memo
-    is created.  check_all is positional with no default, so the lru cache
-    holds one memo per (system, bool)."""
-    if check_all:
-        for P in all_orientations(system):
-            for i, Q in _reflections(P):
-                _check_reflection(P, Q, i)
+    where its two orders agree, as ``check_well_defined`` checks."""
     return {}
 
 
-def _o_table(Q: DynkinQuiver, check_all: bool, /) -> dict[tuple[int, int, int], int]:
+def check_well_defined(system) -> None:
+    """Check that o_t is well defined on the whole system and fill its memo
+    (``_memo``): the premise of every reflection at a sink or source, each
+    once, then one gdist per ordered slot, of its first pair on the first
+    orientation that holds it (every Gamma_Q is built, each class cache
+    emptied after), the two orders of every slot agreeing wherever they
+    occur; else WellDefinednessViolation names each slot where they do not."""
+    for P in all_orientations(system):
+        for i, Q in _reflections(P):
+            _check_reflection(P, Q, i)
+    first = {}  # ordered slot -> (Gamma_Q of its first orientation, gdist)
+    for arq in map(build_ar_quiver, all_orientations(system)):
+        try:
+            for i, j in product(range(1, system.rank + 1), repeat=2):
+                for t in _gaps(arq, i, j):
+                    if (i, j, t) not in first:
+                        first[i, j, t] = arq, _first_gdist(arq, i, j, t)
+        finally:
+            arq.comm_class().cache = ClassCache()
+
+    def named(i, j, t):
+        arq, o = first[i, j, t]
+        a, b = (system.format_root(arq.label[v]) for v in _first_pair(arq, i, j, t))
+        return f"on {arq.quiver.orientation_str()} ({a},{b}) has gdist {o}"
+
+    broken = [f"pairs at residues ({i},{j}) gap {t} disagree: "
+              f"{named(i, j, t)}; {named(j, i, t)}"
+              for (i, j, t), (_, o) in first.items()
+              if i < j and first.get((j, i, t), (None, o))[1] != o]
+    if broken:
+        raise WellDefinednessViolation("\n".join(broken))
+    _memo(system).update({(min(i, j), max(i, j), t): o
+                          for (i, j, t), (_, o) in first.items()})
+
+
+def _o_table(Q: DynkinQuiver) -> dict[tuple[int, int, int], int]:
     """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
     by the comparable pairs of the slot, read off the rows of Gamma_Q.
 
     The ordered slots (k, l, t) and (l, k, t) of a slot both start at
     dist(k, l) (``_gaps``), so its gaps run in steps of 2 to the larger of
     their last gaps.  Each slot reads the system's memo (``_memo``); a miss
-    computes gdist of the first pair (``_first_pair``) of the slot's first
-    occupied order on Q's class.  With check_all each ordered slot reads
-    the memo, keyed by ordered slot, and the two orders of a slot must
-    agree, or WellDefinednessViolation names the orientation, the slot and
-    the first pair of each order with its gdist.  Q's class is left with an
-    empty ``cache`` whether the table returns or raises."""
+    takes ``_first_gdist`` of the slot's first occupied order.  Q's class
+    is left with an empty ``cache`` whether the table returns or raises."""
     sys_ = Q.system
     arq = build_ar_quiver(Q)
-    cls, xi, mQ, label = arq.comm_class(), arq.xi, arq.mQ, arq.label
-    dist = _tree_distance(sys_)
-    memo = _memo(sys_, check_all)
-
-    def first_gdist(i, j, t):
-        """gdist of the first pair of the ordered slot (i, j, t)."""
-        a, b = _first_pair(arq, i, j, t)
-        return gdist(RootSequence.from_roots(cls, (label[a], label[b])))
-
+    xi, mQ = arq.xi, arq.mQ
+    dist, memo = _tree_distance(sys_), _memo(sys_)
     out = {}
     try:
-        for k in range(1, sys_.rank + 1):
-            for l in range(k, sys_.rank + 1):
-                if not check_all:
-                    last = max(xi[k] - xi[l] + 2 * mQ[l], xi[l] - xi[k] + 2 * mQ[k])
-                    for t in range(dist[k][l] or 2, last + 1, 2):
-                        slot = (k, l, t)
-                        o = memo.get(slot)
-                        if o is None:
-                            i, j = (k, l) if t in _gaps(arq, k, l) else (l, k)
-                            o = memo[slot] = first_gdist(i, j, t)
-                        out[slot] = o
-                    continue
-                for i, j in ((k, l), (l, k)) if k != l else ((k, k),):
-                    for t in _gaps(arq, i, j):
-                        o = memo.get((i, j, t))
-                        if o is None:
-                            o = memo[i, j, t] = first_gdist(i, j, t)
-                        if out.setdefault((k, l, t), o) != o:  # set by the order (k, l)
-                            fmt = sys_.format_root
-                            two = ", ".join(
-                                f"({fmt(label[a])},{fmt(label[b])}) has gdist {g}"
-                                for (a, b), g in ((_first_pair(arq, k, l, t), out[k, l, t]),
-                                                  (_first_pair(arq, l, k, t), o))
-                            )
-                            raise WellDefinednessViolation(
-                                f"{Q.orientation_str()}: pairs at residues ({k},{l}) "
-                                f"gap {t} disagree: {two}"
-                            )
+        for k, l in combinations_with_replacement(range(1, sys_.rank + 1), 2):
+            last = max(xi[k] - xi[l] + 2 * mQ[l], xi[l] - xi[k] + 2 * mQ[k])
+            for t in range(dist[k][l] or 2, last + 1, 2):
+                slot = (k, l, t)
+                o = memo.get(slot)
+                if o is None:
+                    i, j = (k, l) if t in _gaps(arq, k, l) else (l, k)
+                    o = memo[slot] = _first_gdist(arq, i, j, t)
+                out[slot] = o
     finally:
         # every entry depends on the class alone: dropping it costs only
         # recomputation, never a different answer
-        cls.cache = ClassCache()
+        arq.comm_class().cache = ClassCache()
     return out
 
 
-def _distance_polynomials(
-    Q: DynkinQuiver, check_all: bool = False
-) -> dict[tuple[int, int], DistancePolynomial]:
+def _distance_polynomials(Q: DynkinQuiver) -> dict[tuple[int, int], DistancePolynomial]:
     """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
     every k <= l, in row order.
 
@@ -322,8 +319,8 @@ def _distance_polynomials(
     identity (E7, E8, D_n for n even).  Then one pass groups the nonzero
     exponents by (k, l), and each group is sorted."""
     n = Q.system.rank
-    mine = _o_table(Q, check_all)
-    theirs = _o_table(Q.rev(), check_all)
+    mine = _o_table(Q)
+    theirs = _o_table(Q.rev())
     both = mine | theirs
     for key, o in mine.items() - theirs.items():
         if o > both[key]:  # theirs holds the key with a smaller o_t
@@ -335,12 +332,10 @@ def _distance_polynomials(
     return {kl: DistancePolynomial(tuple(sorted(f))) for kl, f in exps.items()}
 
 
-def distance_polynomial(
-    Q: DynkinQuiver, k: int, l: int, check_all: bool = False
-) -> DistancePolynomial:
+def distance_polynomial(Q: DynkinQuiver, k: int, l: int) -> DistancePolynomial:
     """The distance polynomial of residues k and l (see
     ``_distance_polynomials``)."""
-    return _distance_polynomials(Q, check_all)[min(k, l), max(k, l)]
+    return _distance_polynomials(Q)[min(k, l), max(k, l)]
 
 
 def _entry(Q: DynkinQuiver, k: int, l: int, poly: DistancePolynomial) -> DenominatorEntry:
@@ -353,20 +348,16 @@ def _entry(Q: DynkinQuiver, k: int, l: int, poly: DistancePolynomial) -> Denomin
     return DenominatorEntry(k, l, poly, correction, sys_.kind == "E")
 
 
-def denominator(
-    Q: DynkinQuiver, k: int, l: int, check_all: bool = False
-) -> DenominatorEntry:
+def denominator(Q: DynkinQuiver, k: int, l: int) -> DenominatorEntry:
     """d_{k,l} (see ``_entry``)."""
-    return _entry(Q, k, l, distance_polynomial(Q, k, l, check_all))
+    return _entry(Q, k, l, distance_polynomial(Q, k, l))
 
 
-def denominator_table(
-    Q: DynkinQuiver, check_all: bool = False
-) -> tuple[DenominatorEntry, ...]:
+def denominator_table(Q: DynkinQuiver) -> tuple[DenominatorEntry, ...]:
     """Every d_{k,l}, k <= l, in row order."""
     return tuple(
         _entry(Q, k, l, poly)
-        for (k, l), poly in _distance_polynomials(Q, check_all).items()
+        for (k, l), poly in _distance_polynomials(Q).items()
     )
 
 
@@ -387,20 +378,20 @@ def quantum_cartan_denominators(Q: DynkinQuiver) -> dict[tuple[int, int], Distan
     }
 
 
-def verify_denominator(Q: DynkinQuiver, check_all: bool = False) -> tuple[dict, ...]:
+def verify_denominator(Q: DynkinQuiver) -> tuple[dict, ...]:
     """The entries d_{k,l}, k <= l, read off the quiver that differ from
     ``quantum_cartan_denominators``, each as {"k", "l", "computed",
     "expected"}."""
     want = quantum_cartan_denominators(Q)
     return tuple(
         {"k": e.k, "l": e.l, "computed": str(e.poly), "expected": str(want[e.k, e.l])}
-        for e in denominator_table(Q, check_all)
+        for e in denominator_table(Q)
         if e.poly != want[e.k, e.l]
     )
 
 
-def conjecture_table(Q: DynkinQuiver, check_all: bool = False) -> tuple[DenominatorEntry, ...]:
+def conjecture_table(Q: DynkinQuiver) -> tuple[DenominatorEntry, ...]:
     """The full d_{k,l} matrix (k <= l) read off a type-E quiver."""
     if Q.system.kind != "E":
         raise UnsupportedType("the conjectural table is for type E")
-    return denominator_table(Q, check_all)
+    return denominator_table(Q)

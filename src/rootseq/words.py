@@ -90,7 +90,10 @@ class ClassCache:
     of a weight are stored whole and checked against each caller's cap on
     the way out (see ``seqcalc.sequences_of_weight``).  The working state of
     an o-table lasts only as long as the table: ``denom._o_table`` replaces
-    the cache of the class it computes from when it returns or raises.
+    the cache of the class it computes from when it returns or raises, and
+    ``denom.check_well_defined`` (``--check-all``, which checks the whole
+    system whatever ``--orient`` says) that of each class of the system once
+    it has read that class's ordered slots.
     """
 
     __slots__ = ("weights", "pairs", "simple", "chains", "packed", "members")

@@ -104,9 +104,9 @@ def test_denom_poly_and_table(capsys):
 
 
 def test_denom_table_e8_check_all(capsys):
-    """The E8 table over all 128 orientations with --check-all (one gdist
-    per ordered slot, every reflection edge checked) exits 0 and prints the
-    table printed without it."""
+    """The E8 table over all 128 orientations with --check-all (the whole
+    system checked first: one gdist per ordered slot, every reflection
+    premise) exits 0 and prints the table printed without it."""
     from rootseq.denom import _memo
 
     argv = ["denom", "table", "--type", "E8", "--all-orientations"]
@@ -284,6 +284,17 @@ def test_word_class_cap_boundary(capsys):
     code, out, err = run(capsys, "word", "class", *A4_W0, "--cap-class", "11")
     assert code == 3 and out == ""
     assert "exceeds cap 11 (saw 12)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "gdist", *A3_ARGS, "--pair", "[1],[2,3]", "--cap-partitions", "-1"],
+    ["word", "class", *A4_W0, "--cap-class", "-1"],
+], ids=["cap-partitions", "cap-class"])
+def test_negative_cap_is_a_usage_error(capsys, argv):
+    """A negative cap, which no enumeration can meet, exits 2 and names its
+    option, where it exited 3 as a cap exceeded."""
+    err = rejected(capsys, *argv)
+    assert f"argument {argv[-2]}: expected an integer >= 0, got '-1'" in err
 
 
 @pytest.mark.parametrize("argv", [

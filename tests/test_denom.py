@@ -56,7 +56,7 @@ def test_polynomial_formatting():
 def test_a3_slots():
     Q = A3_MONO()
     by_slot = slots(build_ar_quiver(Q))
-    table = _o_table(Q, True)
+    table = _o_table(Q)
     # residues (1,1) at gap 2: two comparable pairs, both with gdist 1
     assert len(by_slot[(1, 1, 2)]) == 2
     assert table[(1, 1, 2)] == 1
@@ -181,9 +181,16 @@ def test_all_orientations_match_closed_form(kind, rank):
 
 
 def test_check_all_well_definedness_spot():
-    # exhaustive member check on a couple of small quivers
-    for Q in itertools.islice(all_orientations(build_root_system("D", 4)), 2):
-        assert verify_denominator(Q, check_all=True) == ()
+    """The check passes on D4, and the tables of the first two orientations
+    then verify."""
+    system = build_root_system("D", 4)
+    denom._memo.cache_clear()
+    try:
+        denom.check_well_defined(system)
+        for Q in itertools.islice(all_orientations(system), 2):
+            assert verify_denominator(Q) == ()
+    finally:
+        denom._memo.cache_clear()
 
 
 def _ordered(coords, ab):
@@ -195,10 +202,10 @@ def _ordered(coords, ab):
 
 def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, capsys):
     """When the two orders (k, l, t) and (l, k, t) of one slot disagree on
-    gdist, check_all raises an error naming the orientation, the slot and a
-    pair of each order, and the CLI exits 1.  The fault is at the first pair
-    of the slot's second order, where the memo, cold, computes that ordered
-    slot's gdist on first sight."""
+    gdist, check_well_defined raises an error naming the orientation, the
+    slot and a pair of each order, and the CLI exits 1.  The fault is at the
+    first pair of the slot's second order on the first orientation, where
+    the check computes that ordered slot's gdist."""
     Q = A3_MONO()
     fmt = Q.system.format_root
     arq = build_ar_quiver(Q)
@@ -218,7 +225,7 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
     denom._memo.cache_clear()
     try:
         with pytest.raises(WellDefinednessViolation) as err:
-            _o_table(Q, True)
+            denom.check_well_defined(Q.system)
         assert _released(Q)
         message = str(err.value)
         assert Q.orientation_str() in message
@@ -233,34 +240,125 @@ def test_well_definedness_violation_names_orientation_and_pairs(monkeypatch, cap
         denom._memo.cache_clear()
 
 
-def test_o_table_takes_check_all_by_position_only():
-    """check_all has no default and no keyword, in _o_table and in the memo
-    it reads, so the lru cache of memos holds one entry per (system, bool),
-    shared by the tables of the system."""
-    Q = A3_MONO()
-    denom._memo.cache_clear()
-    for f, arg in ((_o_table, Q), (denom._memo, Q.system)):
-        with pytest.raises(TypeError):
-            f(arg)
-        with pytest.raises(TypeError):
-            f(arg, check_all=True)
-    assert denom._memo.cache_info().currsize == 0
-    _o_table(Q, True)
-    _o_table(Q.rev(), True)
-    assert denom._memo.cache_info().currsize == 1
-    denom._memo.cache_clear()
+def _orders(arq):
+    """The ordered slots (i, j, t) that Gamma_Q holds, read off its rows."""
+    n = arq.system.rank
+    return {(i, j, t) for i in range(1, n + 1) for j in range(1, n + 1)
+            for t in denom._gaps(arq, i, j)}
 
 
-def _oracle_o_table(Q, check_all):
+def _gdist_by_ordered_slot(system, each):
+    """denom.gdist, with each(slot, g) added to the gdist g of a pair of
+    the system, its ordered slot read off the AR quiver of its class."""
+    arqs = {build_ar_quiver(Q).comm_class(): build_ar_quiver(Q)
+            for Q in all_orientations(system)}
+    real = denom.gdist
+
+    def wrapped(seq):
+        g = real(seq)
+        return g + each(_ordered(arqs[seq.cls].coords, seq.positions()), g)
+    return wrapped
+
+
+def test_check_compares_orders_that_share_no_orientation(monkeypatch, capsys):
+    """A gdist raised by one on the order (6, 1, 13) of E6, which no
+    orientation holds together with (1, 6, 13), raises
+    WellDefinednessViolation naming the slot and, for each order, the first
+    orientation that holds it and its first pair there with its gdist; the
+    memo is left empty, and ``denom table --check-all`` exits 1 on an
+    orientation that holds one order only.  A check of the orders that one
+    table holds cannot see this fault."""
+    system = build_root_system("E", 6)
+    fmt = system.format_root
+    first = {}
+    for Q in all_orientations(system):
+        arq = build_ar_quiver(Q)
+        here = [ij for ij in ((1, 6), (6, 1)) if (*ij, 13) in _orders(arq)]
+        assert len(here) < 2, Q.orientation_str()
+        for ij in here:
+            first.setdefault(ij, arq)
+    named = []
+    for ij, arq in first.items():
+        a, b = (arq.label[v] for v in denom._first_pair(arq, *ij, 13))
+        cls = CommClass(arq.comm_class().representative)
+        g = gdist(RootSequence.from_roots(cls, (a, b))) + (ij == (6, 1))
+        named.append(f"on {arq.quiver.orientation_str()} "
+                     f"({fmt(a)},{fmt(b)}) has gdist {g}")
+    monkeypatch.setattr(denom, "gdist", _gdist_by_ordered_slot(
+        system, lambda slot, g: slot == (6, 1, 13)))
+    denom._memo.cache_clear()
+    try:
+        with pytest.raises(WellDefinednessViolation) as err:
+            denom.check_well_defined(system)
+        assert str(err.value) == ("pairs at residues (1,6) gap 13 disagree: "
+                                  + "; ".join(named))
+        assert denom._memo(system) == {}
+        code = main(["denom", "table", "--type", "E6", "--orient",
+                     first[1, 6].quiver.orientation_str(), "--check-all"])
+        assert code == 1 and "gap 13 disagree" in capsys.readouterr().err
+    finally:
+        denom._memo.cache_clear()
+
+
+def test_check_compares_every_slot_whose_two_orders_occur(monkeypatch):
+    """With gdist raised by one on every order (i, j, t), i > j, the check
+    names each slot whose two orders both occur somewhere in E6, once:
+    87 slots, of which the two orders share an orientation in only 82."""
+    system = build_root_system("E", 6)
+    occur, shared = set(), set()
+    for Q in all_orientations(system):
+        here = _orders(build_ar_quiver(Q))
+        occur |= here
+        shared |= {(i, j, t) for i, j, t in here if i < j and (j, i, t) in here}
+    both = {(i, j, t) for i, j, t in occur if i < j and (j, i, t) in occur}
+    assert (len(both), len(shared)) == (87, 82)
+    monkeypatch.setattr(denom, "gdist", _gdist_by_ordered_slot(
+        system, lambda slot, g: slot[0] > slot[1]))
+    denom._memo.cache_clear()
+    try:
+        with pytest.raises(WellDefinednessViolation) as err:
+            denom.check_well_defined(system)
+    finally:
+        denom._memo.cache_clear()
+    lines = str(err.value).splitlines()
+    named = [tuple(map(int, re.match(r"pairs at residues \((\d+),(\d+)\) gap (\d+) ",
+                                     line).groups())) for line in lines]
+    assert len(named) == len(set(named)) == 87 and set(named) == both
+
+
+def test_check_computes_each_ordered_slot_once(monkeypatch):
+    """check_well_defined computes the gdist of each of the 210 ordered
+    slots of E6 once; the 32 tables asked after it compute none and equal
+    the tables asked from a cold memo without it."""
+    system = build_root_system("E", 6)
+    quivers = list(all_orientations(system))
+    denom._memo.cache_clear()
+    plain = {Q: _o_table(Q) for Q in quivers}
+    seen = []
+    monkeypatch.setattr(denom, "gdist", _gdist_by_ordered_slot(
+        system, lambda slot, g: seen.append(slot) or 0))
+    denom._memo.cache_clear()
+    try:
+        denom.check_well_defined(system)
+        computed = len(seen)
+        assert {Q: _o_table(Q) for Q in quivers} == plain
+    finally:
+        denom._memo.cache_clear()
+    occur = set().union(*(_orders(build_ar_quiver(Q)) for Q in quivers))
+    assert computed == len(seen) == len(set(seen)) == len(occur) == 210
+    assert set(seen) == occur
+
+
+def _oracle_o_table(Q, every_pair):
     """Q's o-table recomputed from Q's own AR quiver over a new class of it,
     with nothing in its cache: the gdist of the first pair of every slot,
-    or with check_all of every pair of the slot, which must agree."""
+    or with every_pair of every pair of the slot, which must agree."""
     arq = build_ar_quiver(Q)
     cls = CommClass(arq.comm_class().representative)
     out = {}
     for key, members in slots(arq).items():
         vals = {gdist(RootSequence.from_positions(cls, ab))
-                for ab in (members if check_all else members[:1])}
+                for ab in (members if every_pair else members[:1])}
         assert len(vals) == 1, (Q.orientation_str(), key)
         out[key] = vals.pop()
     return out
@@ -274,16 +372,20 @@ def _oracle_o_table(Q, check_all):
 def test_o_table_matches_its_own_class(kind, rank, limit):
     """An o-table read off the rows of Gamma_Q, with gdists from the memo
     the system's tables share, equals the table recomputed from the
-    quiver's own class; with check_all too (A and D).  E7 is checked on its
-    first orientations and on every 16th after them."""
+    quiver's own class; read again after check_well_defined has filled the
+    memo, it equals the table of every pair of each slot (A and D).  E7 is
+    checked on its first orientations and on every 16th after them."""
     system = build_root_system(kind, rank)
     quivers = list(all_orientations(system))
     if limit is not None:
         quivers = quivers[:limit] + quivers[limit::16]
     for Q in quivers:
-        assert _o_table(Q, False) == _oracle_o_table(Q, False), Q.orientation_str()
-        if kind != "E":
-            assert _o_table(Q, True) == _oracle_o_table(Q, True), Q.orientation_str()
+        assert _o_table(Q) == _oracle_o_table(Q, False), Q.orientation_str()
+    if kind != "E":
+        denom._memo.cache_clear()
+        denom.check_well_defined(system)
+        for Q in quivers:
+            assert _o_table(Q) == _oracle_o_table(Q, True), Q.orientation_str()
 
 
 # the E8 orientation whose table scripts/otable_hash.py hashes
@@ -333,7 +435,7 @@ def test_reflections_connect_every_orientation(kind, rank):
     orientation to the first of ``all_orientations``, each edge from P the
     reflection s_i P != P at a sink or source i of P.  The memo's transport
     argument joins the pairs of all orientations along these edges, and
-    with check_all the premise of every one is checked."""
+    check_well_defined checks the premise of every one."""
     system = build_root_system(kind, rank)
     quivers = list(all_orientations(system))
     assert len(set(quivers)) == len(quivers) == 2 ** len(system.datum.edges)
@@ -366,13 +468,16 @@ def test_reversed_table_is_the_w0_relabelling(kind, rank):
     p -> C - p, heap reversed), and bi-lex asks for both the first and the
     last differing position, so Q^rev's o-table is Q's relabelled
     (k, l, t) -> (k*, l*, t) by the w0 involution.  The two are read off
-    different rows: on every orientation, with check_all too (A and D)."""
+    different rows: on every orientation, from a cold memo and (A and D)
+    from one filled by check_well_defined."""
     system = build_root_system(kind, rank)
     star = system.w0_involution
-    for Q in all_orientations(system):
-        for check_all in (False, True) if kind != "E" else (False,):
-            assert _o_table(Q.rev(), check_all) == _starred(
-                _o_table(Q, check_all), star), Q.orientation_str()
+    for checked in (False, True) if kind != "E" else (False,):
+        denom._memo.cache_clear()
+        if checked:
+            denom.check_well_defined(system)
+        for Q in all_orientations(system):
+            assert _o_table(Q.rev()) == _starred(_o_table(Q), star), Q.orientation_str()
 
 
 def _reference_merge(system, mine, theirs):
@@ -397,7 +502,7 @@ def test_merge_takes_the_max_where_the_tables_differ(monkeypatch):
     theirs = {(1, 1, 2): 1, (1, 2, 1): 3, (2, 3, 1): 0, (3, 3, 2): 2,
               (2, 2, 2): 0, (1, 2, 5): 1}
     tables = {Q: mine, Q.rev(): theirs}
-    monkeypatch.setattr(denom, "_o_table", lambda R, check_all: tables[R])
+    monkeypatch.setattr(denom, "_o_table", lambda R: tables[R])
     got = denom._distance_polynomials(Q)
     assert got == _reference_merge(Q.system, mine, theirs)
     assert list(got) == list(_reference_merge(Q.system, mine, theirs))
@@ -411,7 +516,7 @@ def test_merge_matches_the_loop_on_every_e6_orientation():
     slot of both tables."""
     system = build_root_system("E", 6)
     for Q in all_orientations(system):
-        want = _reference_merge(system, _o_table(Q, False), _o_table(Q.rev(), False))
+        want = _reference_merge(system, _o_table(Q), _o_table(Q.rev()))
         assert denom._distance_polynomials(Q) == want, Q.orientation_str()
 
 
@@ -450,7 +555,7 @@ def test_o_tables_do_not_depend_on_query_order(kind, rank):
         for first, second in ((Q, Q.rev()), (Q.rev(), Q)):
             denom._memo.cache_clear()
             arquiver.build_ar_quiver.cache_clear()
-            tables = {R: _o_table(R, kind != "E") for R in (first, second)}
+            tables = {R: _o_table(R) for R in (first, second)}
             answers.append((tables[Q], tables[Q.rev()]))
             assert _released(Q) and _released(Q.rev()), Q.orientation_str()
         assert answers[0] == answers[1], Q.orientation_str()
@@ -476,7 +581,7 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
 
     before = answers()
     assert not _released(Q)
-    _o_table(Q, False)
+    _o_table(Q)
     assert _released(Q)
     assert answers() == before
     denom._memo.cache_clear()
@@ -484,8 +589,8 @@ def test_answers_do_not_depend_on_a_released_cache(kind, rank):
 
 def _reflected_a3():
     """The A3 orientation 1>2,2>3, the first of ``all_orientations``, and
-    its reflection at the source 1: the first reflection whose premise the
-    memo checks with check_all."""
+    its reflection at the source 1: the first reflection whose premise
+    check_well_defined checks."""
     P = A3_MONO()
     Q = P.reflect(1)
     assert P == next(all_orientations(P.system))
@@ -500,13 +605,14 @@ _EDGE_FAULTS = {"coordinate": "shift by", "residue": "residue",
 
 @pytest.mark.parametrize("fault", _EDGE_FAULTS, ids=lambda fault: f"reflection-{fault}")
 def test_edge_check_names_both_orientations(monkeypatch, fault):
-    """With check_all, a quiver whose AR quiver is not its neighbour's
-    reflected at i raises an error naming both orientations, i and the
-    broken premise, before any table is read.  Each fault is in the
-    reflected quiver alone: the highest root moved in the coordinates by class
-    position (``ARQuiver.coords``, which the check and the tables read) to
-    another coordinate or residue, one heap cover (that avoids alpha_i)
-    dropped, or alpha_i given a root on either side in the heap."""
+    """check_well_defined, on a quiver whose AR quiver is not its
+    neighbour's reflected at i, raises an error naming both orientations,
+    i and the broken premise, before it computes any gdist.  Each fault is
+    in the reflected quiver alone: the highest root moved in the
+    coordinates by class position (``ARQuiver.coords``, which the check and
+    the tables read) to another coordinate or residue, one heap cover (that
+    avoids alpha_i) dropped, or alpha_i given a root on either side in the
+    heap."""
     (P, Q), i = _reflected_a3(), 1
     moved = build_ar_quiver(Q)
     cls = moved.comm_class()
@@ -531,7 +637,7 @@ def test_edge_check_names_both_orientations(monkeypatch, fault):
     denom._memo.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not the reflection of") as err:
-            _o_table(Q, True)
+            denom.check_well_defined(Q.system)
         message = str(err.value)
         assert P.orientation_str() in message
         assert Q.orientation_str() in message
@@ -541,12 +647,13 @@ def test_edge_check_names_both_orientations(monkeypatch, fault):
         denom._memo.cache_clear()
 
 
-def test_check_all_checks_every_reflection_of_a_table(monkeypatch):
-    """With check_all the memo is created only once the premise of the
-    reflection at every sink and source of every orientation is checked,
-    since it trusts transport along all of them: an orientation R that no
-    table asked reads, with its AR quiver broken, is named by the first
-    table asked with check_all, and without check_all it is not read."""
+def test_check_all_checks_every_reflection_of_a_table(monkeypatch, capsys):
+    """check_well_defined checks the premise of the reflection at every
+    sink and source of every orientation, since the memo trusts transport
+    along all of them: an orientation R that no table asked reads, with its
+    AR quiver broken, is named by the check, and by ``denom table --orient
+    P --check-all``, which checks the whole system; a table alone does not
+    read it."""
     (P, Q), i = _reflected_a3(), 1
     j = next(j for j in Q.sinks() + Q.sources() if j != i)
     R = Q.reflect(j)
@@ -559,53 +666,60 @@ def test_check_all_checks_every_reflection_of_a_table(monkeypatch):
     monkeypatch.setattr(moved, "coords", tuple(coords))
     denom._memo.cache_clear()
     try:
-        _o_table(P, False)
+        _o_table(P)
         with pytest.raises(RuntimeError, match="shift by") as err:
-            _o_table(P, True)
+            denom.check_well_defined(P.system)
         assert "is not the reflection of" in str(err.value)
         assert R.orientation_str() in str(err.value)
+        code = main(["denom", "table", "--type", "A3", "--orient",
+                     P.orientation_str(), "--check-all"])
+        assert code == 4 and R.orientation_str() in capsys.readouterr().err
     finally:
         denom._memo.cache_clear()
 
 
-@pytest.mark.parametrize("check_all", [False, True])
-def test_e6_o_tables_cost_one_gdist_per_memo_key(monkeypatch, check_all):
+@pytest.mark.parametrize("checked", [False, True])
+def test_e6_o_tables_cost_one_gdist_per_memo_key(monkeypatch, checked):
     """The 32 E6 o-tables, asked from a cold memo, compute one gdist per
-    slot (123), or with check_all one per ordered slot (210), and walk no
-    comparable pair.  Without check_all no reflection premise is checked;
-    with it each (P, i), i a sink or source of P with s_i P != P, is
-    checked once."""
+    slot (123).  Asked after check_well_defined, which computes one per
+    ordered slot (210) and checks each (P, i), i a sink or source of P
+    with s_i P != P, once, they compute none.  No table checks a
+    reflection premise, and nothing walks a comparable pair."""
     system = build_root_system("E", 6)
-    checked, calls = [], []
+    checked_premises, calls = [], []
     real_check, real_gdist = denom._check_reflection, denom.gdist
 
     def walked(*args):
-        raise AssertionError("an o-table walked the comparable pairs")
+        raise AssertionError("a comparable pair was walked")
 
     monkeypatch.setattr(denom, "_check_reflection",
-                        lambda P, Q, i: checked.append((P, i)) or real_check(P, Q, i))
+                        lambda P, Q, i: checked_premises.append((P, i)) or real_check(P, Q, i))
     monkeypatch.setattr(denom, "gdist", lambda seq: calls.append(seq) or real_gdist(seq))
     monkeypatch.setattr(denom, "comparable_pairs", walked)
     monkeypatch.setattr(denom, "slots", walked)
+    want = [(P, i) for P in all_orientations(system) for i, _ in denom._reflections(P)]
     denom._memo.cache_clear()
     try:
+        if checked:
+            denom.check_well_defined(system)
+            assert len(calls) == 210
+            assert Counter(checked_premises) == Counter(want)
+        before = len(calls), len(checked_premises)
         for Q in all_orientations(system):
-            _o_table(Q, check_all)
+            _o_table(Q)
     finally:
         denom._memo.cache_clear()
-    assert len(calls) == (210 if check_all else 123)
-    want = [(P, i) for P in all_orientations(system) for i, _ in denom._reflections(P)]
-    assert Counter(checked) == (Counter(want) if check_all else Counter())
+    assert len(calls) - before[0] == (0 if checked else 123)
+    assert len(checked_premises) == before[1]
 
 
-@pytest.mark.parametrize("check_all", [False, True])
-def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
-    """Every E6 o-table is asked from a cold memo, first with the given
-    check_all and then with the other.  Over both passes each reflection
-    premise, (P, i) with i a sink or source of P and s_i P != P, is checked
-    once: by the first table asked with check_all, before it computes any
-    gdist.  The other tables asked with check_all, and every table asked
-    without it, check none."""
+@pytest.mark.parametrize("check_first", [False, True])
+def test_each_reflection_premise_is_checked_once(monkeypatch, check_first):
+    """check_well_defined is run on E6 before every table is asked, or after
+    them (and the tables asked again).  It checks each reflection premise,
+    (P, i) with i a sink or source of P and s_i P != P, exactly once, before
+    it computes any gdist.  No table checks any, and the tables asked after
+    the check compute no gdist."""
     system = build_root_system("E", 6)
     events = []
     real_check, real_gdist = denom._check_reflection, denom.gdist
@@ -614,34 +728,35 @@ def test_each_reflection_premise_is_checked_once(monkeypatch, check_all):
     monkeypatch.setattr(denom, "gdist", lambda seq: events.append("gdist") or real_gdist(seq))
     quivers = list(all_orientations(system))
 
-    def ask(mode):
-        """The events of each table asked with check_all = mode."""
-        tables = []
+    def ask():
+        """The events of asking every table."""
+        start = len(events)
         for Q in quivers:
-            start = len(events)
-            _o_table(Q, mode)
-            tables.append(events[start:])
-        return tables
+            _o_table(Q)
+        return events[start:]
 
     denom._memo.cache_clear()
     try:
-        first_pass = ask(check_all)
-        second_pass = ask(not check_all)
+        tables = [] if check_first else [ask()]
+        start = len(events)
+        denom.check_well_defined(system)
+        check = events[start:]
+        tables.append(ask())
     finally:
         denom._memo.cache_clear()
-    checked, plain = (first_pass, second_pass) if check_all else (second_pass, first_pass)
     want = [(P, i) for P in quivers for i, _ in denom._reflections(P)]
-    first = checked[0]
-    assert first[:len(want)] == want and "gdist" in first[len(want):]
-    assert all(e == "gdist" for e in first[len(want):])
-    assert all(e == "gdist" for table in checked[1:] + plain for e in table)
+    assert check[:len(want)] == want and "gdist" in check[len(want):]
+    assert all(e == "gdist" for e in check[len(want):])
+    assert all(e == "gdist" for table in tables for e in table)
+    assert tables[-1] == []
     assert [e for e in events if e != "gdist"] == want
 
 
 def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
-    """Asking all 64 E7 o-tables from a cold memo, with and without
-    check_all, walks the comparable pairs of no orientation, the root's
-    included: each table reads its slots off the rows of Gamma_Q.  Only a
+    """Asking all 64 E7 o-tables from a cold memo, running
+    check_well_defined and asking them again walks the comparable pairs of
+    no orientation, the root's included: the check and each table read
+    their slots off the rows of Gamma_Q.  Only a
     direct ``slots`` call, as the E6 table script makes on the root, walks
     them, and it walks the root's alone."""
     system = build_root_system("E", 7)
@@ -656,9 +771,11 @@ def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
     root = next(all_orientations(system))
     denom._memo.cache_clear()
     try:
-        for check_all in (False, True):
-            for Q in all_orientations(system):
-                _o_table(Q, check_all)
+        for Q in all_orientations(system):
+            _o_table(Q)
+        denom.check_well_defined(system)
+        for Q in all_orientations(system):
+            _o_table(Q)
     finally:
         denom._memo.cache_clear()
     assert walked == []
@@ -735,7 +852,7 @@ def test_every_pair_has_its_ordered_slots_gdist(kind, rank):
     for Q in all_orientations(system):
         arq = build_ar_quiver(Q)
         cls = CommClass(arq.comm_class().representative)
-        table = _o_table(Q, False)
+        table = _o_table(Q)
         for a, b, key in comparable_pairs(arq):
             g = gdist(RootSequence.from_positions(cls, (a, b)))
             slot = _ordered(arq.coords, (a, b))
@@ -744,22 +861,23 @@ def test_every_pair_has_its_ordered_slots_gdist(kind, rank):
 
 
 def test_cache_clear_leaves_no_memo(monkeypatch):
-    """The gdist memo lives in the lru cache of _memo: tables asked again
-    read it and call no gdist, and after _memo.cache_clear() the same
-    tables call gdist again, as many times as from cold."""
+    """The gdist memo lives in the lru cache of _memo, one memo that the
+    tables of a system share: tables asked again read it and call no
+    gdist, and after _memo.cache_clear() the same tables call gdist again,
+    as many times as from cold."""
     Q = A3_MONO()
     calls = []
     real = denom.gdist
     monkeypatch.setattr(denom, "gdist", lambda seq: calls.append(seq) or real(seq))
     denom._memo.cache_clear()
     try:
-        first = [_o_table(R, False) for R in (Q, Q.rev())]
+        first = [_o_table(R) for R in (Q, Q.rev())]
         n = len(calls)
-        assert n > 0
-        assert [_o_table(R, False) for R in (Q, Q.rev())] == first
+        assert n > 0 and denom._memo.cache_info().currsize == 1
+        assert [_o_table(R) for R in (Q, Q.rev())] == first
         assert len(calls) == n
         denom._memo.cache_clear()
-        assert [_o_table(R, False) for R in (Q, Q.rev())] == first
+        assert [_o_table(R) for R in (Q, Q.rev())] == first
         assert len(calls) == 2 * n
     finally:
         denom._memo.cache_clear()
@@ -767,15 +885,18 @@ def test_cache_clear_leaves_no_memo(monkeypatch):
 
 def test_e6_tables_do_not_depend_on_query_order():
     """The 32 E6 o-tables, asked in ``all_orientations`` order and in the
-    reverse order from cleared caches (so the memo by ordered slot fills in
-    another order), are equal, with check_all and without."""
-    quivers = list(all_orientations(build_root_system("E", 6)))
-    for check_all in (False, True):
+    reverse order from cleared caches (so the memo fills in another order),
+    are equal, from a cold memo and from one filled by check_well_defined."""
+    system = build_root_system("E", 6)
+    quivers = list(all_orientations(system))
+    for checked in (False, True):
         answers = []
         for order in (quivers, quivers[::-1]):
             denom._memo.cache_clear()
             arquiver.build_ar_quiver.cache_clear()
-            answers.append({Q: _o_table(Q, check_all) for Q in order})
+            if checked:
+                denom.check_well_defined(system)
+            answers.append({Q: _o_table(Q) for Q in order})
         assert answers[0] == answers[1]
     denom._memo.cache_clear()
 
