@@ -45,6 +45,7 @@ from .seqcalc import (
     socle_candidates,
 )
 from .words import (
+    ClassCache,
     ClassTooLarge,
     CommClass,
     LetterOutOfRange,
@@ -402,31 +403,37 @@ def cmd_verify(args):
     if args.property == "rds-mul":
         for Q in _sweep(args):
             cls = build_ar_quiver(Q).comm_class()
-            for g in cls.system.positive_roots:
-                if g.height == 1:
-                    continue
-                r = radius(cls, g)
-                if r != g.mul:
-                    failures.append({
-                        "quiver": Q.orientation_str(),
-                        "gamma": cls.system.format_root(g),
-                        "radius": r, "mul": g.mul,
-                    })
+            try:
+                for g in cls.system.positive_roots:
+                    if g.height == 1:
+                        continue
+                    r = radius(cls, g)
+                    if r != g.mul:
+                        failures.append({
+                            "quiver": Q.orientation_str(),
+                            "gamma": cls.system.format_root(g),
+                            "radius": r, "mul": g.mul,
+                        })
+            finally:
+                cls.cache = ClassCache()  # the sweep is done with this class
     elif args.property == "dist-bound":
         for Q in _sweep(args):
             cls = build_ar_quiver(Q).comm_class()
             bound = {"A": 1, "D": 2}.get(cls.system.kind)
             if bound is None:
                 raise UsageError("dist-bound applies to types A and D")
-            for i in range(len(cls)):
-                for j in range(i + 1, len(cls)):
-                    d = pair_dist(cls, i, j)
-                    if d > bound:
-                        failures.append({
-                            "quiver": Q.orientation_str(),
-                            "pair": str(RootSequence.from_positions(cls, (i, j))),
-                            "dist": d, "bound": bound,
-                        })
+            try:
+                for i in range(len(cls)):
+                    for j in range(i + 1, len(cls)):
+                        d = pair_dist(cls, i, j)
+                        if d > bound:
+                            failures.append({
+                                "quiver": Q.orientation_str(),
+                                "pair": str(RootSequence.from_positions(cls, (i, j))),
+                                "dist": d, "bound": bound,
+                            })
+            finally:
+                cls.cache = ClassCache()
     else:  # fixtures
         for name in (args.fixture,) if args.fixture else ("e6", "e7", "e8"):
             deltas = fixture_deltas(name)

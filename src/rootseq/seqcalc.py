@@ -11,6 +11,7 @@ packed roots of the partition search) are kept in the class's
 from __future__ import annotations
 
 from functools import partial
+from itertools import accumulate, islice
 from operator import attrgetter
 
 from .orders import RootSequence, coarse_less
@@ -43,8 +44,10 @@ class PartitionCap(RuntimeError):
 def _packed_roots(cls: CommClass, width: int):
     """The guard mask, the class's roots in search order (height descending,
     then coefficients), each as (position, packed coefficients, mask of the
-    bit fields it touches), and the position of each packed root, in
-    position order, for fields of the given width.
+    bit fields it touches), the position of each packed root, in position
+    order, for fields of the given width, and the height cut-off: for each
+    height h up to that of the highest root, the number of the class's roots
+    of height at most h (the last ones in search order).
 
     The roots are packed once per system (``rootsys.packed_roots``); a class
     only places them at its positions, keeping those it holds (the class of
@@ -55,7 +58,11 @@ def _packed_roots(cls: CommClass, width: int):
         pos = cls._pos_of_root
         entries = [(pos[r], root, mask) for r, root, mask in packed if r in pos]
         index = {root: p for p, root, _ in sorted(entries)}
-        table = cls.cache.packed[width] = (zero, entries, index)
+        upto = [0] * (cls.system.highest_root.height + 1)
+        for p, _, _ in entries:
+            upto[cls.roots[p].height] += 1
+        upto = list(accumulate(upto))
+        table = cls.cache.packed[width] = (zero, entries, index, upto)
     return table
 
 
@@ -83,7 +90,7 @@ def _partitions(cls: CommClass, within: int, weight, cap: int = DEFAULT_CAP,
     if min(weight) < 0:  # no partition; its fields would borrow from their neighbours
         return []
     width = field_width(cls.system, weight)
-    zero, entries, _ = _packed_roots(cls, width)  # zero: the guard bits
+    zero, entries, _, _ = _packed_roots(cls, width)  # zero: the guard bits
     shifts = range(0, width * len(weight), width)
     residual = zero + sum(x << s for x, s in zip(weight, shifts))
     packed = [  # the roots that fit at least once
@@ -151,29 +158,34 @@ def _pairs(cls: CommClass, weight) -> tuple[tuple[int, int], ...]:
     """The position pairs (i, j), i < j, of distinct roots of the class with
     the given total weight, by ascending i; kept in ``cache.pairs``.
 
-    They are read off the packed roots of the partition search: for each
-    root, one subtraction from the packed weight, a guard-bit test and one
-    lookup of the rest among the packed roots.  A pair weight is nonnegative
-    and fits the fields that every pair weight shares (twice the largest
-    root coefficient); no pair sums to any other weight.  Each root is in at
-    most one pair of a weight, so the pairs have distinct first positions.
+    Each pair is found from its lower root: one of its two roots has height
+    at most half the weight's, so only those roots of the class are tried,
+    the last ones in search order (up to the height cut-off of
+    ``_packed_roots``).  For each, one subtraction from the packed weight, a
+    guard-bit test and one lookup of the rest among the packed roots; a pair
+    of two roots of equal height is found from both and kept once.  A pair
+    weight is nonnegative and fits the fields that every pair weight shares
+    (twice the largest root coefficient); no pair sums to any other weight.
+    Each root is in at most one pair of a weight, so the pairs have distinct
+    first positions.
     """
     weight = tuple(weight)
     store = cls.cache.pairs
     if weight not in store:
-        out = []
+        out = {}  # i -> j
         width = field_width(cls.system, weight)
         if min(weight) >= 0 and width == field_width(cls.system):
-            zero, _, index = _packed_roots(cls, width)
+            zero, entries, index, upto = _packed_roots(cls, width)
             shifts = range(0, width * len(weight), width)
             residual = zero + sum(x << s for x, s in zip(weight, shifts))
-            for root, i in index.items():
+            lower = upto[min(sum(weight) // 2, len(upto) - 1)]
+            for i, root, _ in islice(reversed(entries), lower):
                 rest = residual - root
                 if rest & zero == zero:
                     j = index.get(rest ^ zero)
-                    if j is not None and i < j:
-                        out.append((i, j))
-        store[weight] = tuple(out)
+                    if j is not None and j != i:
+                        out[min(i, j)] = max(i, j)
+        store[weight] = tuple(sorted(out.items()))
     return store[weight]
 
 
@@ -188,18 +200,22 @@ def pairs_of_weight(cls: CommClass, weight) -> tuple[RootSequence, ...]:
 
 def _pair_below(cls: CommClass, p: tuple[int, int], q: tuple[int, int]) -> bool:
     """The pair at positions p is coarse-below the pair at positions q, for
-    two distinct pairs of one weight.
+    two distinct pairs of one weight: both positions of p lie in the open
+    heap interval of q.
 
     Such pairs share no root (a shared root forces the other to be equal),
     so the four positions all differ, and by ``coarse_less`` p is below q
-    exactly when neither root of p is heap-minimal or heap-maximal among the
-    four: each has one of the four positions below it and one above it.
+    exactly when each root of p has one of the four positions below it and
+    one above it.  Then each root of p has a root of q below it and one
+    above it.  (Positions are a linear extension of the heap, so the later
+    root of p is not below the earlier one; if the earlier is below the
+    later, what is below the earlier is below the later too, and what is
+    above the later is above the earlier.)  The root of q below precedes
+    the one above, so it is q's earlier position.
     """
-    below, above = cls._below, cls._above
-    i, j = p
-    four = 1 << i | 1 << j | 1 << q[0] | 1 << q[1]
-    return bool(below[i] & four and above[i] & four
-                and below[j] & four and above[j] & four)
+    between = cls._above[q[0]] & cls._below[q[1]]
+    two = 1 << p[0] | 1 << p[1]
+    return between & two == two
 
 
 def _pair_weight(cls: CommClass, i: int, j: int) -> tuple[int, ...]:
@@ -524,10 +540,12 @@ def radius(cls: CommClass, gamma: PosRoot) -> int:
 
     Every pair of gamma's weight is above (gamma) and not simple (see
     ``is_simple_pair``), so the pairs of the weight are the pool of their
-    dist chains as they stand: one chain pass from the last member in count
-    order settles the shared ``("dist", weight)`` memo, and each member's
-    chain is read off the memo.  A class with no pair of gamma's weight
-    (the class of a word shorter than w0 can have none) raises NotInDomain.
+    dist chains as they stand.  One chain pass from the last member in
+    count order settles the shared ``("dist", weight)`` memo for the whole
+    pool; the chain length of each member is then read off the memo in one
+    walk in count order, from the length of its predecessor.  A class with
+    no pair of gamma's weight (the class of a word shorter than w0 can have
+    none) raises NotInDomain.
     """
     gamma = cls.system.root(gamma)
     if gamma.height == 1:
@@ -538,7 +556,8 @@ def radius(cls: CommClass, gamma: PosRoot) -> int:
     if not pool:
         raise NotInDomain(f"no pairs above ({cls.system.format_root(gamma)})")
     memo = cls.cache.chains.setdefault(("dist", gamma.coeffs), {})
-    less = partial(_pair_below, cls)
-    return max(
-        len(_longest_chain(p, lambda: pool, memo, _count_order, less)) for p in pool
-    )
+    _longest_chain(pool[0], lambda: pool, memo, _count_order, partial(_pair_below, cls))
+    length = {None: 0}
+    for p in reversed(pool):  # count order: every predecessor comes first
+        length[p] = length[memo[_count_order(p)]] + 1
+    return max(length.values())

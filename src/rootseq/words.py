@@ -93,7 +93,8 @@ class ClassCache:
     the cache of the class it computes from when it returns or raises, and
     ``denom.check_well_defined`` (``--check-all``, which checks the whole
     system whatever ``--orient`` says) that of each class of the system once
-    it has read that class's ordered slots.
+    it has read that class's ordered slots.  ``rootseq verify rds-mul`` and
+    ``dist-bound`` replace that of each class once its sweep is done.
     """
 
     __slots__ = ("weights", "pairs", "simple", "chains", "packed", "members")

@@ -136,7 +136,9 @@ def packed_roots_by_class(cls, width):
     """What ``seqcalc._packed_roots`` returns, packed from the class alone:
     the guard mask, the class's roots in search order (height descending,
     then coefficients) as (position, packed coefficients, mask of the bit
-    fields it touches), and {packed root: position} in position order."""
+    fields it touches), {packed root: position} in position order, and for
+    each height h up to that of the highest root the number of the class's
+    roots of height at most h."""
     roots = cls.roots
     field = (1 << width) - 1
     shifts = range(0, width * cls.system.rank, width)
@@ -152,7 +154,9 @@ def packed_roots_by_class(cls, width):
     ]
     index = {packed: p for p, packed, _ in sorted(entries)}
     zero = sum(1 << (s + width - 1) for s in shifts)
-    return zero, entries, index
+    upto = [sum(r.height <= h for r in roots)
+            for h in range(cls.system.highest_root.height + 1)]
+    return zero, entries, index, upto
 
 
 def root_below_pair(cls, g, p):

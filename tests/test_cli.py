@@ -161,6 +161,20 @@ def test_verify_rds_mul_d4(capsys):
     assert code == 0 and out.strip() == "ok"
 
 
+@pytest.mark.parametrize("prop", ["rds-mul", "dist-bound"])
+def test_verify_sweep_empties_each_class_cache(capsys, prop):
+    """A verify sweep leaves the class of every orientation it swept with an
+    empty cache, so a sweep over many orientations holds one class's
+    working state at a time."""
+    from rootseq.arquiver import all_orientations, build_ar_quiver
+    from rootseq.rootsys import build_root_system
+
+    assert run(capsys, "verify", prop, "--type", "D4")[0] == 0
+    for Q in all_orientations(build_root_system("D", 4)):
+        cache = build_ar_quiver(Q).comm_class().cache
+        assert not any(getattr(cache, name) for name in cache.__slots__), Q
+
+
 def test_usage_errors_exit_2(capsys):
     assert "required: --type" in rejected(capsys, "word", "roots", "--word", "1")
     assert "required: --pair" in rejected(capsys, "pair", "socle", *D4_ARGS)

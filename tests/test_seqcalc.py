@@ -120,10 +120,10 @@ def _word_classes(kind, rank, longest=None):
 def test_packed_roots_match_the_per_class_packing(kind, rank):
     """The packed roots of a class, placed from the system's one packing,
     equal the packing of the class alone (``packed_roots_by_class``), in
-    the same order, for the shared field width and a wider one: on a fresh
-    class of w0 (the reading of the first orientation) and on the classes
-    of seeded random reduced words shorter than w0, which hold some of the
-    roots only."""
+    the same order, with the same height cut-off, for the shared field
+    width and a wider one: on a fresh class of w0 (the reading of the
+    first orientation) and on the classes of seeded random reduced words
+    shorter than w0, which hold some of the roots only."""
     sys_ = build_root_system(kind, rank)
     reading = build_ar_quiver(next(all_orientations(sys_))).comm_class().representative
     rng = random.Random(28)
@@ -134,11 +134,14 @@ def test_packed_roots_match_the_per_class_packing(kind, rank):
     for cls in classes:
         shared = field_width(cls.system)
         for width in (shared, shared + 2):
-            zero, entries, index = _packed_roots(cls, width)
-            want_zero, want_entries, want_index = packed_roots_by_class(cls, width)
+            zero, entries, index, upto = _packed_roots(cls, width)
+            want_zero, want_entries, want_index, want_upto = packed_roots_by_class(
+                cls, width
+            )
             assert zero == want_zero
             assert entries == want_entries, cls.representative
             assert list(index.items()) == list(want_index.items())
+            assert upto == want_upto, cls.representative
 
 
 @pytest.mark.parametrize(
@@ -690,10 +693,10 @@ def _pairs_by_weight(cls):
 
 @pytest.mark.parametrize("kind,rank,limit", PAIR_SYSTEMS + [("E", 7, 8)])
 def test_mask_rules_match_coarse_less(kind, rank, limit):
-    """The four-mask test equals coarse_less on every ordered couple of
-    distinct equal-weight pairs, and the two-mask test equals it on the
-    sequence (gamma) of every non-simple root against every pair of its
-    weight."""
+    """The nested-interval test of pairs (``_pair_below``) equals
+    coarse_less on every ordered couple of distinct equal-weight pairs, and
+    the two-mask test of a root against a pair equals it on the sequence
+    (gamma) of every non-simple root against every pair of its weight."""
     for cls in _classes(kind, rank, limit):
         weights = _pairs_by_weight(cls)
         between = 0
@@ -712,6 +715,56 @@ def test_mask_rules_match_coarse_less(kind, rank, limit):
                 assert below == coarse_less(base, _pos_pair(cls, *p)), (g, p)
                 between += below
         assert between
+
+
+@pytest.mark.parametrize("kind,rank", WORD_SYSTEMS)
+def test_pair_below_matches_coarse_less_on_word_classes(kind, rank):
+    """``_pair_below`` equals coarse_less on every ordered couple of distinct
+    equal-weight pairs of the classes of ``_word_classes``, classes of no AR
+    quiver."""
+    below = 0
+    for cls in _word_classes(kind, rank):
+        for pairs in _pairs_by_weight(cls).values():
+            seqs = [_pos_pair(cls, *p) for p in pairs]
+            for p, a in zip(pairs, seqs):
+                for q, b in zip(pairs, seqs):
+                    if p != q:
+                        want = coarse_less(a, b)
+                        assert _pair_below(cls, p, q) == want, (cls.representative, p, q)
+                        below += want
+    assert below
+
+
+@pytest.mark.parametrize(
+    "kind,rank,limit",
+    PAIR_SYSTEMS + [("E", 7, 8), ("E", 8, 2)] + [(k, r, "words") for k, r in WORD_SYSTEMS],
+)
+def test_pairs_match_brute_force(kind, rank, limit):
+    """``_pairs`` of every pair-sum weight, on a cold copy of every class
+    (of the first ``limit`` orientations, or with limit "words" of
+    ``_word_classes``, whose short words hold some roots only), equals the
+    pairs found by trying every two positions (``_pairs_by_weight``), in
+    the same order.  A weight that is no pair sum (a simple root, twice the
+    highest root, the largest weight of the shared fields, whose half
+    height passes the highest root's), one with a negative coordinate and
+    one wider than the shared fields have none."""
+    classes = (_word_classes(kind, rank) if limit == "words"
+               else _classes(kind, rank, limit))
+    for cls in classes:
+        cls = CommClass(cls.representative)
+        want = _pairs_by_weight(cls)
+        for wt, pairs in want.items():
+            assert _pairs(cls, wt) == tuple(pairs), (cls.representative, wt)
+        sys_ = cls.system
+        doubled = tuple(2 * x for x in sys_.highest_root.coeffs)
+        fields = (2 ** (field_width(sys_) - 1) - 1,) * rank
+        for wt in (sys_.simple_root(1).coeffs, doubled, fields):
+            assert wt not in want
+            assert _pairs(cls, wt) == (), wt
+        wider = (fields[0] + 1,) + doubled[1:]
+        assert field_width(sys_, wider) > field_width(sys_)
+        assert _pairs(cls, wider) == ()
+        assert _pairs(cls, (-1,) + doubled[1:]) == ()
 
 
 @pytest.mark.parametrize("kind,rank,limit", PAIR_SYSTEMS + [("E", 7, None), ("E", 8, 8)])
@@ -819,6 +872,25 @@ def test_radius_and_dist_fill_one_memo(monkeypatch, kind, rank, arrows):
             longest = max(longest, len(chain))
     assert calls == []
     assert longest > 1
+
+
+def test_radius_makes_one_chain_pass_per_root(monkeypatch):
+    """On a cold E7 class, radius of every non-simple root calls the chain
+    DP once: the pass from the last pair in count order settles every
+    pair's chain length."""
+    from rootseq import seqcalc
+
+    cls = CommClass(_arq_cls("E", 7, E7_ARROWS).representative)
+    calls = []
+    chain = seqcalc._longest_chain
+    monkeypatch.setattr(
+        seqcalc, "_longest_chain", lambda *a: calls.append(a[0]) or chain(*a)
+    )
+    for gamma in cls.system.positive_roots:
+        if gamma.height > 1:
+            calls.clear()
+            radius(cls, gamma)
+            assert len(calls) == 1, gamma
 
 
 # -- enumeration and caps ----------------------------------------------
