@@ -79,38 +79,24 @@ def all_orientations(system: RootSystem):
 def height_function(Q: DynkinQuiver) -> dict[int, int]:
     """xi with xi = 0 at the smallest-index source; xi drops by 1 along arrows."""
     start = min(Q.sources())
-    xi = {start: 0}
-    frontier = [start]
-    adj = {}
-    for a, b in Q.arrows:
-        adj.setdefault(a, []).append((b, -1))
-        adj.setdefault(b, []).append((a, +1))
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, step in adj.get(u, ()):
-                if v not in xi:
-                    xi[v] = xi[u] + step
-                    nxt.append(v)
-        frontier = nxt
+    xi, frontier = {start: 0}, [start]
+    for u in frontier:  # appended to while read: breadth first
+        for v in Q.system.neighbours[u]:
+            if v not in xi:
+                xi[v] = xi[u] - 1 if (u, v) in Q.arrows else xi[u] + 1
+                frontier.append(v)
     return xi
 
 
 @lru_cache(maxsize=None)
 def _packing(system: RootSystem):
-    """Per system: the Dynkin neighbours of each vertex (by index, 1-based,
-    ascending), the field width of the packed labels of Gamma_Q, their
+    """Per system: the field width of the packed labels of Gamma_Q, their
     guard bits and the positive root of each packed label.  The width is
     the one every pair weight uses (``rootsys.field_width``): it holds
     every mesh sum."""
-    n = system.rank
-    adj = [()] + [
-        tuple(j for j in range(1, n + 1) if system.cartan[i - 1][j - 1] == -1)
-        for i in range(1, n + 1)
-    ]
     width = field_width(system)
     zero, entries = packed_roots(system, width)
-    return adj, width, zero, {packed: r for r, packed, _ in entries}
+    return width, zero, {packed: r for r, packed, _ in entries}
 
 
 def _knit(quiver: DynkinQuiver, xi: dict) -> tuple[dict, dict]:
@@ -127,7 +113,8 @@ def _knit(quiver: DynkinQuiver, xi: dict) -> tuple[dict, dict]:
     finished labels become roots, each by one lookup."""
     system = quiver.system
     n = system.rank
-    adj, width, zero, root_of = _packing(system)
+    adj = system.neighbours
+    width, zero, root_of = _packing(system)
     # Row i starts at gamma_i = alpha_i + the gamma_a of its arrows a -> i
     # (the Dynkin tree has one path from each vertex to i).  A tail has the
     # larger xi, so by xi descending each gamma_a is complete when added.
@@ -196,8 +183,7 @@ class ARQuiver:
     def arrows(self) -> tuple:
         """The arrows (i, p) -> (j, p + 1), by tail in the order of
         ``label``, then by j."""
-        adj = _packing(self.system)[0]
-        label = self.label
+        adj, label = self.system.neighbours, self.label
         return tuple(
             ((i, p), (j, p + 1))
             for (i, p) in label

@@ -194,7 +194,7 @@ def fixture_dir():
 def load_fixture(name: str) -> dict:
     path = os.path.join(fixture_dir(), name + ".json")
     if not os.path.exists(path):
-        raise FixtureMissing(path)
+        raise FixtureMissing(f"no fixture {name!r}: {path} does not exist")
     with open(path) as fh:
         return json.load(fh)
 
@@ -398,47 +398,43 @@ def cmd_arq(args):
 # -- verify -------------------------------------------------------------
 
 
+def _rds_mul(cls):
+    """The failures of radius = mul over the non-simple roots of the class."""
+    for g in cls.system.positive_roots:
+        if g.height > 1:
+            r = radius(cls, g)
+            if r != g.mul:
+                yield {"gamma": cls.system.format_root(g), "radius": r, "mul": g.mul}
+
+
+def _dist_bound(cls):
+    """The failures of dist <= 1 (A), 2 (D) over the pairs of the class."""
+    bound = {"A": 1, "D": 2}.get(cls.system.kind)
+    if bound is None:
+        raise UsageError("dist-bound applies to types A and D")
+    for i in range(len(cls)):
+        for j in range(i + 1, len(cls)):
+            d = pair_dist(cls, i, j)
+            if d > bound:
+                yield {"pair": str(RootSequence.from_positions(cls, (i, j))),
+                       "dist": d, "bound": bound}
+
+
 def cmd_verify(args):
     failures = []
-    if args.property == "rds-mul":
-        for Q in _sweep(args):
-            cls = build_ar_quiver(Q).comm_class()
-            try:
-                for g in cls.system.positive_roots:
-                    if g.height == 1:
-                        continue
-                    r = radius(cls, g)
-                    if r != g.mul:
-                        failures.append({
-                            "quiver": Q.orientation_str(),
-                            "gamma": cls.system.format_root(g),
-                            "radius": r, "mul": g.mul,
-                        })
-            finally:
-                cls.cache = ClassCache()  # the sweep is done with this class
-    elif args.property == "dist-bound":
-        for Q in _sweep(args):
-            cls = build_ar_quiver(Q).comm_class()
-            bound = {"A": 1, "D": 2}.get(cls.system.kind)
-            if bound is None:
-                raise UsageError("dist-bound applies to types A and D")
-            try:
-                for i in range(len(cls)):
-                    for j in range(i + 1, len(cls)):
-                        d = pair_dist(cls, i, j)
-                        if d > bound:
-                            failures.append({
-                                "quiver": Q.orientation_str(),
-                                "pair": str(RootSequence.from_positions(cls, (i, j))),
-                                "dist": d, "bound": bound,
-                            })
-            finally:
-                cls.cache = ClassCache()
-    else:  # fixtures
+    if args.property == "fixtures":
         for name in (args.fixture,) if args.fixture else ("e6", "e7", "e8"):
             deltas = fixture_deltas(name)
             if deltas:
                 failures.append({"fixture": name, "diff": deltas})
+    else:
+        check = _rds_mul if args.property == "rds-mul" else _dist_bound
+        for Q in _sweep(args):
+            cls = build_ar_quiver(Q).comm_class()
+            try:
+                failures += ({"quiver": Q.orientation_str(), **f} for f in check(cls))
+            finally:
+                cls.cache = ClassCache()  # the sweep is done with this class
     _show(args, {"property": args.property, "ok": not failures, "failures": failures},
           "ok" if not failures else "\n".join(map(str, failures)))
     return 0 if not failures else 1

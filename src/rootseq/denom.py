@@ -183,11 +183,7 @@ def _reflections(P: DynkinQuiver):
 def _tree_distance(system) -> list[list[int]]:
     """dist[i][j], the number of edges between the vertices i and j of the
     Dynkin tree, 1-based (row and column 0 unused)."""
-    n = system.rank
-    adj = [[] for _ in range(n + 1)]
-    for a, b in system.datum.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    n, adj = system.rank, system.neighbours
     dist = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         frontier = [i]
@@ -313,20 +309,13 @@ def _distance_polynomials(Q: DynkinQuiver) -> dict[tuple[int, int], DistancePoly
     """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
     every k <= l, in row order.
 
-    The merge is the union of the two o-tables (C-level), with the max
-    taken only over the slots where they differ.  Q^rev's table is Q's
-    relabelled by the w0 involution, so there are none where that is the
-    identity (E7, E8, D_n for n even).  Then one pass groups the nonzero
-    exponents by (k, l), and each group is sorted."""
+    The max is the union of the two o-tables (C-level): o_t depends on
+    the slot alone (``_memo``), and both tables read it from the system's
+    one memo, so they agree on every slot they share.  Then one pass groups
+    the nonzero exponents by (k, l), and each group is sorted."""
     n = Q.system.rank
-    mine = _o_table(Q)
-    theirs = _o_table(Q.rev())
-    both = mine | theirs
-    for key, o in mine.items() - theirs.items():
-        if o > both[key]:  # theirs holds the key with a smaller o_t
-            both[key] = o
     exps = {(k, l): [] for k in range(1, n + 1) for l in range(k, n + 1)}
-    for (k, l, t), o in both.items():
+    for (k, l, t), o in (_o_table(Q) | _o_table(Q.rev())).items():
         if o:
             exps[k, l].append((t, o))
     return {kl: DistancePolynomial(tuple(sorted(f))) for kl, f in exps.items()}

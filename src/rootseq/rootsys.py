@@ -124,6 +124,10 @@ class RootSystem:
         self.kind = datum.kind
         self.rank = datum.rank
         self.cartan = datum.cartan_matrix
+        # each vertex's Dynkin neighbours, 1-based and ascending; () at 0
+        self.neighbours = ((),) + tuple(
+            tuple(j for j, a in enumerate(row, 1) if a == -1) for row in self.cartan
+        )
         self.positive_roots: tuple[PosRoot, ...] = self._generate()
         self.N = len(self.positive_roots)
         self._index = {r.coeffs: k for k, r in enumerate(self.positive_roots)}

@@ -88,13 +88,12 @@ class ClassCache:
     class alone, never on the queries made before it, so every caller may
     share it, and dropping it costs only recomputation.  The enumerations
     of a weight are stored whole and checked against each caller's cap on
-    the way out (see ``seqcalc.sequences_of_weight``).  The working state of
-    an o-table lasts only as long as the table: ``denom._o_table`` replaces
-    the cache of the class it computes from when it returns or raises, and
-    ``denom.check_well_defined`` (``--check-all``, which checks the whole
-    system whatever ``--orient`` says) that of each class of the system once
-    it has read that class's ordered slots.  ``rootseq verify rds-mul`` and
-    ``dist-bound`` replace that of each class once its sweep is done.
+    the way out (see ``seqcalc.sequences_of_weight``).  Three callers empty
+    a class's cache when done with it, whether they return or raise:
+    ``denom._o_table`` once its table is read, ``denom.check_well_defined``
+    (``--check-all``) once it has read the ordered slots of each class of
+    the system, and ``cli.cmd_verify`` (``rds-mul``, ``dist-bound``) once
+    it has checked each class of its sweep.
     """
 
     __slots__ = ("weights", "pairs", "simple", "chains", "packed", "members")
@@ -140,24 +139,23 @@ class CommClass:
         self.roots = roots_of_word(representative) if roots is None else roots
         letters = representative.letters
         t = len(letters)
-        # per letter (0-based), the letters that do not commute with it: itself
-        # and its Dynkin neighbours, where the Cartan matrix is nonzero
-        touch = [[j for j, a in enumerate(row) if a] for row in self.system.cartan]
-        last = [-1] * len(touch)  # the last position scanned of each letter
+        # the letters that do not commute with i are i and its Dynkin neighbours
+        nbrs = self.system.neighbours
+        last = [-1] * len(nbrs)  # by letter, the last position scanned of it
         covers: list[tuple[int, int]] = []
         # strict reachability as bitmasks over positions; a cover (p, q) has
         # p < q, so below[p] is complete when q is scanned
         below = [0] * t  # positions strictly before q in every member
         for q, i in enumerate(letters):
             # each earlier occurrence of a letter lies below its last one
-            ps = [last[j] for j in touch[i - 1] if last[j] >= 0]
+            ps = [last[j] for j in (i, *nbrs[i]) if last[j] >= 0]
             ps.sort(reverse=True)
             mask = 0
             for p in ps:
                 covers.append((p, q))
                 mask |= (1 << p) | below[p]
             below[q] = mask
-            last[i - 1] = q
+            last[i] = q
         self.heap_covers = tuple(covers)
         self._below = below
         # covers by q descending: above[q] is complete when (p, q) is read
@@ -176,7 +174,8 @@ class CommClass:
         try:
             return self._pos_of_root[beta]
         except KeyError:
-            raise RootNotInWord(f"{beta} does not occur in this word") from None
+            name = self.system.format_root(beta)
+            raise RootNotInWord(f"{name} does not occur in this word") from None
 
     def prec_pos(self, p: int, q: int) -> bool:
         return bool(self._above[p] & (1 << q))
@@ -227,5 +226,5 @@ class CommClass:
         }
 
 
-class RootNotInWord(KeyError):
+class RootNotInWord(LookupError):
     pass

@@ -117,10 +117,18 @@ def theta(Q, i):
 
 
 def test_height_function_drops_along_arrows(a5):
-    Q = _quiver(a5, A5_Q)
-    xi = height_function(Q)
-    assert all(xi[b] == xi[a] - 1 for a, b in Q.arrows)
-    assert xi[min(Q.sources())] == 0
+    """xi is defined on every vertex, is 0 at the smallest source and drops
+    by 1 along every arrow: on the A5 quiver and on every orientation of
+    A1, D5 and E6."""
+    quivers = [_quiver(a5, A5_Q)] + [
+        Q for kind, rank in (("A", 1), ("D", 5), ("E", 6))
+        for Q in all_orientations(build_root_system(kind, rank))
+    ]
+    for Q in quivers:
+        xi = height_function(Q)
+        assert sorted(xi) == list(range(1, Q.system.rank + 1)), Q.orientation_str()
+        assert xi[min(Q.sources())] == 0, Q.orientation_str()
+        assert all(xi[b] == xi[a] - 1 for a, b in Q.arrows), Q.orientation_str()
 
 
 @pytest.mark.parametrize(

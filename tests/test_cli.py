@@ -191,6 +191,21 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and out == "" and "--orient is required" in err
 
 
+def test_root_not_in_word_is_named_in_root_syntax(capsys):
+    """A root outside the word's class is named as the system writes roots,
+    with no quotes around the message."""
+    code, out, err = run(capsys, "pair", "radius", "--type", "A3", "--word", "1",
+                         "--gamma", "[1,2]")
+    assert (code, out, err) == (2, "", "error: [1,2] does not occur in this word\n")
+
+
+def test_missing_fixture_is_named_with_its_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("ARQ_FIXTURE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "verify", "fixtures", "--fixture", "nope")
+    want = f"error: no fixture 'nope': {tmp_path / 'nope.json'} does not exist\n"
+    assert (code, out, err) == (2, "", want)
+
+
 def test_repeated_arrow_exit_2(capsys):
     """An arrow given twice covers its edge twice: it exits 2, where the
     repeat was merged away and the quiver shown."""

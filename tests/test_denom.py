@@ -492,32 +492,35 @@ def _reference_merge(system, mine, theirs):
     return {kl: DistancePolynomial.from_dict(d) for kl, d in exps.items()}
 
 
-def test_merge_takes_the_max_where_the_tables_differ(monkeypatch):
-    """_distance_polynomials merges the o-tables of Q and Q^rev as the loop
-    over every slot did, on two synthetic tables with a slot in each table
-    alone, a slot where each side is larger, equal slots and o = 0 slots."""
-    Q = A3_MONO()
-    mine = {(1, 1, 2): 1, (1, 2, 1): 2, (2, 3, 1): 1, (1, 3, 2): 0,
-            (2, 2, 2): 1, (1, 2, 3): 4}
-    theirs = {(1, 1, 2): 1, (1, 2, 1): 3, (2, 3, 1): 0, (3, 3, 2): 2,
-              (2, 2, 2): 0, (1, 2, 5): 1}
-    tables = {Q: mine, Q.rev(): theirs}
-    monkeypatch.setattr(denom, "_o_table", lambda R: tables[R])
-    got = denom._distance_polynomials(Q)
-    assert got == _reference_merge(Q.system, mine, theirs)
-    assert list(got) == list(_reference_merge(Q.system, mine, theirs))
-    assert got[1, 2].factors == ((1, 3), (3, 4), (5, 1))
-    assert got[1, 3].factors == () and got[3, 3].factors == ((2, 2),)
+@pytest.mark.parametrize(
+    "kind,rank,limit",
+    [("A", n, None) for n in range(2, 8)] + [("D", n, None) for n in (4, 5, 6)]
+    + [("E", 6, None), ("E", 7, 8)],
+)
+def test_reversed_tables_agree_from_cold_memos(kind, rank, limit):
+    """The o-tables of Q and Q^rev, each computed from a cold memo, give
+    every slot they share the same o_t: the merge may take their union,
+    since the max of two equal values is either one."""
+    for Q in itertools.islice(all_orientations(build_root_system(kind, rank)), limit):
+        denom._memo.cache_clear()
+        mine = _o_table(Q)
+        denom._memo.cache_clear()
+        theirs = _o_table(Q.rev())
+        shared = mine.keys() & theirs.keys()
+        differ = sorted(s for s in shared if mine[s] != theirs[s])
+        assert shared and not differ, (Q.orientation_str(), differ)
+    denom._memo.cache_clear()
 
 
 def test_merge_matches_the_loop_on_every_e6_orientation():
     """On every E6 orientation, where Q^rev's o-table relabels the
     residues by the w0 involution, the merge equals the loop over every
-    slot of both tables."""
+    slot of both tables, in row order."""
     system = build_root_system("E", 6)
     for Q in all_orientations(system):
         want = _reference_merge(system, _o_table(Q), _o_table(Q.rev()))
-        assert denom._distance_polynomials(Q) == want, Q.orientation_str()
+        got = denom._distance_polynomials(Q)
+        assert got == want and list(got) == list(want), Q.orientation_str()
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -785,14 +788,15 @@ def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
 
 def test_edge_check_names_a_root_missing_from_the_reflected_class(monkeypatch):
     """A root beta of [P] whose image s_i beta the class of [Q] does not
-    hold raises RootNotInWord naming s_i beta, as ``CommClass.position``
-    does."""
+    hold raises RootNotInWord naming s_i beta in the system's root syntax,
+    as ``CommClass.position`` does."""
     (P, Q), i = _reflected_a3(), 1
     cls = build_ar_quiver(Q).comm_class()
     top = Q.system.highest_root
     monkeypatch.setattr(cls, "_pos_of_root",
                         {r: k for r, k in cls._pos_of_root.items() if r != top})
-    with pytest.raises(RootNotInWord, match=re.escape(f"{top} does not occur")):
+    name = Q.system.format_root(top)
+    with pytest.raises(RootNotInWord, match=re.escape(f"{name} does not occur")):
         denom._check_reflection(P, Q, i)
 
 

@@ -23,6 +23,22 @@ def test_positive_root_counts(kind, rank):
     assert len(build_root_system(kind, rank).positive_roots) == COUNTS[(kind, rank)]
 
 
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_neighbours_are_the_adjacency_of_the_edges(kind, rank):
+    """``neighbours``, read off the Cartan matrix, holds each vertex's
+    neighbours along the Dynkin edges, 1-based and ascending, () at 0."""
+    system = build_root_system(kind, rank)
+    want = [[] for _ in range(rank + 1)]
+    for a, b in system.datum.edges:
+        want[a].append(b)
+        want[b].append(a)
+    assert system.neighbours == tuple(tuple(sorted(v)) for v in want)
+
+
 @pytest.mark.parametrize("kind,rank", SMALL)
 def test_parse_format_roundtrip(kind, rank):
     sys_ = build_root_system(kind, rank)
