@@ -351,12 +351,18 @@ def cmd_denom(args):
               p.format(args.format))
         return 0
     if args.action == "table":
-        quivers = (_sweep(args) if args.orient or args.all_orientations
-                   else [next(all_orientations(_system(args)))])
-        tables = {denominator_table(Q) for Q in quivers}
-        if len(tables) > 1:
-            raise VerificationFailed("distance polynomials differ across orientations")
-        entries = tables.pop()
+        quivers = iter(_sweep(args) if args.orient or args.all_orientations
+                       else [next(all_orientations(_system(args)))])
+        first = next(quivers)
+        entries = denominator_table(first)
+        for Q in quivers:
+            table = denominator_table(Q)
+            if table != entries:
+                a, b = next((a, b) for a, b in zip(entries, table) if a != b)
+                raise VerificationFailed(
+                    f"distance polynomials differ across orientations: d_{a.k},{a.l} is"
+                    f" {a.poly} on {first.orientation_str()} but {b.poly} on"
+                    f" {Q.orientation_str()}")
         _show(args, [e.to_json() for e in entries],
               _table_text(entries, latex=args.format == "latex"))
         return 0

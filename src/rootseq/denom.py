@@ -274,51 +274,50 @@ def check_well_defined(system) -> None:
                           for (i, j, t), (_, o) in first.items()})
 
 
-def _o_table(Q: DynkinQuiver) -> dict[tuple[int, int, int], int]:
-    """{(k, l, t): o_t} over every occupied slot, k <= l: the gdist shared
-    by the comparable pairs of the slot, read off the rows of Gamma_Q.
-
-    The ordered slots (k, l, t) and (l, k, t) of a slot both start at
-    dist(k, l) (``_gaps``), so its gaps run in steps of 2 to the larger of
-    their last gaps.  Each slot reads the system's memo (``_memo``); a miss
-    takes ``_first_gdist`` of the slot's first occupied order.  Q's class
-    is left with an empty ``cache`` whether the table returns or raises."""
-    sys_ = Q.system
-    arq = build_ar_quiver(Q)
-    xi, mQ = arq.xi, arq.mQ
+def _o_rows(*quivers: DynkinQuiver) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """{(k, l): [(t, o_t), ...]} for every k <= l, in row order, t ascending,
+    zeros included: o_t over every slot (k, l, t) that the AR quiver of one
+    of ``quivers`` holds.  Its orders (k, l, t) and (l, k, t) both start at
+    dist(k, l) (``_gaps``), so a row runs in steps of 2 to the largest of
+    their last gaps over the quivers.  Each slot reads the system's memo
+    (``_memo``) once; a miss takes ``_first_gdist`` of the slot's first
+    occupied order on the first quiver that holds it.  Every quiver's class
+    is left with an empty ``cache`` whether the rows return or raise."""
+    sys_ = quivers[0].system
+    arqs = [build_ar_quiver(Q) for Q in quivers]
     dist, memo = _tree_distance(sys_), _memo(sys_)
-    out = {}
+    rows = {}
     try:
         for k, l in combinations_with_replacement(range(1, sys_.rank + 1), 2):
-            last = max(xi[k] - xi[l] + 2 * mQ[l], xi[l] - xi[k] + 2 * mQ[k])
-            for t in range(dist[k][l] or 2, last + 1, 2):
-                slot = (k, l, t)
-                o = memo.get(slot)
+            lasts = [max(a.xi[k] - a.xi[l] + 2 * a.mQ[l], a.xi[l] - a.xi[k] + 2 * a.mQ[k])
+                     for a in arqs]
+            row = rows[k, l] = []
+            for t in range(dist[k][l] or 2, max(lasts) + 1, 2):
+                o = memo.get((k, l, t))
                 if o is None:
+                    arq = next(a for a, last in zip(arqs, lasts) if t <= last)
                     i, j = (k, l) if t in _gaps(arq, k, l) else (l, k)
-                    o = memo[slot] = _first_gdist(arq, i, j, t)
-                out[slot] = o
+                    o = memo[k, l, t] = _first_gdist(arq, i, j, t)
+                row.append((t, o))
     finally:
         # every entry depends on the class alone: dropping it costs only
         # recomputation, never a different answer
-        arq.comm_class().cache = ClassCache()
-    return out
+        for arq in arqs:
+            arq.comm_class().cache = ClassCache()
+    return rows
+
+
+def _o_table(Q: DynkinQuiver) -> dict[tuple[int, int, int], int]:
+    """{(k, l, t): o_t} over every slot of Gamma_Q, k <= l: ``_o_rows(Q)`` flat."""
+    return {(k, l, t): o for (k, l), row in _o_rows(Q).items() for t, o in row}
 
 
 def _distance_polynomials(Q: DynkinQuiver) -> dict[tuple[int, int], DistancePolynomial]:
     """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
-    every k <= l, in row order.
-
-    The max is the union of the two o-tables (C-level): o_t depends on
-    the slot alone (``_memo``), and both tables read it from the system's
-    one memo, so they agree on every slot they share.  Then one pass groups
-    the nonzero exponents by (k, l), and each group is sorted."""
-    n = Q.system.rank
-    exps = {(k, l): [] for k in range(1, n + 1) for l in range(k, n + 1)}
-    for (k, l, t), o in (_o_table(Q) | _o_table(Q.rev())).items():
-        if o:
-            exps[k, l].append((t, o))
-    return {kl: DistancePolynomial(tuple(sorted(f))) for kl, f in exps.items()}
+    every k <= l, in row order: the nonzero entries of ``_o_rows(Q, Q.rev())``.
+    o_t depends on the slot alone (``_memo``), so each slot has one value."""
+    return {kl: DistancePolynomial(tuple(f for f in row if f[1]))
+            for kl, row in _o_rows(Q, Q.rev()).items()}
 
 
 def distance_polynomial(Q: DynkinQuiver, k: int, l: int) -> DistancePolynomial:

@@ -90,7 +90,7 @@ class ClassCache:
     of a weight are stored whole and checked against each caller's cap on
     the way out (see ``seqcalc.sequences_of_weight``).  Three callers empty
     a class's cache when done with it, whether they return or raise:
-    ``denom._o_table`` once its table is read, ``denom.check_well_defined``
+    ``denom._o_rows`` once its rows are read, ``denom.check_well_defined``
     (``--check-all``) once it has read the ordered slots of each class of
     the system, and ``cli.cmd_verify`` (``rds-mul``, ``dist-bound``) once
     it has checked each class of its sweep.

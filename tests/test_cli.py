@@ -118,6 +118,29 @@ def test_denom_table_e8_check_all(capsys):
         _memo.cache_clear()
 
 
+def test_denom_table_names_the_orientations_that_differ(capsys, monkeypatch):
+    """When the tables of two orientations differ, denom table exits 1 and
+    names the first orientation, the first one whose table differs from it
+    and the first (k, l) where the two differ, with both polynomials."""
+    from rootseq import cli
+
+    real = cli.denominator_table
+
+    def changed(Q):
+        """The real table, but d_{1,2} times (z+q^9) on 2>1,3>2, the last."""
+        table = real(Q)
+        if Q.orientation_str() != "2>1,3>2":
+            return table
+        e = table[1]
+        return (table[0], e._replace(poly=e.poly.times(9)), *table[2:])
+
+    monkeypatch.setattr(cli, "denominator_table", changed)
+    code, out, err = run(capsys, "denom", "table", "--type", "A3", "--all-orientations")
+    assert (code, out) == (1, "")
+    assert err == ("error: distance polynomials differ across orientations: d_1,2 is"
+                   " (z+q^3) on 1>2,2>3 but (z+q^3)(z+q^9) on 2>1,3>2\n")
+
+
 def test_denom_poly_latex(capsys):
     code, out, _ = run(capsys, "denom", "poly", *A3_ARGS,
                        "--k", "1", "--l", "2", "--format", "latex")

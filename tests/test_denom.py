@@ -26,7 +26,7 @@ from rootseq.denom import (
 )
 from rootseq.orders import RootSequence
 from rootseq.rootsys import UnsupportedType, build_root_system
-from rootseq.seqcalc import gdist, gdist_chain, radius
+from rootseq.seqcalc import PartitionCap, gdist, gdist_chain, radius
 from rootseq.words import ClassCache, CommClass, RootNotInWord
 
 from conftest import denominator_closed_form
@@ -492,11 +492,14 @@ def _reference_merge(system, mine, theirs):
     return {kl: DistancePolynomial.from_dict(d) for kl, d in exps.items()}
 
 
-@pytest.mark.parametrize(
-    "kind,rank,limit",
+# every orientation of A2-A7, D4-D6 and E6, and the first 8 of E7
+MERGE_SYSTEMS = (
     [("A", n, None) for n in range(2, 8)] + [("D", n, None) for n in (4, 5, 6)]
-    + [("E", 6, None), ("E", 7, 8)],
+    + [("E", 6, None), ("E", 7, 8)]
 )
+
+
+@pytest.mark.parametrize("kind,rank,limit", MERGE_SYSTEMS)
 def test_reversed_tables_agree_from_cold_memos(kind, rank, limit):
     """The o-tables of Q and Q^rev, each computed from a cold memo, give
     every slot they share the same o_t: the merge may take their union,
@@ -521,6 +524,117 @@ def test_merge_matches_the_loop_on_every_e6_orientation():
         want = _reference_merge(system, _o_table(Q), _o_table(Q.rev()))
         got = denom._distance_polynomials(Q)
         assert got == want and list(got) == list(want), Q.orientation_str()
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+@pytest.mark.parametrize("kind,rank,limit", MERGE_SYSTEMS)
+def test_one_pass_equals_the_two_table_merge(kind, rank, limit, memo):
+    """The distance polynomials read in one pass over the rows of Q and
+    Q^rev equal the loop over every slot of their two o-tables, in value
+    and in row order, whether the pass starts from a cold memo (and the
+    tables from another) or from a memo the tables of every orientation
+    filled."""
+    system = build_root_system(kind, rank)
+    quivers = list(itertools.islice(all_orientations(system), limit))
+    denom._memo.cache_clear()
+    try:
+        if memo == "warm":
+            for Q in quivers:
+                for R in (Q, Q.rev()):
+                    _o_table(R)
+        for Q in quivers:
+            if memo == "cold":
+                denom._memo.cache_clear()
+            got = denom._distance_polynomials(Q)
+            if memo == "cold":
+                denom._memo.cache_clear()
+            want = _reference_merge(system, _o_table(Q), _o_table(Q.rev()))
+            assert got == want and list(got) == list(want), Q.orientation_str()
+    finally:
+        denom._memo.cache_clear()
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 4), ("D", 5), ("E", 6)])
+def test_a_miss_is_computed_where_it_was_before(monkeypatch, kind, rank):
+    """A denominator table asked from a cold memo computes one gdist per
+    memo key: on Q's AR quiver for every slot Q holds, else on Q^rev's,
+    each of the order (k, l) when t is one of that quiver's gaps from row k
+    to row l, else of (l, k).  The w0 involution is not the identity on these
+    systems, so some slots are held by Q^rev alone."""
+    system = build_root_system(kind, rank)
+    n = system.rank
+    calls = []
+    real = denom._first_gdist
+    monkeypatch.setattr(denom, "_first_gdist",
+                        lambda arq, i, j, t: calls.append((arq.quiver, i, j, t))
+                        or real(arq, i, j, t))
+    on_rev = 0
+    try:
+        for Q in all_orientations(system):
+            held, want = set(), []
+            for R in (Q, Q.rev()):
+                arq = build_ar_quiver(R)
+                for k, l in itertools.combinations_with_replacement(range(1, n + 1), 2):
+                    ahead = set(denom._gaps(arq, k, l))
+                    for t in ahead | set(denom._gaps(arq, l, k)):
+                        if (k, l, t) not in held:
+                            held.add((k, l, t))
+                            want.append((R, k, l, t) if t in ahead else (R, l, k, t))
+            denom._memo.cache_clear()
+            calls.clear()
+            denominator_table(Q)
+            assert Counter(calls) == Counter(want), Q.orientation_str()
+            assert len(calls) == len(denom._memo(system)), Q.orientation_str()
+            on_rev += sum(c[0] != Q for c in calls)
+    finally:
+        denom._memo.cache_clear()
+    assert on_rev
+
+
+@pytest.mark.parametrize("kind,rank", [("D", 5), ("E", 6)])
+def test_a_table_releases_both_caches(monkeypatch, kind, rank):
+    """After denominator_table(Q) the class caches of Q and Q^rev are
+    empty, also when gdist raises PartitionCap in the middle of a row: on
+    its first call, on the call after the first on Q^rev (when both caches
+    hold entries) and on the last.  The memo then holds only the slots
+    finished before the raise.  Q is the first orientation whose cold table
+    computes a gdist on Q^rev before its last."""
+    order, real_first, real = [], denom._first_gdist, denom.gdist
+    monkeypatch.setattr(denom, "_first_gdist",
+                        lambda arq, *slot: order.append(arq.quiver) or real_first(arq, *slot))
+    try:
+        for Q in all_orientations(build_root_system(kind, rank)):
+            denom._memo.cache_clear()
+            order.clear()
+            denominator_table(Q)
+            assert _released(Q) and _released(Q.rev()), Q.orientation_str()
+            if Q.rev() in order[:-1]:
+                break
+        full = dict(denom._memo(Q.system))
+        caps = (1, order.index(Q.rev()) + 2, len(order))
+        at_raise = []
+        for cap in caps:
+            calls = []
+
+            def capped(seq):
+                calls.append(seq)
+                if len(calls) == cap:
+                    at_raise.append([not _released(R) for R in (Q, Q.rev())])
+                    raise PartitionCap(seq.weight(), 2, 1)
+                return real(seq)
+
+            denom._memo.cache_clear()
+            monkeypatch.setattr(denom, "gdist", capped)
+            with pytest.raises(PartitionCap):
+                denominator_table(Q)
+            monkeypatch.setattr(denom, "gdist", real)
+            assert _released(Q) and _released(Q.rev()), cap
+            memo = denom._memo(Q.system)
+            assert len(memo) == cap - 1 and memo.items() <= full.items(), cap
+        # the caches held entries at the raise, so the release is tested
+        assert at_raise == [[False, False], [True, True], [True, True]]
+    finally:
+        denom._memo.cache_clear()
 
 
 ROOT = Path(__file__).resolve().parent.parent
