@@ -17,9 +17,9 @@ from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
 from rootseq.cli import run_piped
 from rootseq.denom import (
     DistancePolynomial,
-    denominator,
+    comparable_pairs,
+    denominator_table,
     quantum_cartan_denominators,
-    slots,
 )
 from rootseq.orders import RootSequence
 from rootseq.rootsys import build_root_system
@@ -47,10 +47,11 @@ def main():
     Q = DynkinQuiver.from_arrows(sys6, [(1, 2), (2, 3), (3, 4), (4, 5), (6, 3)])
 
     reading = quantum_cartan_denominators(Q)
+    table = {(e.k, e.l): e.poly for e in denominator_table(Q)}
     rows = [("entry", "computed", "Gamma_Q reading", "reference", "")]
     bad = []
     for (k, l), want in sorted(REFERENCE.items()):
-        got = denominator(Q, k, l).poly
+        got = table[k, l]
         ref = DistancePolynomial.from_dict(want)
         flag = "" if got == ref else "   <-- reference DIFFERS"
         if flag:
@@ -63,15 +64,15 @@ def main():
         print(f"{entry:<8} {got:<{w}} {read:<{w}} {ref}{flag}")
 
     print("\nchecking orientation independence over all 32 orientations ...")
-    tables = {
-        tuple((k, l, denominator(Q2, k, l).poly) for k, l in sorted(REFERENCE))
-        for Q2 in all_orientations(sys6)
-    }
+    tables = {denominator_table(Q2) for Q2 in all_orientations(sys6)}
     print("identical" if len(tables) == 1 else "DIFFERS ACROSS ORIENTATIONS")
 
     arq = build_ar_quiver(Q)
     cls = arq.comm_class()
-    by_slot = slots(arq)
+    by_slot = {(1, 4, 9): [], (3, 3, 6): []}
+    for a, b, key in comparable_pairs(arq):
+        if key in by_slot:
+            by_slot[key].append((a, b))
 
     print("\nwitness for (1,4): every comparable pair at residue gap 9 is simple,")
     print("so no (z+q^9) factor can arise from the definitions:")

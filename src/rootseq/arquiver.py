@@ -21,7 +21,7 @@ class DynkinQuiver(namedtuple("DynkinQuiver", "system arrows")):
     __slots__ = ()
 
     def __new__(cls, system: RootSystem, arrows: frozenset[tuple[int, int]]):
-        edges = {frozenset(e) for e in system.datum.edges}
+        edges = {frozenset(e) for e in system.edges}
         got = {frozenset(a) for a in arrows}
         if got != edges or len(arrows) != len(edges):
             raise BadOrientation(
@@ -68,7 +68,7 @@ class DynkinQuiver(namedtuple("DynkinQuiver", "system arrows")):
 
 
 def all_orientations(system: RootSystem):
-    edges = system.datum.edges
+    edges = system.edges
     for bits in itertools.product((0, 1), repeat=len(edges)):
         arrows = frozenset(
             (a, b) if bit == 0 else (b, a) for (a, b), bit in zip(edges, bits)
@@ -262,6 +262,6 @@ def find_quiver(cls: CommClass) -> DynkinQuiver | None:
     Q = DynkinQuiver(
         cls.system,
         frozenset((a, b) if first[a] < first[b] else (b, a)
-                  for a, b in cls.system.datum.edges),
+                  for a, b in cls.system.edges),
     )
     return Q if is_adapted(word, Q) else None

@@ -121,7 +121,7 @@ def _parse_orient(system, text):
 def _quiver(args):
     system = _system(args)
     if not args.orient:
-        if not system.datum.edges:  # rank 1: the empty orientation
+        if not system.edges:  # rank 1: the empty orientation
             return DynkinQuiver.from_arrows(system, [])
         raise UsageError("--orient is required")
     return _parse_orient(system, args.orient)
@@ -175,7 +175,11 @@ def _show(args, payload, text):
     if args.format == "json":
         text = json.dumps(payload, indent=1, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as e:
+            raise UsageError(f"cannot write --out {args.out}: {e.strerror}") from None
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)

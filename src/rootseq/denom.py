@@ -41,11 +41,6 @@ class DistancePolynomial(namedtuple("DistancePolynomial", "factors")):
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
-    def times(self, t: int) -> "DistancePolynomial":
-        d = self.as_dict()
-        d[t] = d.get(t, 0) + 1
-        return DistancePolynomial.from_dict(d)
-
     def format(self, style: str = "text") -> str:
         if not self.factors:
             return "1"
@@ -102,17 +97,6 @@ def comparable_pairs(arq: ARQuiver):
             b = low.bit_length() - 1
             kb, pb = coords[b]
             yield a, b, (k, kb, p - pb) if k <= kb else (kb, k, p - pb)
-
-
-def slots(arq: ARQuiver) -> dict[tuple[int, int, int], list]:
-    """The comparable pairs as position pairs (a, b), a < b, grouped by slot
-    (k, l, t), k <= l: residues {k, l} and coordinate gap t, each slot in
-    the order of ``comparable_pairs``.  ``arq.coords[a]`` is the vertex
-    (i, p) of position a."""
-    out: dict[tuple[int, int, int], list] = {}
-    for a, b, key in comparable_pairs(arq):
-        out.setdefault(key, []).append((a, b))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -326,27 +310,25 @@ def distance_polynomial(Q: DynkinQuiver, k: int, l: int) -> DistancePolynomial:
     return _distance_polynomials(Q)[min(k, l), max(k, l)]
 
 
-def _entry(Q: DynkinQuiver, k: int, l: int, poly: DistancePolynomial) -> DenominatorEntry:
-    """d_{k,l} from the distance polynomial of k and l: poly, times
-    (z-(-q)^{h_dual}) when l = k*."""
-    sys_ = Q.system
-    correction = sys_.w0_involution[k] == l
-    if correction:
-        poly = poly.times(sys_.dual_coxeter)
-    return DenominatorEntry(k, l, poly, correction, sys_.kind == "E")
-
-
 def denominator(Q: DynkinQuiver, k: int, l: int) -> DenominatorEntry:
-    """d_{k,l} (see ``_entry``)."""
-    return _entry(Q, k, l, distance_polynomial(Q, k, l))
+    """d_{k,l}: the entry of ``denominator_table`` at (min(k, l), max(k, l)),
+    labelled (k, l) as asked (its correction is symmetric, * an involution)."""
+    e = next(e for e in denominator_table(Q) if (e.k, e.l) == (min(k, l), max(k, l)))
+    return e._replace(k=k, l=l)
 
 
 def denominator_table(Q: DynkinQuiver) -> tuple[DenominatorEntry, ...]:
-    """Every d_{k,l}, k <= l, in row order."""
-    return tuple(
-        _entry(Q, k, l, poly)
-        for (k, l), poly in _distance_polynomials(Q).items()
-    )
+    """Every d_{k,l}, k <= l, in row order: the distance polynomial of k and
+    l (``_distance_polynomials``), times (z-(-q)^{h_dual}) when l = k*."""
+    sys_ = Q.system
+    h, star, table = sys_.dual_coxeter, sys_.w0_involution, []
+    for (k, l), poly in _distance_polynomials(Q).items():
+        correction = star[k] == l
+        if correction:
+            d = poly.as_dict()
+            poly = DistancePolynomial.from_dict({**d, h: d.get(h, 0) + 1})
+        table.append(DenominatorEntry(k, l, poly, correction, sys_.kind == "E"))
+    return tuple(table)
 
 
 def quantum_cartan_denominators(Q: DynkinQuiver) -> dict[tuple[int, int], DistancePolynomial]:

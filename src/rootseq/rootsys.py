@@ -55,26 +55,6 @@ def dynkin_edges(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
     raise UnsupportedType(f"unknown kind {kind!r}")
 
 
-class CartanDatum(namedtuple("CartanDatum", "kind rank edges cartan_matrix")):
-    """kind: str, rank: int, edges: tuple[tuple[int, int], ...],
-    cartan_matrix: tuple[tuple[int, ...], ...]."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def build(kind: str, rank: int) -> "CartanDatum":
-        edges = dynkin_edges(kind, rank)
-        adj = {frozenset(e) for e in edges}
-        A = tuple(
-            tuple(
-                2 if i == j else (-1 if frozenset((i, j)) in adj else 0)
-                for j in range(1, rank + 1)
-            )
-            for i in range(1, rank + 1)
-        )
-        return CartanDatum(kind, rank, edges, A)
-
-
 class PosRoot(namedtuple("PosRoot", "coeffs")):
     """A positive root as its coefficient vector over the simple roots
     (coeffs: tuple[int, ...]); ordered by that vector."""
@@ -88,10 +68,6 @@ class PosRoot(namedtuple("PosRoot", "coeffs")):
     @property
     def mul(self) -> int:
         return max(self.coeffs)
-
-    @property
-    def supp(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, c in enumerate(self.coeffs) if c > 0)
 
     def __add__(self, other: "PosRoot") -> "PosRoot":
         return PosRoot(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -119,11 +95,17 @@ _W0_INVOLUTIONS = {
 class RootSystem:
     """Positive roots of a finite ADE root system, with parsing helpers."""
 
-    def __init__(self, datum: CartanDatum):
-        self.datum = datum
-        self.kind = datum.kind
-        self.rank = datum.rank
-        self.cartan = datum.cartan_matrix
+    def __init__(self, kind: str, rank: int):
+        self.kind, self.rank = kind, rank
+        self.edges = dynkin_edges(kind, rank)
+        adj = {frozenset(e) for e in self.edges}
+        self.cartan = tuple(
+            tuple(
+                2 if i == j else (-1 if frozenset((i, j)) in adj else 0)
+                for j in range(1, rank + 1)
+            )
+            for i in range(1, rank + 1)
+        )
         # each vertex's Dynkin neighbours, 1-based and ascending; () at 0
         self.neighbours = ((),) + tuple(
             tuple(j for j, a in enumerate(row, 1) if a == -1) for row in self.cartan
@@ -218,7 +200,7 @@ class RootSystem:
     def format_root(self, beta: PosRoot) -> str:
         self.root(beta)
         if self.kind == "A":
-            nodes = sorted(beta.supp)
+            nodes = [i for i, c in enumerate(beta.coeffs, 1) if c]
             a, b = nodes[0], nodes[-1]
             return f"[{a}]" if a == b else f"[{a},{b}]"
         if self.kind == "D":
@@ -267,7 +249,7 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(kind: str, rank: int) -> RootSystem:
-    return RootSystem(CartanDatum.build(kind, rank))
+    return RootSystem(kind, rank)
 
 
 def field_width(system: RootSystem, weight=()) -> int:

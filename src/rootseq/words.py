@@ -88,12 +88,9 @@ class ClassCache:
     class alone, never on the queries made before it, so every caller may
     share it, and dropping it costs only recomputation.  The enumerations
     of a weight are stored whole and checked against each caller's cap on
-    the way out (see ``seqcalc.sequences_of_weight``).  Three callers empty
-    a class's cache when done with it, whether they return or raise:
-    ``denom._o_rows`` once its rows are read, ``denom.check_well_defined``
-    (``--check-all``) once it has read the ordered slots of each class of
-    the system, and ``cli.cmd_verify`` (``rds-mul``, ``dist-bound``) once
-    it has checked each class of its sweep.
+    the way out (see ``seqcalc.sequences_of_weight``).  A pass over
+    classes empties each class's cache (``cls.cache = ClassCache()``) when
+    it returns or raises, so no class keeps the answers of a finished pass.
     """
 
     __slots__ = ("weights", "pairs", "simple", "chains", "packed", "members")

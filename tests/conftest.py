@@ -1,5 +1,6 @@
 import pytest
 
+from rootseq import denom
 from rootseq.arquiver import height_function
 from rootseq.denom import DistancePolynomial
 from rootseq.orders import RootSequence, bilex_less, coarse_less
@@ -295,6 +296,22 @@ def good_neighbors_by_sequences(p):
     )
 
 
+# -- the comparable pairs of Gamma_Q grouped by slot ---------------------
+# The library reads each slot off the rows of Gamma_Q (``denom._gaps``,
+# ``denom._first_pair``); this grouping walks every comparable pair instead.
+
+def slots(arq):
+    """The comparable pairs as position pairs (a, b), a < b, grouped by slot
+    (k, l, t), k <= l: residues {k, l} and coordinate gap t, each slot in
+    the order of ``denom.comparable_pairs`` (looked up when called, so a
+    test may wrap it).  ``arq.coords[a]`` is the vertex (i, p) of
+    position a."""
+    out = {}
+    for a, b, key in denom.comparable_pairs(arq):
+        out.setdefault(key, []).append((a, b))
+    return out
+
+
 # -- the closed-form denominators of types A and D ----------------------
 # The library checks its denominators against the inverse quantum Cartan
 # matrix read off Gamma_Q; these are the known formulas it agrees with.
@@ -335,7 +352,7 @@ def longest_word(system):
     """A reduced word of w0, adapted to the orientation with every edge
     pointing from the smaller to the larger node: repeatedly take the
     smallest source that keeps the word reduced."""
-    arrows = set(system.datum.edges)
+    arrows = set(system.edges)
     n = system.rank
     images = [system.simple_root(i).coeffs for i in range(1, n + 1)]
     seen: set[tuple[int, ...]] = set()

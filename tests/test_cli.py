@@ -123,6 +123,7 @@ def test_denom_table_names_the_orientations_that_differ(capsys, monkeypatch):
     names the first orientation, the first one whose table differs from it
     and the first (k, l) where the two differ, with both polynomials."""
     from rootseq import cli
+    from rootseq.denom import DistancePolynomial
 
     real = cli.denominator_table
 
@@ -132,7 +133,8 @@ def test_denom_table_names_the_orientations_that_differ(capsys, monkeypatch):
         if Q.orientation_str() != "2>1,3>2":
             return table
         e = table[1]
-        return (table[0], e._replace(poly=e.poly.times(9)), *table[2:])
+        poly = DistancePolynomial.from_dict({**e.poly.as_dict(), 9: 1})
+        return (table[0], e._replace(poly=poly), *table[2:])
 
     monkeypatch.setattr(cli, "denominator_table", changed)
     code, out, err = run(capsys, "denom", "table", "--type", "A3", "--all-orientations")
@@ -469,6 +471,19 @@ def test_out_file_holds_every_line(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, where, reason):
+    """--out into a directory that does not exist, or naming a directory,
+    exits 2 with one error line naming the path, and no traceback."""
+    target = tmp_path / where
+    code, out, err = run(capsys, "denom", "table", "--type", "A3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: {reason}\n"
+
+
 def test_determinism(capsys):
     a = run(capsys, "denom", "table", "--type", "D4", "--format", "json")
     b = run(capsys, "denom", "table", "--type", "D4", "--format", "json")
@@ -528,6 +543,43 @@ def test_verify_all_stops_on_a_closed_stdout(monkeypatch):
         monkeypatch.setattr(verify_all, "cli_main", lambda argv: calls.append(argv) or code)
         assert verify_all.main() == want
         assert len(calls) == runs
+
+
+E6_WITNESSES = """\
+witness for (1,4): every comparable pair at residue gap 9 is simple,
+so no (z+q^9) factor can arise from the definitions:
+  ((100000),(112211)): simple=True
+  ((010000),(011110)): simple=True
+  ((111101),(000100)): simple=True
+  ((122111),(000010)): simple=True
+
+witness for (3,3): a pair at gap 6 with a length-3 chain of
+non-simple equal-weight sequences below it:
+  pair ((111001),(123211)): gdist = 3
+    ((111111),(112101),(011000))
+    ((001001),(111111),(111100),(011000))
+    ((111001),(123211))
+"""
+
+
+def test_e6_table_reads_one_table_per_orientation(monkeypatch, capsys):
+    """scripts/e6_table.py exits 1 while the reference differs: it flags
+    d_1,4 and d_3,3 alone, finds every orientation's table identical and
+    prints both witness sections.  It reads one denominator table for its
+    own orientation and one per orientation of E6: 33 in all."""
+    spec = importlib.util.spec_from_file_location("e6_table", ROOT / "scripts" / "e6_table.py")
+    e6_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(e6_table)
+    real, asked = e6_table.denominator_table, []
+    monkeypatch.setattr(e6_table, "denominator_table", lambda Q: asked.append(Q) or real(Q))
+    assert e6_table.main() == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines if "reference DIFFERS" in line] == [
+        "d_1,4", "d_3,3"]
+    assert "computed != reading" not in out and "identical" in lines
+    assert out.endswith("\n\n" + E6_WITNESSES)
+    assert len(asked) == 33 and len(set(asked)) == 32
 
 
 def test_cli_hash_is_unchanged():

@@ -21,7 +21,6 @@ from rootseq.denom import (
     _o_table,
     distance_polynomial,
     quantum_cartan_denominators,
-    slots,
     verify_denominator,
 )
 from rootseq.orders import RootSequence
@@ -29,7 +28,7 @@ from rootseq.rootsys import UnsupportedType, build_root_system
 from rootseq.seqcalc import PartitionCap, gdist, gdist_chain, radius
 from rootseq.words import ClassCache, CommClass, RootNotInWord
 
-from conftest import denominator_closed_form
+from conftest import denominator_closed_form, slots
 
 
 def _quiver(kind, rank, arrows):
@@ -49,7 +48,6 @@ def test_polynomial_formatting():
     p = DistancePolynomial.from_dict({2: 1, 3: 2, 5: 0})
     assert str(p) == "(z-q^2)(z+q^3)^2"
     assert p.format("latex") == "(z-q^{2})(z+q^{3})^{2}"
-    assert p.times(3).as_dict() == {2: 1, 3: 3}
     assert str(DistancePolynomial.from_dict({})) == "1"
 
 
@@ -97,6 +95,49 @@ def test_correction_factor_on_dual_pairs():
     e11 = denominator(Q, 1, 1)
     assert not e11.correction and e11.poly.as_dict() == {2: 1}
     assert not e.conjectural
+
+
+# every orientation of A2-A5, D4, D5 and E6, and the E7 reference orientation
+COMPOSED_SYSTEMS = [("A", n) for n in range(2, 6)] + [("D", 4), ("D", 5), ("E", 6), ("E", 7)]
+E7_REFERENCE = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]
+
+
+def _composed_quivers(kind, rank):
+    if (kind, rank) == ("E", 7):
+        return [_quiver("E", 7, E7_REFERENCE)]
+    return list(all_orientations(build_root_system(kind, rank)))
+
+
+@pytest.mark.parametrize("kind,rank", COMPOSED_SYSTEMS)
+def test_each_entry_is_its_distance_polynomial_with_the_correction(kind, rank):
+    """Every d_{k,l} of the table, k <= l in row order, is the distance
+    polynomial of k and l, times (z-(-q)^{h_dual}) exactly when l = k*,
+    composed here from ``distance_polynomial`` and the system's data."""
+    for Q in _composed_quivers(kind, rank):
+        sys_ = Q.system
+        table = denominator_table(Q)
+        pairs = itertools.combinations_with_replacement(range(1, rank + 1), 2)
+        assert [(e.k, e.l) for e in table] == list(pairs)
+        for e in table:
+            want = distance_polynomial(Q, e.k, e.l).as_dict()
+            dual = sys_.w0_involution[e.k] == e.l
+            if dual:
+                want[sys_.dual_coxeter] = want.get(sys_.dual_coxeter, 0) + 1
+            assert e.poly == DistancePolynomial.from_dict(want), (Q.orientation_str(), e)
+            assert (e.correction, e.conjectural) == (dual, kind == "E")
+
+
+@pytest.mark.parametrize("kind,rank", COMPOSED_SYSTEMS)
+def test_denominator_is_its_table_entry_as_asked(kind, rank):
+    """denominator(Q, k, l), for k < l, k = l and k > l, holds the entry of
+    the table at (min(k, l), max(k, l)), labelled (k, l) as asked."""
+    for Q in _composed_quivers(kind, rank):
+        table = {(e.k, e.l): e for e in denominator_table(Q)}
+        for k, l in itertools.product(range(1, rank + 1), repeat=2):
+            got, entry = denominator(Q, k, l), table[min(k, l), max(k, l)]
+            assert (got.k, got.l) == (k, l)
+            assert (got.poly, got.correction, got.conjectural) == (
+                entry.poly, entry.correction, entry.conjectural)
 
 
 def test_closed_form_d5():
@@ -438,7 +479,7 @@ def test_reflections_connect_every_orientation(kind, rank):
     check_well_defined checks the premise of every one."""
     system = build_root_system(kind, rank)
     quivers = list(all_orientations(system))
-    assert len(set(quivers)) == len(quivers) == 2 ** len(system.datum.edges)
+    assert len(set(quivers)) == len(quivers) == 2 ** len(system.edges)
     reached = {quivers[0]}
     frontier = [quivers[0]]
     for P in frontier:  # appended to while read
@@ -813,7 +854,6 @@ def test_e6_o_tables_cost_one_gdist_per_memo_key(monkeypatch, checked):
                         lambda P, Q, i: checked_premises.append((P, i)) or real_check(P, Q, i))
     monkeypatch.setattr(denom, "gdist", lambda seq: calls.append(seq) or real_gdist(seq))
     monkeypatch.setattr(denom, "comparable_pairs", walked)
-    monkeypatch.setattr(denom, "slots", walked)
     want = [(P, i) for P in all_orientations(system) for i, _ in denom._reflections(P)]
     denom._memo.cache_clear()
     try:
@@ -873,9 +913,9 @@ def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
     """Asking all 64 E7 o-tables from a cold memo, running
     check_well_defined and asking them again walks the comparable pairs of
     no orientation, the root's included: the check and each table read
-    their slots off the rows of Gamma_Q.  Only a
-    direct ``slots`` call, as the E6 table script makes on the root, walks
-    them, and it walks the root's alone."""
+    their slots off the rows of Gamma_Q.  Only a direct walk, as the E6
+    table script makes on the root and as the conftest ``slots`` grouping
+    makes here, walks them, and it walks the root's alone."""
     system = build_root_system("E", 7)
     walked = []
     real = denom.comparable_pairs
@@ -896,7 +936,7 @@ def test_only_the_root_walks_its_comparable_pairs(monkeypatch):
     finally:
         denom._memo.cache_clear()
     assert walked == []
-    denom.slots(build_ar_quiver(root))
+    slots(build_ar_quiver(root))
     assert walked == [root]
 
 

@@ -14,7 +14,7 @@ from rootseq.arquiver import BadOrientation, DynkinQuiver, build_ar_quiver
 from rootseq.cli import fixture_dir
 from rootseq.denom import DenominatorEntry, DistancePolynomial
 from rootseq.orders import RootSequence
-from rootseq.rootsys import CartanDatum, PosRoot, build_root_system
+from rootseq.rootsys import PosRoot, build_root_system
 from rootseq.words import CommClass, LetterOutOfRange, ReducedWord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,11 +25,6 @@ POLY = DistancePolynomial(((2, 1), (4, 2)))
 
 # type -> (its compared fields by name, the record's repr)
 RECORDS = {
-    CartanDatum: (
-        dict(kind="A", rank=2, edges=((1, 2),), cartan_matrix=((2, -1), (-1, 2))),
-        "CartanDatum(kind='A', rank=2, edges=((1, 2),), "
-        "cartan_matrix=((2, -1), (-1, 2)))",
-    ),
     PosRoot: (dict(coeffs=(1, 0)), "PosRoot(coeffs=(1, 0))"),
     ReducedWord: (dict(letters=(1, 2, 1), system=A2), "s1.s2.s1"),
     DynkinQuiver: (

@@ -33,7 +33,7 @@ def test_neighbours_are_the_adjacency_of_the_edges(kind, rank):
     neighbours along the Dynkin edges, 1-based and ascending, () at 0."""
     system = build_root_system(kind, rank)
     want = [[] for _ in range(rank + 1)]
-    for a, b in system.datum.edges:
+    for a, b in system.edges:
         want[a].append(b)
         want[b].append(a)
     assert system.neighbours == tuple(tuple(sorted(v)) for v in want)
