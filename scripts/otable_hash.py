@@ -13,8 +13,9 @@ o-tables; the same second line, the same AR quivers and heaps.  Run with
 
 Each o-table is read off the rows of its own AR quiver, its gdists taken
 from a memo shared by the tables of the system (``denom._o_table``, the
-flat view of ``denom._o_rows``, the one reader of that memo, which the
-denominator tables read over Q and Q^rev in one pass).  The
+flat view of ``denom._o_rows``, the one reader of that memo; a denominator
+table reads Q's rows alone, Q^rev's being Q's relabelled by the w0
+involution).  The
 hash is the one printed when every table was computed from its own class,
 each slot's gdist from the slot's first pair, so it certifies the reading
 on every table and the sharing of the memo.  The tables are asked without

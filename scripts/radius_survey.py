@@ -9,8 +9,8 @@ import sys
 import time
 
 from rootseq.arquiver import DynkinQuiver, all_orientations, build_ar_quiver
-from rootseq.cli import run_piped
-from rootseq.rootsys import build_root_system
+from rootseq.cli import _type_rank, run_piped
+from rootseq.rootsys import UnsupportedType, build_root_system
 from rootseq.seqcalc import radius
 
 REFERENCE_E = {
@@ -20,8 +20,8 @@ REFERENCE_E = {
 }
 
 
-def survey(kind, rank):
-    sys_ = build_root_system(kind, rank)
+def survey(sys_):
+    kind, rank = sys_.kind, sys_.rank
     if kind == "E":
         Q = DynkinQuiver.from_arrows(sys_, REFERENCE_E[rank])
     else:
@@ -46,9 +46,13 @@ def main():
     ap.add_argument("--systems", default="A5,D4,D5,E6",
                     help="comma list, e.g. A5,D5,E6,E7,E8")
     args = ap.parse_args()
-    for tag in args.systems.split(","):
-        tag = tag.strip()
-        survey(tag[0].upper(), int(tag[1:]))
+    try:  # every tag is checked before the first survey prints
+        systems = [build_root_system(*_type_rank(tag)) for tag in args.systems.split(",")]
+    except (argparse.ArgumentTypeError, UnsupportedType) as e:
+        print(f"error: --systems: {e}", file=sys.stderr)
+        return 2
+    for sys_ in systems:
+        survey(sys_)
     return 0
 
 

@@ -8,9 +8,11 @@ Exits non-zero unless every run exits 0; if the reader of stdout closes it
 (as ``| head -1`` does), stops at once and exits 141, as the CLI does.
 
 Each E7 and E8 denominator table is read in one pass over the rows of the
-AR quivers of its orientation Q and of Q^rev, its gdists taken from a memo
-shared by the system's tables (``denom._o_rows``), one per slot (245 in
-E7), and the sweep fails unless every orientation gives one table.  With --check-all every denominator run,
+AR quiver of its orientation Q alone (``denom._o_rows``): Q^rev's rows are
+Q's relabelled by the w0 involution, the identity on E7 and E8.  Its gdists
+come from a memo shared by the system's tables, one per slot (245 in E7),
+and the sweep fails unless every orientation gives one table.  With
+--check-all every denominator run,
 the E8 table included, first checks its whole system, as ``rootseq denom
 --check-all`` does whatever ``--orient`` says (``denom.check_well_defined``):
 the premise of the reflection at every sink and source of every orientation

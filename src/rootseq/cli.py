@@ -354,9 +354,9 @@ def cmd_denom(args):
         _show(args, {"k": args.k, "l": args.l, "factors": p.to_json()},
               p.format(args.format))
         return 0
+    quivers = iter(_sweep(args) if args.orient or args.all_orientations
+                   else [next(all_orientations(_system(args)))])
     if args.action == "table":
-        quivers = iter(_sweep(args) if args.orient or args.all_orientations
-                       else [next(all_orientations(_system(args)))])
         first = next(quivers)
         entries = denominator_table(first)
         for Q in quivers:
@@ -371,9 +371,7 @@ def cmd_denom(args):
               _table_text(entries, latex=args.format == "latex"))
         return 0
     # verify
-    reports = [(Q.orientation_str(), verify_denominator(Q))
-               for Q in (all_orientations(_system(args)) if args.all_orientations
-                         else [_quiver(args)])]
+    reports = [(Q.orientation_str(), verify_denominator(Q)) for Q in quivers]
     _show(args,
           [{"quiver": q, "ok": not bad, "mismatches": list(bad)} for q, bad in reports],
           "\n".join(f"{q}: {bad or 'ok'}" for q, bad in reports))
@@ -527,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--l", type=int, required=True)
         else:
-            group.add_argument("--all-orientations", action="store_true")
+            group.add_argument("--all-orientations", action="store_true",
+                               help="every orientation; else --orient, else the first")
         p.add_argument("--check-all", action="store_true",
                        help="first check well-definedness on the whole system, "
                             "whatever --orient says: every reflection at a sink "

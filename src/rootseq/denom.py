@@ -258,36 +258,26 @@ def check_well_defined(system) -> None:
                           for (i, j, t), (_, o) in first.items()})
 
 
-def _o_rows(*quivers: DynkinQuiver) -> dict[tuple[int, int], list[tuple[int, int]]]:
+def _o_rows(Q: DynkinQuiver) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """{(k, l): [(t, o_t), ...]} for every k <= l, in row order, t ascending,
-    zeros included: o_t over every slot (k, l, t) that the AR quiver of one
-    of ``quivers`` holds.  Its orders (k, l, t) and (l, k, t) both start at
-    dist(k, l) (``_gaps``), so a row runs in steps of 2 to the largest of
-    their last gaps over the quivers.  Each slot reads the system's memo
-    (``_memo``) once; a miss takes ``_first_gdist`` of the slot's first
-    occupied order on the first quiver that holds it.  Every quiver's class
-    is left with an empty ``cache`` whether the rows return or raise."""
-    sys_ = quivers[0].system
-    arqs = [build_ar_quiver(Q) for Q in quivers]
-    dist, memo = _tree_distance(sys_), _memo(sys_)
-    rows = {}
+    zeros included, over every slot (k, l, t) of Gamma_Q: its orders start at
+    dist(k, l) (``_gaps``), so a row steps by 2 to the larger of their last
+    gaps.  A miss of the memo (``_memo``) takes ``_first_gdist`` of the slot's
+    first occupied order.  The class cache is emptied on return or raise."""
+    arq, dist, memo = build_ar_quiver(Q), _tree_distance(Q.system), _memo(Q.system)
+    xi, mQ, rows = arq.xi, arq.mQ, {}
     try:
-        for k, l in combinations_with_replacement(range(1, sys_.rank + 1), 2):
-            lasts = [max(a.xi[k] - a.xi[l] + 2 * a.mQ[l], a.xi[l] - a.xi[k] + 2 * a.mQ[k])
-                     for a in arqs]
+        for k, l in combinations_with_replacement(range(1, Q.system.rank + 1), 2):
+            ahead = xi[k] - xi[l] + 2 * mQ[l]  # the last gap of the order (k, l)
             row = rows[k, l] = []
-            for t in range(dist[k][l] or 2, max(lasts) + 1, 2):
+            for t in range(dist[k][l] or 2, max(ahead, xi[l] - xi[k] + 2 * mQ[k]) + 1, 2):
                 o = memo.get((k, l, t))
                 if o is None:
-                    arq = next(a for a, last in zip(arqs, lasts) if t <= last)
-                    i, j = (k, l) if t in _gaps(arq, k, l) else (l, k)
+                    i, j = (k, l) if t <= ahead else (l, k)
                     o = memo[k, l, t] = _first_gdist(arq, i, j, t)
                 row.append((t, o))
     finally:
-        # every entry depends on the class alone: dropping it costs only
-        # recomputation, never a different answer
-        for arq in arqs:
-            arq.comm_class().cache = ClassCache()
+        arq.comm_class().cache = ClassCache()  # dropping it never changes an answer
     return rows
 
 
@@ -296,17 +286,28 @@ def _o_table(Q: DynkinQuiver) -> dict[tuple[int, int, int], int]:
     return {(k, l, t): o for (k, l), row in _o_rows(Q).items() for t, o in row}
 
 
+@lru_cache(maxsize=None)
+def _mirror_pairs(system) -> tuple:
+    """((k, l), (k*, l*)) for each pair of rows k <= l that the w0 involution swaps."""
+    return tuple((kl, m) for kl in combinations_with_replacement(range(1, system.rank + 1), 2)
+                 if kl < (m := tuple(sorted(map(system.w0_involution.get, kl)))))
+
+
 def _distance_polynomials(Q: DynkinQuiver) -> dict[tuple[int, int], DistancePolynomial]:
-    """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and its reversal)}} for
-    every k <= l, in row order: the nonzero entries of ``_o_rows(Q, Q.rev())``.
-    o_t depends on the slot alone (``_memo``), so each slot has one value."""
+    """{(k, l): prod_t (z-(-q)^t)^{max(o_t over Q and Q^rev)}} for every
+    k <= l, in row order, off Gamma_Q alone: Q^rev's row (k, l) is Q's row
+    (k*, l*) (Gamma_{Q^rev} is Gamma_Q mirrored by the w0 involution), the
+    two run from dist(k, l) in steps of 2 and agree where both hold a gap
+    (Q and Q^rev agree on every shared slot), so the merge is the longer."""
+    rows = _o_rows(Q)
+    for kl, m in _mirror_pairs(Q.system):
+        rows[kl] = rows[m] = max(rows[kl], rows[m], key=len)
     return {kl: DistancePolynomial(tuple(f for f in row if f[1]))
-            for kl, row in _o_rows(Q, Q.rev()).items()}
+            for kl, row in rows.items()}
 
 
 def distance_polynomial(Q: DynkinQuiver, k: int, l: int) -> DistancePolynomial:
-    """The distance polynomial of residues k and l (see
-    ``_distance_polynomials``)."""
+    """The distance polynomial of residues k and l (``_distance_polynomials``)."""
     return _distance_polynomials(Q)[min(k, l), max(k, l)]
 
 

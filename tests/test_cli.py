@@ -163,6 +163,21 @@ def test_denom_verify_exit_codes(capsys):
     assert all(line.endswith("ok") for line in out.strip().splitlines())
 
 
+def test_denom_sweeps_default_to_the_first_orientation(capsys):
+    """denom table and denom verify take the same orientations: --orient,
+    else every orientation with --all-orientations, else the first
+    orientation of --type."""
+    from rootseq.arquiver import all_orientations
+    from rootseq.rootsys import build_root_system
+
+    first = next(all_orientations(build_root_system("E", 6))).orientation_str()
+    for action in ("table", "verify"):
+        code, out, err = run(capsys, "denom", action, "--type", "E6")
+        assert (code, err) == (0, "")
+        assert run(capsys, "denom", action, "--type", "E6", "--orient", first) == (0, out, "")
+    assert out == f"{first}: ok\n"
+
+
 def test_arq_show_dot_and_diff(capsys):
     code, out, _ = run(capsys, "arq", "show", *D4_ARGS, "--format", "dot")
     assert code == 0 and out.startswith("digraph")
@@ -527,6 +542,19 @@ def test_scripts_exit_141_on_closed_stdout(script):
     proc = _closed_stdout_run([sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]])
     assert proc.returncode == 141
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("systems", ["E", "X4", "E9", "A5,E9"])
+def test_radius_survey_rejects_a_bad_system_before_it_prints(systems):
+    """Every --systems tag is parsed before the first survey prints; a bad
+    one exits 2 with one error line and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "radius_survey.py"), "--systems", systems],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --systems: ") and proc.stderr.count("\n") == 1
 
 
 def test_verify_all_stops_on_a_closed_stdout(monkeypatch):
