@@ -21,6 +21,8 @@ side that goes first alternates from pair to pair:
 - ``rootseq denom table --type E7 --all-orientations``: the CLI form of the
   denom-e7 workload, less bound by start-up than the E6 row
 - ``rootseq denom table --type E6``, one orientation: bound by start-up
+- ``rootseq arq show --type E8 --orient 3>1,3>4,4>2,4>5,5>6,6>7,7>8``:
+  bound by start-up; the root system, one Gamma_Q and its print
 - ``scripts/verify_all.py``
 - ``scripts/radius_survey.py --systems E6,E7,E8`` (it prints the time of
   each survey rounded to 0.1 s, about 0.01 s each, so a run slowed past
@@ -73,6 +75,8 @@ COMMANDS = {
         "--check-all"],
     "denom table E7": CLI + ["denom", "table", "--type", "E7", "--all-orientations"],
     "denom table E6": CLI + ["denom", "table", "--type", "E6"],
+    "arq show E8": CLI + ["arq", "show", "--type", "E8",
+                          "--orient", "3>1,3>4,4>2,4>5,5>6,6>7,7>8"],
     "verify_all": ["scripts/verify_all.py"],
     "radius_survey": ["scripts/radius_survey.py", "--systems", "E6,E7,E8"],
 }

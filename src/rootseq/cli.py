@@ -88,7 +88,7 @@ def _int(text, what):
 def _type_rank(text):
     """--type as (kind, rank): a letter followed by the rank, such as D4."""
     t = text.strip()
-    if len(t) > 1 and t[1:].isdigit():
+    if len(t) > 1 and t[1:].isdecimal():
         return t[0].upper(), int(t[1:])
     raise argparse.ArgumentTypeError(
         f"expected a letter and a rank such as D4, got {text!r}")
@@ -96,7 +96,7 @@ def _type_rank(text):
 
 def _cap(text):
     """A cap on what an enumeration may list: an integer >= 0."""
-    if not text.strip().isdigit():
+    if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 

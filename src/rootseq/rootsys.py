@@ -113,7 +113,7 @@ class RootSystem:
         self.positive_roots: tuple[PosRoot, ...] = self._generate()
         self.N = len(self.positive_roots)
         self._index = {r.coeffs: k for k, r in enumerate(self.positive_roots)}
-        self.highest_root = max(self.positive_roots, key=lambda r: r.height)
+        self.highest_root = self.positive_roots[-1]
         self.w0_involution = _W0_INVOLUTIONS[self.kind](self.rank)
         # simply laced: h_dual = h = the height of the highest root + 1
         self.dual_coxeter = self.highest_root.height + 1
@@ -123,21 +123,33 @@ class RootSystem:
             }
 
     def _generate(self) -> tuple[PosRoot, ...]:
+        """The positive roots by height, then coefficients, built one height
+        at a time from the sorted simple roots.  Every root of height h + 1
+        is v + alpha_i for some root v of height h, and in a simply-laced
+        system v + alpha_i is a root exactly when (v, alpha_i) < 0, that is
+        when 2 v_i is below the sum of v_j over the neighbours j of i
+        (Humphreys, Introduction to Lie Algebras, 9.4 and 10.2).  The
+        reflection closure stays in the tests as the oracle."""
         n = self.rank
-        simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        roots = set(simples)
-        frontier = set(simples)
-        while frontier:
-            new = set()
-            for v in frontier:
-                for i in range(n):
-                    w = self._reflect_vec(v, i + 1)
-                    if min(w) >= 0 and w not in roots:
-                        new.add(w)
-            roots |= new
-            frontier = new
-        ordered = sorted(roots, key=lambda v: (sum(v), v))
-        return tuple(PosRoot(v) for v in ordered)
+        # each vertex with its neighbours, both 0-based
+        nbrs = [(i, tuple(j - 1 for j in js))
+                for i, js in enumerate(self.neighbours[1:])]
+        level = sorted(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        roots = []
+        while level:
+            roots += level
+            up = set()
+            for v in level:
+                for i, js in nbrs:
+                    pairing = 2 * v[i]  # (v, alpha_i)
+                    for j in js:
+                        pairing -= v[j]
+                    if pairing < 0:
+                        w = list(v)
+                        w[i] += 1
+                        up.add(tuple(w))
+            level = sorted(up)
+        return tuple(map(PosRoot, roots))
 
     def _reflect_vec(self, v: tuple[int, ...], i: int) -> tuple[int, ...]:
         c = sum(v[j] * self.cartan[j][i - 1] for j in range(self.rank))

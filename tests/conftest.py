@@ -27,6 +27,25 @@ def act(system, letters, vec):
     return PosRoot(v) if isinstance(vec, PosRoot) else v
 
 
+def reflection_closure(system):
+    """The positive roots by height, then coefficients, as the closure of
+    the simple roots under the simple reflections, keeping the vectors with
+    no negative coefficient: the oracle of ``RootSystem._generate``."""
+    n = system.rank
+    simples = [system.simple_root(i).coeffs for i in range(1, n + 1)]
+    roots, frontier = set(simples), set(simples)
+    while frontier:
+        new = set()
+        for v in frontier:
+            for i in range(1, n + 1):
+                w = system.reflect(v, i)
+                if min(w) >= 0 and w not in roots:
+                    new.add(w)
+        roots |= new
+        frontier = new
+    return tuple(PosRoot(v) for v in sorted(roots, key=lambda v: (sum(v), v)))
+
+
 def coxeter_word(Q):
     """The source-to-sink word of the Coxeter element tau_Q: the vertices by
     height xi descending, then by index (xi drops by 1 along every arrow)."""

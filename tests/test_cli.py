@@ -366,6 +366,20 @@ def test_negative_cap_is_a_usage_error(capsys, argv):
     assert f"argument {argv[-2]}: expected an integer >= 0, got '-1'" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["arq", "show", "--type", "A\u00b2", "--orient", "1>2"],
+     "argument --type: expected a letter and a rank such as D4, got 'A\u00b2'"),
+    (["pair", "gdist", *A3_ARGS, "--pair", "[1],[2,3]", "--cap-partitions", "\u00b2"],
+     "argument --cap-partitions: expected an integer >= 0, got '\u00b2'"),
+], ids=["type", "cap-partitions"])
+def test_a_superscript_digit_gets_the_helpers_message(capsys, argv, message):
+    """A digit that int() refuses, such as a superscript two, exits 2 with
+    the option's own message, not argparse's generic invalid value."""
+    err = rejected(capsys, *argv)
+    assert message in err
+    assert "invalid" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["denom", "table", "--type", "E6", "--cap-partitions", "1"],
     ["denom", "table", "--type", "A3", "--word", "1 2"],

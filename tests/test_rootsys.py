@@ -10,17 +10,39 @@ from rootseq.rootsys import (
     dynkin_edges,
 )
 
-from conftest import act, longest_word
+from conftest import act, longest_word, reflection_closure
 
 SMALL = [("A", 2), ("A", 5), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
 
+# N = n(n+1)/2 on A_n and n(n-1) on D_n, up to large ranks
 COUNTS = {("A", 2): 3, ("A", 5): 15, ("D", 4): 12, ("D", 5): 20,
-          ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}
+          ("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
+          ("A", 40): 40 * 41 // 2, ("D", 30): 30 * 29}
 
 
-@pytest.mark.parametrize("kind,rank", SMALL)
+@pytest.mark.parametrize("kind,rank", COUNTS)
 def test_positive_root_counts(kind, rank):
     assert len(build_root_system(kind, rank).positive_roots) == COUNTS[(kind, rank)]
+
+
+ORACLE_TYPES = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
+                + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("kind,rank", ORACLE_TYPES)
+def test_generation_by_height_is_the_reflection_closure(kind, rank):
+    """The roots built one height at a time are the closure of the simple
+    roots under the simple reflections, in the same order: by height, then
+    coefficients."""
+    system = build_root_system(kind, rank)
+    assert system.positive_roots == reflection_closure(system)
+
+
+@pytest.mark.parametrize("kind,rank", ORACLE_TYPES)
+def test_highest_root_is_alone_at_the_top_height(kind, rank):
+    system = build_root_system(kind, rank)
+    top = system.highest_root.height
+    assert [r for r in system.positive_roots if r.height >= top] == [system.highest_root]
 
 
 @pytest.mark.parametrize(
